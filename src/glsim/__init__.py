@@ -20,7 +20,7 @@ from .access import (CostCounter, Distribution, LocalityError,
 from .acceptance import CriterionResult, DEFAULT_SEED, SUITES, run_criterion, run_suite
 from .embeddings import (ClockHamiltonian, EmbeddedRun, Gate, ReadoutScan,
                          ReversibleCircuit, adjacent_transposition_decomposition,
-                         classical_output, default_scan_horizon, dilated_gate,
+                         classical_output, default_scan_horizon,
                          find_readout_time, fk_classical, fk_long_local,
                          fk_long_undilated, gate_permutation, gate_unitary,
                          j_matrix, overlap_coefficients, parse_circuit,
@@ -63,7 +63,7 @@ __all__ = [
     "classical_output", "constant_poly", "default_scan_horizon", "dense_cap",
     "dense_cos_sqrt_apply", "dense_evolve", "dense_from_oracle",
     "dense_poly_apply", "dense_poly_matrix", "dense_sinc_sqrt_apply",
-    "dilated_gate", "divide_out_zero", "entry_of_poly_apply",
+    "divide_out_zero", "entry_of_poly_apply",
     "estimate_energy", "estimate_observable", "eval_scalar",
     "evt_gl_estimate", "exp_poly", "extended_dimension", "find_readout_time",
     "fk_classical", "fk_long_local", "fk_long_undilated", "gate_permutation",

@@ -67,6 +67,28 @@ class CostCounter:
             }
 
 
+class Memo:
+    """Unbounded memo of a one-argument function, safe to share between threads.
+
+    The lock guards the table only, so fn runs outside it; two threads that
+    miss on the same key both compute it and store equal values.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._table: dict = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, key):
+        with self._lock:
+            if key in self._table:
+                return self._table[key]
+        val = self._fn(key)
+        with self._lock:
+            self._table[key] = val
+        return val
+
+
 # =====================================================================
 # vector oracles
 # =====================================================================
@@ -75,12 +97,12 @@ class CostCounter:
 class VectorOracle:
     """Sq-access to a vector.
 
-    query(i) -> complex entry, norm() -> float, sample(rng) -> index drawn
-    within TV distance zeta of |u_i|^2/||u||^2.  sample_many(rng, k) is the
-    vectorized form; oracles built from dense data draw all k at once.
+    query(i) -> complex entry, norm() -> float, sample_many(rng, k) -> k
+    indices drawn within TV distance zeta of |u_i|^2/||u||^2; sample(rng) is
+    the single draw sample_many(rng, 1)[0].
     """
 
-    def __init__(self, dimension: int, query_fn, norm: float | None, sampler=None,
+    def __init__(self, dimension: int, query_fn, norm: float | None,
                  sample_many=None, zeta: float = 0.0, cost: CostCounter | None = None,
                  seed: int | None = None):
         if dimension < 1:
@@ -92,7 +114,6 @@ class VectorOracle:
         self.dimension = int(dimension)
         self._query_fn = query_fn
         self._norm = None if norm is None else float(norm)
-        self._sampler = sampler
         self._sample_many = sample_many
         self.zeta = float(zeta)
         self.cost = cost if cost is not None else CostCounter()
@@ -116,7 +137,7 @@ class VectorOracle:
 
     @property
     def can_sample(self) -> bool:
-        return self._sampler is not None or self._sample_many is not None
+        return self._sample_many is not None
 
     def _resolve_rng(self, rng):
         if rng is not None:
@@ -130,8 +151,6 @@ class VectorOracle:
             raise PreconditionError("oracle has no sampler")
         rng = self._resolve_rng(rng)
         self.cost.add(samples=1)
-        if self._sampler is not None:
-            return int(self._sampler(rng))
         return int(self._sample_many(rng, 1)[0])
 
     def sample_many(self, rng: np.random.Generator | None, count: int) -> np.ndarray:
@@ -143,11 +162,7 @@ class VectorOracle:
         if count == 0:
             return np.zeros(0, dtype=np.int64)
         self.cost.add(samples=int(count))
-        if self._sample_many is not None:
-            out = np.asarray(self._sample_many(rng, int(count)), dtype=np.int64)
-        else:
-            out = np.fromiter((self._sampler(rng) for _ in range(count)),
-                              dtype=np.int64, count=count)
+        out = np.asarray(self._sample_many(rng, int(count)), dtype=np.int64)
         if out.shape != (count,):
             raise OracleInconsistencyError("sampler returned wrong shape")
         return out
@@ -265,17 +280,17 @@ def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
 
 
 class LocalMatrixOracle:
-    """Row/column access to a geometrically local matrix.
+    """Row access to a geometrically local matrix.
 
     row(i) returns ((j1, v1), (j2, v2), ...) with j strictly increasing and
-    every j inside ball(i, r0).  Cost model: a full row costs
-    (#returned entries + 1) matrix queries, a single row_query costs 1.
+    every j inside ball(i, r0).  Cost model: a row costs
+    (#returned entries + 1) matrix queries.
     norm_bound must upper-bound the spectral norm; structure flags
     (hermitian / anti_hermitian / psd) are promises the dense validator checks
     at desk scale.
     """
 
-    def __init__(self, graph: SiteGraph, r0: int, row_fn, col_fn=None,
+    def __init__(self, graph: SiteGraph, r0: int, row_fn,
                  norm_bound: float | None = None, hermitian: bool = False,
                  anti_hermitian: bool = False, psd: bool = False,
                  cost: CostCounter | None = None, check_locality: bool = False):
@@ -290,7 +305,6 @@ class LocalMatrixOracle:
         self.graph = graph
         self.r0 = int(r0)
         self._row_fn = row_fn
-        self._col_fn = col_fn
         self.norm_bound = None if norm_bound is None else float(norm_bound)
         self.hermitian = bool(hermitian)
         self.anti_hermitian = bool(anti_hermitian)
@@ -302,7 +316,7 @@ class LocalMatrixOracle:
     def dimension(self) -> int:
         return self.graph.n_sites
 
-    def _clean(self, i: int, raw, transpose_of: int | None = None):
+    def _clean(self, i: int, raw):
         items = sorted(((int(j), complex(v)) for j, v in raw),
                        key=lambda item: item[0])
         prev = -1
@@ -316,63 +330,25 @@ class LocalMatrixOracle:
             allowed = set(self.graph.ball(i, self.r0))
             for j, v in items:
                 if v != 0 and j not in allowed:
-                    where = "column" if transpose_of is None else "row"
-                    raise LocalityError(
-                        f"entry ({i},{j}) outside radius {self.r0} ({where} access)")
+                    raise LocalityError(f"entry ({i},{j}) outside radius {self.r0}")
         return tuple(items)
-
-    def _row_items(self, i: int):
-        if not (0 <= i < self.dimension):
-            raise ValueError(f"row {i} out of range")
-        return self._clean(i, self._row_fn(int(i)))
-
-    def _col_items(self, j: int):
-        if not (0 <= j < self.dimension):
-            raise ValueError(f"column {j} out of range")
-        if self._col_fn is not None:
-            return self._clean(j, self._col_fn(int(j)), transpose_of=j)
-        if self.hermitian:
-            return tuple((i, v.conjugate()) for i, v in self._row_items(j))
-        if self.anti_hermitian:
-            return tuple((i, -v.conjugate()) for i, v in self._row_items(j))
-        raise PreconditionError("no column access: supply col_fn or a structure flag")
 
     def row(self, i: int):
         """Row i as ((j1, v1), ...) with j strictly increasing; costs len+1 queries."""
-        out = self._row_items(i)
+        if not (0 <= i < self.dimension):
+            raise ValueError(f"row {i} out of range")
+        out = self._clean(i, self._row_fn(int(i)))
         self.cost.add(queries=len(out) + 1)
         return out
 
-    def col(self, j: int):
-        """Column j as ((i1, v1), ...). Derived from rows when the structure allows."""
-        out = self._col_items(j)
-        self.cost.add(queries=len(out) + 1)
-        return out
 
-    def row_query(self, i: int, slot: int):
-        """The slot-th nonzero entry of row i as (column, value), or None when exhausted."""
-        if slot < 0:
-            raise ValueError("slot must be nonnegative")
-        self.cost.add(queries=1)
-        items = self._row_items(i)
-        return items[slot] if slot < len(items) else None
-
-    def col_query(self, j: int, slot: int):
-        """The slot-th nonzero entry of column j as (row, value), or None when exhausted."""
-        if slot < 0:
-            raise ValueError("slot must be nonnegative")
-        self.cost.add(queries=1)
-        items = self._col_items(j)
-        return items[slot] if slot < len(items) else None
-
-
-def local_matrix_from_rows(graph: SiteGraph, r0: int, row_fn, *, col_fn=None,
+def local_matrix_from_rows(graph: SiteGraph, r0: int, row_fn, *,
                            norm_bound: float | None = None, hermitian: bool = False,
                            anti_hermitian: bool = False, psd: bool = False,
                            cost: CostCounter | None = None,
                            check_locality: bool = False) -> LocalMatrixOracle:
     """Lazy local-matrix oracle from a row callable. Rows are produced on demand."""
-    return LocalMatrixOracle(graph, r0, row_fn, col_fn=col_fn, norm_bound=norm_bound,
+    return LocalMatrixOracle(graph, r0, row_fn, norm_bound=norm_bound,
                              hermitian=hermitian, anti_hermitian=anti_hermitian,
                              psd=psd, cost=cost, check_locality=check_locality)
 
@@ -422,11 +398,7 @@ def local_matrix_from_dense(M, graph: SiteGraph, r0: int, *,
         js = np.flatnonzero(np.abs(M[i]) > 0)
         return tuple((int(j), complex(M[i, j])) for j in js)
 
-    def col_fn(j: int):
-        is_ = np.flatnonzero(np.abs(M[:, j]) > 0)
-        return tuple((int(i), complex(M[i, j])) for i in is_)
-
-    return LocalMatrixOracle(graph, r0, row_fn, col_fn=col_fn, norm_bound=norm_bound,
+    return LocalMatrixOracle(graph, r0, row_fn, norm_bound=norm_bound,
                              hermitian=bool(hermitian), anti_hermitian=bool(anti_hermitian),
                              psd=bool(psd), cost=cost)
 
@@ -448,12 +420,7 @@ def scale_matrix_oracle(A: LocalMatrixOracle, factor: complex) -> LocalMatrixOra
         # bypass A.row's metering; the wrapper recounts identically via shared cost
         return tuple((j, factor * v) for j, v in A._row_fn(i))
 
-    col_fn = None
-    if A._col_fn is not None:
-        def col_fn(j: int):
-            return tuple((i, factor * v) for i, v in A._col_fn(j))
-
-    return LocalMatrixOracle(A.graph, A.r0, row_fn, col_fn=col_fn, norm_bound=nb,
+    return LocalMatrixOracle(A.graph, A.r0, row_fn, norm_bound=nb,
                              hermitian=herm, anti_hermitian=anti, psd=psd,
                              cost=A.cost, check_locality=A.check_locality)
 

@@ -176,7 +176,6 @@ _CIRCUIT = {
 
 _COMMON = {
     "seed": {"type": "integer", "minimum": 0},
-    "threads": {"type": "integer", "minimum": 1},
     "output": _OUTPUT,
 }
 
@@ -303,6 +302,7 @@ SCHEMAS = {
         "properties": {
             "scenario": {"const": "verify"},
             "suite": {"type": "string"},
+            "threads": {"type": "integer", "minimum": 1},
             **_COMMON,
         },
         "required": [],
@@ -320,6 +320,13 @@ def _as_complex(raw) -> complex:
     if isinstance(raw, (int, float)):
         return complex(raw)
     return complex(float(raw[0]), float(raw[1]))
+
+
+def _graph(spec: dict) -> SiteGraph:
+    try:
+        return SiteGraph.from_config(spec)
+    except ValueError as exc:
+        raise ConfigError(f"graph: {exc}") from exc
 
 
 def build_matrix(spec: dict, seed: int):
@@ -348,12 +355,12 @@ def build_matrix(spec: dict, seed: int):
     if kind == "laplacian":
         if "graph" not in spec:
             raise ConfigError("laplacian matrix needs a graph")
-        return graph_laplacian_oracle(SiteGraph.from_config(spec["graph"]))
+        return graph_laplacian_oracle(_graph(spec["graph"]))
     # random_local: reproducible dense-backed instance for demos and tests
     if "graph" not in spec:
         raise ConfigError("random_local matrix needs a graph")
     from .acceptance import _random_local_pair
-    graph = SiteGraph.from_config(spec["graph"])
+    graph = _graph(spec["graph"])
     rng = rng_stream(seed, 6000, int(spec.get("seed_key", 0)))
     oracle, _ = _random_local_pair(graph, int(spec.get("r0", 1)), rng,
                                    anti=bool(spec.get("anti", False)))
@@ -375,8 +382,11 @@ def build_vector(spec: dict, dim: int, seed: int, role_key: int,
             return perturbed_sq_access(dense, zeta)
         return sparse_vector_oracle(dim, entries)
     if kind == "point":
+        site = spec.get("site", 0)
+        if site >= dim:
+            raise ConfigError(f"point site {site} out of range for dimension {dim}")
         dense = np.zeros(dim, dtype=np.complex128)
-        dense[spec.get("site", 0)] = 1.0
+        dense[site] = 1.0
     elif kind == "uniform":
         dense = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     elif kind == "inline":
@@ -436,14 +446,19 @@ def build_circuit(cfg: dict) -> ReversibleCircuit:
 
 
 def _build_oscillator_inputs(cfg: dict):
-    if "system_file" in cfg:
-        sys_ = load_system(cfg["system_file"])
-    elif "system" in cfg:
-        sys_ = system_from_json_dict(cfg["system"])
-    else:
+    if "system_file" not in cfg and "system" not in cfg:
         raise ConfigError("needs system or system_file")
-    if "state_file" in cfg:
-        state = read_state_csv(cfg["state_file"])
+    try:
+        if "system_file" in cfg:
+            sys_ = load_system(cfg["system_file"])
+        else:
+            sys_ = system_from_json_dict(cfg["system"])
+        state = read_state_csv(cfg["state_file"]) if "state_file" in cfg else None
+    except (PreconditionError, LocalityError):
+        raise
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if state is not None:
         if state.x.size < sys_.n_sites:
             x = np.zeros(sys_.n_sites)
             xdot = np.zeros(sys_.n_sites)
@@ -525,16 +540,30 @@ def _run_sample(cfg: dict):
     return outputs, cost, rows, code
 
 
-def _run_oscillator(cfg: dict):
+def _run_oscillator_series(cfg: dict):
+    """oscillator (v^dag psi(t)) and energy (subset energy fraction), one estimate per t."""
     seed = cfg["seed"]
+    eps, delta = float(cfg["eps"]), float(cfg["delta"])
     sys_, state = _build_oscillator_inputs(cfg)
-    v = build_vector(cfg["v"], sys_.extended_dim, seed, role_key=0)
+    if cfg["scenario"] == "oscillator":
+        v = build_vector(cfg["v"], sys_.extended_dim, seed, role_key=0)
+        label, costs = "value", {"v": v.cost}
+
+        def estimate(t, s):
+            return estimate_observable(sys_, state, v, t, eps, delta, s)
+    else:
+        mass_subset = [int(i) for i in cfg["mass_subset"]]
+        spring_subset = [(int(i), int(j)) for i, j in cfg["spring_subset"]]
+        label, costs = "energy_fraction", {}
+
+        def estimate(t, s):
+            return estimate_energy(sys_, state, mass_subset, spring_subset, t,
+                                   eps, delta, s)
     times = _time_grid(cfg)
-    rows = [("t", "value_re", "value_im", "samples_used")]
+    rows = [("t", f"{label}_re", f"{label}_im", "samples_used")]
     points = []
     for k, t in enumerate(times):
-        rep = estimate_observable(sys_, state, v, t, float(cfg["eps"]),
-                                  float(cfg["delta"]), seed + k)
+        rep = estimate(t, seed + k)
         points.append({"t": t, "value_re": rep.value.real,
                        "value_im": rep.value.imag,
                        "samples_used": rep.samples_used})
@@ -542,29 +571,8 @@ def _run_oscillator(cfg: dict):
                      rep.samples_used))
     outputs = {"points": points, "n_sites": sys_.n_sites,
                "extended_dim": sys_.extended_dim}
-    cost = {"v": v.cost.snapshot()}
+    cost = {role: c.snapshot() for role, c in costs.items()}
     return outputs, cost, rows if len(times) > 1 else None, EXIT_OK
-
-
-def _run_energy(cfg: dict):
-    seed = cfg["seed"]
-    sys_, state = _build_oscillator_inputs(cfg)
-    mass_subset = [int(i) for i in cfg["mass_subset"]]
-    spring_subset = [(int(i), int(j)) for i, j in cfg["spring_subset"]]
-    times = _time_grid(cfg)
-    rows = [("t", "energy_fraction_re", "energy_fraction_im", "samples_used")]
-    points = []
-    for k, t in enumerate(times):
-        rep = estimate_energy(sys_, state, mass_subset, spring_subset, t,
-                              float(cfg["eps"]), float(cfg["delta"]), seed + k)
-        points.append({"t": t, "value_re": rep.value.real,
-                       "value_im": rep.value.imag,
-                       "samples_used": rep.samples_used})
-        rows.append((repr(t), repr(rep.value.real), repr(rep.value.imag),
-                     rep.samples_used))
-    outputs = {"points": points, "n_sites": sys_.n_sites,
-               "extended_dim": sys_.extended_dim}
-    return outputs, {}, rows if len(times) > 1 else None, EXIT_OK
 
 
 def _run_pde(cfg: dict):
@@ -586,7 +594,7 @@ def _run_pde(cfg: dict):
     elif kind == "schrodinger":
         if "graph" not in cfg:
             raise ConfigError("schrodinger needs a graph")
-        lap = graph_laplacian_oracle(SiteGraph.from_config(cfg["graph"]))
+        lap = graph_laplacian_oracle(_graph(cfg["graph"]))
         if "potential" in cfg:
             pot = np.asarray(cfg["potential"], dtype=np.float64)
         else:
@@ -600,7 +608,7 @@ def _run_pde(cfg: dict):
     else:  # wave
         if "graph" not in cfg or "c" not in cfg or "a" not in cfg:
             raise ConfigError("wave needs graph, c, and a")
-        lap = graph_laplacian_oracle(SiteGraph.from_config(cfg["graph"]))
+        lap = graph_laplacian_oracle(_graph(cfg["graph"]))
         sys_ = wave_to_oscillators(lap, c=float(cfg["c"]), a=float(cfg["a"]))
         outputs.update(n_sites=sys_.n_sites, extended_dim=sys_.extended_dim,
                        a_norm_bound=sys_.a_norm_bound,
@@ -682,8 +690,8 @@ def _run_verify(cfg: dict):
 PIPELINES = {
     "estimate": _run_estimate,
     "sample": _run_sample,
-    "oscillator": _run_oscillator,
-    "energy": _run_energy,
+    "oscillator": _run_oscillator_series,
+    "energy": _run_oscillator_series,
     "pde": _run_pde,
     "embed": _run_embed,
     "verify": _run_verify,
@@ -767,9 +775,6 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="JSON scenario config (closed schema)")
     common.add_argument("--seed", type=int, metavar="U64",
                         help=f"RNG seed (default {DEFAULT_SEED:#x})")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="cap worker parallelism (results are "
-                        "seed-deterministic regardless)")
     common.add_argument("--out", metavar="DIR", default=".",
                         help="directory for reports and series (default .)")
 
@@ -803,6 +808,9 @@ def _make_parser() -> argparse.ArgumentParser:
                               help="run acceptance criteria suites")
     p_verify.add_argument("--suite", choices=sorted(SUITES),
                           help="criteria suite (default all)")
+    p_verify.add_argument("--threads", type=int, metavar="N",
+                          help="cap worker parallelism (results are "
+                          "seed-deterministic regardless)")
     return parser
 
 

@@ -205,9 +205,6 @@ class ClockHamiltonian:
     def index(self, clock: int, z: int) -> int:
         return clock * self.basis_dim + z
 
-    def split_index(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.basis_dim)
-
 
 def fk_classical(circuit: ReversibleCircuit) -> ClockHamiltonian:
     """A_FK = 2I - hopping for a Hadamard-free circuit; 2^n disjoint chains, r0 = 1."""
@@ -242,6 +239,16 @@ def fk_classical(circuit: ReversibleCircuit) -> ClockHamiltonian:
                             n_qubits=n, clock_length=L, basis_dim=dim_b)
 
 
+def j_matrix(L: int, dim_b: int = 1) -> np.ndarray:
+    """(2I - S - S^T) on L+1 clock sites, tensored with an identity block."""
+    m = L + 1
+    J = 2.0 * np.eye(m)
+    for k in range(m - 1):
+        J[k, k + 1] = -1.0
+        J[k + 1, k] = -1.0
+    return np.kron(J, np.eye(dim_b))
+
+
 def overlap_coefficients(L: int, t: float) -> np.ndarray:
     """alpha[l] for clock slices l = 0..L with cos(sqrt(J) t) e_0 = sum alpha[l] e_l.
 
@@ -249,12 +256,7 @@ def overlap_coefficients(L: int, t: float) -> np.ndarray:
     """
     if L < 0:
         raise PreconditionError("L must be nonnegative")
-    m = L + 1
-    J = 2.0 * np.eye(m)
-    for k in range(m - 1):
-        J[k, k + 1] = -1.0
-        J[k + 1, k] = -1.0
-    lam, V = np.linalg.eigh(J)
+    lam, V = np.linalg.eigh(j_matrix(L))
     lam = np.clip(lam, 0.0, None)
     e0 = V.conj().T[:, 0]
     return V @ (np.cos(np.sqrt(lam) * float(t)) * e0)
@@ -279,12 +281,7 @@ def default_scan_horizon(L: int) -> float:
 
 def readout_overlap_curve(L: int, ts) -> np.ndarray:
     """|alpha_{L+1}(t)|^2 for each t: last-slice weight of cos(sqrt(J) t) e_0."""
-    m = L + 1
-    J = 2.0 * np.eye(m)
-    for k in range(m - 1):
-        J[k, k + 1] = -1.0
-        J[k + 1, k] = -1.0
-    lam, V = np.linalg.eigh(J)
+    lam, V = np.linalg.eigh(j_matrix(L))
     roots = np.sqrt(np.clip(lam, 0.0, None))
     weights = V[0, :] * V[L, :]  # <e_L| f(J) |e_0> = sum_k V[L,k] f(lam_k) V[0,k]
     ts = np.asarray(ts, dtype=np.float64).ravel()
@@ -335,18 +332,6 @@ def adjacent_transposition_decomposition(g: Gate, n: int) -> list:
                 swaps.append((k, k + 1))
                 changed = True
     return swaps
-
-
-def dilated_gate(g: Gate):
-    """Step descriptors for gate g on the ancilla-extended basis z_ext = 2 z + a.
-
-    Permutation gates become ("swap2", k) steps (transposition of data values
-    k, k+1, identity on the ancilla); a Hadamard becomes the single step
-    ("hdil",), the symmetric (1/sqrt2)[[I,I],[I,X]] on (target, ancilla).
-    """
-    if g.kind == "H":
-        return [("hdil",)]
-    return None  # caller expands permutations with the transposition decomposition
 
 
 def _step_row(step: tuple, z: int) -> list:
@@ -502,13 +487,3 @@ def w_matrix(circuit: ReversibleCircuit) -> np.ndarray:
         cum = gate_unitary(g, circuit.n) @ cum
         W[l * dim_b:(l + 1) * dim_b, l * dim_b:(l + 1) * dim_b] = cum
     return W
-
-
-def j_matrix(L: int, dim_b: int = 1) -> np.ndarray:
-    """(2I - S - S^T) on L+1 clock sites, tensored with an identity block."""
-    m = L + 1
-    J = 2.0 * np.eye(m)
-    for k in range(m - 1):
-        J[k, k + 1] = -1.0
-        J[k + 1, k] = -1.0
-    return np.kron(J, np.eye(dim_b))

@@ -45,16 +45,6 @@ class EstimateReport:
     def batch_size(self) -> int:
         return self.samples_used // self.repetitions
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": [self.value.real, self.value.imag],
-            "eps": self.eps,
-            "delta": self.delta,
-            "samples_used": self.samples_used,
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-        }
-
 
 def _plan(eps: float, delta: float) -> tuple[int, int]:
     if not (0 < eps <= 2):

@@ -114,6 +114,8 @@ class SiteGraph:
             n = 1
             for d in dims:
                 n *= d
+            if "n_sites" in cfg and int(cfg["n_sites"]) != n:
+                raise ValueError(f"grid n_sites {cfg['n_sites']} != dims product {n}")
             return cls(kind="grid", n_sites=n, dims=dims,
                        boundary=cfg.get("boundary", "open"))
         if kind == "general":

@@ -14,10 +14,9 @@ a larger lattice.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-from .access import (LocalMatrixOracle, PreconditionError, VectorOracle)
+from .access import LocalMatrixOracle, Memo, PreconditionError, VectorOracle
 from .polyapprox import Polynomial
 
 HARD_ZERO = 1e-300
@@ -25,23 +24,12 @@ HARD_ZERO = 1e-300
 
 @dataclass
 class SparseAccumulator:
-    """Sparse row functional with its guaranteed support radius."""
+    """Sparse row functional {site: value}."""
 
     entries: dict
-    origin: int
-    radius_certificate: float
 
     def support(self) -> tuple:
         return tuple(sorted(self.entries.keys()))
-
-    def validate(self, graph) -> None:
-        """Check the support invariant: every site within radius_certificate of origin."""
-        for j in self.entries:
-            d = graph.distance(self.origin, j)
-            if d > self.radius_certificate + 1e-9:
-                raise AssertionError(
-                    f"site {j} at distance {d} outside certificate "
-                    f"{self.radius_certificate}")
 
 
 def _drop_tiny(vec: dict) -> dict:
@@ -76,14 +64,13 @@ def _merge(scale_a: complex, a: dict, scale_b: complex, b: dict) -> dict:
 
 
 def row_power(A: LocalMatrixOracle, i: int, k: int) -> SparseAccumulator:
-    """The sparse row e_i^T A^k with exact support tracking."""
+    """The sparse row e_i^T A^k, supported inside ball(i, k*r0)."""
     if k < 0:
         raise PreconditionError("power must be nonnegative")
     vec: dict = {int(i): 1.0 + 0.0j}
     for _ in range(int(k)):
         vec = _row_mul(A, vec)
-    return SparseAccumulator(entries=vec, origin=int(i),
-                             radius_certificate=float(k) * A.r0)
+    return SparseAccumulator(entries=vec)
 
 
 def _check_interval(A: LocalMatrixOracle, p: Polynomial):
@@ -110,17 +97,8 @@ def _check_interval(A: LocalMatrixOracle, p: Polynomial):
         f"cannot certify spectrum inside interval [{lo}, {hi}]")
 
 
-def _open_debug(debug_csv):
-    if debug_csv is None:
-        return None, False
-    if isinstance(debug_csv, (str, bytes)):
-        fh = open(debug_csv, "w")
-        return fh, True
-    return debug_csv, False
-
-
 def entry_of_poly_apply(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
-                        i: int, debug_csv=None) -> complex:
+                        i: int) -> complex:
     """The single entry (P(A)u)_i, touching only the light cone of site i.
 
     Monomial basis accumulates sum_k a_k e_i^T A^k with running row powers;
@@ -135,40 +113,24 @@ def entry_of_poly_apply(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
     _check_interval(A, p)
     c = [complex(a) for a in p.coefficients]
     deg = p.degree
-    fh, owned = _open_debug(debug_csv)
-
-    def log_step(step: int, support: int):
-        if fh is not None:
-            fh.write(f"{step},{support},{A.graph.locality_function(step * A.r0)}\n")
-
-    try:
-        if fh is not None:
-            fh.write("step,support,ball_bound\n")
-        acc: dict = {int(i): c[0]}
-        cur: dict = {int(i): 1.0 + 0.0j}
-        log_step(0, 1)
-        if deg >= 1:
-            if p.basis == "monomial":
-                for k in range(1, deg + 1):
-                    cur = _row_mul(A, cur)
-                    log_step(k, len(cur))
-                    if c[k] != 0:
-                        acc = _merge(1.0, acc, c[k], cur)
-            else:
-                lo, hi = p.interval
-                prev = cur
-                cur = _abar_mul(A, prev, lo, hi)
-                log_step(1, len(cur))
-                acc = _merge(1.0, acc, c[1], cur)
-                for k in range(2, deg + 1):
-                    nxt = _merge(2.0, _abar_mul(A, cur, lo, hi), -1.0, prev)
-                    prev, cur = cur, nxt
-                    log_step(k, len(cur))
-                    if c[k] != 0:
-                        acc = _merge(1.0, acc, c[k], cur)
-    finally:
-        if owned and fh is not None:
-            fh.close()
+    acc: dict = {int(i): c[0]}
+    cur: dict = {int(i): 1.0 + 0.0j}
+    if deg >= 1:
+        if p.basis == "monomial":
+            for k in range(1, deg + 1):
+                cur = _row_mul(A, cur)
+                if c[k] != 0:
+                    acc = _merge(1.0, acc, c[k], cur)
+        else:
+            lo, hi = p.interval
+            prev = cur
+            cur = _abar_mul(A, prev, lo, hi)
+            acc = _merge(1.0, acc, c[1], cur)
+            for k in range(2, deg + 1):
+                nxt = _merge(2.0, _abar_mul(A, cur, lo, hi), -1.0, prev)
+                prev, cur = cur, nxt
+                if c[k] != 0:
+                    acc = _merge(1.0, acc, c[k], cur)
 
     total = 0.0 + 0.0j
     for j in sorted(acc):
@@ -176,34 +138,13 @@ def entry_of_poly_apply(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
     return complex(total)
 
 
-class _MemoizedPolyApply:
-    def __init__(self, A, p, u, memo_cap):
-        self.A = A
-        self.p = p
-        self.u = u
-        self.memo_cap = memo_cap
-        self._memo: dict = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, i: int) -> complex:
-        with self._lock:
-            if i in self._memo:
-                return self._memo[i]
-        val = entry_of_poly_apply(self.A, self.p, self.u, i)
-        with self._lock:
-            if self.memo_cap is None or len(self._memo) < self.memo_cap:
-                self._memo[i] = val
-        return val
-
-
-def poly_apply_query_oracle(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
-                            memo_cap: int | None = None) -> VectorOracle:
+def poly_apply_query_oracle(A: LocalMatrixOracle, p: Polynomial,
+                            u: VectorOracle) -> VectorOracle:
     """Query access to w = P(A)u with per-index memoization; no sampler, no norm.
 
     Repeated queries of the same index issue the underlying A/u queries once.
-    memo_cap limits stored entries (None = unbounded).
     """
     _check_interval(A, p)
-    fn = _MemoizedPolyApply(A, p, u, memo_cap)
+    fn = Memo(lambda i: entry_of_poly_apply(A, p, u, i))
     # fresh counter: reads of w are not reads of u; A/u meter themselves inside
     return VectorOracle(dimension=A.dimension, query_fn=fn, norm=None, zeta=0.0)

@@ -27,12 +27,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .access import (LocalityError, LocalMatrixOracle, PreconditionError,
+from .access import (LocalityError, LocalMatrixOracle, Memo, PreconditionError,
                      VectorOracle, local_matrix_from_rows, sparse_vector_oracle)
 from .estimate import EstimateReport, inner_product_estimate
 from .lattice import SiteGraph
@@ -270,26 +269,8 @@ def psi0(sys: OscillatorSystem, state: OscillatorState,
 
 
 # =====================================================================
-# memoized derived vectors
+# derived vectors
 # =====================================================================
-
-
-class _MemoVec:
-    """Thread-safe memoizing wrapper for an index -> complex function."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._memo: dict = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, i: int) -> complex:
-        with self._lock:
-            if i in self._memo:
-                return self._memo[i]
-        val = complex(self.fn(i))
-        with self._lock:
-            self._memo[i] = val
-        return val
 
 
 def _site_oracle(n: int, fn) -> VectorOracle:
@@ -338,10 +319,10 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
     sv_or = _site_oracle(n, lambda i: sv[i])
     sx_or = _site_oracle(n, lambda i: sx[i])
 
-    z = _MemoVec(lambda i: entry_of_poly_apply(a, psin, sv_or, i)
-                 + entry_of_poly_apply(a, pcos, sx_or, i))
-    top = _MemoVec(lambda i: entry_of_poly_apply(a, pcos, sv_or, i)
-                   - entry_of_poly_apply(a, x_psin, sx_or, i))
+    z = Memo(lambda i: entry_of_poly_apply(a, psin, sv_or, i)
+             + entry_of_poly_apply(a, pcos, sx_or, i))
+    top = Memo(lambda i: entry_of_poly_apply(a, pcos, sv_or, i)
+               - entry_of_poly_apply(a, x_psin, sx_or, i))
 
     def w_query(idx: int) -> complex:
         if idx < n:
@@ -349,7 +330,7 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
         pa, pb = pair_decode(idx, n)
         return 1j * sys.bdag_entry(pa, pb, z)
 
-    w = VectorOracle(dimension=sys.extended_dim, query_fn=_MemoVec(w_query), norm=None)
+    w = VectorOracle(dimension=sys.extended_dim, query_fn=Memo(w_query), norm=None)
     return inner_product_estimate(w, v, eps / 2.0, delta, seed)
 
 
@@ -399,30 +380,30 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     sx_or = _site_oracle(n, lambda i: sx[i])
 
     # top block of P psi0, masked to the selected velocity slots
-    phi_v = _MemoVec(lambda i: entry_of_poly_apply(a, pcos, sv_or, i)
-                     - entry_of_poly_apply(a, x_psin, sx_or, i))
-    mphi_v = _MemoVec(lambda i: phi_v(i) if i in vset else 0.0)
+    phi_v = Memo(lambda i: entry_of_poly_apply(a, pcos, sv_or, i)
+                 - entry_of_poly_apply(a, x_psin, sx_or, i))
+    mphi_v = Memo(lambda i: phi_v(i) if i in vset else 0.0)
     mphi_v_or = _site_oracle(n, mphi_v)
 
     # bottom block of P psi0 is B^T phi_x with phi_x = i (Psin(A) sv + Pcos(A) sx)
-    phi_x = _MemoVec(lambda i: 1j * (entry_of_poly_apply(a, psin, sv_or, i)
-                                     + entry_of_poly_apply(a, pcos, sx_or, i)))
+    phi_x = Memo(lambda i: 1j * (entry_of_poly_apply(a, psin, sv_or, i)
+                                 + entry_of_poly_apply(a, pcos, sx_or, i)))
 
     def mbx(pair: tuple) -> complex:
         if pair not in xset:
             return 0.0 + 0.0j
         return sys.bdag_entry(pair[0], pair[1], phi_x)
 
-    mbx_memo = _MemoVec(lambda key: mbx(pair_decode(key, n)))
+    mbx_memo = Memo(lambda key: mbx(pair_decode(key, n)))
 
     def mbx_by_pair(pair: tuple) -> complex:
         return mbx_memo(pair_index(pair[0], pair[1], n))
 
-    g = _MemoVec(lambda i: sys.b_entry(i, mbx_by_pair))
+    g = Memo(lambda i: sys.b_entry(i, mbx_by_pair))
     g_or = _site_oracle(n, g)
 
-    h1 = _MemoVec(lambda i: entry_of_poly_apply(a, psin, mphi_v_or, i))
-    h2 = _MemoVec(lambda i: entry_of_poly_apply(a, ptil, g_or, i))
+    h1 = Memo(lambda i: entry_of_poly_apply(a, psin, mphi_v_or, i))
+    h2 = Memo(lambda i: entry_of_poly_apply(a, ptil, g_or, i))
 
     def w_query(idx: int) -> complex:
         if idx < n:
@@ -433,7 +414,7 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
                 + a0 * mbx_memo(idx)
                 + sys.bdag_entry(pa, pb, h2))
 
-    w = VectorOracle(dimension=sys.extended_dim, query_fn=_MemoVec(w_query), norm=None)
+    w = VectorOracle(dimension=sys.extended_dim, query_fn=Memo(w_query), norm=None)
     v = psi0(sys, state0)
     return inner_product_estimate(w, v, eps / 3.0, delta, seed)
 
@@ -469,19 +450,29 @@ def save_system(sys: OscillatorSystem, path):
 
 
 def read_state_csv(path) -> OscillatorState:
-    """State rows `site,x,xdot` (header optional); missing sites default to rest."""
-    rows = []
+    """State rows `site,x,xdot` (header optional); missing sites default to rest.
+
+    A short row, a negative site or a repeated site raises ValueError.
+    """
+    rows: dict = {}
     with open(path, newline="") as fh:
         for rec in csv.reader(fh):
             if not rec or rec[0].strip().lower() in ("site", "index", "i"):
                 continue
-            rows.append((int(rec[0]), float(rec[1]), float(rec[2])))
+            if len(rec) < 3:
+                raise ValueError(f"state row {rec} in {path} is not site,x,xdot")
+            site = int(rec[0])
+            if site < 0:
+                raise ValueError(f"negative site {site} in {path}")
+            if site in rows:
+                raise ValueError(f"site {site} appears twice in {path}")
+            rows[site] = (float(rec[1]), float(rec[2]))
     if not rows:
         raise ValueError(f"no state rows in {path}")
-    dim = max(r[0] for r in rows) + 1
+    dim = max(rows) + 1
     x = np.zeros(dim)
     xdot = np.zeros(dim)
-    for i, xi, vi in rows:
+    for i, (xi, vi) in rows.items():
         x[i] = xi
         xdot[i] = vi
     return OscillatorState(x=x, xdot=xdot)

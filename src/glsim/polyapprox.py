@@ -98,31 +98,6 @@ class Polynomial:
             return nppoly.polyval(x, c)
         return npcheb.chebval(self._to_w(x), c)
 
-    def to_json_dict(self) -> dict:
-        d: dict = {"basis": self.basis}
-        if self.basis == "chebyshev" and self.is_symmetric_interval:
-            d["alpha"] = self.alpha
-        else:
-            d["interval"] = [self.interval[0], self.interval[1]]
-        d["coeffs"] = [[c.real, c.imag] for c in self.coefficients]
-        if self.sup_bound is not None:
-            d["sup_bound"] = self.sup_bound
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Polynomial":
-        basis = d["basis"]
-        if "interval" in d:
-            interval = (float(d["interval"][0]), float(d["interval"][1]))
-        elif "alpha" in d:
-            a = float(d["alpha"])
-            interval = (-a, a)
-        else:
-            interval = (-1.0, 1.0)
-        coeffs = tuple(complex(re, im) for re, im in d["coeffs"])
-        return cls(coeffs, basis=basis, interval=interval,
-                   sup_bound=d.get("sup_bound"))
-
 
 def eval_scalar(p: Polynomial, x: float) -> complex:
     """p(x) by Clenshaw (chebyshev) or Horner (monomial); warns outside the interval."""

@@ -14,12 +14,11 @@ would distort the failure-probability accounting.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .access import (LocalMatrixOracle, OracleInconsistencyError,
+from .access import (LocalMatrixOracle, Memo, OracleInconsistencyError,
                      PreconditionError, VectorOracle, rng_stream,
                      scale_matrix_oracle)
 from .lightcone import poly_apply_query_oracle
@@ -49,15 +48,10 @@ class OversamplerHandle:
                  degree: int, zeta: float):
         self.dimension = int(dimension)
         self._draw_many_fn = draw_many_fn
-        self._mass_fn = mass_fn
+        self._mass = Memo(lambda i: float(mass_fn(int(i))))
         self.phi = float(phi)
         self.degree = int(degree)
         self.zeta = float(zeta)
-        self._memo: dict = {}
-        self._lock = threading.Lock()
-
-    def draw(self, rng: np.random.Generator) -> int:
-        return int(self._draw_many_fn(rng, 1)[0])
 
     def draw_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.asarray(self._draw_many_fn(rng, int(count)), dtype=np.int64)
@@ -66,20 +60,8 @@ class OversamplerHandle:
         return out
 
     def mass_query(self, i: int) -> float:
-        with self._lock:
-            if i in self._memo:
-                return self._memo[i]
-        val = float(self._mass_fn(int(i)))
-        with self._lock:
-            self._memo[i] = val
-        return val
-
-    def masses(self, sites: np.ndarray) -> np.ndarray:
-        """Vectorized mass_query over an index array (memoized per distinct site)."""
-        uniq, inverse = np.unique(np.asarray(sites, dtype=np.int64),
-                                  return_inverse=True)
-        vals = np.array([self.mass_query(int(s)) for s in uniq], dtype=np.float64)
-        return vals[inverse]
+        """p_i, memoized per site."""
+        return self._mass(i)
 
 
 def lightcone_oversampler(A: LocalMatrixOracle, d: int, psi: VectorOracle,
@@ -98,17 +80,7 @@ def lightcone_oversampler(A: LocalMatrixOracle, d: int, psi: VectorOracle,
     graph = A.graph
     radius = d * A.r0
     nrm2 = psi.norm() ** 2
-    psi_memo: dict = {}
-    memo_lock = threading.Lock()
-
-    def psi_mass(j: int) -> float:
-        with memo_lock:
-            if j in psi_memo:
-                return psi_memo[j]
-        val = abs(psi.query(j)) ** 2 / nrm2
-        with memo_lock:
-            psi_memo[j] = val
-        return val
+    psi_mass = Memo(lambda j: abs(psi.query(j)) ** 2 / nrm2)
 
     def draw_many_fn(rng: np.random.Generator, count: int) -> np.ndarray:
         js = psi.sample_many(rng, count)

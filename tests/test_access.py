@@ -198,15 +198,6 @@ def test_rows_sorted_local_and_hermitian_consistent():
         for j, v in row:
             assert a.graph.distance(i, j) <= 1
             assert v == dense[i, j]
-        for j, v in a.col(i):
-            assert abs(v - np.conj(dense[i, j])) <= 1e-12
-
-
-def test_row_query_slots_and_exhaustion():
-    a = local_matrix_from_dense(_tridiag_dense(6), chain(6), 1, hermitian=True)
-    assert a.row_query(0, 0) == (0, 0.5)
-    assert a.row_query(0, 1) == (1, 1.0 - 0.25j)
-    assert a.row_query(0, 2) is None
 
 
 def test_row_cost_is_length_plus_one():
@@ -232,12 +223,6 @@ def test_duplicate_column_detected():
                                hermitian=True)
     with pytest.raises(OracleInconsistencyError):
         a.row(1)
-
-
-def test_column_access_needs_structure_or_col_fn():
-    a = local_matrix_from_rows(chain(4), 1, lambda i: [(i, 1.0)])
-    with pytest.raises(PreconditionError):
-        a.col(0)
 
 
 def test_scale_oracle_tracks_structure_and_bound():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import glsim
 from glsim import DEFAULT_SEED
 from glsim.cli import main
 
@@ -40,6 +41,10 @@ def test_version_flag_exits_cleanly(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in glsim.__all__ if not hasattr(glsim, name)] == []
 
 
 def test_missing_subcommand_is_a_usage_error():
@@ -122,6 +127,42 @@ def test_malformed_json_is_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["estimate", "--config", str(path), "--out", str(tmp_path)]) == 1
+
+
+FOUR_MASS_OSCILLATOR_CFG = {
+    "system": {"graph": {"kind": "chain", "n_sites": 4}, "r0": 1,
+               "masses": [1.0] * 4, "springs": [[0, 1, 1.0], [2, 3, 1.0]]},
+    "v": {"kind": "point", "site": 0},
+    "t": 0.1,
+    "eps": 0.2,
+    "delta": 0.2,
+}
+
+
+@pytest.mark.parametrize("scenario,cfg,state_rows", [
+    ("estimate", dict(ESTIMATE_CFG, matrix={"kind": "tridiagonal", "n": 8},
+                      u={"kind": "point", "site": 9}), None),
+    ("estimate", dict(ESTIMATE_CFG, matrix={
+        "kind": "laplacian",
+        "graph": {"kind": "grid", "dims": [4, 4], "n_sites": 99}}), None),
+    ("oscillator", FOUR_MASS_OSCILLATOR_CFG, "-1,0.5,0.0\n3,0.2,0.0\n"),
+    ("oscillator", FOUR_MASS_OSCILLATOR_CFG, "3,0.2,0.0\n3,0.7,0.0\n"),
+    ("oscillator", FOUR_MASS_OSCILLATOR_CFG, "3,0.2\n"),
+    ("oscillator", dict(FOUR_MASS_OSCILLATOR_CFG, state_file="missing.csv"), None),
+], ids=["point-site-out-of-range", "grid-n-sites-contradicts-dims",
+        "state-negative-site", "state-duplicate-site", "state-short-row",
+        "state-file-missing"])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, scenario, cfg,
+                                           state_rows):
+    if state_rows is not None:
+        state_path = tmp_path / "state.csv"
+        state_path.write_text("site,x,xdot\n" + state_rows)
+        cfg = dict(cfg, state_file=str(state_path))
+    cfg_path = _write_config(tmp_path, "bad.json", cfg)
+    assert main([scenario, "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err
 
 
 # =====================================================================
