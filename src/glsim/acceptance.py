@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .access import (VectorOracle, local_matrix_from_rows, perturbed_sq_access,
-                     rng_stream, sparse_vector_oracle, sq_access_from_dense)
+                     random_local_pair, rng_stream, sparse_vector_oracle,
+                     sq_access_from_dense)
 from .embeddings import (Gate, ReversibleCircuit, adjacent_transposition_decomposition,
                          classical_output, find_readout_time, fk_classical,
                          fk_long_local, fk_long_undilated, gate_permutation,
@@ -55,35 +56,6 @@ class CriterionResult:
 # =====================================================================
 # shared instance builders
 # =====================================================================
-
-
-def _random_local_pair(graph: SiteGraph, r0: int, rng: np.random.Generator,
-                       anti: bool = False):
-    """A random (anti-)Hermitian r0-local matrix as (oracle, dense array)."""
-    n = graph.n_sites
-    rows: dict = {i: {} for i in range(n)}
-    for i in range(n):
-        for j in graph.ball(i, r0):
-            if j < i:
-                continue
-            if j == i:
-                val = 1j * rng.normal() if anti else complex(rng.normal())
-                rows[i][i] = val
-            else:
-                val = (rng.normal() + 1j * rng.normal()) / math.sqrt(2.0)
-                rows[i][j] = val
-                rows[j][i] = -np.conj(val) if anti else np.conj(val)
-    dense = np.zeros((n, n), dtype=np.complex128)
-    for i, row in rows.items():
-        for j, v in row.items():
-            dense[i, j] = v
-    norm_bound = float(np.abs(dense).sum(axis=1).max())
-    if norm_bound == 0.0:
-        norm_bound = 1.0
-    oracle = local_matrix_from_rows(
-        graph, r0, lambda i: sorted(rows[i].items()), norm_bound=norm_bound,
-        hermitian=not anti, anti_hermitian=anti)
-    return oracle, dense
 
 
 def _distance_matrix(graph: SiteGraph) -> np.ndarray:
@@ -125,7 +97,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
         dist = _distance_matrix(graph)
         for rep in range(reps):
             rng = rng_stream(seed, 1, layout_idx, rep)
-            oracle, dense = _random_local_pair(graph, 1, rng)
+            oracle, dense = random_local_pair(graph, 1, rng)
             power = np.eye(graph.n_sites, dtype=np.complex128)
             for k in range(1, 17):
                 power = power @ dense
@@ -165,7 +137,7 @@ def _c2_instances(seed: int):
         r0 = int(rng.integers(1, 3))
         use_cheb = bool(rng.random() < 0.5)
         anti = (not use_cheb) and bool(rng.random() < 0.3)
-        oracle, dense = _random_local_pair(graph, r0, rng, anti=anti)
+        oracle, dense = random_local_pair(graph, r0, rng, anti=anti)
         if use_cheb:
             deg = int(rng.integers(1, 33))
             coeffs = rng.normal(size=deg + 1) / (np.arange(deg + 1) + 1.0)
@@ -271,7 +243,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     for inst in range(5):
         rng = rng_stream(seed, 4, inst)
         graph = chain(64)
-        oracle, dense = _random_local_pair(graph, 1, rng)
+        oracle, dense = random_local_pair(graph, 1, rng)
         alpha = oracle.norm_bound
         p = Polynomial(coefficients=(0.0,) * 8 + (1.0,), basis="chebyshev",
                        interval=(-alpha, alpha), sup_bound=1.0)

@@ -13,6 +13,7 @@ distribution p_i = |u_i|^2 / ||u||^2.
 from __future__ import annotations
 
 import csv
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -65,28 +66,6 @@ class CostCounter:
                 "samples": self.samples,
                 "norm_reads": self.norm_reads,
             }
-
-
-class Memo:
-    """Unbounded memo of a one-argument function, safe to share between threads.
-
-    The lock guards the table only, so fn runs outside it; two threads that
-    miss on the same key both compute it and store equal values.
-    """
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._table: dict = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, key):
-        with self._lock:
-            if key in self._table:
-                return self._table[key]
-        val = self._fn(key)
-        with self._lock:
-            self._table[key] = val
-        return val
 
 
 # =====================================================================
@@ -423,6 +402,35 @@ def scale_matrix_oracle(A: LocalMatrixOracle, factor: complex) -> LocalMatrixOra
     return LocalMatrixOracle(A.graph, A.r0, row_fn, norm_bound=nb,
                              hermitian=herm, anti_hermitian=anti, psd=psd,
                              cost=A.cost, check_locality=A.check_locality)
+
+
+def random_local_pair(graph: SiteGraph, r0: int, rng: np.random.Generator,
+                      anti: bool = False):
+    """A random (anti-)Hermitian r0-local matrix as (oracle, dense array)."""
+    n = graph.n_sites
+    rows: dict = {i: {} for i in range(n)}
+    for i in range(n):
+        for j in graph.ball(i, r0):
+            if j < i:
+                continue
+            if j == i:
+                val = 1j * rng.normal() if anti else complex(rng.normal())
+                rows[i][i] = val
+            else:
+                val = (rng.normal() + 1j * rng.normal()) / math.sqrt(2.0)
+                rows[i][j] = val
+                rows[j][i] = -np.conj(val) if anti else np.conj(val)
+    dense = np.zeros((n, n), dtype=np.complex128)
+    for i, row in rows.items():
+        for j, v in row.items():
+            dense[i, j] = v
+    norm_bound = float(np.abs(dense).sum(axis=1).max())
+    if norm_bound == 0.0:
+        norm_bound = 1.0
+    oracle = local_matrix_from_rows(
+        graph, r0, lambda i: sorted(rows[i].items()), norm_bound=norm_bound,
+        hermitian=not anti, anti_hermitian=anti)
+    return oracle, dense
 
 
 # =====================================================================

@@ -29,7 +29,8 @@ from . import __version__
 from .acceptance import SUITES, run_suite
 from .access import (LocalityError, OracleInconsistencyError, PreconditionError,
                      VectorOracle, local_matrix_from_rows, perturbed_sq_access,
-                     rng_stream, sparse_vector_oracle, sq_access_from_dense)
+                     random_local_pair, rng_stream, sparse_vector_oracle,
+                     sq_access_from_dense)
 from .embeddings import (Gate, ReversibleCircuit, classical_output,
                          default_scan_horizon, find_readout_time, fk_classical,
                          fk_long_local, parse_circuit, readout_overlap_curve,
@@ -209,7 +210,6 @@ SCHEMAS = {
             "delta": {"type": "number", "exclusiveMinimum": 0,
                       "exclusiveMaximum": 1},
             "count": {"type": "integer", "minimum": 1},
-            "chunk": {"type": "integer", "minimum": 1},
             **_COMMON,
         },
         "required": ["matrix", "t", "psi", "eps", "alpha_min", "delta"],
@@ -322,13 +322,6 @@ def _as_complex(raw) -> complex:
     return complex(float(raw[0]), float(raw[1]))
 
 
-def _graph(spec: dict) -> SiteGraph:
-    try:
-        return SiteGraph.from_config(spec)
-    except ValueError as exc:
-        raise ConfigError(f"graph: {exc}") from exc
-
-
 def build_matrix(spec: dict, seed: int):
     kind = spec["kind"]
     if kind == "tridiagonal":
@@ -355,15 +348,14 @@ def build_matrix(spec: dict, seed: int):
     if kind == "laplacian":
         if "graph" not in spec:
             raise ConfigError("laplacian matrix needs a graph")
-        return graph_laplacian_oracle(_graph(spec["graph"]))
+        return graph_laplacian_oracle(SiteGraph.from_config(spec["graph"]))
     # random_local: reproducible dense-backed instance for demos and tests
     if "graph" not in spec:
         raise ConfigError("random_local matrix needs a graph")
-    from .acceptance import _random_local_pair
-    graph = _graph(spec["graph"])
+    graph = SiteGraph.from_config(spec["graph"])
     rng = rng_stream(seed, 6000, int(spec.get("seed_key", 0)))
-    oracle, _ = _random_local_pair(graph, int(spec.get("r0", 1)), rng,
-                                   anti=bool(spec.get("anti", False)))
+    oracle, _ = random_local_pair(graph, int(spec.get("r0", 1)), rng,
+                                  anti=bool(spec.get("anti", False)))
     return oracle
 
 
@@ -371,6 +363,8 @@ def build_vector(spec: dict, dim: int, seed: int, role_key: int,
                  zeta: float = 0.0) -> VectorOracle:
     kind = spec["kind"]
     if kind == "sparse":
+        if "entries" not in spec:
+            raise ConfigError("sparse vector needs entries")
         entries = {int(k): _as_complex(v) for k, v in spec["entries"].items()}
         bad = [k for k in entries if k >= dim]
         if bad:
@@ -418,6 +412,8 @@ def build_poly(spec: dict, default_alpha: float | None) -> Polynomial:
             raise ConfigError("exp poly needs t")
         return exp_poly(float(alpha), float(spec["t"]),
                         float(spec.get("tol", 1e-8)))
+    if "coefficients" not in spec:
+        raise ConfigError(f"{kind} poly needs coefficients")
     coeffs = tuple(_as_complex(c) for c in spec["coefficients"])
     if kind == "chebyshev":
         if "interval" not in spec:
@@ -448,16 +444,11 @@ def build_circuit(cfg: dict) -> ReversibleCircuit:
 def _build_oscillator_inputs(cfg: dict):
     if "system_file" not in cfg and "system" not in cfg:
         raise ConfigError("needs system or system_file")
-    try:
-        if "system_file" in cfg:
-            sys_ = load_system(cfg["system_file"])
-        else:
-            sys_ = system_from_json_dict(cfg["system"])
-        state = read_state_csv(cfg["state_file"]) if "state_file" in cfg else None
-    except (PreconditionError, LocalityError):
-        raise
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    if "system_file" in cfg:
+        sys_ = load_system(cfg["system_file"])
+    else:
+        sys_ = system_from_json_dict(cfg["system"])
+    state = read_state_csv(cfg["state_file"]) if "state_file" in cfg else None
     if state is not None:
         if state.x.size < sys_.n_sites:
             x = np.zeros(sys_.n_sites)
@@ -517,8 +508,7 @@ def _run_sample(cfg: dict):
                              alpha_min=float(cfg["alpha_min"]),
                              delta=float(cfg["delta"]), seed=seed)
     count = int(cfg.get("count", 1000))
-    chunk = int(cfg.get("chunk", 512))
-    results = sampler.draw_many(count, chunk=chunk)
+    results = sampler.draw_many(count)
     accepted = sum(1 for r in results if r.accepted)
     trials = sum(r.trials for r in results)
     rows = [("k", "site", "accepted", "trials")]
@@ -592,9 +582,9 @@ def _run_pde(cfg: dict):
             outputs["dense_norm"] = spectral_norm(dense)
             outputs["bound_ok"] = outputs["dense_norm"] <= h.norm_bound + 1e-9
     elif kind == "schrodinger":
-        if "graph" not in cfg:
-            raise ConfigError("schrodinger needs a graph")
-        lap = graph_laplacian_oracle(_graph(cfg["graph"]))
+        if "graph" not in cfg or "a" not in cfg:
+            raise ConfigError("schrodinger needs graph and a")
+        lap = graph_laplacian_oracle(SiteGraph.from_config(cfg["graph"]))
         if "potential" in cfg:
             pot = np.asarray(cfg["potential"], dtype=np.float64)
         else:
@@ -608,7 +598,7 @@ def _run_pde(cfg: dict):
     else:  # wave
         if "graph" not in cfg or "c" not in cfg or "a" not in cfg:
             raise ConfigError("wave needs graph, c, and a")
-        lap = graph_laplacian_oracle(_graph(cfg["graph"]))
+        lap = graph_laplacian_oracle(SiteGraph.from_config(cfg["graph"]))
         sys_ = wave_to_oscillators(lap, c=float(cfg["c"]), a=float(cfg["a"]))
         outputs.update(n_sites=sys_.n_sites, extended_dim=sys_.extended_dim,
                        a_norm_bound=sys_.a_norm_bound,
@@ -827,12 +817,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return run_scenario(scenario, cfg, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (PreconditionError, LocalityError, OracleInconsistencyError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except (ValueError, OSError) as exc:
+        # in glsim a ValueError means bad input; ConfigError is one of them
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

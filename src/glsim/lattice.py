@@ -15,34 +15,12 @@ instances such as clock-register graphs.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 MAX_SITES = 2 ** 62
-
-
-class _LruCache:
-    """Small synchronized LRU map. Ball memoization must survive concurrent readers."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
-        return None
-
-    def put(self, key, value):
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
+BALL_CACHE_SIZE = 65536  # (site, radius) balls kept per graph
 
 
 @dataclass
@@ -60,10 +38,7 @@ class SiteGraph:
     boundary: str = "open"
     dims: tuple[int, ...] | None = None
     bonds: tuple[tuple[int, int], ...] | None = None
-    ball_cache_size: int = 65536
     _adj: dict | None = field(default=None, repr=False)
-    _ball_cache: _LruCache | None = field(default=None, repr=False)
-    _dist_cache: _LruCache | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("chain", "grid", "general"):
@@ -98,14 +73,19 @@ class SiteGraph:
             for k in adj:
                 adj[k] = sorted(set(adj[k]))
             self._adj = adj
-        self._ball_cache = _LruCache(self.ball_cache_size)
-        self._dist_cache = _LruCache(1024)
+        self._cached_ball = lru_cache(BALL_CACHE_SIZE)(self._ball)
+        self._all_distances = lru_cache(1024)(self._bfs_distances)
 
     # ---- config round trip -------------------------------------------------
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SiteGraph":
         kind = cfg.get("kind")
+        needs = {"chain": ("n_sites",), "grid": ("dims",),
+                 "general": ("n_sites", "bonds")}
+        missing = [key for key in needs.get(kind, ()) if key not in cfg]
+        if missing:
+            raise ValueError(f"{kind} graph needs {', '.join(missing)}")
         if kind == "chain":
             return cls(kind="chain", n_sites=int(cfg["n_sites"]),
                        boundary=cfg.get("boundary", "open"))
@@ -173,13 +153,9 @@ class SiteGraph:
                     d = min(d, L - d)
                 tot += d
             return tot
-        return self._bfs_distances(i).get(j, self.n_sites + 1)
+        return self._all_distances(i).get(j, self.n_sites + 1)
 
     def _bfs_distances(self, src: int, radius: int | None = None) -> dict[int, int]:
-        key = (src, radius)
-        cached = self._dist_cache.get(("bfs", src)) if radius is None else None
-        if cached is not None:
-            return cached
         dist = {src: 0}
         q = deque([src])
         while q:
@@ -190,8 +166,6 @@ class SiteGraph:
                 if b not in dist:
                     dist[b] = dist[a] + 1
                     q.append(b)
-        if radius is None:
-            self._dist_cache.put(("bfs", src), dist)
         return dist
 
     # ---- balls ---------------------------------------------------------------
@@ -201,18 +175,14 @@ class SiteGraph:
         self._check_site(i)
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        R = int(r)
-        cached = self._ball_cache.get((i, R))
-        if cached is not None:
-            return cached
+        return self._cached_ball(i, int(r))
+
+    def _ball(self, i: int, R: int) -> tuple[int, ...]:
         if self.kind == "chain":
-            out = self._chain_ball(i, R)
-        elif self.kind == "grid":
-            out = self._grid_ball(i, R)
-        else:
-            out = tuple(sorted(self._bfs_distances(i, radius=R).keys()))
-        self._ball_cache.put((i, R), out)
-        return out
+            return self._chain_ball(i, R)
+        if self.kind == "grid":
+            return self._grid_ball(i, R)
+        return tuple(sorted(self._bfs_distances(i, radius=R).keys()))
 
     def _chain_ball(self, i: int, R: int) -> tuple[int, ...]:
         n = self.n_sites

@@ -15,8 +15,9 @@ a larger lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .access import LocalMatrixOracle, Memo, PreconditionError, VectorOracle
+from .access import LocalMatrixOracle, PreconditionError, VectorOracle
 from .polyapprox import Polynomial
 
 HARD_ZERO = 1e-300
@@ -145,6 +146,6 @@ def poly_apply_query_oracle(A: LocalMatrixOracle, p: Polynomial,
     Repeated queries of the same index issue the underlying A/u queries once.
     """
     _check_interval(A, p)
-    fn = Memo(lambda i: entry_of_poly_apply(A, p, u, i))
+    fn = cache(lambda i: entry_of_poly_apply(A, p, u, i))
     # fresh counter: reads of w are not reads of u; A/u meter themselves inside
     return VectorOracle(dimension=A.dimension, query_fn=fn, norm=None, zeta=0.0)

@@ -28,10 +28,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .access import (LocalityError, LocalMatrixOracle, Memo, PreconditionError,
+from .access import (LocalityError, LocalMatrixOracle, PreconditionError,
                      VectorOracle, local_matrix_from_rows, sparse_vector_oracle)
 from .estimate import EstimateReport, inner_product_estimate
 from .lattice import SiteGraph
@@ -277,14 +278,37 @@ def _site_oracle(n: int, fn) -> VectorOracle:
     return VectorOracle(dimension=n, query_fn=fn, norm=None)
 
 
-def _evolution_polys(sys: OscillatorSystem, t: float, eps_poly: float):
-    """P_exp on [-||H||, ||H||] split into Pcos, Psin on [0, ||A||]."""
+def _evolved_blocks(sys: OscillatorSystem, state0: OscillatorState, t: float,
+                    eps_poly: float):
+    """Site-space blocks of P psi(0) for P = P_exp(H t) within eps_poly of e^{iHt}.
+
+    Returns (a, pcos, psin, top, z): the A oracle, the parity split of P_exp
+    on [-||H||, ||H||] into Pcos, Psin on [0, ||A||], and memoized site
+    functions with top = Pcos(A) sv - A Psin(A) sx (the velocity block) and
+    z = Psin(A) sv + Pcos(A) sx (the pair block is i B^T z).
+    """
+    e = total_energy(sys, state0)
+    if e <= 0.0:
+        raise PreconditionError("zero-energy rest state")
+    s = 1.0 / math.sqrt(2.0 * e)
+    sv = np.sqrt(sys.masses) * state0.xdot * s
+    sx = np.sqrt(sys.masses) * state0.x * s
+    n = sys.n_sites
+
     alpha_h = sys.h_norm_bound
     if alpha_h == 0.0:
         alpha_h = 1.0  # springless system: A = 0, any positive scale certifies
-    p = exp_poly(alpha_h, t, eps_poly)
-    pcos, psin = parity_split(p)
-    return p, pcos, psin
+    pcos, psin = parity_split(exp_poly(alpha_h, t, eps_poly))
+    x_psin = mul_by_x(psin)            # y * Psin(y), realizing A Psin(A)
+    a = sys.a_oracle()
+    sv_or = _site_oracle(n, lambda i: sv[i])
+    sx_or = _site_oracle(n, lambda i: sx[i])
+
+    top = cache(lambda i: entry_of_poly_apply(a, pcos, sv_or, i)
+                - entry_of_poly_apply(a, x_psin, sx_or, i))
+    z = cache(lambda i: entry_of_poly_apply(a, psin, sv_or, i)
+              + entry_of_poly_apply(a, pcos, sx_or, i))
+    return a, pcos, psin, top, z
 
 
 # =====================================================================
@@ -305,24 +329,8 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
         raise PreconditionError("v must live on the extended index space")
     if v.zeta > eps / 18.0 + 1e-15:
         raise PreconditionError(f"v.zeta = {v.zeta} exceeds eps/18")
-    e = total_energy(sys, state0)
-    if e <= 0.0:
-        raise PreconditionError("zero-energy rest state")
-    s = 1.0 / math.sqrt(2.0 * e)
-    sv = np.sqrt(sys.masses) * state0.xdot * s
-    sx = np.sqrt(sys.masses) * state0.x * s
+    _, _, _, top, z = _evolved_blocks(sys, state0, t, eps / 2.0)
     n = sys.n_sites
-
-    _, pcos, psin = _evolution_polys(sys, t, eps / 2.0)
-    x_psin = mul_by_x(psin)            # y * Psin(y), realizing A Psin(A)
-    a = sys.a_oracle()
-    sv_or = _site_oracle(n, lambda i: sv[i])
-    sx_or = _site_oracle(n, lambda i: sx[i])
-
-    z = Memo(lambda i: entry_of_poly_apply(a, psin, sv_or, i)
-             + entry_of_poly_apply(a, pcos, sx_or, i))
-    top = Memo(lambda i: entry_of_poly_apply(a, pcos, sv_or, i)
-               - entry_of_poly_apply(a, x_psin, sx_or, i))
 
     def w_query(idx: int) -> complex:
         if idx < n:
@@ -330,7 +338,7 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
         pa, pb = pair_decode(idx, n)
         return 1j * sys.bdag_entry(pa, pb, z)
 
-    w = VectorOracle(dimension=sys.extended_dim, query_fn=Memo(w_query), norm=None)
+    w = VectorOracle(dimension=sys.extended_dim, query_fn=cache(w_query), norm=None)
     return inner_product_estimate(w, v, eps / 2.0, delta, seed)
 
 
@@ -364,46 +372,26 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
             raise ValueError(f"spring pair ({pa},{pb}) out of range")
         xset.add((pa, pb))
 
-    e = total_energy(sys, state0)
-    if e <= 0.0:
-        raise PreconditionError("zero-energy rest state")
-    s = 1.0 / math.sqrt(2.0 * e)
-    sv = np.sqrt(sys.masses) * state0.xdot * s
-    sx = np.sqrt(sys.masses) * state0.x * s
+    a, pcos, psin, top, z = _evolved_blocks(sys, state0, t, eps / 4.0)
+    a0, ptil = divide_out_zero(pcos)   # Pcos(y) = a0 + y * ptil(y)
     n = sys.n_sites
 
-    _, pcos, psin = _evolution_polys(sys, t, eps / 4.0)
-    x_psin = mul_by_x(psin)
-    a0, ptil = divide_out_zero(pcos)   # Pcos(y) = a0 + y * ptil(y)
-    a = sys.a_oracle()
-    sv_or = _site_oracle(n, lambda i: sv[i])
-    sx_or = _site_oracle(n, lambda i: sx[i])
-
     # top block of P psi0, masked to the selected velocity slots
-    phi_v = Memo(lambda i: entry_of_poly_apply(a, pcos, sv_or, i)
-                 - entry_of_poly_apply(a, x_psin, sx_or, i))
-    mphi_v = Memo(lambda i: phi_v(i) if i in vset else 0.0)
-    mphi_v_or = _site_oracle(n, mphi_v)
+    mphi_v_or = _site_oracle(n, lambda i: top(i) if i in vset else 0.0)
 
-    # bottom block of P psi0 is B^T phi_x with phi_x = i (Psin(A) sv + Pcos(A) sx)
-    phi_x = Memo(lambda i: 1j * (entry_of_poly_apply(a, psin, sv_or, i)
-                                 + entry_of_poly_apply(a, pcos, sx_or, i)))
-
+    # bottom block of P psi0 is B^T phi_x with phi_x = i z, masked to the
+    # selected spring slots
+    @cache
     def mbx(pair: tuple) -> complex:
         if pair not in xset:
             return 0.0 + 0.0j
-        return sys.bdag_entry(pair[0], pair[1], phi_x)
+        return sys.bdag_entry(pair[0], pair[1], lambda k: 1j * z(k))
 
-    mbx_memo = Memo(lambda key: mbx(pair_decode(key, n)))
-
-    def mbx_by_pair(pair: tuple) -> complex:
-        return mbx_memo(pair_index(pair[0], pair[1], n))
-
-    g = Memo(lambda i: sys.b_entry(i, mbx_by_pair))
+    g = cache(lambda i: sys.b_entry(i, mbx))
     g_or = _site_oracle(n, g)
 
-    h1 = Memo(lambda i: entry_of_poly_apply(a, psin, mphi_v_or, i))
-    h2 = Memo(lambda i: entry_of_poly_apply(a, ptil, g_or, i))
+    h1 = cache(lambda i: entry_of_poly_apply(a, psin, mphi_v_or, i))
+    h2 = cache(lambda i: entry_of_poly_apply(a, ptil, g_or, i))
 
     def w_query(idx: int) -> complex:
         if idx < n:
@@ -411,10 +399,10 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
                     - 1j * entry_of_poly_apply(a, psin, g_or, idx))
         pa, pb = pair_decode(idx, n)
         return (-1j * sys.bdag_entry(pa, pb, h1)
-                + a0 * mbx_memo(idx)
+                + a0 * mbx((pa, pb))
                 + sys.bdag_entry(pa, pb, h2))
 
-    w = VectorOracle(dimension=sys.extended_dim, query_fn=Memo(w_query), norm=None)
+    w = VectorOracle(dimension=sys.extended_dim, query_fn=cache(w_query), norm=None)
     v = psi0(sys, state0)
     return inner_product_estimate(w, v, eps / 3.0, delta, seed)
 
@@ -434,6 +422,9 @@ def system_to_json_dict(sys: OscillatorSystem) -> dict:
 
 
 def system_from_json_dict(cfg: dict) -> OscillatorSystem:
+    missing = [key for key in ("graph", "r0", "masses", "springs") if key not in cfg]
+    if missing:
+        raise ValueError(f"system needs {', '.join(missing)}")
     graph = SiteGraph.from_config(cfg["graph"])
     return build_system(graph, cfg["masses"], cfg["springs"], int(cfg["r0"]))
 

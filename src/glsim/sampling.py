@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .access import (LocalMatrixOracle, Memo, OracleInconsistencyError,
+from .access import (LocalMatrixOracle, OracleInconsistencyError,
                      PreconditionError, VectorOracle, rng_stream,
                      scale_matrix_oracle)
 from .lightcone import poly_apply_query_oracle
@@ -48,7 +49,7 @@ class OversamplerHandle:
                  degree: int, zeta: float):
         self.dimension = int(dimension)
         self._draw_many_fn = draw_many_fn
-        self._mass = Memo(lambda i: float(mass_fn(int(i))))
+        self._mass = cache(lambda i: float(mass_fn(int(i))))
         self.phi = float(phi)
         self.degree = int(degree)
         self.zeta = float(zeta)
@@ -65,7 +66,7 @@ class OversamplerHandle:
 
 
 def lightcone_oversampler(A: LocalMatrixOracle, d: int, psi: VectorOracle,
-                          norm_bound_P: float, seed: int | None = None) -> OversamplerHandle:
+                          norm_bound_P: float) -> OversamplerHandle:
     """The ball-smeared law p_i = sum_{j in ball(i, d r0)} |psi_j|^2 / |ball(j, d r0)|.
 
     Drawing: sample j ~ psi, then a uniform member of ball(j, d r0).  Because
@@ -80,7 +81,7 @@ def lightcone_oversampler(A: LocalMatrixOracle, d: int, psi: VectorOracle,
     graph = A.graph
     radius = d * A.r0
     nrm2 = psi.norm() ** 2
-    psi_mass = Memo(lambda j: abs(psi.query(j)) ** 2 / nrm2)
+    psi_mass = cache(lambda j: abs(psi.query(j)) ** 2 / nrm2)
 
     def draw_many_fn(rng: np.random.Generator, count: int) -> np.ndarray:
         js = psi.sample_many(rng, count)
@@ -139,7 +140,7 @@ def rejection_sample(p: OversamplerHandle, u: VectorOracle, phi: float,
     budget = int(math.ceil((8.0 * phi / (alpha_min * alpha_min)) * math.log(1.0 / delta)))
     rng_sites = rng_stream(seed, *stream_key, 0)
     rng_accept = rng_stream(seed, *stream_key, 1)
-    u2_memo: dict = {}
+    u_mass = cache(lambda s: abs(u.query(s)) ** 2)
     done = 0
     while done < budget:
         k = min(chunk, budget - done)
@@ -151,11 +152,7 @@ def rejection_sample(p: OversamplerHandle, u: VectorOracle, phi: float,
             bad = int(uniq[int(np.flatnonzero(umass <= 0.0)[0])])
             raise OracleInconsistencyError(
                 f"sampler produced site {bad} with zero oversampler mass")
-        for s in uniq:
-            s = int(s)
-            if s not in u2_memo:
-                u2_memo[s] = abs(u.query(s)) ** 2
-        u2 = np.array([u2_memo[int(s)] for s in uniq], dtype=np.float64)
+        u2 = np.array([u_mass(int(s)) for s in uniq], dtype=np.float64)
         ratios = u2[inverse] / (phi * umass[inverse])
         high = np.flatnonzero(ratios > 1.0 + 1e-9)
         if high.size:
@@ -236,18 +233,17 @@ class EvolvedSampler:
         return 16.0 * self.phi * self.psi.zeta / amin2 + tv_error_bound(
             self.eps, self.alpha_min)
 
-    def draw(self, k: int = 0, chunk: int = _DEFAULT_CHUNK) -> RejectionResult:
+    def draw(self, k: int = 0) -> RejectionResult:
         """Draw the k-th sample: independent stream per k, shared memoization.
 
-        Deterministic given (seed, k, chunk); chunk is a throughput knob with
-        a fixed default, and changing it reshuffles the random trials.
+        Deterministic given (seed, k).
         """
         return rejection_sample(self.oversampler, self.w, self.phi,
                                 self.alpha_min, self.delta, seed=self.seed,
-                                chunk=chunk, stream_key=(int(k),))
+                                stream_key=(int(k),))
 
-    def draw_many(self, count: int, chunk: int = _DEFAULT_CHUNK) -> list:
-        return [self.draw(k, chunk=chunk) for k in range(count)]
+    def draw_many(self, count: int) -> list:
+        return [self.draw(k) for k in range(count)]
 
 
 def sample_evolved(A: LocalMatrixOracle, t: float, psi: VectorOracle, eps: float,

@@ -138,26 +138,58 @@ FOUR_MASS_OSCILLATOR_CFG = {
     "delta": 0.2,
 }
 
+FOUR_MASS_ENERGY_CFG = {
+    "system": FOUR_MASS_OSCILLATOR_CFG["system"],
+    "state": {"x": [1.0, 0.0, 0.0, 0.0], "xdot": [0.0] * 4},
+    "mass_subset": [0],
+    "spring_subset": [[0, 1]],
+    "t": 0.1,
+    "eps": 0.2,
+    "delta": 0.2,
+}
 
-@pytest.mark.parametrize("scenario,cfg,state_rows", [
+
+@pytest.mark.parametrize("scenario,cfg,files", [
     ("estimate", dict(ESTIMATE_CFG, matrix={"kind": "tridiagonal", "n": 8},
                       u={"kind": "point", "site": 9}), None),
     ("estimate", dict(ESTIMATE_CFG, matrix={
         "kind": "laplacian",
         "graph": {"kind": "grid", "dims": [4, 4], "n_sites": 99}}), None),
-    ("oscillator", FOUR_MASS_OSCILLATOR_CFG, "-1,0.5,0.0\n3,0.2,0.0\n"),
-    ("oscillator", FOUR_MASS_OSCILLATOR_CFG, "3,0.2,0.0\n3,0.7,0.0\n"),
-    ("oscillator", FOUR_MASS_OSCILLATOR_CFG, "3,0.2\n"),
+    ("oscillator", FOUR_MASS_OSCILLATOR_CFG,
+     {"state_file": "site,x,xdot\n-1,0.5,0.0\n3,0.2,0.0\n"}),
+    ("oscillator", FOUR_MASS_OSCILLATOR_CFG,
+     {"state_file": "site,x,xdot\n3,0.2,0.0\n3,0.7,0.0\n"}),
+    ("oscillator", FOUR_MASS_OSCILLATOR_CFG, {"state_file": "site,x,xdot\n3,0.2\n"}),
     ("oscillator", dict(FOUR_MASS_OSCILLATOR_CFG, state_file="missing.csv"), None),
+    ("oscillator", dict(FOUR_MASS_OSCILLATOR_CFG,
+                        state={"x": [1.0, 0.0, 0.0, 0.0], "xdot": [0.0, 0.0]}), None),
+    ("energy", dict(FOUR_MASS_ENERGY_CFG, mass_subset=[7]), None),
+    ("energy", dict(FOUR_MASS_ENERGY_CFG, spring_subset=[[0, 9]]), None),
+    ("embed", {"mode": "short", "circuit": {"n": 2, "gates": [["X", [5]]]}}, None),
+    ("embed", {"mode": "short", "circuit": {"n": 2, "gates": [["FOO", [0]]]}}, None),
+    ("embed", {"mode": "long", "circuit_file": "missing.txt"}, None),
+    ("estimate", dict(ESTIMATE_CFG, u={"kind": "sparse"}), None),
+    ("estimate", dict(ESTIMATE_CFG, poly={"kind": "monomial"}), None),
+    ("estimate", dict(ESTIMATE_CFG, matrix={"kind": "laplacian",
+                                            "graph": {"kind": "chain"}}), None),
+    ("oscillator", {k: v for k, v in FOUR_MASS_OSCILLATOR_CFG.items() if k != "system"},
+     {"system_file": json.dumps({"graph": {"kind": "chain", "n_sites": 4}, "r0": 1}),
+      "state_file": "site,x,xdot\n0,1.0,0.0\n"}),
+    ("pde", {"kind": "schrodinger", "graph": {"kind": "chain", "n_sites": 4}}, None),
 ], ids=["point-site-out-of-range", "grid-n-sites-contradicts-dims",
         "state-negative-site", "state-duplicate-site", "state-short-row",
-        "state-file-missing"])
+        "state-file-missing", "state-x-xdot-lengths-differ",
+        "energy-mass-index-out-of-range", "energy-spring-pair-out-of-range",
+        "embed-gate-beyond-n", "embed-unknown-gate", "embed-circuit-file-missing",
+        "sparse-vector-without-entries", "monomial-poly-without-coefficients",
+        "graph-without-n-sites", "system-file-without-masses-and-springs",
+        "schrodinger-without-a"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, scenario, cfg,
-                                           state_rows):
-    if state_rows is not None:
-        state_path = tmp_path / "state.csv"
-        state_path.write_text("site,x,xdot\n" + state_rows)
-        cfg = dict(cfg, state_file=str(state_path))
+                                           files):
+    for key, text in (files or {}).items():
+        path = tmp_path / key
+        path.write_text(text)
+        cfg = dict(cfg, **{key: str(path)})
     cfg_path = _write_config(tmp_path, "bad.json", cfg)
     assert main([scenario, "--config", cfg_path, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
