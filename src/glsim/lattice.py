@@ -15,6 +15,7 @@ instances such as clock-register graphs.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -73,8 +74,11 @@ class SiteGraph:
             for k in adj:
                 adj[k] = sorted(set(adj[k]))
             self._adj = adj
-        self._cached_ball = lru_cache(BALL_CACHE_SIZE)(self._ball)
-        self._all_distances = lru_cache(1024)(self._bfs_distances)
+        # the caches reach the graph through a weak reference, so a dropped
+        # graph is freed at once instead of at the next cyclic gc pass
+        ref = weakref.ref(self)
+        self._cached_ball = lru_cache(BALL_CACHE_SIZE)(lambda i, R: ref()._ball(i, R))
+        self._all_distances = lru_cache(1024)(lambda src: ref()._bfs_distances(src))
 
     # ---- config round trip -------------------------------------------------
 
@@ -193,32 +197,18 @@ class SiteGraph:
         return tuple(sorted((i + o) % n for o in range(-R, R + 1)))
 
     def _grid_ball(self, i: int, R: int) -> tuple[int, ...]:
-        center = self.site_coords(i)
-        dims = self.dims
-        periodic = self.boundary == "periodic"
-        out: set[int] = set()
-
-        def rec(axis: int, budget: int, prefix: list[int]):
-            if axis == len(dims):
-                out.add(self.coords_site(prefix))
-                return
-            c, L = center[axis], dims[axis]
-            if periodic:
-                seen_axis = set()
-                for o in range(-min(budget, L - 1), min(budget, L - 1) + 1):
-                    pos = (c + o) % L
-                    d = min(abs(o), L - abs(o))
-                    if d > budget or (pos, d) in seen_axis:
-                        continue
-                    # same position can be reached by two offsets; keep cheapest
-                    seen_axis.add((pos, d))
-                    rec(axis + 1, budget - d, prefix + [pos])
+        # axis by axis: (row-major index of the coordinates so far, budget left);
+        # no recursive closure, which would tie the graph into a reference cycle
+        partial = [(0, R)]
+        for c, L in zip(self.site_coords(i), self.dims):
+            if self.boundary == "periodic":
+                reach = min(R, L - 1)
+                axis = {(c + o) % L: min(abs(o), L - abs(o)) for o in range(-reach, reach + 1)}
             else:
-                for pos in range(max(0, c - budget), min(L - 1, c + budget) + 1):
-                    rec(axis + 1, budget - abs(pos - c), prefix + [pos])
-
-        rec(0, R, [])
-        return tuple(sorted(out))
+                axis = {pos: abs(pos - c) for pos in range(max(0, c - R), min(L - 1, c + R) + 1)}
+            partial = [(base * L + pos, budget - d) for base, budget in partial
+                       for pos, d in axis.items() if d <= budget]
+        return tuple(sorted(base for base, _ in partial))
 
     # ---- locality function -----------------------------------------------------
 

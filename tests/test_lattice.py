@@ -1,5 +1,8 @@
 """Site graphs: metric axioms, balls, locality function, config round trips."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -113,3 +116,25 @@ def test_config_round_trip_preserves_geometry(make):
         assert set(g.ball(i, 2)) == set(h.ball(i, 2))
         for j in range(g.n_sites):
             assert g.distance(i, j) == h.distance(i, j)
+
+
+# =====================================================================
+# cache lifetime
+# =====================================================================
+
+
+@pytest.mark.parametrize("make, fill", [
+    (lambda: grid([64, 64]), lambda g: [g.ball(i, 5) for i in range(0, 4096, 97)]),
+    (lambda: general(32, [(i, (i + 1) % 32) for i in range(32)]),
+     lambda g: [g.distance(i, 0) for i in range(32)]),
+])
+def test_dropped_graph_is_freed_without_cyclic_gc(make, fill):
+    gc.disable()
+    try:
+        g = make()
+        fill(g)
+        alive = weakref.ref(g)
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from glsim import (CostCounter, Polynomial, PreconditionError, chain,
-                   dense_from_oracle, dense_poly_apply, entry_of_poly_apply,
-                   exp_poly, local_matrix_from_dense, local_matrix_from_rows,
+from glsim import (CostCounter, Polynomial, PreconditionError, VectorOracle,
+                   chain, dense_from_oracle, dense_poly_apply, entry_of_poly_apply,
+                   exp_poly, grid, local_matrix_from_dense, local_matrix_from_rows,
                    poly_apply_query_oracle, row_power, sq_access_from_dense)
 
 
@@ -195,3 +195,88 @@ def test_single_entry_query_budget():
     n_1 = graph.locality_function(1)
     assert a_cost.snapshot()["queries"] <= 4 * d * d * n_d * n_1
     assert u_cost.snapshot()["queries"] <= 4 * d * n_d
+
+
+def _polynomial(basis: str, a, degree: int, rng) -> Polynomial:
+    """exp_poly(t=1) for chebyshev; random decaying coefficients for monomial."""
+    if basis == "chebyshev":
+        return exp_poly(a.norm_bound, 1.0, 1e-10)
+    scale = a.norm_bound + 1.0
+    coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    return Polynomial(tuple(coeffs / scale ** np.arange(degree + 1)))
+
+
+@pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("graph, r0", [
+    pytest.param(chain(200), 1, id="open-chain"),
+    pytest.param(grid([20, 20], boundary="periodic"), 1, id="periodic-grid"),
+    pytest.param(chain(200), 2, id="chain-r0-2"),
+])
+def test_each_row_fetched_at_most_once(graph, r0, basis):
+    rng = np.random.default_rng(51)
+    base, _ = _random_local_hermitian(rng, graph, r0)
+    calls = []
+
+    def row_fn(j):
+        calls.append(j)
+        return base._row_fn(j)
+
+    cost = CostCounter()
+    a = local_matrix_from_rows(graph, r0, row_fn, norm_bound=base.norm_bound,
+                               hermitian=True, cost=cost)
+    u = sq_access_from_dense(rng.normal(size=graph.n_sites))
+    p = _polynomial(basis, a, 7, rng)
+    d = p.degree
+    entry_of_poly_apply(a, p, u, graph.n_sites // 2 + 3)
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= set(graph.ball(graph.n_sites // 2 + 3, (d - 1) * r0))
+    n_cone = graph.locality_function((d - 1) * r0)
+    assert cost.snapshot()["queries"] <= n_cone * (graph.locality_function(r0) + 1)
+
+
+def _patch_oracles(L: int, ox: int, oy: int):
+    """Hopping plus an on-site term on an LxL grid, as functions of (x - ox, y - oy).
+
+    Two grids hold the same patch when their cones stay clear of the boundary.
+    """
+    def row_fn(s):
+        x, y = divmod(s, L)
+        out = [(s, 0.5 * np.cos(0.7 * (x - ox) + 1.3 * (y - oy)))]
+        for nx, ny in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+            if 0 <= nx < L and 0 <= ny < L:
+                out.append((nx * L + ny, 1.0))
+        return out
+
+    def u_fn(s):
+        x, y = divmod(s, L)
+        dx, dy = x - ox - 16, y - oy - 16
+        return np.exp(-(dx * dx + dy * dy) / 8.0 + 0.4j * dx)
+
+    a = local_matrix_from_rows(grid([L, L]), 1, row_fn, norm_bound=4.5, hermitian=True)
+    return a, VectorOracle(dimension=L * L, query_fn=u_fn, norm=None)
+
+
+def test_grid_entry_is_independent_of_lattice_size():
+    p = exp_poly(4.5, 0.45, 1e-8)
+    assert p.degree >= 10
+    small = _patch_oracles(32, 0, 0)
+    big = _patch_oracles(1024, 500, 500)
+    for x, y in ((16, 16), (17, 14)):
+        vs = entry_of_poly_apply(small[0], p, small[1], x * 32 + y)
+        vb = entry_of_poly_apply(big[0], p, big[1], (x + 500) * 1024 + y + 500)
+        assert vs == vb
+        assert small[0].cost.snapshot() == big[0].cost.snapshot()
+        assert small[1].cost.snapshot() == big[1].cost.snapshot()
+
+
+@pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
+def test_cone_wrapping_a_periodic_grid_matches_dense(basis):
+    rng = np.random.default_rng(52)
+    graph = grid([6, 6], boundary="periodic")
+    a, dense = _random_local_hermitian(rng, graph, 1)
+    p = _polynomial(basis, a, 9, rng)
+    assert p.degree > 7  # (d-1) hops cover the 6x6 torus, whose diameter is 6
+    u = rng.normal(size=36) + 1j * rng.normal(size=36)
+    expected = dense_poly_apply(dense_from_oracle(a), p, u)
+    for i in (0, 14, 35):
+        assert abs(entry_of_poly_apply(a, p, sq_access_from_dense(u), i) - expected[i]) <= 1e-10
