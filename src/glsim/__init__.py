@@ -14,9 +14,8 @@ from .access import (CostCounter, Distribution, LocalityError,
                      LocalMatrixOracle, OracleInconsistencyError,
                      PreconditionError, VectorOracle, induced_distribution,
                      local_matrix_from_dense, local_matrix_from_rows,
-                     perturbed_sq_access, read_vector_csv, rng_stream,
-                     scale_matrix_oracle, sparse_vector_oracle,
-                     sq_access_from_dense, tv_distance, write_vector_csv)
+                     perturbed_sq_access, rng_stream, scale_matrix_oracle,
+                     sparse_vector_oracle, sq_access_from_dense, tv_distance)
 from .acceptance import CriterionResult, DEFAULT_SEED, SUITES, run_criterion, run_suite
 from .embeddings import (ClockHamiltonian, EmbeddedRun, Gate, ReadoutScan,
                          ReversibleCircuit, adjacent_transposition_decomposition,
@@ -24,29 +23,26 @@ from .embeddings import (ClockHamiltonian, EmbeddedRun, Gate, ReadoutScan,
                          find_readout_time, fk_classical, fk_long_local,
                          fk_long_undilated, gate_permutation, gate_unitary,
                          j_matrix, overlap_coefficients, parse_circuit,
-                         readout_overlap_curve, run_circuit,
-                         simulate_embedded_circuit, step_operator, w_matrix)
+                         readout_overlap_curve, simulate_embedded_circuit,
+                         step_operator, w_matrix)
 from .estimate import EstimateReport, evt_gl_estimate, inner_product_estimate
 from .lattice import SiteGraph, chain, general, grid
 from .lightcone import (SparseAccumulator, entry_of_poly_apply,
                         poly_apply_query_oracle, row_power)
 from .oracle import (DenseMatrix, dense_cap, dense_cos_sqrt_apply,
                      dense_evolve, dense_from_oracle, dense_poly_apply,
-                     dense_poly_matrix, dense_sinc_sqrt_apply, spectral_norm)
+                     dense_poly_matrix, spectral_norm)
 from .oscillators import (OscillatorState, OscillatorSystem, build_system,
                           estimate_energy, estimate_observable,
                           extended_dimension, load_system, pair_decode,
-                          pair_index, psi0, read_state_csv, save_system,
-                          system_from_json_dict, system_to_json_dict,
-                          total_energy, write_state_csv)
+                          pair_index, psi0, read_state_csv,
+                          system_from_json_dict, total_energy)
 from .pde import (advection_hamiltonian, graph_laplacian_oracle,
                   schrodinger_hamiltonian, wave_to_oscillators)
-from .polyapprox import (Polynomial, basis_convert, bessel_j_sequence,
-                         constant_poly, divide_out_zero, eval_scalar, exp_poly,
-                         mul_by_x, parity_split, scale_poly)
+from .polyapprox import (Polynomial, bessel_j_sequence, divide_out_zero,
+                         eval_scalar, exp_poly, mul_by_x, parity_split)
 from .sampling import (EvolvedSampler, OversamplerHandle, RejectionResult,
-                       lightcone_oversampler, rejection_sample, sample_evolved,
-                       tv_error_bound)
+                       lightcone_oversampler, rejection_sample, tv_error_bound)
 
 __version__ = "0.1.0"
 
@@ -59,11 +55,10 @@ __all__ = [
     "RejectionResult", "ReversibleCircuit", "SUITES", "SiteGraph",
     "SparseAccumulator", "VectorOracle",
     "adjacent_transposition_decomposition", "advection_hamiltonian",
-    "basis_convert", "bessel_j_sequence", "build_system", "chain",
-    "classical_output", "constant_poly", "default_scan_horizon", "dense_cap",
-    "dense_cos_sqrt_apply", "dense_evolve", "dense_from_oracle",
-    "dense_poly_apply", "dense_poly_matrix", "dense_sinc_sqrt_apply",
-    "divide_out_zero", "entry_of_poly_apply",
+    "bessel_j_sequence", "build_system", "chain", "classical_output",
+    "default_scan_horizon", "dense_cap", "dense_cos_sqrt_apply",
+    "dense_evolve", "dense_from_oracle", "dense_poly_apply",
+    "dense_poly_matrix", "divide_out_zero", "entry_of_poly_apply",
     "estimate_energy", "estimate_observable", "eval_scalar",
     "evt_gl_estimate", "exp_poly", "extended_dimension", "find_readout_time",
     "fk_classical", "fk_long_local", "fk_long_undilated", "gate_permutation",
@@ -73,12 +68,11 @@ __all__ = [
     "local_matrix_from_rows", "mul_by_x", "overlap_coefficients",
     "pair_decode", "pair_index", "parity_split", "parse_circuit",
     "perturbed_sq_access", "poly_apply_query_oracle", "psi0",
-    "read_state_csv", "read_vector_csv", "readout_overlap_curve",
-    "rejection_sample", "rng_stream", "row_power", "run_circuit",
-    "run_criterion", "run_suite", "sample_evolved", "save_system",
-    "scale_matrix_oracle", "scale_poly", "schrodinger_hamiltonian",
+    "read_state_csv", "readout_overlap_curve", "rejection_sample",
+    "rng_stream", "row_power", "run_criterion", "run_suite",
+    "scale_matrix_oracle", "schrodinger_hamiltonian",
     "simulate_embedded_circuit", "sparse_vector_oracle", "spectral_norm",
     "sq_access_from_dense", "step_operator", "system_from_json_dict",
-    "system_to_json_dict", "total_energy", "tv_distance", "tv_error_bound",
-    "w_matrix", "wave_to_oscillators", "write_state_csv", "write_vector_csv",
+    "total_energy", "tv_distance", "tv_error_bound", "w_matrix",
+    "wave_to_oscillators",
 ]

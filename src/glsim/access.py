@@ -12,7 +12,6 @@ distribution p_i = |u_i|^2 / ||u||^2.
 
 from __future__ import annotations
 
-import csv
 import math
 import threading
 from dataclasses import dataclass, field
@@ -82,8 +81,7 @@ class VectorOracle:
     """
 
     def __init__(self, dimension: int, query_fn, norm: float | None,
-                 sample_many=None, zeta: float = 0.0, cost: CostCounter | None = None,
-                 seed: int | None = None):
+                 sample_many=None, zeta: float = 0.0, cost: CostCounter | None = None):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         if norm is not None and norm < 0:
@@ -96,7 +94,6 @@ class VectorOracle:
         self._sample_many = sample_many
         self.zeta = float(zeta)
         self.cost = cost if cost is not None else CostCounter()
-        self._default_rng = None if seed is None else rng_stream(seed, 0)
 
     def query(self, i: int) -> complex:
         if not (0 <= i < self.dimension):
@@ -118,24 +115,15 @@ class VectorOracle:
     def can_sample(self) -> bool:
         return self._sample_many is not None
 
-    def _resolve_rng(self, rng):
-        if rng is not None:
-            return rng
-        if self._default_rng is None:
-            raise PreconditionError("no rng given and oracle was built without a seed")
-        return self._default_rng
-
-    def sample(self, rng: np.random.Generator | None = None) -> int:
+    def sample(self, rng: np.random.Generator) -> int:
         if not self.can_sample:
             raise PreconditionError("oracle has no sampler")
-        rng = self._resolve_rng(rng)
         self.cost.add(samples=1)
         return int(self._sample_many(rng, 1)[0])
 
-    def sample_many(self, rng: np.random.Generator | None, count: int) -> np.ndarray:
+    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if not self.can_sample:
             raise PreconditionError("oracle has no sampler")
-        rng = self._resolve_rng(rng)
         if count < 0:
             raise ValueError("count must be nonnegative")
         if count == 0:
@@ -166,26 +154,12 @@ def _cumtable_sampler(masses: np.ndarray):
     return sample_many
 
 
-def sq_access_from_dense(u, seed: int | None = None,
-                         cost: CostCounter | None = None) -> VectorOracle:
-    """Exact sq-access (zeta = 0) to a dense vector.
-
-    With a seed, sample()/sample_many() may be called without an explicit rng.
-    """
-    u = np.asarray(u, dtype=np.complex128).ravel()
-    masses, nrm = _masses_from_dense(u)
-    return VectorOracle(
-        dimension=u.size,
-        query_fn=lambda i: u[i],
-        norm=nrm,
-        sample_many=_cumtable_sampler(masses),
-        zeta=0.0,
-        cost=cost,
-        seed=seed,
-    )
+def sq_access_from_dense(u, cost: CostCounter | None = None) -> VectorOracle:
+    """Exact sq-access (zeta = 0) to a dense vector."""
+    return perturbed_sq_access(u, 0.0, cost=cost)
 
 
-def perturbed_sq_access(u, zeta: float, seed: int | None = None,
+def perturbed_sq_access(u, zeta: float,
                         cost: CostCounter | None = None) -> VectorOracle:
     """Sq-access whose sampler is exactly TV distance zeta from the true law.
 
@@ -218,12 +192,10 @@ def perturbed_sq_access(u, zeta: float, seed: int | None = None,
         sample_many=_cumtable_sampler(masses),
         zeta=zeta,
         cost=cost,
-        seed=seed,
     )
 
 
 def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
-                         seed: int | None = None,
                          cost: CostCounter | None = None) -> VectorOracle:
     """Sq-access to a vector given by a {index: value} dict; lazy in the dimension."""
     idx = np.array(sorted(entries.keys()), dtype=np.int64)
@@ -249,7 +221,6 @@ def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
         sample_many=sample_many,
         zeta=0.0,
         cost=cost,
-        seed=seed,
     )
 
 
@@ -474,36 +445,3 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     if p.dimension != q.dimension:
         raise ValueError("dimension mismatch")
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
-
-
-# =====================================================================
-# vector file io
-# =====================================================================
-
-
-def read_vector_csv(path) -> np.ndarray:
-    """Read a vector from CSV rows `index,re,im` (header optional). Missing indices are 0."""
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or rec[0].strip().lower() in ("index", "i", "site"):
-                continue
-            rows.append((int(rec[0]), float(rec[1]), float(rec[2]) if len(rec) > 2 else 0.0))
-    if not rows:
-        raise ValueError(f"no vector entries in {path}")
-    dim = max(r[0] for r in rows) + 1
-    u = np.zeros(dim, dtype=np.complex128)
-    for i, re, im in rows:
-        if i < 0:
-            raise ValueError("negative index in vector file")
-        u[i] = complex(re, im)
-    return u
-
-
-def write_vector_csv(path, u):
-    u = np.asarray(u, dtype=np.complex128).ravel()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "re", "im"])
-        for i, v in enumerate(u):
-            w.writerow([i, repr(float(v.real)), repr(float(v.imag))])

@@ -29,8 +29,7 @@ from . import __version__
 from .acceptance import SUITES, run_suite
 from .access import (LocalityError, OracleInconsistencyError, PreconditionError,
                      VectorOracle, local_matrix_from_rows, perturbed_sq_access,
-                     random_local_pair, rng_stream, sparse_vector_oracle,
-                     sq_access_from_dense)
+                     random_local_pair, rng_stream, sparse_vector_oracle)
 from .embeddings import (Gate, ReversibleCircuit, classical_output,
                          default_scan_horizon, find_readout_time, fk_classical,
                          fk_long_local, parse_circuit, readout_overlap_curve,
@@ -180,6 +179,19 @@ _COMMON = {
     "output": _OUTPUT,
 }
 
+# keys shared by the oscillator and energy scenarios
+_OSCILLATOR_COMMON = {
+    "system": _SYSTEM,
+    "system_file": {"type": "string"},
+    "state": _STATE,
+    "state_file": {"type": "string"},
+    "t": {"type": "number"},
+    "t_grid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+    "eps": {"type": "number", "exclusiveMinimum": 0},
+    "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+    **_COMMON,
+}
+
 SCHEMAS = {
     "estimate": {
         "type": "object",
@@ -219,18 +231,8 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "scenario": {"const": "oscillator"},
-            "system": _SYSTEM,
-            "system_file": {"type": "string"},
-            "state": _STATE,
-            "state_file": {"type": "string"},
             "v": _VECTOR,
-            "t": {"type": "number"},
-            "t_grid": {"type": "array", "items": {"type": "number"},
-                       "minItems": 1},
-            "eps": {"type": "number", "exclusiveMinimum": 0},
-            "delta": {"type": "number", "exclusiveMinimum": 0,
-                      "exclusiveMaximum": 1},
-            **_COMMON,
+            **_OSCILLATOR_COMMON,
         },
         "required": ["v", "eps", "delta"],
         "additionalProperties": False,
@@ -239,22 +241,12 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "scenario": {"const": "energy"},
-            "system": _SYSTEM,
-            "system_file": {"type": "string"},
-            "state": _STATE,
-            "state_file": {"type": "string"},
             "mass_subset": {"type": "array",
                             "items": {"type": "integer", "minimum": 0}},
             "spring_subset": {"type": "array", "items": {
                 "type": "array", "minItems": 2, "maxItems": 2,
                 "items": {"type": "integer", "minimum": 0}}},
-            "t": {"type": "number"},
-            "t_grid": {"type": "array", "items": {"type": "number"},
-                       "minItems": 1},
-            "eps": {"type": "number", "exclusiveMinimum": 0},
-            "delta": {"type": "number", "exclusiveMinimum": 0,
-                      "exclusiveMaximum": 1},
-            **_COMMON,
+            **_OSCILLATOR_COMMON,
         },
         "required": ["mass_subset", "spring_subset", "eps", "delta"],
         "additionalProperties": False,
@@ -369,13 +361,12 @@ def build_vector(spec: dict, dim: int, seed: int, role_key: int,
         bad = [k for k in entries if k >= dim]
         if bad:
             raise ConfigError(f"sparse entries out of range: {bad}")
-        if zeta > 0.0:
-            dense = np.zeros(dim, dtype=np.complex128)
-            for k, val in entries.items():
-                dense[k] = val
-            return perturbed_sq_access(dense, zeta)
-        return sparse_vector_oracle(dim, entries)
-    if kind == "point":
+        if zeta == 0.0:
+            return sparse_vector_oracle(dim, entries)
+        dense = np.zeros(dim, dtype=np.complex128)
+        for k, val in entries.items():
+            dense[k] = val
+    elif kind == "point":
         site = spec.get("site", 0)
         if site >= dim:
             raise ConfigError(f"point site {site} out of range for dimension {dim}")
@@ -397,9 +388,7 @@ def build_vector(spec: dict, dim: int, seed: int, role_key: int,
             mags[mags == 0] = 1.0
             g = (floor + np.abs(g)) * g / mags
         dense = g / np.linalg.norm(g)
-    if zeta > 0.0:
-        return perturbed_sq_access(dense, zeta)
-    return sq_access_from_dense(dense)
+    return perturbed_sq_access(dense, zeta)
 
 
 def build_poly(spec: dict, default_alpha: float | None) -> Polynomial:
@@ -568,34 +557,7 @@ def _run_oscillator_series(cfg: dict):
 def _run_pde(cfg: dict):
     kind = cfg["kind"]
     outputs: dict = {"kind": kind}
-    if kind == "advection":
-        for key in ("velocity", "a", "n_per_axis"):
-            if key not in cfg:
-                raise ConfigError(f"advection needs {key}")
-        velocity = cfg["velocity"]
-        h = advection_hamiltonian(velocity, float(cfg["a"]),
-                                  int(cfg["n_per_axis"]), len(velocity),
-                                  boundary=cfg.get("boundary", "periodic"))
-        outputs.update(dimension=h.dimension, r0=h.r0, norm_bound=h.norm_bound)
-        if cfg.get("dense_check", False):
-            dense = dense_from_oracle(h).entries
-            outputs["dense_norm"] = spectral_norm(dense)
-            outputs["bound_ok"] = outputs["dense_norm"] <= h.norm_bound + 1e-9
-    elif kind == "schrodinger":
-        if "graph" not in cfg or "a" not in cfg:
-            raise ConfigError("schrodinger needs graph and a")
-        lap = graph_laplacian_oracle(SiteGraph.from_config(cfg["graph"]))
-        if "potential" in cfg:
-            pot = np.asarray(cfg["potential"], dtype=np.float64)
-        else:
-            pot = np.full(lap.dimension, float(cfg.get("potential_const", 0.0)))
-        h = schrodinger_hamiltonian(lap, pot, float(cfg["a"]))
-        outputs.update(dimension=h.dimension, r0=h.r0, norm_bound=h.norm_bound)
-        if cfg.get("dense_check", False):
-            dense = dense_from_oracle(h).entries
-            outputs["dense_norm"] = spectral_norm(dense)
-            outputs["bound_ok"] = outputs["dense_norm"] <= h.norm_bound + 1e-9
-    else:  # wave
+    if kind == "wave":
         if "graph" not in cfg or "c" not in cfg or "a" not in cfg:
             raise ConfigError("wave needs graph, c, and a")
         lap = graph_laplacian_oracle(SiteGraph.from_config(cfg["graph"]))
@@ -609,6 +571,29 @@ def _run_pde(cfg: dict):
             l_dense = dense_from_oracle(lap).entries
             outputs["max_deviation"] = float(
                 np.abs(a_dense - scale * l_dense).max())
+        return outputs, {}, None, EXIT_OK
+    if kind == "advection":
+        for key in ("velocity", "a", "n_per_axis"):
+            if key not in cfg:
+                raise ConfigError(f"advection needs {key}")
+        velocity = cfg["velocity"]
+        h = advection_hamiltonian(velocity, float(cfg["a"]),
+                                  int(cfg["n_per_axis"]), len(velocity),
+                                  boundary=cfg.get("boundary", "periodic"))
+    else:  # schrodinger
+        if "graph" not in cfg or "a" not in cfg:
+            raise ConfigError("schrodinger needs graph and a")
+        lap = graph_laplacian_oracle(SiteGraph.from_config(cfg["graph"]))
+        if "potential" in cfg:
+            pot = np.asarray(cfg["potential"], dtype=np.float64)
+        else:
+            pot = np.full(lap.dimension, float(cfg.get("potential_const", 0.0)))
+        h = schrodinger_hamiltonian(lap, pot, float(cfg["a"]))
+    outputs.update(dimension=h.dimension, r0=h.r0, norm_bound=h.norm_bound)
+    if cfg.get("dense_check", False):
+        dense = dense_from_oracle(h).entries
+        outputs["dense_norm"] = spectral_norm(dense)
+        outputs["bound_ok"] = outputs["dense_norm"] <= h.norm_bound + 1e-9
     return outputs, {}, None, EXIT_OK
 
 

@@ -157,22 +157,6 @@ def gate_unitary(g: Gate, n: int) -> np.ndarray:
     return U
 
 
-def run_circuit(circuit: ReversibleCircuit, state) -> np.ndarray:
-    """Gate-by-gate application to a dense 2^n state vector."""
-    psi = np.asarray(state, dtype=np.complex128).ravel().copy()
-    if psi.size != 2 ** circuit.n:
-        raise ValueError("state dimension does not match the qubit count")
-    for g in circuit.gates:
-        if g.kind == "H":
-            psi = gate_unitary(g, circuit.n) @ psi
-        else:
-            perm = gate_permutation(g, circuit.n)
-            out = np.empty_like(psi)
-            out[perm] = psi
-            psi = out
-    return psi
-
-
 def classical_output(circuit: ReversibleCircuit, z0: int) -> int:
     """Basis index after a Hadamard-free circuit."""
     z = int(z0)
@@ -191,7 +175,6 @@ class ClockHamiltonian:
     """A clock-register generator with its resolved step sequence."""
 
     generator: LocalMatrixOracle
-    diagonal_shift: float
     gate_sequence: tuple
     n_qubits: int
     clock_length: int
@@ -233,7 +216,7 @@ def fk_classical(circuit: ReversibleCircuit) -> ClockHamiltonian:
 
     oracle = local_matrix_from_rows(graph, 1, row_fn, norm_bound=4.0,
                                     hermitian=True, psd=True)
-    return ClockHamiltonian(generator=oracle, diagonal_shift=2.0,
+    return ClockHamiltonian(generator=oracle,
                             gate_sequence=tuple(("perm", p, iv) for p, iv in
                                                 zip(perms, invs)),
                             n_qubits=n, clock_length=L, basis_dim=dim_b)
@@ -270,9 +253,6 @@ class ReadoutScan:
     overlap: float
     threshold: float
     met: bool
-
-    def __iter__(self):
-        return iter((self.t_star, self.overlap))
 
 
 def default_scan_horizon(L: int) -> float:
@@ -396,9 +376,9 @@ def _assemble_long(circuit: ReversibleCircuit, dilated: bool) -> ClockHamiltonia
 
     oracle = local_matrix_from_rows(g, 3, row_fn, norm_bound=3.0 + 1.0 + 2.0 * _INV_SQRT2,
                                     hermitian=True, psd=True)
-    return ClockHamiltonian(generator=oracle, diagonal_shift=3.0,
-                            gate_sequence=tuple(steps), n_qubits=circuit.n,
-                            clock_length=lp, basis_dim=dim_b, extended=dilated)
+    return ClockHamiltonian(generator=oracle, gate_sequence=tuple(steps),
+                            n_qubits=circuit.n, clock_length=lp, basis_dim=dim_b,
+                            extended=dilated)
 
 
 def fk_long_local(circuit: ReversibleCircuit) -> ClockHamiltonian:
@@ -442,7 +422,6 @@ class EmbeddedRun:
     t: float
     state: np.ndarray
     slice_norms: np.ndarray
-    last_state: np.ndarray
     last_distribution: np.ndarray | None
 
 
@@ -467,7 +446,7 @@ def simulate_embedded_circuit(h: ClockHamiltonian, psi0, t: float) -> EmbeddedRu
     last = slices[-1].copy()
     last_norm = float(np.linalg.norm(last))
     dist = np.abs(last) ** 2 / (last_norm ** 2) if last_norm > 0 else None
-    return EmbeddedRun(t=float(t), state=yt, slice_norms=norms, last_state=last,
+    return EmbeddedRun(t=float(t), state=yt, slice_norms=norms,
                        last_distribution=dist)
 
 

@@ -80,7 +80,7 @@ class SiteGraph:
         self._cached_ball = lru_cache(BALL_CACHE_SIZE)(lambda i, R: ref()._ball(i, R))
         self._all_distances = lru_cache(1024)(lambda src: ref()._bfs_distances(src))
 
-    # ---- config round trip -------------------------------------------------
+    # ---- config ------------------------------------------------------------
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SiteGraph":
@@ -106,14 +106,6 @@ class SiteGraph:
             bonds = tuple((int(a), int(b)) for a, b in cfg["bonds"])
             return cls(kind="general", n_sites=int(cfg["n_sites"]), bonds=bonds)
         raise ValueError(f"unknown graph kind {kind!r}")
-
-    def to_config(self) -> dict:
-        if self.kind == "chain":
-            return {"kind": "chain", "n_sites": self.n_sites, "boundary": self.boundary}
-        if self.kind == "grid":
-            return {"kind": "grid", "dims": list(self.dims), "boundary": self.boundary}
-        return {"kind": "general", "n_sites": self.n_sites,
-                "bonds": [list(b) for b in self.bonds]}
 
     # ---- coordinates (grid) ------------------------------------------------
 

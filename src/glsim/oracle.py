@@ -187,16 +187,3 @@ def dense_cos_sqrt_apply(m: DenseMatrix, t: float, u) -> np.ndarray:
     lam, V = np.linalg.eigh(m.entries)
     lam = np.clip(lam, 0.0, None)
     return V @ (np.cos(np.sqrt(lam) * float(t)) * (V.conj().T @ u))
-
-
-def dense_sinc_sqrt_apply(m: DenseMatrix, t: float, u) -> np.ndarray:
-    """sin(sqrt(M) t)/sqrt(M) applied to u (the limit t at eigenvalue 0), PSD Hermitian M."""
-    if not m.hermitian:
-        raise ValueError("sin(sqrt(M)t)/sqrt(M) needs a hermitian matrix")
-    u = np.asarray(u, dtype=np.complex128).ravel()
-    lam, V = np.linalg.eigh(m.entries)
-    lam = np.clip(lam, 0.0, None)
-    root = np.sqrt(lam)
-    vals = np.where(root > 0, np.sin(root * float(t)) / np.where(root > 0, root, 1.0),
-                    float(t))
-    return V @ (vals * (V.conj().T @ u))

@@ -246,15 +246,18 @@ def total_energy(sys: OscillatorSystem, state: OscillatorState) -> float:
     return e
 
 
-def psi0(sys: OscillatorSystem, state: OscillatorState,
-         seed: int | None = None) -> VectorOracle:
-    """The unit vector (1/sqrt(2E)) (sqrt(M) xdot ; i B^T sqrt(M) x) with sq-access."""
+def _scaled_state(sys: OscillatorSystem, state: OscillatorState):
+    """(sv, sx) = (sqrt(M) xdot, sqrt(M) x) / sqrt(2E), the blocks of the unit embedding."""
     e = total_energy(sys, state)
     if e <= 0.0:
         raise PreconditionError("zero-energy rest state has no unit embedding")
     s = 1.0 / math.sqrt(2.0 * e)
-    sv = np.sqrt(sys.masses) * state.xdot * s
-    sx = np.sqrt(sys.masses) * state.x * s
+    return np.sqrt(sys.masses) * state.xdot * s, np.sqrt(sys.masses) * state.x * s
+
+
+def psi0(sys: OscillatorSystem, state: OscillatorState) -> VectorOracle:
+    """The unit vector (1/sqrt(2E)) (sqrt(M) xdot ; i B^T sqrt(M) x) with sq-access."""
+    sv, sx = _scaled_state(sys, state)
     entries: dict = {}
     for i in range(sys.n_sites):
         if sv[i] != 0.0:
@@ -263,7 +266,7 @@ def psi0(sys: OscillatorSystem, state: OscillatorState,
         val = sys.bdag_entry(a, b, lambda k: sx[k])
         if val != 0.0:
             entries[pair_index(a, b, sys.n_sites)] = 1j * val
-    oracle = sparse_vector_oracle(sys.extended_dim, entries, seed=seed)
+    oracle = sparse_vector_oracle(sys.extended_dim, entries)
     if abs(oracle.norm() - 1.0) > 1e-9:
         raise RuntimeError(f"psi0 norm {oracle.norm()} != 1")
     return oracle
@@ -287,12 +290,7 @@ def _evolved_blocks(sys: OscillatorSystem, state0: OscillatorState, t: float,
     functions with top = Pcos(A) sv - A Psin(A) sx (the velocity block) and
     z = Psin(A) sv + Pcos(A) sx (the pair block is i B^T z).
     """
-    e = total_energy(sys, state0)
-    if e <= 0.0:
-        raise PreconditionError("zero-energy rest state")
-    s = 1.0 / math.sqrt(2.0 * e)
-    sv = np.sqrt(sys.masses) * state0.xdot * s
-    sx = np.sqrt(sys.masses) * state0.x * s
+    sv, sx = _scaled_state(sys, state0)
     n = sys.n_sites
 
     alpha_h = sys.h_norm_bound
@@ -412,15 +410,6 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
 # =====================================================================
 
 
-def system_to_json_dict(sys: OscillatorSystem) -> dict:
-    return {
-        "graph": sys.graph.to_config(),
-        "r0": sys.r0,
-        "masses": [float(m) for m in sys.masses],
-        "springs": [[i, j, float(k)] for (i, j), k in sorted(sys.springs.items())],
-    }
-
-
 def system_from_json_dict(cfg: dict) -> OscillatorSystem:
     missing = [key for key in ("graph", "r0", "masses", "springs") if key not in cfg]
     if missing:
@@ -432,12 +421,6 @@ def system_from_json_dict(cfg: dict) -> OscillatorSystem:
 def load_system(path) -> OscillatorSystem:
     with open(path) as fh:
         return system_from_json_dict(json.load(fh))
-
-
-def save_system(sys: OscillatorSystem, path):
-    with open(path, "w") as fh:
-        json.dump(system_to_json_dict(sys), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def read_state_csv(path) -> OscillatorState:
@@ -467,11 +450,3 @@ def read_state_csv(path) -> OscillatorState:
         x[i] = xi
         xdot[i] = vi
     return OscillatorState(x=x, xdot=xdot)
-
-
-def write_state_csv(path, state: OscillatorState):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["site", "x", "xdot"])
-        for i in range(state.x.size):
-            w.writerow([i, repr(float(state.x[i])), repr(float(state.xdot[i]))])

@@ -24,8 +24,6 @@ import numpy.polynomial.polynomial as nppoly
 
 from .access import PreconditionError
 
-_MONOMIAL_DEGREE_CAP = 30
-
 
 # =====================================================================
 # the Polynomial value type
@@ -119,11 +117,6 @@ def eval_scalar(p: Polynomial, x: float) -> complex:
     for a in reversed(c[1:]):
         b1, b2 = a + 2.0 * w * b1 - b2, b1
     return c[0] + w * b1 - b2
-
-
-def constant_poly(value: complex, interval=(-1.0, 1.0), basis="chebyshev") -> Polynomial:
-    return Polynomial((complex(value),), basis=basis, interval=interval,
-                      sup_bound=abs(complex(value)))
 
 
 # =====================================================================
@@ -310,13 +303,6 @@ def _parity_check(p: Polynomial, pcos: Polynomial, psin: Polynomial):
 # =====================================================================
 
 
-def scale_poly(p: Polynomial, factor: complex) -> Polynomial:
-    factor = complex(factor)
-    sup = None if p.sup_bound is None else abs(factor) * p.sup_bound
-    return Polynomial(tuple(factor * c for c in p.coefficients), basis=p.basis,
-                      interval=p.interval, sup_bound=sup)
-
-
 def mul_by_x(p: Polynomial) -> Polynomial:
     """The polynomial x -> x * p(x) in the same basis and interval."""
     c = np.asarray(p.coefficients, dtype=np.complex128)
@@ -364,38 +350,3 @@ def divide_out_zero(p: Polynomial) -> tuple[complex, Polynomial]:
         ci = npcheb.chebfit(wn, qv.imag, deg)
         coeffs = cr + 1j * ci
     return complex(a0), Polynomial(tuple(coeffs), basis="chebyshev", interval=p.interval)
-
-
-def basis_convert(p: Polynomial, target: str, alpha: float | None = None) -> Polynomial:
-    """Value-identical change of basis.
-
-    monomial -> chebyshev uses the given alpha (default: keep p.interval).
-    chebyshev -> monomial is capped at degree 30 (conditioning).
-    """
-    if target not in ("monomial", "chebyshev"):
-        raise ValueError(f"unknown basis {target!r}")
-    if target == p.basis:
-        return p
-    c = np.asarray(p.coefficients, dtype=np.complex128)
-    if p.basis == "monomial":
-        interval = (-float(alpha), float(alpha)) if alpha is not None else p.interval
-        lo, hi = interval
-        # substitute x = (delta*w + s)/2 to express p in w, then map to Chebyshev
-        base = nppoly.Polynomial([(hi + lo) / 2.0, (hi - lo) / 2.0])
-        comp = nppoly.Polynomial([c[-1]])
-        for a in c[-2::-1]:
-            comp = comp * base + nppoly.Polynomial([a])
-        return Polynomial(tuple(npcheb.poly2cheb(comp.coef)), basis="chebyshev",
-                          interval=interval, sup_bound=p.sup_bound)
-    if p.degree > _MONOMIAL_DEGREE_CAP:
-        raise PreconditionError(
-            f"chebyshev -> monomial conversion capped at degree {_MONOMIAL_DEGREE_CAP}")
-    lo, hi = p.interval
-    in_w = nppoly.Polynomial(npcheb.cheb2poly(c))
-    # w(x) = (2x - (hi+lo)) / (hi-lo)
-    wmap = nppoly.Polynomial([-(hi + lo) / (hi - lo), 2.0 / (hi - lo)])
-    comp = nppoly.Polynomial([in_w.coef[-1]])
-    for a in in_w.coef[-2::-1]:
-        comp = comp * wmap + nppoly.Polynomial([a])
-    return Polynomial(tuple(comp.coef), basis="monomial", interval=p.interval,
-                      sup_bound=p.sup_bound)

@@ -23,7 +23,7 @@ from .access import (LocalMatrixOracle, OracleInconsistencyError,
                      PreconditionError, VectorOracle, rng_stream,
                      scale_matrix_oracle)
 from .lightcone import poly_apply_query_oracle
-from .polyapprox import Polynomial, exp_poly
+from .polyapprox import exp_poly
 
 _DEFAULT_CHUNK = 512
 
@@ -45,14 +45,11 @@ def tv_error_bound(eps: float, sol_norm: float) -> float:
 class OversamplerHandle:
     """A distribution p over sites with phi-oversampling of a target: |target_i|^2 <= phi p_i."""
 
-    def __init__(self, dimension: int, draw_many_fn, mass_fn, phi: float,
-                 degree: int, zeta: float):
+    def __init__(self, dimension: int, draw_many_fn, mass_fn, phi: float):
         self.dimension = int(dimension)
         self._draw_many_fn = draw_many_fn
         self._mass = cache(lambda i: float(mass_fn(int(i))))
         self.phi = float(phi)
-        self.degree = int(degree)
-        self.zeta = float(zeta)
 
     def draw_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.asarray(self._draw_many_fn(rng, int(count)), dtype=np.int64)
@@ -101,7 +98,7 @@ def lightcone_oversampler(A: LocalMatrixOracle, d: int, psi: VectorOracle,
 
     phi = float(norm_bound_P) ** 2 * graph.locality_function(radius)
     return OversamplerHandle(dimension=A.dimension, draw_many_fn=draw_many_fn,
-                             mass_fn=mass_fn, phi=phi, degree=d, zeta=psi.zeta)
+                             mass_fn=mass_fn, phi=phi)
 
 
 # =====================================================================
@@ -127,9 +124,12 @@ def rejection_sample(p: OversamplerHandle, u: VectorOracle, phi: float,
     Caller certifies the oversampling inequality |u_i|^2 <= phi p_i and
     ||u|| >= alpha_min; the trial budget ceil((8 phi / alpha_min^2) ln(1/delta))
     then bounds the failure probability by delta.  Site draws and acceptance
-    thresholds come from separate substreams of (seed, *stream_key).  Trials
-    are processed in vectorized chunks; the result is deterministic for a
-    fixed (seed, stream_key, chunk).
+    thresholds come from separate substreams of (seed, *stream_key), drawn in
+    chunks; the result is deterministic for a fixed (seed, stream_key, chunk).
+    Trials are then tested in order, and p_i and |u_i|^2 are computed only
+    for the trial being tested.  The zero-mass and oversampling-inequality
+    checks therefore run on every tested trial, but not on the drawn trials
+    after the accepted one.
     """
     if phi < 1.0 - 1e-12:
         raise PreconditionError("phi must be at least 1")
@@ -144,27 +144,19 @@ def rejection_sample(p: OversamplerHandle, u: VectorOracle, phi: float,
     done = 0
     while done < budget:
         k = min(chunk, budget - done)
-        sites = p.draw_many(rng_sites, k)
-        taus = rng_accept.random(k)
-        uniq, inverse = np.unique(sites, return_inverse=True)
-        umass = np.array([p.mass_query(int(s)) for s in uniq], dtype=np.float64)
-        if np.any(umass <= 0.0):
-            bad = int(uniq[int(np.flatnonzero(umass <= 0.0)[0])])
-            raise OracleInconsistencyError(
-                f"sampler produced site {bad} with zero oversampler mass")
-        u2 = np.array([u_mass(int(s)) for s in uniq], dtype=np.float64)
-        ratios = u2[inverse] / (phi * umass[inverse])
-        high = np.flatnonzero(ratios > 1.0 + 1e-9)
-        if high.size:
-            s = int(sites[int(high[0])])
-            raise PreconditionError(
-                f"oversampling inequality violated at site {s}: "
-                f"ratio {float(ratios[int(high[0])])}")
-        hits = np.flatnonzero(taus <= ratios)
-        if hits.size:
-            f = int(hits[0])
-            return RejectionResult(site=int(sites[f]), accepted=True,
-                                   trials=done + f + 1)
+        sites = p.draw_many(rng_sites, k).tolist()
+        taus = rng_accept.random(k).tolist()
+        for f, (s, tau) in enumerate(zip(sites, taus)):
+            mass = p.mass_query(s)
+            if mass <= 0.0:
+                raise OracleInconsistencyError(
+                    f"sampler produced site {s} with zero oversampler mass")
+            ratio = u_mass(s) / (phi * mass)
+            if ratio > 1.0 + 1e-9:
+                raise PreconditionError(
+                    f"oversampling inequality violated at site {s}: ratio {ratio}")
+            if tau <= ratio:
+                return RejectionResult(site=s, accepted=True, trials=done + f + 1)
         done += k
     return RejectionResult(site=None, accepted=False, trials=done)
 
@@ -177,36 +169,25 @@ def rejection_sample(p: OversamplerHandle, u: VectorOracle, phi: float,
 class EvolvedSampler:
     """Shared state for repeated sampling from the law of e^{At}psi.
 
-    A must be anti-Hermitian (so the evolution is unitary and A = iH with
-    H = -iA Hermitian), or the caller supplies both a polynomial for the
-    evolution and alpha_exp >= ||e^{At}||.
+    A must be anti-Hermitian, so the evolution is unitary and A = iH with
+    H = -iA Hermitian.  The evolution polynomial is exp_poly(||A||, t, eps)
+    applied to H.
     """
 
     def __init__(self, A: LocalMatrixOracle, t: float, psi: VectorOracle,
-                 eps: float, alpha_min: float, delta: float, seed: int,
-                 alpha_exp: float | None = None, poly: Polynomial | None = None):
+                 eps: float, alpha_min: float, delta: float, seed: int):
         if A.norm_bound is None:
             raise PreconditionError("A needs a declared norm_bound")
         if not psi.can_sample or not psi.has_norm:
             raise PreconditionError("psi needs full sq-access")
         if abs(psi.norm() - 1.0) > 1e-9:
             raise PreconditionError("psi must be a unit vector")
-        if alpha_exp is None:
-            if not A.anti_hermitian:
-                raise PreconditionError(
-                    "alpha_exp defaults to 1 only for anti-Hermitian A")
-            alpha_exp = 1.0
+        if not A.anti_hermitian:
+            raise PreconditionError("EvolvedSampler needs an anti-Hermitian A")
         if not (0 < eps <= alpha_min / 2.0):
             raise PreconditionError("need 0 < eps <= alpha_min / 2")
-        if poly is None:
-            if not A.anti_hermitian:
-                raise PreconditionError(
-                    "for general A, supply the evolution polynomial explicitly")
-            poly = exp_poly(A.norm_bound, t, eps)
-        if poly.basis == "chebyshev" and A.anti_hermitian:
-            generator = scale_matrix_oracle(A, -1j)  # Hermitian H with A = iH
-        else:
-            generator = A
+        poly = exp_poly(A.norm_bound, t, eps)
+        generator = scale_matrix_oracle(A, -1j)  # Hermitian H with A = iH
         self.A = A
         self.generator = generator
         self.poly = poly
@@ -214,11 +195,11 @@ class EvolvedSampler:
         self.t = float(t)
         self.eps = float(eps)
         self.alpha_min = float(alpha_min)
-        self.alpha_exp = float(alpha_exp)
         self.delta = float(delta)
         self.seed = int(seed)
+        # ||P(H)|| <= 2: exp_poly keeps |P(x) - e^{ixt}| <= eps <= 1 on [-||H||, ||H||]
         self.oversampler = lightcone_oversampler(
-            generator, poly.degree, psi, norm_bound_P=2.0 * self.alpha_exp)
+            generator, poly.degree, psi, norm_bound_P=2.0)
         self.phi = self.oversampler.phi
         zeta_cap = alpha_min * alpha_min / (16.0 * self.phi)
         if psi.zeta > zeta_cap + 1e-15:
@@ -244,13 +225,3 @@ class EvolvedSampler:
 
     def draw_many(self, count: int) -> list:
         return [self.draw(k) for k in range(count)]
-
-
-def sample_evolved(A: LocalMatrixOracle, t: float, psi: VectorOracle, eps: float,
-                   alpha_min: float, delta: float, seed: int,
-                   alpha_exp: float | None = None,
-                   poly: Polynomial | None = None) -> RejectionResult:
-    """One sample from (approximately) the law of e^{At}psi; see EvolvedSampler."""
-    sampler = EvolvedSampler(A, t, psi, eps, alpha_min, delta, seed,
-                             alpha_exp=alpha_exp, poly=poly)
-    return sampler.draw(0)

@@ -6,9 +6,8 @@ import pytest
 from glsim import (CostCounter, LocalityError, OracleInconsistencyError,
                    PreconditionError, chain, induced_distribution,
                    local_matrix_from_dense, local_matrix_from_rows,
-                   perturbed_sq_access, read_vector_csv, rng_stream,
-                   scale_matrix_oracle, sparse_vector_oracle,
-                   sq_access_from_dense, tv_distance, write_vector_csv)
+                   perturbed_sq_access, rng_stream, scale_matrix_oracle,
+                   sparse_vector_oracle, sq_access_from_dense, tv_distance)
 
 N_DRAWS = 100_000
 
@@ -97,14 +96,6 @@ def test_queries_return_entries_and_count_cost():
 def test_zero_vector_rejected():
     with pytest.raises(PreconditionError):
         sq_access_from_dense(np.zeros(4))
-
-
-def test_sample_without_sampler_or_rng_raises():
-    u = sq_access_from_dense([1.0, 1.0])
-    with pytest.raises(PreconditionError):
-        u.sample()  # no seed was supplied at build time
-    bare = sq_access_from_dense([1.0, 1.0], seed=5)
-    assert bare.sample() in (0, 1)
 
 
 # =====================================================================
@@ -243,17 +234,3 @@ def test_scaled_oracle_shares_cost_counter():
     b = scale_matrix_oracle(a, 2.0)
     b.row(1)
     assert cost.snapshot()["queries"] > 0
-
-
-# =====================================================================
-# vector CSV round trip
-# =====================================================================
-
-
-def test_vector_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(17)
-    vec = rng.normal(size=9) + 1j * rng.normal(size=9)
-    path = tmp_path / "v.csv"
-    write_vector_csv(path, vec)
-    back = read_vector_csv(path)
-    assert np.allclose(back, vec, atol=1e-12)

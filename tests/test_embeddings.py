@@ -8,7 +8,7 @@ from glsim import (Gate, PreconditionError, ReversibleCircuit,
                    dense_cos_sqrt_apply, dense_from_oracle, find_readout_time,
                    fk_classical, fk_long_local, fk_long_undilated,
                    gate_permutation, gate_unitary, j_matrix,
-                   overlap_coefficients, parse_circuit, run_circuit,
+                   overlap_coefficients, parse_circuit,
                    simulate_embedded_circuit, step_operator, w_matrix)
 
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -59,7 +59,6 @@ def test_classical_output_runs_the_permutations():
     circ = parse_circuit("X 0\nCNOT 0 1\n")
     # qubit 0 is the high bit of the 2-bit index
     assert classical_output(circ, 0) == 0b11
-    assert run_circuit(circ, np.eye(4)[0])[0b11] == 1.0
 
 
 def test_gate_unitary_hadamard():

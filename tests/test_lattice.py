@@ -104,13 +104,14 @@ def test_locality_function_nondecreasing():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: chain(9, "periodic"),
-    lambda: grid([3, 4]),
-    lambda: general(5, [(0, 4), (1, 2)]),
+    lambda: ({"kind": "chain", "n_sites": 9, "boundary": "periodic"}, chain(9, "periodic")),
+    lambda: ({"kind": "grid", "dims": [3, 4]}, grid([3, 4])),
+    lambda: ({"kind": "general", "n_sites": 5, "bonds": [[0, 4], [1, 2]]},
+             general(5, [(0, 4), (1, 2)])),
 ])
 def test_config_round_trip_preserves_geometry(make):
-    g = make()
-    h = SiteGraph.from_config(g.to_config())
+    cfg, g = make()
+    h = SiteGraph.from_config(cfg)
     assert h.n_sites == g.n_sites
     for i in range(g.n_sites):
         assert set(g.ball(i, 2)) == set(h.ball(i, 2))

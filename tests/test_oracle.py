@@ -6,9 +6,8 @@ import pytest
 from glsim import (DenseMatrix, OracleInconsistencyError, Polynomial, chain,
                    dense_cap, dense_cos_sqrt_apply, dense_evolve,
                    dense_from_oracle, dense_poly_apply, dense_poly_matrix,
-                   dense_sinc_sqrt_apply, exp_poly, general, grid,
-                   local_matrix_from_dense, local_matrix_from_rows,
-                   spectral_norm)
+                   exp_poly, general, grid, local_matrix_from_dense,
+                   local_matrix_from_rows, spectral_norm)
 
 
 def _random_hermitian(rng, n: int) -> np.ndarray:
@@ -157,8 +156,6 @@ def test_cos_and_sinc_sqrt_on_diagonal_matrix():
     u = np.array([1.0, 1.0, 1.0], dtype=np.complex128)
     t = 0.9
     assert np.allclose(dense_cos_sqrt_apply(m, t, u), np.cos(w * t), atol=1e-12)
-    expected = np.array([t, np.sin(t), np.sin(2.5 * t) / 2.5])
-    assert np.allclose(dense_sinc_sqrt_apply(m, t, u), expected, atol=1e-12)
 
 
 def test_cos_sqrt_solves_second_order_dynamics():

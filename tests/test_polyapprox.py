@@ -1,13 +1,12 @@
-"""Polynomials: evaluation, exponential approximant, parity split, conversions."""
+"""Polynomials: evaluation, exponential approximant, parity split, algebra."""
 
 import math
 
 import numpy as np
 import pytest
 
-from glsim import (Polynomial, basis_convert, bessel_j_sequence, constant_poly,
-                   divide_out_zero, eval_scalar, exp_poly, mul_by_x,
-                   parity_split, scale_poly)
+from glsim import (Polynomial, bessel_j_sequence, divide_out_zero, eval_scalar,
+                   exp_poly, mul_by_x, parity_split)
 
 
 def _bessel_reference(z: float, k: int) -> float:
@@ -27,12 +26,6 @@ def test_degree_ignores_trailing_zeros():
     p = Polynomial((1.0, 2.0, 0.0, 0.0))
     assert p.degree == 1
     assert len(p.coefficients) == 2
-
-
-def test_constant_poly_and_eval():
-    p = constant_poly(3.0 - 1.0j)
-    assert p.degree == 0
-    assert eval_scalar(p, 0.37) == 3.0 - 1.0j
 
 
 def test_eval_scalar_pinned_values():
@@ -149,50 +142,3 @@ def test_divide_out_zero(basis, interval):
     a0, q = divide_out_zero(p)
     xs = np.linspace(interval[0], interval[1], 41)
     assert np.abs(a0 + xs * q.eval_many(xs) - p.eval_many(xs)).max() <= 1e-10
-
-
-def test_scale_poly_scales_values_and_bound():
-    p = exp_poly(1.0, 1.0, 1e-8)
-    q = scale_poly(p, 2.0j)
-    xs = np.linspace(-1, 1, 9)
-    assert np.allclose(q.eval_many(xs), 2.0j * p.eval_many(xs), atol=1e-14)
-    assert q.sup_bound == pytest.approx(2.0 * p.sup_bound)
-
-
-# =====================================================================
-# basis conversion
-# =====================================================================
-
-
-def test_monomial_x_converts_to_chebyshev_t1():
-    p = Polynomial((0.0, 1.0))
-    q = basis_convert(p, "chebyshev", alpha=1.0)
-    assert np.allclose(q.coefficients, [0.0, 1.0], atol=1e-14)
-
-
-def test_monomial_x_squared_converts_to_half_t0_plus_half_t2():
-    p = Polynomial((0.0, 0.0, 1.0))
-    q = basis_convert(p, "chebyshev", alpha=1.0)
-    assert np.allclose(q.coefficients, [0.5, 0.0, 0.5], atol=1e-14)
-
-
-def test_basis_round_trip_degree_ten():
-    rng = np.random.default_rng(23)
-    coeffs = rng.normal(size=11) + 1j * rng.normal(size=11)
-    p = Polynomial(tuple(coeffs))
-    q = basis_convert(basis_convert(p, "chebyshev", alpha=1.0), "monomial")
-    drift = np.abs(np.array(q.coefficients) - np.array(p.coefficients)).max()
-    assert drift <= 1e-9
-
-
-@pytest.mark.parametrize("degree", [3, 12, 30])
-def test_bases_agree_pointwise_after_conversion(degree):
-    rng = np.random.default_rng(degree)
-    alpha = 2.5
-    # temper by alpha^-k so the values stay of order one across the interval
-    k = np.arange(degree + 1)
-    coeffs = rng.normal(size=degree + 1) / ((1.0 + k) * alpha**k)
-    p = Polynomial(tuple(coeffs))
-    q = basis_convert(p, "chebyshev", alpha=alpha)
-    xs = np.linspace(-alpha, alpha, 101)
-    assert np.abs(p.eval_many(xs) - q.eval_many(xs)).max() <= 1e-10

@@ -8,8 +8,8 @@ from glsim import (DenseMatrix, EvolvedSampler, OversamplerHandle,
                    dense_poly_apply, exp_poly, induced_distribution,
                    lightcone_oversampler, local_matrix_from_dense,
                    local_matrix_from_rows, perturbed_sq_access, rejection_sample,
-                   rng_stream, sample_evolved, sparse_vector_oracle,
-                   sq_access_from_dense, tv_error_bound)
+                   rng_stream, sparse_vector_oracle, sq_access_from_dense,
+                   tv_error_bound)
 
 
 def _unit(rng, n: int) -> np.ndarray:
@@ -40,8 +40,6 @@ def _uniform_handle(n: int) -> OversamplerHandle:
         draw_many_fn=lambda rng, count: rng.integers(0, n, size=count),
         mass_fn=lambda i: 1.0 / n,
         phi=float(n),
-        degree=0,
-        zeta=0.0,
     )
 
 
@@ -98,13 +96,33 @@ def test_perfect_oversampler_accepts_first_trial():
         draw_many_fn=sq_access_from_dense(vec).sample_many,
         mass_fn=lambda i: float(probs[i]),
         phi=1.0,
-        degree=0,
-        zeta=0.0,
     )
     for k in range(20):
         r = rejection_sample(handle, u, phi=1.0, alpha_min=1.0, delta=1e-9,
                              seed=74, stream_key=(k,))
         assert r.accepted and r.trials == 1
+
+
+def test_trials_are_tested_lazily():
+    """An acceptance at trial 1 computes one oversampler mass, not one per site of the chunk."""
+    n = 64
+    masses_computed = []
+
+    def mass_fn(i):
+        masses_computed.append(i)
+        return 1.0 / n
+
+    handle = OversamplerHandle(
+        dimension=n,
+        draw_many_fn=lambda rng, count: rng.integers(0, n, size=count),
+        mass_fn=mass_fn,
+        phi=1.0,
+    )
+    u = sq_access_from_dense(np.full(n, 1.0 / 8.0))  # |u_i|^2 = p_i: every trial accepts
+    r = rejection_sample(handle, u, phi=1.0, alpha_min=1.0, delta=1e-6, seed=93)
+    assert r.accepted and r.trials == 1
+    assert masses_computed == [r.site]
+    assert u.cost.snapshot()["queries"] == 1
 
 
 def test_observed_oversampling_violation_is_an_error():
@@ -126,7 +144,7 @@ def test_accepted_law_matches_target(subtests=None):
     n = 64
     vec = _unit(rng, n)
     a = _antihermitian_shift(n)
-    psi = sq_access_from_dense(vec, seed=770)
+    psi = sq_access_from_dense(vec)
     handle = lightcone_oversampler(a, 2, psi, norm_bound_P=1.0)
     u = sq_access_from_dense(vec)
     draws = []
@@ -149,7 +167,7 @@ def test_zero_radius_oversampler_is_psi_law():
     rng = np.random.default_rng(79)
     vec = _unit(rng, 16)
     a = _antihermitian_shift(16)
-    handle = lightcone_oversampler(a, 0, sq_access_from_dense(vec, seed=790),
+    handle = lightcone_oversampler(a, 0, sq_access_from_dense(vec),
                                    norm_bound_P=1.0)
     for i in range(16):
         assert handle.mass_query(i) == pytest.approx(abs(vec[i]) ** 2, abs=1e-14)
@@ -157,7 +175,7 @@ def test_zero_radius_oversampler_is_psi_law():
 
 def test_point_state_smears_uniformly_over_ball():
     a = _antihermitian_shift(64)
-    psi = sparse_vector_oracle(64, {5: 1.0}, seed=791)
+    psi = sparse_vector_oracle(64, {5: 1.0})
     handle = lightcone_oversampler(a, 2, psi, norm_bound_P=1.0)
     for i in range(64):
         expected = 0.2 if 3 <= i <= 7 else 0.0
@@ -184,7 +202,7 @@ def test_oversampler_masses_sum_to_one_and_dominate_target():
                                 norm_bound=bound)
     eps = 1e-6
     p = exp_poly(bound, 1.0, eps)
-    handle = lightcone_oversampler(a, p.degree, sq_access_from_dense(vec, seed=800),
+    handle = lightcone_oversampler(a, p.degree, sq_access_from_dense(vec),
                                    norm_bound_P=1.0 + eps)
     masses = np.array([handle.mass_query(i) for i in range(n)])
     assert abs(masses.sum() - 1.0) <= 1e-10
@@ -202,7 +220,7 @@ def test_t_zero_sampler_reproduces_initial_law():
     n = 16
     vec = _unit(rng, n)
     a = _antihermitian_shift(n)
-    sampler = EvolvedSampler(a, 0.0, sq_access_from_dense(vec, seed=810),
+    sampler = EvolvedSampler(a, 0.0, sq_access_from_dense(vec),
                              eps=0.05, alpha_min=1.0, delta=1e-6, seed=82)
     assert sampler.poly.degree == 0
     results = sampler.draw_many(30_000)
@@ -218,7 +236,7 @@ def test_evolved_sampler_tv_against_dense_law():
     n, t, eps = 16, 1.0, 0.05
     vec = _unit(rng, n)
     a = _antihermitian_shift(n)
-    sampler = EvolvedSampler(a, t, sq_access_from_dense(vec, seed=830),
+    sampler = EvolvedSampler(a, t, sq_access_from_dense(vec),
                              eps=eps, alpha_min=1.0, delta=1e-6, seed=84)
     results = sampler.draw_many(20_000)
     sites = np.array([r.site for r in results if r.accepted])
@@ -237,7 +255,7 @@ def test_per_sample_cost_independent_of_lattice_size():
     for log_n in (10, 16):
         n = 2 ** log_n
         a = _antihermitian_shift(n, boundary="periodic")
-        psi = sparse_vector_oracle(n, {n // 2: 1.0}, seed=850)
+        psi = sparse_vector_oracle(n, {n // 2: 1.0})
         sampler = EvolvedSampler(a, 1.5, psi, eps=0.02, alpha_min=1.0,
                                  delta=1e-6, seed=86)
         results = [sampler.draw(k) for k in range(20)]
@@ -254,15 +272,15 @@ def test_sampler_preconditions():
     vec = _unit(rng, n)
     a = _antihermitian_shift(n)
     with pytest.raises(PreconditionError):
-        EvolvedSampler(a, 1.0, sq_access_from_dense(2.0 * vec, seed=1),
+        EvolvedSampler(a, 1.0, sq_access_from_dense(2.0 * vec),
                        eps=0.05, alpha_min=1.0, delta=1e-6, seed=88)
     with pytest.raises(PreconditionError):
-        EvolvedSampler(a, 1.0, sq_access_from_dense(vec, seed=1),
+        EvolvedSampler(a, 1.0, sq_access_from_dense(vec),
                        eps=0.8, alpha_min=1.0, delta=1e-6, seed=88)
     hermitian = local_matrix_from_rows(chain(n), 1, lambda i: [(i, 0.5)],
                                        norm_bound=0.5, hermitian=True)
     with pytest.raises(PreconditionError):
-        EvolvedSampler(hermitian, 1.0, sq_access_from_dense(vec, seed=1),
+        EvolvedSampler(hermitian, 1.0, sq_access_from_dense(vec),
                        eps=0.05, alpha_min=1.0, delta=1e-6, seed=88)
 
 
@@ -271,21 +289,7 @@ def test_sampler_rejects_excessive_sampler_noise():
     n = 8
     vec = _unit(rng, n)
     a = _antihermitian_shift(n)
-    noisy = perturbed_sq_access(vec, zeta=0.3, seed=2)
+    noisy = perturbed_sq_access(vec, zeta=0.3)
     with pytest.raises(PreconditionError):
         EvolvedSampler(a, 1.0, noisy, eps=0.05, alpha_min=1.0, delta=1e-6,
                        seed=90)
-
-
-def test_sample_evolved_one_shot_matches_sampler():
-    rng = np.random.default_rng(91)
-    n = 12
-    vec = _unit(rng, n)
-    a = _antihermitian_shift(n)
-    one = sample_evolved(a, 0.8, sq_access_from_dense(vec, seed=910),
-                         eps=0.05, alpha_min=1.0, delta=1e-6, seed=92)
-    sampler = EvolvedSampler(a, 0.8, sq_access_from_dense(vec, seed=910),
-                             eps=0.05, alpha_min=1.0, delta=1e-6, seed=92)
-    again = sampler.draw(0)
-    assert (one.site, one.accepted, one.trials) == (again.site, again.accepted,
-                                                    again.trials)
