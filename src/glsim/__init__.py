@@ -27,8 +27,8 @@ from .embeddings import (ClockHamiltonian, EmbeddedRun, Gate, ReadoutScan,
                          step_operator, w_matrix)
 from .estimate import EstimateReport, evt_gl_estimate, inner_product_estimate
 from .lattice import SiteGraph, chain, general, grid
-from .lightcone import (SparseAccumulator, entry_of_poly_apply,
-                        poly_apply_query_oracle, row_power)
+from .lightcone import (entry_of_poly_apply, poly_apply_query_oracle, poly_rows,
+                        row_dot, row_power)
 from .oracle import (DenseMatrix, dense_cap, dense_cos_sqrt_apply,
                      dense_evolve, dense_from_oracle, dense_poly_apply,
                      dense_poly_matrix, spectral_norm)
@@ -52,8 +52,7 @@ __all__ = [
     "EvolvedSampler", "Gate", "LocalMatrixOracle", "LocalityError",
     "OracleInconsistencyError", "OscillatorState", "OscillatorSystem",
     "OversamplerHandle", "Polynomial", "PreconditionError", "ReadoutScan",
-    "RejectionResult", "ReversibleCircuit", "SUITES", "SiteGraph",
-    "SparseAccumulator", "VectorOracle",
+    "RejectionResult", "ReversibleCircuit", "SUITES", "SiteGraph", "VectorOracle",
     "adjacent_transposition_decomposition", "advection_hamiltonian",
     "bessel_j_sequence", "build_system", "chain", "classical_output",
     "default_scan_horizon", "dense_cap", "dense_cos_sqrt_apply",
@@ -67,9 +66,9 @@ __all__ = [
     "lightcone_oversampler", "load_system", "local_matrix_from_dense",
     "local_matrix_from_rows", "mul_by_x", "overlap_coefficients",
     "pair_decode", "pair_index", "parity_split", "parse_circuit",
-    "perturbed_sq_access", "poly_apply_query_oracle", "psi0",
+    "perturbed_sq_access", "poly_apply_query_oracle", "poly_rows", "psi0",
     "read_state_csv", "readout_overlap_curve", "rejection_sample",
-    "rng_stream", "row_power", "run_criterion", "run_suite",
+    "rng_stream", "row_dot", "row_power", "run_criterion", "run_suite",
     "scale_matrix_oracle", "schrodinger_hamiltonian",
     "simulate_embedded_circuit", "sparse_vector_oracle", "spectral_norm",
     "sq_access_from_dense", "step_operator", "system_from_json_dict",

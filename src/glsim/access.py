@@ -13,8 +13,7 @@ distribution p_i = |u_i|^2 / ||u||^2.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,30 +40,29 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class CostCounter:
-    """Thread-safe, monotone tally of one oracle's usage.
+    """Monotone tally of one oracle's usage.
 
     Each oracle carries its own counter (unless told to share one), so
     query budgets for a matrix A and a vector u are read off separately.
+    A counter is not shared between threads: run_suite's workers each build
+    their own oracles, so no counter needs a lock.
     """
 
     queries: int = 0
     samples: int = 0
     norm_reads: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def add(self, *, queries: int = 0, samples: int = 0, norm_reads: int = 0):
-        with self._lock:
-            self.queries += queries
-            self.samples += samples
-            self.norm_reads += norm_reads
+        self.queries += queries
+        self.samples += samples
+        self.norm_reads += norm_reads
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "queries": self.queries,
-                "samples": self.samples,
-                "norm_reads": self.norm_reads,
-            }
+        return {
+            "queries": self.queries,
+            "samples": self.samples,
+            "norm_reads": self.norm_reads,
+        }
 
 
 # =====================================================================

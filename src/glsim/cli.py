@@ -26,7 +26,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .acceptance import SUITES, run_suite
+from .acceptance import DEFAULT_SEED, SUITES, run_suite
 from .access import (LocalityError, OracleInconsistencyError, PreconditionError,
                      VectorOracle, local_matrix_from_rows, perturbed_sq_access,
                      random_local_pair, rng_stream, sparse_vector_oracle)
@@ -44,7 +44,6 @@ from .pde import (advection_hamiltonian, graph_laplacian_oracle,
 from .polyapprox import Polynomial, exp_poly
 from .sampling import EvolvedSampler
 
-DEFAULT_SEED = 0xC0FFEE
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

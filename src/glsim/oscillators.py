@@ -28,7 +28,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .access import (LocalityError, LocalMatrixOracle, PreconditionError,
                      VectorOracle, local_matrix_from_rows, sparse_vector_oracle)
 from .estimate import EstimateReport, inner_product_estimate
 from .lattice import SiteGraph
-from .lightcone import entry_of_poly_apply
+from .lightcone import poly_rows, row_dot
 from .polyapprox import (Polynomial, divide_out_zero, exp_poly, mul_by_x,
                          parity_split)
 
@@ -113,7 +113,7 @@ class OscillatorSystem:
         key = (i, j) if i <= j else (j, i)
         return self.springs.get(key, 0.0)
 
-    @property
+    @cached_property
     def a_norm_bound(self) -> float:
         """Upper bound on ||A|| = ||B||^2: 2 * N(r0) * kappa_max / m_min.
 
@@ -277,21 +277,17 @@ def psi0(sys: OscillatorSystem, state: OscillatorState) -> VectorOracle:
 # =====================================================================
 
 
-def _site_oracle(n: int, fn) -> VectorOracle:
-    return VectorOracle(dimension=n, query_fn=fn, norm=None)
-
-
 def _evolved_blocks(sys: OscillatorSystem, state0: OscillatorState, t: float,
                     eps_poly: float):
     """Site-space blocks of P psi(0) for P = P_exp(H t) within eps_poly of e^{iHt}.
 
     Returns (a, pcos, psin, top, z): the A oracle, the parity split of P_exp
-    on [-||H||, ||H||] into Pcos, Psin on [0, ||A||], and memoized site
-    functions with top = Pcos(A) sv - A Psin(A) sx (the velocity block) and
-    z = Psin(A) sv + Pcos(A) sx (the pair block is i B^T z).
+    on [-||H||, ||H||] into Pcos, Psin on [0, ||A||], and site functions
+    with top = Pcos(A) sv - A Psin(A) sx (the velocity block) and
+    z = Psin(A) sv + Pcos(A) sx (the pair block is i B^T z), both from one
+    memoized poly_rows pass over (Pcos, Psin, x Psin) per site.
     """
     sv, sx = _scaled_state(sys, state0)
-    n = sys.n_sites
 
     alpha_h = sys.h_norm_bound
     if alpha_h == 0.0:
@@ -299,14 +295,14 @@ def _evolved_blocks(sys: OscillatorSystem, state0: OscillatorState, t: float,
     pcos, psin = parity_split(exp_poly(alpha_h, t, eps_poly))
     x_psin = mul_by_x(psin)            # y * Psin(y), realizing A Psin(A)
     a = sys.a_oracle()
-    sv_or = _site_oracle(n, lambda i: sv[i])
-    sx_or = _site_oracle(n, lambda i: sx[i])
 
-    top = cache(lambda i: entry_of_poly_apply(a, pcos, sv_or, i)
-                - entry_of_poly_apply(a, x_psin, sx_or, i))
-    z = cache(lambda i: entry_of_poly_apply(a, psin, sv_or, i)
-              + entry_of_poly_apply(a, pcos, sx_or, i))
-    return a, pcos, psin, top, z
+    @cache
+    def site(i: int) -> tuple[complex, complex]:
+        rcos, rsin, rxsin = poly_rows(a, (pcos, psin, x_psin), i)
+        return (row_dot(rcos, lambda j: sv[j]) - row_dot(rxsin, lambda j: sx[j]),
+                row_dot(rsin, lambda j: sv[j]) + row_dot(rcos, lambda j: sx[j]))
+
+    return a, pcos, psin, (lambda i: site(i)[0]), (lambda i: site(i)[1])
 
 
 # =====================================================================
@@ -353,7 +349,8 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     mass_subset: sites whose kinetic energy enters; spring_subset: (i, j)
     pairs whose potential energy enters.  The estimand is
     psi(0)^dag P^dag V P psi(0) with V the projector onto the selected
-    velocity and spring slots.  Error budget: eps/4 polynomial, eps/3
+    velocity and spring slots.  Each site's entries of w take one poly_rows
+    pass over (Pcos, Psin, ptil).  Error budget: eps/4 polynomial, eps/3
     statistical (hence sampler error <= eps/27); the cross terms fit in the
     remainder.
     """
@@ -375,7 +372,8 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     n = sys.n_sites
 
     # top block of P psi0, masked to the selected velocity slots
-    mphi_v_or = _site_oracle(n, lambda i: top(i) if i in vset else 0.0)
+    def mphi_v(i: int) -> complex:
+        return top(i) if i in vset else 0.0 + 0.0j
 
     # bottom block of P psi0 is B^T phi_x with phi_x = i z, masked to the
     # selected spring slots
@@ -386,19 +384,21 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
         return sys.bdag_entry(pair[0], pair[1], lambda k: 1j * z(k))
 
     g = cache(lambda i: sys.b_entry(i, mbx))
-    g_or = _site_oracle(n, g)
 
-    h1 = cache(lambda i: entry_of_poly_apply(a, psin, mphi_v_or, i))
-    h2 = cache(lambda i: entry_of_poly_apply(a, ptil, g_or, i))
+    # (w_i, h1_i, h2_i): the velocity entry of w, Psin(A) mphi_v and ptil(A) g
+    @cache
+    def site(i: int) -> tuple[complex, complex, complex]:
+        rcos, rsin, rtil = poly_rows(a, (pcos, psin, ptil), i)
+        return (row_dot(rcos, mphi_v) - 1j * row_dot(rsin, g),
+                row_dot(rsin, mphi_v), row_dot(rtil, g))
 
     def w_query(idx: int) -> complex:
         if idx < n:
-            return (entry_of_poly_apply(a, pcos, mphi_v_or, idx)
-                    - 1j * entry_of_poly_apply(a, psin, g_or, idx))
+            return site(idx)[0]
         pa, pb = pair_decode(idx, n)
-        return (-1j * sys.bdag_entry(pa, pb, h1)
+        return (-1j * sys.bdag_entry(pa, pb, lambda i: site(i)[1])
                 + a0 * mbx((pa, pb))
-                + sys.bdag_entry(pa, pb, h2))
+                + sys.bdag_entry(pa, pb, lambda i: site(i)[2]))
 
     w = VectorOracle(dimension=sys.extended_dim, query_fn=cache(w_query), norm=None)
     v = psi0(sys, state0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
@@ -152,12 +152,13 @@ def bessel_j_sequence(z: float, K: int) -> np.ndarray:
 
 
 def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
-    """Chebyshev approximation of e^{ixt} on [-alpha, alpha] with grid error <= eps.
+    """Chebyshev approximation of e^{ixt} on [-alpha, alpha] within eps.
 
     Coefficients are c_0 = J_0(alpha t), c_k = 2 i^k J_k(alpha t), truncated at
-    the first degree whose Bessel tail bound drops below eps.  The returned
-    degree never exceeds ceil(e*alpha*|t|/2) + ceil(log2(1/eps)) + 4, and
-    sup_bound (max |p| on a 2001-point grid) never exceeds 1 + eps.
+    the first degree d whose Bessel tail bound tail(d) drops below eps; d never
+    exceeds ceil(e*alpha*|t|/2) + ceil(log2(1/eps)) + 4.  sup_bound = 1 + tail(d)
+    holds on the whole interval, since |p(x)| <= |e^{ixt}| + |p(x) - e^{ixt}|.
+    A 2001-point grid cross-checks the error and sup_bound (RuntimeError).
     """
     alpha = float(alpha)
     t = float(t)
@@ -181,12 +182,11 @@ def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
     absJ = np.abs(J)
     # tail(d) = 2 sum_{k=d+1..K} |J_k| + remainder
     suffix = np.concatenate([np.cumsum(absJ[::-1])[::-1][1:], [0.0]])
-    degree = None
-    for d in range(0, cap + 1):
-        if 2.0 * suffix[d] + remainder <= eps:
-            degree = d
+    for degree in range(0, cap + 1):
+        tail = 2.0 * suffix[degree] + remainder
+        if tail <= eps:
             break
-    if degree is None:
+    else:
         raise RuntimeError(
             f"Bessel tail bound did not reach eps={eps} within the degree cap {cap}")
 
@@ -200,9 +200,10 @@ def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
     grid_err = float(np.abs(vals - np.exp(1j * t * xs)).max())
     if grid_err > eps:
         raise RuntimeError(f"exp_poly grid error {grid_err:.3e} exceeds eps {eps:.3e}")
-    sup = float(np.abs(vals).max())
-    return Polynomial(p.coefficients, basis="chebyshev", interval=(-alpha, alpha),
-                      sup_bound=sup)
+    grid_sup = float(np.abs(vals).max())
+    if grid_sup > 1.0 + tail:
+        raise RuntimeError(f"exp_poly grid maximum {grid_sup:.9f} exceeds 1 + tail {tail:.3e}")
+    return replace(p, sup_bound=1.0 + tail)
 
 
 # =====================================================================

@@ -1,12 +1,15 @@
-"""Light-cone evaluation: sparse row powers, single entries of P(A)u, query budgets."""
+"""Light-cone evaluation: rows of P(A), single entries of P(A)u, query budgets."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsim import (CostCounter, Polynomial, PreconditionError, VectorOracle,
-                   chain, dense_from_oracle, dense_poly_apply, entry_of_poly_apply,
-                   exp_poly, grid, local_matrix_from_dense, local_matrix_from_rows,
-                   poly_apply_query_oracle, row_power, sq_access_from_dense)
+                   chain, dense_from_oracle, dense_poly_apply, dense_poly_matrix,
+                   entry_of_poly_apply, exp_poly, grid, local_matrix_from_dense,
+                   local_matrix_from_rows, poly_apply_query_oracle, poly_rows,
+                   row_power, sq_access_from_dense)
 
 
 def _random_local_hermitian(rng, graph, r0: int):
@@ -36,8 +39,7 @@ def _random_local_hermitian(rng, graph, r0: int):
 
 def test_row_power_zero_is_point_mass():
     a, _ = _random_local_hermitian(np.random.default_rng(41), chain(10), 1)
-    acc = row_power(a, 4, 0)
-    assert acc.entries == {4: 1.0 + 0.0j}
+    assert row_power(a, 4, 0) == {4: 1.0 + 0.0j}
 
 
 def test_shift_row_power_at_boundary():
@@ -50,8 +52,7 @@ def test_shift_row_power_at_boundary():
         return out
 
     a = local_matrix_from_rows(chain(8), 1, row_fn, hermitian=True, norm_bound=2.0)
-    acc = row_power(a, 0, 1)
-    assert acc.entries == {1: 1.0 + 0.0j}
+    assert row_power(a, 0, 1) == {1: 1.0 + 0.0j}
 
 
 @pytest.mark.parametrize("r0", [1, 3])
@@ -62,9 +63,9 @@ def test_row_power_matches_dense_powers(r0):
     dense_k = np.linalg.matrix_power(dense, k)
     for i in (0, 20, 63):
         acc = row_power(a, i, k)
-        assert len(acc.entries) <= a.graph.locality_function(k * r0)
+        assert len(acc) <= a.graph.locality_function(k * r0)
         row = np.zeros(64, dtype=np.complex128)
-        for j, v in acc.entries.items():
+        for j, v in acc.items():
             row[j] = v
         scale = max(np.abs(dense_k[i]).max(), 1e-30)
         assert np.abs(row - dense_k[i]).max() / scale <= 1e-11
@@ -73,9 +74,53 @@ def test_row_power_matches_dense_powers(r0):
 def test_row_power_support_certificate_is_tight_enough():
     a, _ = _random_local_hermitian(np.random.default_rng(44), chain(32), 1)
     for k in (1, 3, 7):
-        acc = row_power(a, 16, k)
         ball = set(a.graph.ball(16, k))
-        assert set(acc.entries) <= ball
+        assert set(row_power(a, 16, k)) <= ball
+
+
+# =====================================================================
+# several polynomials on one cone
+# =====================================================================
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), layout=st.sampled_from(["chain", "grid"]),
+       r0=st.sampled_from([1, 2]), basis=st.sampled_from(["monomial", "chebyshev"]),
+       degrees=st.lists(st.integers(0, 6), min_size=1, max_size=3))
+def test_poly_rows_match_dense_rows_and_single_calls(seed, layout, r0, basis, degrees):
+    rng = np.random.default_rng(seed)
+    graph = chain(int(rng.integers(3, 21))) if layout == "chain" else \
+        grid([int(rng.integers(2, 6)), int(rng.integers(2, 6))])
+    a, _ = _random_local_hermitian(rng, graph, r0)
+    alpha = a.norm_bound
+    polys = []
+    for d in degrees:
+        coeffs = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        if basis == "monomial":
+            polys.append(Polynomial(tuple(coeffs / alpha ** np.arange(d + 1))))
+        else:
+            polys.append(Polynomial(tuple(coeffs), basis="chebyshev",
+                                    interval=(-alpha, alpha)))
+    dense = dense_from_oracle(a)
+    i = int(rng.integers(0, graph.n_sites))
+    rows = poly_rows(a, polys, i)
+    assert len(rows) == len(polys)
+    for p, row in zip(polys, rows):
+        assert row == poly_rows(a, (p,), i)[0]
+        assert list(row) == sorted(row)
+        vec = np.zeros(graph.n_sites, dtype=np.complex128)
+        for j, v in row.items():
+            vec[j] = v
+        assert np.abs(vec - dense_poly_matrix(dense, p)[i]).max() <= 1e-10
+
+    other = (Polynomial(polys[0].coefficients, basis="chebyshev", interval=(-alpha, alpha))
+             if basis == "monomial" else Polynomial(polys[0].coefficients))
+    with pytest.raises(PreconditionError):
+        poly_rows(a, polys + [other], i)
+    wider = Polynomial((1.0, 0.5), basis="chebyshev", interval=(-2.0 * alpha, 2.0 * alpha))
+    narrow = Polynomial((1.0, 0.5), basis="chebyshev", interval=(-alpha, alpha))
+    with pytest.raises(PreconditionError):
+        poly_rows(a, (narrow, wider), i)
 
 
 # =====================================================================

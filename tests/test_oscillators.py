@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from glsim import (LocalityError, OscillatorState, PreconditionError, build_system,
-                   chain, dense_from_oracle, estimate_energy, estimate_observable,
-                   extended_dimension, grid, inner_product_estimate, load_system,
-                   pair_decode, pair_index, psi0, read_state_csv,
-                   sparse_vector_oracle, spectral_norm, total_energy)
+from glsim import (DenseMatrix, LocalityError, OscillatorState, PreconditionError,
+                   SiteGraph, build_system, chain, dense_from_oracle, dense_poly_apply,
+                   dense_poly_matrix, estimate_energy, estimate_observable, exp_poly,
+                   extended_dimension, general, grid, inner_product_estimate,
+                   load_system, pair_decode, pair_index, psi0, read_state_csv,
+                   sparse_vector_oracle, spectral_norm, sq_access_from_dense,
+                   total_energy)
+from glsim import lightcone, oscillators
 
 
 def _random_chain_system(rng, n: int):
@@ -205,6 +208,97 @@ def test_energy_estimate_empty_subsets_is_zero():
     state = OscillatorState(rng.normal(size=8), rng.normal(size=8))
     est = estimate_energy(sys, state, [], [], 0.9, eps=0.1, delta=0.05, seed=110)
     assert est.value == 0.0
+
+
+def _dense_h(sys) -> np.ndarray:
+    """The dilation H = [[0, B], [B^T, 0]] on the extended space."""
+    n = sys.n_sites
+    b = _dense_b(sys)
+    h = np.zeros((sys.extended_dim, sys.extended_dim), dtype=np.complex128)
+    h[:n, n:] = b
+    h[n:, :n] = b.conj().T
+    return h
+
+
+def _dense_psi0(sys, state) -> np.ndarray:
+    psi = psi0(sys, state)
+    return np.array([psi.query(k) for k in range(sys.extended_dim)])
+
+
+def test_point_observable_is_an_entry_of_the_evolved_state():
+    rng = np.random.default_rng(112)
+    sys = _random_chain_system(rng, 6)
+    state = OscillatorState(rng.normal(size=6), rng.normal(size=6))
+    t, eps = 0.8, 0.2
+    p = exp_poly(sys.h_norm_bound, t, eps / 2.0)
+    expected = dense_poly_apply(DenseMatrix(_dense_h(sys)), p, _dense_psi0(sys, state))
+    for k in range(sys.extended_dim):
+        v = sparse_vector_oracle(sys.extended_dim, {k: 1.0})
+        est = estimate_observable(sys, state, v, t, eps, 0.1, seed=113)
+        assert abs(est.value - expected[k]) <= 1e-10
+
+
+def test_energy_query_vector_is_dense_p_dagger_v_p_psi0(monkeypatch):
+    rng = np.random.default_rng(114)
+    sys = _random_chain_system(rng, 6)
+    state = OscillatorState(rng.normal(size=6), rng.normal(size=6))
+    mass_subset, spring_subset = [0, 3, 4], [(0, 0), (1, 2), (4, 5)]
+    captured = []
+
+    def capture(w, v, eps, delta, seed):
+        captured.append(w)
+        return inner_product_estimate(w, v, eps, delta, seed)
+
+    monkeypatch.setattr(oscillators, "inner_product_estimate", capture)
+    t, eps = 0.9, 0.2
+    estimate_energy(sys, state, mass_subset, spring_subset, t, eps, 0.1, seed=115)
+    pm = dense_poly_matrix(DenseMatrix(_dense_h(sys)), exp_poly(sys.h_norm_bound, t, eps / 4.0))
+    proj = np.zeros(sys.extended_dim)
+    proj[mass_subset] = 1.0
+    for a, b in spring_subset:
+        proj[pair_index(a, b, sys.n_sites)] = 1.0
+    expected = pm.conj().T @ (proj * (pm @ _dense_psi0(sys, state)))
+    (w,) = captured
+    for k in range(sys.extended_dim):
+        assert abs(w.query(k) - expected[k]) <= 1e-10
+
+
+def test_observable_builds_one_light_cone_per_site(monkeypatch):
+    origins = []
+
+    class CountingCone(lightcone.LightCone):
+        def __init__(self, A, i, hops):
+            origins.append(i)
+            super().__init__(A, i, hops)
+
+    monkeypatch.setattr(lightcone, "LightCone", CountingCone)
+    rng = np.random.default_rng(116)
+    sys = _random_chain_system(rng, 6)
+    state = OscillatorState(rng.normal(size=6), rng.normal(size=6))
+    # uniform v: every velocity slot is drawn, so (top, z) is evaluated at every site
+    v = sq_access_from_dense(np.ones(sys.extended_dim))
+    estimate_observable(sys, state, v, 0.8, 0.2, 0.1, seed=117)
+    assert sorted(origins) == list(range(6))
+
+
+def test_norm_bound_is_computed_once_per_system(monkeypatch):
+    calls = []
+    real = SiteGraph.locality_function
+
+    def counting(self, r):
+        calls.append(r)
+        return real(self, r)
+
+    monkeypatch.setattr(SiteGraph, "locality_function", counting)
+    graph = general(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
+    springs = {(0, 1): 1.0, (1, 2): 0.5, (2, 3): 1.2, (3, 4): 0.9, (4, 5): 1.1,
+               (0, 5): 0.6, (1, 4): 0.8, (2, 2): 0.4}
+    sys = build_system(graph, [1.0, 2.0, 1.5, 1.0, 0.8, 1.2], springs, 1)
+    state = OscillatorState([0.3, -0.2, 0.5, 0.0, 0.1, -0.4], [0.1, 0.0, -0.3, 0.2, 0.0, 0.0])
+    v = sparse_vector_oracle(sys.extended_dim, {1: 0.6, 8: 0.8})
+    estimate_observable(sys, state, v, 0.5, 0.2, 0.1, seed=118)
+    estimate_energy(sys, state, [0, 1], [(1, 2)], 0.5, 0.2, 0.1, seed=119)
+    assert len(calls) == 1
 
 
 def test_energy_estimate_validates_index_ranges():

@@ -88,6 +88,15 @@ def test_exp_poly_sup_bound_is_certified():
         assert p.sup_bound <= 1.0 + 1e-8
 
 
+@pytest.mark.parametrize("alpha,t,eps", [(4.5, 200.0, 0.05), (1.0, 200.0, 0.2)])
+def test_exp_poly_sup_bound_holds_between_grid_points(alpha, t, eps):
+    # |p| peaks between the points of a 2001-point grid at these parameters
+    p = exp_poly(alpha, t, eps)
+    xs = np.linspace(-alpha, alpha, 400001)
+    assert np.abs(p.eval_many(xs)).max() <= p.sup_bound
+    assert p.sup_bound <= 1.0 + eps
+
+
 # =====================================================================
 # parity split
 # =====================================================================
