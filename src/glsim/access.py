@@ -1,13 +1,14 @@
 """Oracle access layer: query-counted vectors and geometrically local matrices.
 
 The engine never touches dense arrays directly; it sees a vector u through
-(query, norm, sample) callables and a matrix A through per-row sparse
-functionals restricted to a ball of radius r0.  Every access is metered by a
-CostCounter so tests can pin exact query budgets.
+an entry query, a norm and a sorted mass table, and a matrix A through
+per-row sparse functionals restricted to a ball of radius r0.  Every access
+is metered by a CostCounter so tests can pin exact query budgets.
 
 Sample-and-query ("sq") access to u means: entry queries, the Euclidean norm,
-and a sampler whose law is within total-variation zeta of the exact
-distribution p_i = |u_i|^2 / ||u||^2.
+and draws from a finite law within total-variation zeta of the exact
+distribution p_i = |u_i|^2 / ||u||^2.  That law is the oracle's table:
+its support, in increasing site order, and the masses of those sites.
 """
 
 from __future__ import annotations
@@ -73,13 +74,15 @@ class CostCounter:
 class VectorOracle:
     """Sq-access to a vector.
 
-    query(i) -> complex entry, norm() -> float, sample_many(rng, k) -> k
-    indices drawn within TV distance zeta of |u_i|^2/||u||^2; sample(rng) is
-    the single draw sample_many(rng, 1)[0].
+    query(i) -> complex entry, norm() -> float.  The sampler is a sorted mass
+    table (support, masses): the sites in strictly increasing order and their
+    probabilities, within TV distance zeta of |u_i|^2/||u||^2.
+    sample_positions(rng, k) draws k positions into support, and
+    sample_many(rng, k) the k sites support[positions].
     """
 
     def __init__(self, dimension: int, query_fn, norm: float | None,
-                 sample_many=None, zeta: float = 0.0, cost: CostCounter | None = None):
+                 table=None, zeta: float = 0.0, cost: CostCounter | None = None):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         if norm is not None and norm < 0:
@@ -89,9 +92,21 @@ class VectorOracle:
         self.dimension = int(dimension)
         self._query_fn = query_fn
         self._norm = None if norm is None else float(norm)
-        self._sample_many = sample_many
         self.zeta = float(zeta)
         self.cost = cost if cost is not None else CostCounter()
+        self.support = self.masses = None
+        if table is not None:
+            support = np.asarray(table[0], dtype=np.int64)
+            masses = np.asarray(table[1], dtype=np.float64)
+            if support.ndim != 1 or masses.shape != support.shape or support.size == 0:
+                raise ValueError("table needs 1-d support and masses of one nonzero length")
+            if support[0] < 0 or support[-1] >= self.dimension or np.any(np.diff(support) <= 0):
+                raise ValueError("table support must increase strictly within [0, dimension)")
+            if np.any(masses < 0):
+                raise ValueError("table masses must be nonnegative")
+            self.support, self.masses = support, masses
+            self._cum = np.cumsum(masses)
+            self._cum[-1] = 1.0
 
     def query(self, i: int) -> complex:
         if not (0 <= i < self.dimension):
@@ -111,45 +126,52 @@ class VectorOracle:
 
     @property
     def can_sample(self) -> bool:
-        return self._sample_many is not None
+        return self.support is not None
 
-    def sample(self, rng: np.random.Generator) -> int:
-        if not self.can_sample:
-            raise PreconditionError("oracle has no sampler")
-        self.cost.add(samples=1)
-        return int(self._sample_many(rng, 1)[0])
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def sample_positions(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count draws from the table, as positions into support."""
         if not self.can_sample:
             raise PreconditionError("oracle has no sampler")
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
         self.cost.add(samples=int(count))
-        out = np.asarray(self._sample_many(rng, int(count)), dtype=np.int64)
-        if out.shape != (count,):
-            raise OracleInconsistencyError("sampler returned wrong shape")
-        return out
+        return np.searchsorted(self._cum, rng.random(int(count)), side="right")
+
+    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count sites drawn from the table."""
+        return self.support[self.sample_positions(rng, count)]
 
 
-def _masses_from_dense(u: np.ndarray) -> tuple[np.ndarray, float]:
-    u = np.asarray(u, dtype=np.complex128).ravel()
-    nrm = float(np.linalg.norm(u))
+def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray, query_fn,
+               zeta: float, cost: CostCounter | None) -> VectorOracle:
+    """Sq-access to the vector with entries vals at the increasing sites (zero elsewhere).
+
+    The norm is taken over vals, then mass zeta moves from the heaviest entry
+    (lowest site on ties) to the lightest nonzero entry other than the donor
+    (again lowest on ties).  Sites left with zero mass stay out of the table,
+    so they are never drawn.
+    """
+    nrm = float(np.linalg.norm(vals))
     if nrm == 0.0:
         raise PreconditionError("cannot build sq-access to the zero vector")
-    masses = np.abs(u) ** 2 / (nrm * nrm)
-    return masses, nrm
-
-
-def _cumtable_sampler(masses: np.ndarray):
-    cum = np.cumsum(masses)
-    cum[-1] = 1.0
-
-    def sample_many(rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.searchsorted(cum, rng.random(count), side="right").astype(np.int64)
-
-    return sample_many
+    masses = np.abs(vals) ** 2 / (nrm * nrm)
+    zeta = float(zeta)
+    if not (0 <= zeta < 1):
+        raise PreconditionError("zeta must lie in [0, 1)")
+    if zeta > 0:
+        nonzero = np.flatnonzero(masses > 0)
+        if nonzero.size < 2:
+            raise PreconditionError("perturbation needs at least two support points")
+        donor = int(np.argmax(masses))
+        rest = nonzero[nonzero != donor]
+        recipient = int(rest[np.argmin(masses[rest])])
+        if masses[donor] < zeta:
+            raise PreconditionError(f"donor mass {masses[donor]:.3g} < zeta {zeta:.3g}")
+        masses[donor] -= zeta
+        masses[recipient] += zeta
+    keep = masses > 0
+    return VectorOracle(dimension, query_fn, nrm, table=(sites[keep], masses[keep]),
+                        zeta=zeta, cost=cost)
 
 
 def sq_access_from_dense(u, cost: CostCounter | None = None) -> VectorOracle:
@@ -161,36 +183,12 @@ def perturbed_sq_access(u, zeta: float,
                         cost: CostCounter | None = None) -> VectorOracle:
     """Sq-access whose sampler is exactly TV distance zeta from the true law.
 
-    Mass zeta moves from the heaviest index (lowest index on ties) to the
-    lightest nonzero index other than the donor (again lowest on ties).
-    Queries and the norm stay exact, so the oracle is a legal zeta-sq-access
-    realizing the worst advertised sampler error.
+    Mass zeta moves from the heaviest index to the lightest nonzero one (see
+    _sq_oracle).  Queries and the norm stay exact, so the oracle is a legal
+    zeta-sq-access realizing the worst advertised sampler error.
     """
     u = np.asarray(u, dtype=np.complex128).ravel()
-    masses, nrm = _masses_from_dense(u)
-    zeta = float(zeta)
-    if not (0 <= zeta < 1):
-        raise PreconditionError("zeta must lie in [0, 1)")
-    if zeta > 0:
-        support = np.flatnonzero(masses > 0)
-        if support.size < 2:
-            raise PreconditionError("perturbation needs at least two support points")
-        donor = int(np.argmax(masses))
-        rest = support[support != donor]
-        recipient = int(rest[np.argmin(masses[rest])])
-        if masses[donor] < zeta:
-            raise PreconditionError(f"donor mass {masses[donor]:.3g} < zeta {zeta:.3g}")
-        masses = masses.copy()
-        masses[donor] -= zeta
-        masses[recipient] += zeta
-    return VectorOracle(
-        dimension=u.size,
-        query_fn=lambda i: u[i],
-        norm=nrm,
-        sample_many=_cumtable_sampler(masses),
-        zeta=zeta,
-        cost=cost,
-    )
+    return _sq_oracle(u.size, np.arange(u.size), u, lambda i: u[i], zeta, cost)
 
 
 def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
@@ -202,24 +200,8 @@ def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
     if idx[0] < 0 or idx[-1] >= dimension:
         raise ValueError("entry index out of range")
     vals = np.array([entries[int(i)] for i in idx], dtype=np.complex128)
-    nrm = float(np.linalg.norm(vals))
-    if nrm == 0.0:
-        raise PreconditionError("cannot build sq-access to the zero vector")
-    masses = np.abs(vals) ** 2 / (nrm * nrm)
     table = dict(zip(idx.tolist(), vals.tolist()))
-    draw_local = _cumtable_sampler(masses)
-
-    def sample_many(rng: np.random.Generator, count: int) -> np.ndarray:
-        return idx[draw_local(rng, count)]
-
-    return VectorOracle(
-        dimension=dimension,
-        query_fn=lambda i: table.get(i, 0.0 + 0.0j),
-        norm=nrm,
-        sample_many=sample_many,
-        zeta=0.0,
-        cost=cost,
-    )
+    return _sq_oracle(dimension, idx, vals, lambda i: table.get(i, 0.0 + 0.0j), 0.0, cost)
 
 
 # =====================================================================

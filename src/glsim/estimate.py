@@ -10,6 +10,11 @@ median of means over ceil(8 ln(2/delta)) batches of ceil(32/eps^2) draws
 brings the failure probability under delta.  The constants are this
 implementation's, fixed here and recorded in every report.
 
+The draws are positions into v's sorted mass table (VectorOracle.support).
+Counting them by position gives the distinct drawn sites in increasing
+order; v and w are queried once at each, and every draw reads its X back
+by position.
+
 The composed solver applies a polynomial of a geometrically local matrix to
 u (through the light-cone kernel) and estimates v^dag P(A)u the same way.
 """
@@ -63,7 +68,8 @@ def inner_product_estimate(w: VectorOracle, v: VectorOracle, eps: float,
     w needs query access only; v needs sampler, queries, and norm, with
     v.zeta <= eps/9.  Both vectors are promised by the caller to have norm
     at most 1.  All draws for all batches come from one stream keyed by seed,
-    and distinct indices are queried exactly once.
+    as positions into v's mass table; every drawn site is queried exactly
+    once, in increasing order.
     """
     if w.dimension != v.dimension:
         raise PreconditionError("w and v dimensions differ")
@@ -79,17 +85,19 @@ def inner_product_estimate(w: VectorOracle, v: VectorOracle, eps: float,
     vnorm = v.norm()
 
     rng = rng_stream(seed, 0)
-    draws = v.sample_many(rng, total)
-    uniq, inverse = np.unique(draws, return_inverse=True)
-    vvals = np.array([v.query(int(i)) for i in uniq], dtype=np.complex128)
+    pos = v.sample_positions(rng, total)
+    hit = np.flatnonzero(np.bincount(pos, minlength=v.support.size))
+    sites = v.support[hit].tolist()
+    vvals = np.array([v.query(i) for i in sites], dtype=np.complex128)
     if np.any(vvals == 0):
-        bad = int(uniq[int(np.flatnonzero(vvals == 0)[0])])
+        bad = sites[int(np.flatnonzero(vvals == 0)[0])]
         raise OracleInconsistencyError(
             f"sampler returned index {bad} but v_{bad} = 0")
-    wvals = np.array([w.query(int(i)) for i in uniq], dtype=np.complex128)
+    wvals = np.array([w.query(i) for i in sites], dtype=np.complex128)
 
-    x_uniq = np.conj(vvals) * wvals * (vnorm * vnorm) / (np.abs(vvals) ** 2)
-    x = x_uniq[inverse].reshape(reps, batch)
+    x_table = np.zeros(v.support.size, dtype=np.complex128)
+    x_table[hit] = np.conj(vvals) * wvals * (vnorm * vnorm) / (np.abs(vvals) ** 2)
+    x = x_table[pos].reshape(reps, batch)
     means = x.mean(axis=1)
     value = complex(float(np.median(means.real)), float(np.median(means.imag)))
     return EstimateReport(value=value, eps=float(eps), delta=float(delta),

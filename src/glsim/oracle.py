@@ -42,7 +42,6 @@ class DenseMatrix:
     entries: np.ndarray
     hermitian: bool = field(init=False, default=False)
     anti_hermitian: bool = field(init=False, default=False)
-    real_symmetric: bool = field(init=False, default=False)
 
     def __post_init__(self):
         M = np.asarray(self.entries, dtype=np.complex128)
@@ -54,8 +53,6 @@ class DenseMatrix:
         self.hermitian = bool(np.abs(M - M.conj().T).max() <= tol)
         self.anti_hermitian = (not self.hermitian
                                and bool(np.abs(M + M.conj().T).max() <= tol))
-        self.real_symmetric = (self.hermitian
-                               and bool(np.abs(M.imag).max() <= tol))
 
     @property
     def dimension(self) -> int:

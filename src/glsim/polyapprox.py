@@ -64,11 +64,7 @@ class Polynomial:
 
     @property
     def degree(self) -> int:
-        c = self.coefficients
-        d = len(c) - 1
-        while d > 0 and c[d] == 0:
-            d -= 1
-        return d
+        return len(self.coefficients) - 1
 
     @property
     def is_symmetric_interval(self) -> bool:

@@ -93,7 +93,9 @@ def lightcone_oversampler(A: LocalMatrixOracle, d: int, psi: VectorOracle,
     def mass_fn(i: int) -> float:
         total = 0.0
         for j in graph.ball(i, radius):
-            total += psi_mass(j) / len(graph.ball(j, radius))
+            mass = psi_mass(j)
+            if mass:  # a skipped term is +0.0, so the sum is unchanged
+                total += mass / len(graph.ball(j, radius))
         return total
 
     phi = float(norm_bound_P) ** 2 * graph.locality_function(radius)

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from glsim import (CostCounter, LocalityError, OracleInconsistencyError,
-                   PreconditionError, chain, induced_distribution,
-                   local_matrix_from_dense, local_matrix_from_rows,
-                   perturbed_sq_access, rng_stream, scale_matrix_oracle,
-                   sparse_vector_oracle, sq_access_from_dense, tv_distance)
+from glsim import (CostCounter, Distribution, LocalityError,
+                   OracleInconsistencyError, PreconditionError, VectorOracle,
+                   chain, induced_distribution, local_matrix_from_dense,
+                   local_matrix_from_rows, perturbed_sq_access, rng_stream,
+                   scale_matrix_oracle, sparse_vector_oracle,
+                   sq_access_from_dense, tv_distance)
 
 N_DRAWS = 100_000
 
@@ -96,6 +99,56 @@ def test_queries_return_entries_and_count_cost():
 def test_zero_vector_rejected():
     with pytest.raises(PreconditionError):
         sq_access_from_dense(np.zeros(4))
+
+
+class _TopRng:
+    """A stand-in generator whose every uniform draw is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def test_top_draw_never_lands_on_a_zero_mass_site():
+    """(1, 1, 0): the table's cumulative mass reaches 1 at site 1, not at the empty site 2."""
+    u = sq_access_from_dense([1.0, 1.0, 0.0])
+    assert u.sample_many(_TopRng(), 4).tolist() == [1, 1, 1, 1]
+    assert u.support.tolist() == [0, 1]
+    assert u.sample_positions(_TopRng(), 2).tolist() == [1, 1]
+    assert u.cost.snapshot()["samples"] == 6
+
+
+@pytest.mark.parametrize("table", [
+    ([[0, 1]], [[0.5, 0.5]]),        # not 1-d
+    ([0, 1], [1.0]),                 # lengths differ
+    ([], []),                        # empty
+    ([0, 4], [0.5, 0.5]),            # site outside [0, dimension)
+    ([-1, 2], [0.5, 0.5]),
+    ([2, 1], [0.5, 0.5]),            # not increasing
+    ([1, 1], [0.5, 0.5]),
+    ([0, 1], [1.5, -0.5]),           # negative mass
+])
+def test_bad_table_is_rejected(table):
+    with pytest.raises(ValueError):
+        VectorOracle(4, lambda i: 1.0, norm=1.0, table=table)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(entries=st.lists(st.sampled_from([0.0, 0.0, 1.0, -0.5, 2.0j, 0.3 - 0.4j, 1e-3]),
+                        min_size=1, max_size=12),
+       fraction=st.floats(0.0, 0.9))
+def test_table_is_the_perturbed_law(entries, fraction):
+    """No zero-mass site in the table, unit total mass, TV distance zeta from |u_i|^2."""
+    u = np.array(entries, dtype=np.complex128)
+    assume(np.count_nonzero(u) >= 2)
+    exact = induced_distribution(u)
+    zeta = fraction * float(exact.probs.max())
+    oracle = perturbed_sq_access(u, zeta)
+    assert np.all(oracle.masses > 0)
+    assert np.all(u[oracle.support] != 0)
+    assert abs(float(oracle.masses.sum()) - 1.0) <= 1e-12
+    law = np.zeros(u.size)
+    law[oracle.support] = oracle.masses
+    assert abs(tv_distance(Distribution(law), exact) - zeta) <= 1e-12
 
 
 # =====================================================================

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from glsim import (Polynomial, PreconditionError, chain, dense_from_oracle,
-                   dense_poly_apply, entry_of_poly_apply, evt_gl_estimate,
-                   inner_product_estimate, local_matrix_from_dense,
-                   perturbed_sq_access, rng_stream, sparse_vector_oracle,
-                   sq_access_from_dense)
+from glsim import (Polynomial, PreconditionError, VectorOracle, chain,
+                   dense_from_oracle, dense_poly_apply, entry_of_poly_apply,
+                   evt_gl_estimate, inner_product_estimate,
+                   local_matrix_from_dense, perturbed_sq_access, rng_stream,
+                   sparse_vector_oracle, sq_access_from_dense)
 
 
 def _unit(rng, n: int) -> np.ndarray:
@@ -84,6 +84,48 @@ def test_dimension_mismatch_rejected():
     v = sq_access_from_dense([1.0, 0.0, 0.0])
     with pytest.raises(PreconditionError):
         inner_product_estimate(w, v, eps=0.1, delta=0.1, seed=57)
+
+
+def _pinned_v(kind: str, rng):
+    """(v oracle, dense v) for the estimator pin: dense with a zero entry, perturbed, sparse."""
+    if kind == "sparse":
+        entries = {int(i): complex(rng.normal(), rng.normal())
+                   for i in rng.choice(40, size=6, replace=False)}
+        dense = np.zeros(40, dtype=np.complex128)
+        dense[list(entries)] = list(entries.values())
+        return sparse_vector_oracle(40, entries), dense
+    dense = _unit(rng, 24)
+    dense[5] = 0.0
+    return perturbed_sq_access(dense, 0.02 if kind == "perturbed" else 0.0), dense
+
+
+@pytest.mark.parametrize("kind", ["dense", "perturbed", "sparse"])
+def test_estimate_is_a_median_of_means_over_the_sampler_draws(kind):
+    """The value is, bit for bit, a plain median of means over v.sample_many's draws,
+    and w is queried once per distinct drawn site, in increasing order."""
+    rng = np.random.default_rng(67)
+    v, v_vec = _pinned_v(kind, rng)
+    w_vec = rng.normal(size=v_vec.size) + 1j * rng.normal(size=v_vec.size)
+    w_vec /= 2.0 * np.linalg.norm(w_vec)
+    queried = []
+
+    def w_fn(i):
+        queried.append(i)
+        return w_vec[i]
+
+    w = VectorOracle(v_vec.size, w_fn, norm=None)
+    rep = inner_product_estimate(w, v, eps=0.2, delta=0.1, seed=68)
+
+    draws = v.sample_many(rng_stream(68, 0), rep.samples_used)
+    uniq, inverse = np.unique(draws, return_inverse=True)
+    vq, wq = v_vec[uniq], w_vec[uniq]
+    vnorm = v.norm()
+    x = (np.conj(vq) * wq * (vnorm * vnorm) / np.abs(vq) ** 2)[inverse]
+    means = x.reshape(rep.repetitions, rep.batch_size).mean(axis=1)
+    expected = complex(float(np.median(means.real)), float(np.median(means.imag)))
+    assert rep.value == expected
+    assert queried == uniq.tolist()
+    assert v.cost.snapshot()["queries"] == uniq.size
 
 
 # =====================================================================

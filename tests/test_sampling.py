@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from glsim import (DenseMatrix, EvolvedSampler, OversamplerHandle,
-                   PreconditionError, chain, dense_evolve, dense_from_oracle,
-                   dense_poly_apply, exp_poly, induced_distribution,
-                   lightcone_oversampler, local_matrix_from_dense,
-                   local_matrix_from_rows, perturbed_sq_access, rejection_sample,
-                   rng_stream, sparse_vector_oracle, sq_access_from_dense,
+                   PreconditionError, SiteGraph, chain, dense_evolve,
+                   dense_from_oracle, dense_poly_apply, exp_poly, grid,
+                   induced_distribution, lightcone_oversampler,
+                   local_matrix_from_dense, local_matrix_from_rows,
+                   perturbed_sq_access, rejection_sample, rng_stream,
+                   sparse_vector_oracle, sq_access_from_dense,
                    tv_error_bound)
 
 
@@ -184,6 +185,25 @@ def test_point_state_smears_uniformly_over_ball():
     freqs = np.bincount(draws, minlength=64) / 20_000
     assert np.all(np.abs(freqs[3:8] - 0.2) <= 0.02)
     assert freqs[np.r_[0:3, 8:64]].max() == 0.0
+
+
+def test_oversampler_mass_builds_balls_only_around_psi(monkeypatch):
+    """A point psi on a 64x64 grid at d = 5: a mass query builds ball(i) and the one
+    ball around psi's site, not a ball around each of the 61 sites of ball(i)."""
+    side, d = 64, 5
+    centre = (side // 2) * side + side // 2
+    a = local_matrix_from_rows(grid([side, side]), 1, lambda i: [(i, 1j)],
+                               norm_bound=1.0, anti_hermitian=True)
+    psi = sparse_vector_oracle(side * side, {centre: 1.0})
+    handle = lightcone_oversampler(a, d, psi, norm_bound_P=1.0)
+    ball_calls = []
+    real_ball = SiteGraph.ball
+    monkeypatch.setattr(SiteGraph, "ball",
+                        lambda self, i, r: ball_calls.append(i) or real_ball(self, i, r))
+    mass = handle.mass_query(centre + 2)
+    assert ball_calls == [centre + 2, centre]
+    assert psi.cost.snapshot()["queries"] == 61
+    assert mass == 1.0 / 61
 
 
 def test_oversampler_masses_sum_to_one_and_dominate_target():
