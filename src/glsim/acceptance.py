@@ -24,9 +24,9 @@ from .embeddings import (Gate, ReversibleCircuit, adjacent_transposition_decompo
                          fk_long_local, fk_long_undilated, gate_permutation,
                          gate_unitary, j_matrix, overlap_coefficients,
                          simulate_embedded_circuit, step_operator, w_matrix)
-from .estimate import evt_gl_estimate
+from .estimate import inner_product_estimate
 from .lattice import SiteGraph, chain, grid
-from .lightcone import entry_of_poly_apply, row_power
+from .lightcone import entry_of_poly_apply, poly_apply_query_oracle, row_power
 from .oracle import (DenseMatrix, dense_evolve, dense_from_oracle,
                      dense_poly_apply, dense_poly_matrix, spectral_norm)
 from .oscillators import (OscillatorState, OscillatorSystem, build_system,
@@ -59,12 +59,8 @@ class CriterionResult:
 
 
 def _distance_matrix(graph: SiteGraph) -> np.ndarray:
-    n = graph.n_sites
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = graph.distance(i, j)
-    return d
+    i, j = np.divmod(np.arange(graph.n_sites ** 2), graph.n_sites)
+    return graph.distances(i, j).reshape(graph.n_sites, graph.n_sites)
 
 
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -252,15 +248,15 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         u_or = sq_access_from_dense(u)
         v_or = sq_access_from_dense(v)
         v_pert = perturbed_sq_access(v, zeta=eps / 9.0)
+        w = poly_apply_query_oracle(oracle, p, u_or)
         fails_exact = 0
         fails_pert = 0
         for r in range(reruns):
             run_seed = seed + 100_000 * (inst + 1) + r
-            est = evt_gl_estimate(oracle, p, u_or, v_or, eps, delta, run_seed)
+            est = inner_product_estimate(w, v_or, eps, delta, run_seed)
             if abs(est.value - truth) > eps:
                 fails_exact += 1
-            est = evt_gl_estimate(oracle, p, u_or, v_pert, eps, delta,
-                                  run_seed + 50_000)
+            est = inner_product_estimate(w, v_pert, eps, delta, run_seed + 50_000)
             if abs(est.value - truth) > eps:
                 fails_pert += 1
         worst_exact = max(worst_exact, fails_exact)
@@ -292,7 +288,7 @@ def _random_oscillator(seed_key: tuple, n: int):
 def _dense_b(sys: OscillatorSystem) -> np.ndarray:
     n = sys.n_sites
     b = np.zeros((n, sys.extended_dim - n))
-    for (i, j), kap in sys.springs.items():
+    for i, j, kap in zip(*sys.pairs):
         col = pair_index(i, j, n) - n
         b[i, col] += math.sqrt(kap / sys.masses[i])
         if j != i:
@@ -382,7 +378,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     full_ok = True
     full_worst = 0.0
-    all_springs = list(sys.springs.keys())
+    all_springs = list(zip(*sys.pairs[:2]))
     for ti, t in enumerate((0.8, 2.1)):
         for r in range(3):
             est = estimate_energy(sys, state, range(n), all_springs, t, eps,
@@ -545,10 +541,8 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     sums_ok = bool(np.all(row_sums <= cap + 1e-12))
     attained = abs(float(row_sums.max()) - cap) <= 1e-12
     graph = h_long.generator.graph
-    local_ok = all(
-        graph.distance(i, j) <= 3
-        for i in range(dense.shape[0]) for j in range(dense.shape[0])
-        if i != j and dense[i, j] != 0.0)
+    rows, cols = np.nonzero(offd)
+    local_ok = bool(np.all(graph.distances(rows, cols) <= 3))
 
     h_und = fk_long_undilated(circ)
     psi_in = _unit(rng, 4)

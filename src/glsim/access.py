@@ -316,11 +316,10 @@ def local_matrix_from_dense(M, graph: SiteGraph, r0: int, *,
         evals = np.linalg.eigvalsh(M)
         if evals.min() < -1e-10 * max(1.0, abs(float(evals.max()))):
             raise OracleInconsistencyError("matrix is not positive semidefinite")
-    for i in range(n):
-        allowed = set(graph.ball(i, r0))
-        for j in np.flatnonzero(np.abs(M[i]) > 0):
-            if int(j) not in allowed:
-                raise LocalityError(f"entry ({i},{int(j)}) outside radius {r0}")
+    rows, cols = np.nonzero(M)
+    far = np.flatnonzero(graph.distances(rows, cols) > r0)
+    if far.size:
+        raise LocalityError(f"entry ({rows[far[0]]},{cols[far[0]]}) outside radius {r0}")
     if norm_bound is None:
         norm_bound = float(np.linalg.norm(M, 2))
 

@@ -436,18 +436,12 @@ def _build_oscillator_inputs(cfg: dict):
         sys_ = load_system(cfg["system_file"])
     else:
         sys_ = system_from_json_dict(cfg["system"])
-    state = read_state_csv(cfg["state_file"]) if "state_file" in cfg else None
-    if state is not None:
-        if state.x.size < sys_.n_sites:
-            x = np.zeros(sys_.n_sites)
-            xdot = np.zeros(sys_.n_sites)
-            x[:state.x.size] = state.x
-            xdot[:state.xdot.size] = state.xdot
-            state = OscillatorState(x=x, xdot=xdot)
+    if "state_file" in cfg:
+        state = read_state_csv(cfg["state_file"])
+        rest = (0, max(sys_.n_sites - state.x.size, 0))  # sites after the last row are at rest
+        state = OscillatorState(x=np.pad(state.x, rest), xdot=np.pad(state.xdot, rest))
     elif "state" in cfg:
-        state = OscillatorState(x=np.asarray(cfg["state"]["x"], dtype=np.float64),
-                                xdot=np.asarray(cfg["state"]["xdot"],
-                                                dtype=np.float64))
+        state = OscillatorState(x=cfg["state"]["x"], xdot=cfg["state"]["xdot"])
     else:
         raise ConfigError("needs state or state_file")
     if state.x.size != sys_.n_sites:

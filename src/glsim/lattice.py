@@ -20,6 +20,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 MAX_SITES = 2 ** 62
 BALL_CACHE_SIZE = 65536  # (site, radius) balls kept per graph
 
@@ -133,23 +135,25 @@ class SiteGraph:
             raise ValueError(f"site {i} out of range [0, {self.n_sites})")
 
     def distance(self, i: int, j: int) -> int:
-        self._check_site(i)
-        self._check_site(j)
-        if self.kind == "chain":
-            d = abs(i - j)
-            if self.boundary == "periodic":
-                d = min(d, self.n_sites - d)
-            return d
-        if self.kind == "grid":
-            ci, cj = self.site_coords(i), self.site_coords(j)
-            tot = 0
-            for a, b, L in zip(ci, cj, self.dims):
-                d = abs(a - b)
-                if self.boundary == "periodic":
-                    d = min(d, L - d)
-                tot += d
-            return tot
-        return self._all_distances(i).get(j, self.n_sites + 1)
+        return int(self.distances([i], [j])[0])
+
+    def distances(self, i, j) -> np.ndarray:
+        """d(i, j) elementwise over two index arrays of one length."""
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        for sites in (i, j):
+            outside = (sites < 0) | (sites >= self.n_sites)
+            if outside.any():
+                self._check_site(int(sites[outside][0]))
+        if self.kind == "general":
+            return np.array([self._all_distances(a).get(b, self.n_sites + 1)
+                             for a, b in zip(i.tolist(), j.tolist())], dtype=np.int64)
+        # a chain is a grid with one axis; peel axes off the row-major index
+        total = np.zeros(i.shape, dtype=np.int64)
+        for L in reversed(self.dims or (self.n_sites,)):
+            (i, a), (j, b) = np.divmod(i, L), np.divmod(j, L)
+            d = np.abs(a - b)
+            total += np.minimum(d, L - d) if self.boundary == "periodic" else d
+        return total
 
     def _bfs_distances(self, src: int, radius: int | None = None) -> dict[int, int]:
         dist = {src: 0}

@@ -17,6 +17,12 @@ the light-cone kernel, plus single sparse applications of B and B^T: the
 identities B Psin(B^T B) B^T = A Psin(A) and Pcos(B^T B) B^T = B^T Pcos(A)
 remove all extended-space polynomial work.
 
+The springs are kept once, as one table sorted by (site, other site): row k
+is a spring of stiffness kappas[k] > 0 seen from sites[k] towards others[k],
+listed from both ends, or once for a wall spring (i, i).  A site's row of A
+or of B is a slice of the table, the pair slots are its rows with i <= j, and
+E and psi(0) are array expressions over those rows.
+
 The degree of the exponential approximation obeys
 d_exp <= c1 * |t| * sqrt(N(r0) kappa_max / m_min) + c2 * ln(1/eps) + c3
 with c1 = e/2, c2 = log2(e) ~ 1.443, c3 = 6.
@@ -27,7 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -37,13 +43,7 @@ from .access import (LocalityError, LocalMatrixOracle, PreconditionError,
 from .estimate import EstimateReport, inner_product_estimate
 from .lattice import SiteGraph
 from .lightcone import poly_rows, row_dot
-from .polyapprox import (Polynomial, divide_out_zero, exp_poly, mul_by_x,
-                         parity_split)
-
-D_EXP_C1 = math.e / 2.0
-D_EXP_C2 = math.log2(math.e)
-D_EXP_C3 = 6.0
-
+from .polyapprox import divide_out_zero, exp_poly, mul_by_x, parity_split
 
 # =====================================================================
 # pair-slot indexing: velocity block first, then (i,j) lexicographic, j >= i
@@ -66,18 +66,12 @@ def pair_decode(idx: int, n: int) -> tuple[int, int]:
     r = idx - n
     if r < 0 or idx >= extended_dimension(n):
         raise ValueError(f"index {idx} is not a pair slot for n={n}")
-    lo_i, hi_i = 0, n - 1
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i + 1) // 2
-        if _pair_offset(mid, n) <= r:
-            lo_i = mid
-        else:
-            hi_i = mid - 1
-    i = lo_i
-    j = i + (r - _pair_offset(i, n))
-    if not (i <= j < n):
-        raise ValueError(f"index {idx} decodes outside the pair range")
-    return i, j
+    # i is the last row with _pair_offset(i, n) <= r: the smaller root of
+    # i^2 - (2n + 1) i + 2r = 0, rounded down; isqrt may overshoot it by one
+    b = 2 * n + 1
+    i = (b - math.isqrt(b * b - 8 * r)) // 2
+    i -= _pair_offset(i, n) > r
+    return i, i + (r - _pair_offset(i, n))
 
 
 def extended_dimension(n: int) -> int:
@@ -91,15 +85,14 @@ def extended_dimension(n: int) -> int:
 
 @dataclass
 class OscillatorSystem:
-    """Masses, springs, and the derived local operators."""
+    """Masses, the spring table (sites, others, kappas), and the derived local operators."""
 
     graph: SiteGraph
     masses: np.ndarray
-    springs: dict          # (i, j) with i <= j -> kappa > 0
     r0: int
-    neighbors: dict = field(default_factory=dict, repr=False)  # i -> ((j, kappa), ...)
-    kappa_max: float = 0.0
-    m_min: float = 0.0
+    sites: np.ndarray
+    others: np.ndarray
+    kappas: np.ndarray
 
     @property
     def n_sites(self) -> int:
@@ -109,9 +102,25 @@ class OscillatorSystem:
     def extended_dim(self) -> int:
         return extended_dimension(self.n_sites)
 
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """Site i's springs are the table rows _starts[i]:_starts[i + 1]."""
+        return np.searchsorted(self.sites, np.arange(self.n_sites + 1))
+
+    def _row(self, i: int) -> tuple[list, list]:
+        """(others, kappas) of site i's springs, in increasing order of the other site."""
+        lo, hi = self._starts[i], self._starts[i + 1]
+        return self.others[lo:hi].tolist(), self.kappas[lo:hi].tolist()
+
     def kappa(self, i: int, j: int) -> float:
-        key = (i, j) if i <= j else (j, i)
-        return self.springs.get(key, 0.0)
+        others, kappas = self._row(i)
+        return kappas[others.index(j)] if j in others else 0.0
+
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, kappa) of every spring once, with i <= j, sorted by (i, j)."""
+        once = self.sites <= self.others
+        return self.sites[once], self.others[once], self.kappas[once]
 
     @cached_property
     def a_norm_bound(self) -> float:
@@ -124,7 +133,8 @@ class OscillatorSystem:
         factor 2 is needed: on a 2D grid with uniform springs the diagonal
         of F alone reaches (N(r0) - 1) kappa.
         """
-        return 2.0 * self.graph.locality_function(self.r0) * self.kappa_max / self.m_min
+        return float(2.0 * self.graph.locality_function(self.r0)
+                     * self.kappas.max(initial=0.0) / self.masses.min())
 
     @property
     def h_norm_bound(self) -> float:
@@ -134,12 +144,11 @@ class OscillatorSystem:
     def a_oracle(self) -> LocalMatrixOracle:
         """A = M^{-1/2} F M^{-1/2} as a Hermitian PSD local-matrix oracle."""
         masses = self.masses
-        neighbors = self.neighbors
 
         def row_fn(i: int):
             out = []
             diag = 0.0
-            for j, kap in neighbors.get(i, ()):
+            for j, kap in zip(*self._row(i)):
                 diag += kap
                 if j != i:
                     out.append((j, -kap / math.sqrt(masses[i] * masses[j])))
@@ -166,7 +175,7 @@ class OscillatorSystem:
     def b_entry(self, i: int, pair_fn) -> complex:
         """(B w)_i for a pair-space functional pair_fn((a, b))."""
         total = 0.0 + 0.0j
-        for j, kap in self.neighbors.get(i, ()):
+        for j, kap in zip(*self._row(i)):
             root = math.sqrt(kap / self.masses[i])
             if j >= i:
                 total += root * pair_fn((i, j))
@@ -179,44 +188,46 @@ def build_system(graph: SiteGraph, masses, springs, r0: int) -> OscillatorSystem
     """Validate and assemble an oscillator system.
 
     springs may be a dict {(i, j): kappa} or an iterable of (i, j, kappa);
-    orientation is normalized to i <= j and zero springs are dropped.
+    orientation is normalized to i <= j, zero springs are dropped and an
+    equal duplicate is kept once.
     """
     masses = np.asarray(masses, dtype=np.float64).ravel()
     if masses.size != graph.n_sites:
         raise ValueError(f"{masses.size} masses for {graph.n_sites} sites")
-    if np.any(masses <= 0):
-        raise PreconditionError("all masses must be positive")
+    if not np.all((masses > 0) & (masses < math.inf)):
+        raise PreconditionError("all masses must be positive and finite")
     if isinstance(springs, dict):
-        items = [(i, j, k) for (i, j), k in springs.items()]
-    else:
-        items = [(i, j, k) for i, j, k in springs]
-    norm: dict = {}
-    for i, j, kap in items:
-        i, j, kap = int(i), int(j), float(kap)
-        if kap < 0:
-            raise PreconditionError(f"negative spring kappa_({i},{j}) = {kap}")
-        if kap == 0.0:
-            continue
-        key = (i, j) if i <= j else (j, i)
-        if key in norm and norm[key] != kap:
-            raise PreconditionError(f"conflicting duplicate spring {key}")
-        if graph.distance(key[0], key[1]) > r0:
-            raise LocalityError(
-                f"spring {key} spans distance {graph.distance(*key)} > r0 = {r0}")
-        norm[key] = kap
-    neighbors: dict = {}
-    for (i, j), kap in sorted(norm.items()):
-        neighbors.setdefault(i, []).append((j, kap))
-        if j != i:
-            neighbors.setdefault(j, []).append((i, kap))
-    for i in neighbors:
-        neighbors[i] = tuple(sorted(neighbors[i]))
-    return OscillatorSystem(
-        graph=graph, masses=masses, springs=norm, r0=int(r0),
-        neighbors=neighbors,
-        kappa_max=max(norm.values()) if norm else 0.0,
-        m_min=float(masses.min()),
-    )
+        springs = zip(*zip(*springs), springs.values())  # {(i, j): kappa} -> (i, j, kappa) rows
+    if not isinstance(springs, np.ndarray):
+        springs = list(springs) or np.zeros((0, 3))
+    rows = np.asarray(springs).astype(np.float64)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError("springs must be (i, j, kappa) triples")
+    bad = np.flatnonzero(~((rows[:, 2] >= 0) & (rows[:, 2] < math.inf)))
+    if bad.size:
+        raise PreconditionError(f"spring {rows[bad[0]].tolist()} needs a finite kappa >= 0")
+    if not np.all(np.isfinite(rows[:, :2])):
+        raise ValueError("spring sites must be finite")
+    rows = rows[rows[:, 2] != 0.0]
+    rows[:, :2] = np.sort(np.trunc(rows[:, :2]), axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]  # sorted by (i, j, kappa)
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)  # an equal duplicate is kept once
+    rows = rows[fresh]
+    (i, j), kap = rows[:, :2].astype(np.int64).T, rows[:, 2]
+    clash = np.flatnonzero((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
+    if clash.size:
+        raise PreconditionError(f"conflicting duplicate spring ({i[clash[0]]}, {j[clash[0]]})")
+    dist = graph.distances(i, j)
+    far = np.flatnonzero(dist > r0)
+    if far.size:
+        k = far[0]
+        raise LocalityError(f"spring ({i[k]}, {j[k]}) spans distance {dist[k]} > r0 = {r0}")
+    pair = i != j  # listed from both ends; a wall spring once
+    sites, others = np.concatenate((i, j[pair])), np.concatenate((j, i[pair]))
+    order = np.lexsort((others, sites))
+    return OscillatorSystem(graph, masses, int(r0), sites=sites[order], others=others[order],
+                            kappas=np.concatenate((kap, kap[pair]))[order])
 
 
 @dataclass
@@ -231,42 +242,47 @@ class OscillatorState:
         self.xdot = np.asarray(self.xdot, dtype=np.float64).ravel()
         if self.x.size != self.xdot.size:
             raise ValueError("x and xdot lengths differ")
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.xdot))):
+            raise ValueError("x and xdot must be finite")
+
+
+def _stretches(sys: OscillatorSystem, x: np.ndarray):
+    """Pair slots of the springs i <= j, and B^T sqrt(M) x there.
+
+    (B^T sqrt(M) x)_(i,j) is sqrt(kappa) (x_i - x_j), or sqrt(kappa) x_i at a wall spring.
+    """
+    i, j, kap = sys.pairs
+    n = sys.n_sites
+    return n + _pair_offset(i, n) + (j - i), np.sqrt(kap) * (x[i] - np.where(i == j, 0.0, x[j]))
 
 
 def total_energy(sys: OscillatorSystem, state: OscillatorState) -> float:
     """E = 1/2 sum m xdot^2 + 1/2 sum kappa_ii x_i^2 + 1/2 sum_{j>i} kappa_ij (x_i - x_j)^2."""
     if state.x.size != sys.n_sites:
         raise ValueError("state dimension does not match the system")
-    e = 0.5 * float(np.sum(sys.masses * state.xdot ** 2))
-    for (i, j), kap in sys.springs.items():
-        if i == j:
-            e += 0.5 * kap * state.x[i] ** 2
-        else:
-            e += 0.5 * kap * (state.x[i] - state.x[j]) ** 2
-    return e
+    _, stretch = _stretches(sys, state.x)
+    return (0.5 * float(np.sum(sys.masses * state.xdot ** 2))
+            + 0.5 * float(np.sum(stretch ** 2)))
 
 
 def _scaled_state(sys: OscillatorSystem, state: OscillatorState):
-    """(sv, sx) = (sqrt(M) xdot, sqrt(M) x) / sqrt(2E), the blocks of the unit embedding."""
+    """(s, s sqrt(M) xdot, s sqrt(M) x) with s = 1/sqrt(2E), the scale of the unit embedding."""
     e = total_energy(sys, state)
     if e <= 0.0:
         raise PreconditionError("zero-energy rest state has no unit embedding")
     s = 1.0 / math.sqrt(2.0 * e)
-    return np.sqrt(sys.masses) * state.xdot * s, np.sqrt(sys.masses) * state.x * s
+    return s, np.sqrt(sys.masses) * state.xdot * s, np.sqrt(sys.masses) * state.x * s
 
 
 def psi0(sys: OscillatorSystem, state: OscillatorState) -> VectorOracle:
     """The unit vector (1/sqrt(2E)) (sqrt(M) xdot ; i B^T sqrt(M) x) with sq-access."""
-    sv, sx = _scaled_state(sys, state)
-    entries: dict = {}
-    for i in range(sys.n_sites):
-        if sv[i] != 0.0:
-            entries[i] = complex(sv[i])
-    for (a, b), _ in sorted(sys.springs.items()):
-        val = sys.bdag_entry(a, b, lambda k: sx[k])
-        if val != 0.0:
-            entries[pair_index(a, b, sys.n_sites)] = 1j * val
-    oracle = sparse_vector_oracle(sys.extended_dim, entries)
+    s, sv, _ = _scaled_state(sys, state)
+    slots, stretch = _stretches(sys, state.x)
+    idx = np.concatenate((np.arange(sys.n_sites), slots))
+    vals = np.concatenate((sv, 1j * (stretch * s)))
+    nonzero = vals != 0
+    oracle = sparse_vector_oracle(sys.extended_dim,
+                                  dict(zip(idx[nonzero].tolist(), vals[nonzero].tolist())))
     if abs(oracle.norm() - 1.0) > 1e-9:
         raise RuntimeError(f"psi0 norm {oracle.norm()} != 1")
     return oracle
@@ -287,7 +303,7 @@ def _evolved_blocks(sys: OscillatorSystem, state0: OscillatorState, t: float,
     z = Psin(A) sv + Pcos(A) sx (the pair block is i B^T z), both from one
     memoized poly_rows pass over (Pcos, Psin, x Psin) per site.
     """
-    sv, sx = _scaled_state(sys, state0)
+    _, sv, sx = _scaled_state(sys, state0)
 
     alpha_h = sys.h_norm_bound
     if alpha_h == 0.0:
@@ -332,7 +348,7 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
         pa, pb = pair_decode(idx, n)
         return 1j * sys.bdag_entry(pa, pb, z)
 
-    w = VectorOracle(dimension=sys.extended_dim, query_fn=cache(w_query), norm=None)
+    w = VectorOracle(dimension=sys.extended_dim, query_fn=w_query, norm=None)
     return inner_product_estimate(w, v, eps / 2.0, delta, seed)
 
 
@@ -354,22 +370,18 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     statistical (hence sampler error <= eps/27); the cross terms fit in the
     remainder.
     """
+    n = sys.n_sites
     vset = {int(i) for i in mass_subset}
+    xset = {tuple(sorted((int(pair[0]), int(pair[1])))) for pair in spring_subset}
     for i in vset:
-        if not (0 <= i < sys.n_sites):
+        if not 0 <= i < n:
             raise ValueError(f"mass index {i} out of range")
-    xset = set()
-    for pair in spring_subset:
-        pa, pb = int(pair[0]), int(pair[1])
-        if pa > pb:
-            pa, pb = pb, pa
-        if not (0 <= pa <= pb < sys.n_sites):
+    for pa, pb in xset:
+        if not 0 <= pa <= pb < n:
             raise ValueError(f"spring pair ({pa},{pb}) out of range")
-        xset.add((pa, pb))
 
     a, pcos, psin, top, z = _evolved_blocks(sys, state0, t, eps / 4.0)
     a0, ptil = divide_out_zero(pcos)   # Pcos(y) = a0 + y * ptil(y)
-    n = sys.n_sites
 
     # top block of P psi0, masked to the selected velocity slots
     def mphi_v(i: int) -> complex:
@@ -400,7 +412,7 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
                 + a0 * mbx((pa, pb))
                 + sys.bdag_entry(pa, pb, lambda i: site(i)[2]))
 
-    w = VectorOracle(dimension=sys.extended_dim, query_fn=cache(w_query), norm=None)
+    w = VectorOracle(dimension=sys.extended_dim, query_fn=w_query, norm=None)
     v = psi0(sys, state0)
     return inner_product_estimate(w, v, eps / 3.0, delta, seed)
 
@@ -443,10 +455,6 @@ def read_state_csv(path) -> OscillatorState:
             rows[site] = (float(rec[1]), float(rec[2]))
     if not rows:
         raise ValueError(f"no state rows in {path}")
-    dim = max(rows) + 1
-    x = np.zeros(dim)
-    xdot = np.zeros(dim)
-    for i, (xi, vi) in rows.items():
-        x[i] = xi
-        xdot[i] = vi
-    return OscillatorState(x=x, xdot=xdot)
+    state = np.zeros((2, max(rows) + 1))
+    state[:, list(rows)] = np.array(list(rows.values())).T
+    return OscillatorState(x=state[0], xdot=state[1])

@@ -10,6 +10,8 @@ and is the default in the CLI).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .access import LocalMatrixOracle, PreconditionError, local_matrix_from_rows
@@ -48,34 +50,32 @@ def wave_to_oscillators(laplacian: LocalMatrixOracle, c: float, a: float) -> Osc
     when the input carries a confining diagonal).  The resulting A equals
     (c^2/a^2) L exactly.
     """
-    if a <= 0:
-        raise PreconditionError("grid spacing must be positive")
-    if c <= 0:
-        raise PreconditionError("wave speed must be positive")
+    if not 0 < a < math.inf:
+        raise PreconditionError("grid spacing must be positive and finite")
+    if not 0 < c < math.inf:
+        raise PreconditionError("wave speed must be positive and finite")
     scale = (c * c) / (a * a)
     n = laplacian.dimension
-    springs = []
-    for i in range(n):
-        row = laplacian.row(i)
-        row_sum = 0.0
-        for j, v in row:
-            if abs(v.imag) > 1e-12:
-                raise PreconditionError("Laplacian must be real")
-            row_sum += v.real
-            if j > i:
-                kap = -scale * v.real
-                if kap < -1e-12:
-                    raise PreconditionError(
-                        f"positive off-diagonal L_({i},{j}) gives a negative spring")
-                if kap > 0:
-                    springs.append((i, j, kap))
-        wall = scale * row_sum
-        if wall < -1e-12:
-            raise PreconditionError(f"negative row sum at site {i}")
-        if wall > 1e-12:
-            springs.append((i, i, wall))
-    masses = np.ones(n)
-    return build_system(laplacian.graph, masses, springs, laplacian.r0)
+    entries = np.fromiter(((i, j, v) for i in range(n) for j, v in laplacian.row(i)),
+                          dtype=[("i", np.int64), ("j", np.int64), ("v", np.complex128)])
+    i, j, v = entries["i"], entries["j"], entries["v"]
+    if not np.all(np.abs(v.imag) <= 1e-12):
+        raise PreconditionError("Laplacian must be real")
+    kap = -scale * v.real
+    upper = j > i
+    bad = np.flatnonzero(upper & ~(kap >= -1e-12))
+    if bad.size:
+        raise PreconditionError(
+            f"positive off-diagonal L_({i[bad[0]]},{j[bad[0]]}) gives a negative spring")
+    wall = scale * np.bincount(i, weights=v.real, minlength=n)  # row sums, in row order
+    bad = np.flatnonzero(~(wall >= -1e-12))
+    if bad.size:
+        raise PreconditionError(f"negative row sum at site {bad[0]}")
+    upper &= kap > 0
+    walls = np.flatnonzero(wall > 1e-12)
+    springs = np.concatenate((np.column_stack((i[upper], j[upper], kap[upper])),
+                              np.column_stack((walls, walls, wall[walls]))))
+    return build_system(laplacian.graph, np.ones(n), springs, laplacian.r0)
 
 
 # =====================================================================

@@ -262,6 +262,13 @@ def test_locality_violation_detected():
         a.row(0)
 
 
+def test_dense_wrapper_rejects_an_entry_outside_r0():
+    dense = _tridiag_dense(6)
+    dense[0, 3] = dense[3, 0] = 0.5
+    with pytest.raises(LocalityError):
+        local_matrix_from_dense(dense, chain(6), 1)
+
+
 def test_duplicate_column_detected():
     a = local_matrix_from_rows(chain(4), 1, lambda i: [(i, 1.0), (i, 2.0)],
                                hermitian=True)

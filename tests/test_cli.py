@@ -345,6 +345,14 @@ def test_pde_wave_dense_check_matches_scaled_laplacian(tmp_path):
     assert out["max_deviation"] <= 1e-10
 
 
+def test_pde_wave_with_nan_speed_is_a_precondition_failure(tmp_path, capsys):
+    cfg = {"kind": "wave", "graph": {"kind": "chain", "n_sites": 8}, "c": float("nan"),
+           "a": 1.0}
+    cfg_path = _write_config(tmp_path, "wave.json", cfg)
+    assert main(["pde", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    assert "precondition failure:" in capsys.readouterr().err
+
+
 def test_pde_advection_missing_field_is_a_config_error(tmp_path):
     cfg = {"kind": "advection", "velocity": [1.0]}
     cfg_path = _write_config(tmp_path, "adv.json", cfg)

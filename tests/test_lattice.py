@@ -47,6 +47,22 @@ def test_metric_axioms_on_random_triples(make):
         assert g.distance(i, k) <= g.distance(i, j) + g.distance(j, k)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: chain(9),
+    lambda: chain(8, "periodic"),
+    lambda: grid([2, 3, 4]),
+    lambda: grid([4, 5], "periodic"),
+    lambda: general(6, [(0, 1), (1, 2), (3, 4)]),
+])
+def test_array_distances_match_pairwise_distance(make):
+    g = make()
+    i, j = np.divmod(np.arange(g.n_sites ** 2), g.n_sites)
+    assert g.distances(i, j).tolist() == [g.distance(a, b)
+                                          for a, b in zip(i.tolist(), j.tolist())]
+    with pytest.raises(ValueError):
+        g.distances([0, g.n_sites], [0, 0])
+
+
 # =====================================================================
 # balls
 # =====================================================================

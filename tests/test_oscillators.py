@@ -20,11 +20,35 @@ def _random_chain_system(rng, n: int):
     return build_system(chain(n), masses, springs, 1)
 
 
+def _grid_wall_system(rng):
+    """A 3 x 4 grid with random neighbour springs and three wall springs."""
+    g = grid([3, 4])
+    springs = {(i, j): float(rng.uniform(0.5, 2.0))
+               for i in range(12) for j in g.ball(i, 1) if j > i}
+    springs.update({(i, i): float(rng.uniform(0.5, 2.0)) for i in (0, 5, 11)})
+    return build_system(g, rng.uniform(0.5, 2.0, size=12), springs, 1)
+
+
+def _general_system():
+    """A six-site ring with one chord and one wall spring."""
+    graph = general(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
+    springs = {(0, 1): 1.0, (1, 2): 0.5, (2, 3): 1.2, (3, 4): 0.9, (4, 5): 1.1,
+               (0, 5): 0.6, (1, 4): 0.8, (2, 2): 0.4}
+    return build_system(graph, [1.0, 2.0, 1.5, 1.0, 0.8, 1.2], springs, 1)
+
+
+SYSTEMS = {
+    "chain": lambda rng: _random_chain_system(rng, 9),
+    "grid-walls": _grid_wall_system,
+    "general": lambda rng: _general_system(),
+}
+
+
 def _dense_b(sys) -> np.ndarray:
     """B as an n x (extended_dim - n) dense block, columns indexed by spring pairs."""
     n = sys.n_sites
     b = np.zeros((n, sys.extended_dim - n), dtype=np.complex128)
-    for (a, c) in sorted(sys.springs):
+    for a, c in zip(*sys.pairs[:2]):
         col = pair_index(a, c, n) - n
         for i in range(n):
             b[i, col] = sys.b_entry(i, lambda pr: 1.0 if pr == (a, c) else 0.0)
@@ -93,6 +117,48 @@ def test_negative_spring_rejected():
         build_system(chain(2), [1.0, 1.0], {(0, 1): -2.0}, 1)
 
 
+def test_nan_mass_rejected():
+    with pytest.raises(PreconditionError):
+        build_system(chain(3), [1.0, np.nan, 1.0], {(0, 1): 1.0, (1, 2): 1.0}, 1)
+
+
+def test_infinite_spring_rejected():
+    with pytest.raises(PreconditionError):
+        build_system(chain(3), np.ones(3), {(0, 1): 1.0, (1, 2): np.inf}, 1)
+
+
+def test_nan_state_coordinate_rejected():
+    with pytest.raises(ValueError):
+        OscillatorState([0.0, np.nan], [0.0, 0.0])
+
+
+def test_conflicting_duplicate_spring_rejected():
+    with pytest.raises(PreconditionError):
+        build_system(chain(3), np.ones(3), [(0, 1, 1.0), (1, 0, 2.0)], 1)
+
+
+def test_spring_list_is_normalized():
+    """An equal duplicate is kept once, (j, i) becomes (i, j), a zero spring is dropped."""
+    sys = build_system(chain(4), np.ones(4),
+                       [(1, 0, 1.5), (0, 1, 1.5), (2, 1, 0.0), (3, 2, 0.5), (3, 3, 2.0)], 1)
+    a = sys.a_oracle()
+    assert [a.row(i) for i in range(4)] == [
+        ((0, 1.5), (1, -1.5)), ((0, -1.5), (1, 1.5)),
+        ((2, 0.5), (3, -0.5)), ((2, -0.5), (3, 2.5))]
+    assert sys.kappa(1, 0) == sys.kappa(0, 1) == 1.5
+    assert sys.kappa(1, 2) == 0.0
+
+
+@pytest.mark.parametrize("springs", [{}, [], [(0, 1, 0.0)]], ids=["dict", "list", "zero"])
+def test_springless_system_moves_freely(springs):
+    sys = build_system(chain(2), [1.0, 4.0], springs, 1)
+    assert sys.a_norm_bound == 0.0
+    assert [sys.a_oracle().row(i) for i in range(2)] == [(), ()]
+    state = OscillatorState([0.3, -0.2], [0.6, 0.4])
+    assert total_energy(sys, state) == pytest.approx(0.5 * (0.36 + 4.0 * 0.16))
+    assert psi0(sys, state).support.tolist() == [0, 1]
+
+
 # =====================================================================
 # norm bounds
 # =====================================================================
@@ -137,10 +203,12 @@ def test_wall_spring_energy():
     assert total_energy(sys, OscillatorState([1.0], [0.0])) == 0.5
 
 
-def test_energy_matches_dense_quadratic_forms():
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_energy_matches_dense_quadratic_forms(kind):
     rng = np.random.default_rng(103)
-    sys = _random_chain_system(rng, 10)
-    state = OscillatorState(rng.normal(size=10), rng.normal(size=10))
+    sys = SYSTEMS[kind](rng)
+    n = sys.n_sites
+    state = OscillatorState(rng.normal(size=n), rng.normal(size=n))
     b = _dense_b(sys)
     sqm = np.sqrt(sys.masses)
     kinetic = 0.5 * np.linalg.norm(sqm * state.xdot) ** 2
@@ -156,17 +224,19 @@ def test_single_oscillator_initial_state_is_pinned():
     assert psi.query(1) == pytest.approx(1j)
 
 
-def test_initial_state_is_unit_and_matches_dense_assembly():
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_initial_state_is_unit_and_matches_dense_assembly(kind):
     rng = np.random.default_rng(104)
-    sys = _random_chain_system(rng, 9)
-    state = OscillatorState(rng.normal(size=9), rng.normal(size=9))
+    sys = SYSTEMS[kind](rng)
+    n = sys.n_sites
+    state = OscillatorState(rng.normal(size=n), rng.normal(size=n))
     psi = psi0(sys, state)
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
     e = total_energy(sys, state)
     sqm = np.sqrt(sys.masses)
     dense = np.zeros(sys.extended_dim, dtype=np.complex128)
-    dense[:9] = sqm * state.xdot / np.sqrt(2.0 * e)
-    dense[9:] = 1j * (_dense_b(sys).conj().T @ (sqm * state.x)) / np.sqrt(2.0 * e)
+    dense[:n] = sqm * state.xdot / np.sqrt(2.0 * e)
+    dense[n:] = 1j * (_dense_b(sys).conj().T @ (sqm * state.x)) / np.sqrt(2.0 * e)
     for idx in range(sys.extended_dim):
         assert abs(psi.query(idx) - dense[idx]) <= 1e-12
 
@@ -197,7 +267,7 @@ def test_energy_estimate_full_subsets_is_one():
     rng = np.random.default_rng(107)
     sys = _random_chain_system(rng, 8)
     state = OscillatorState(rng.normal(size=8), rng.normal(size=8))
-    est = estimate_energy(sys, state, range(8), list(sys.springs), 1.3,
+    est = estimate_energy(sys, state, range(8), list(zip(*sys.pairs[:2])), 1.3,
                           eps=0.1, delta=0.05, seed=108)
     assert abs(est.value - 1.0) <= 0.1
 
@@ -290,10 +360,7 @@ def test_norm_bound_is_computed_once_per_system(monkeypatch):
         return real(self, r)
 
     monkeypatch.setattr(SiteGraph, "locality_function", counting)
-    graph = general(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
-    springs = {(0, 1): 1.0, (1, 2): 0.5, (2, 3): 1.2, (3, 4): 0.9, (4, 5): 1.1,
-               (0, 5): 0.6, (1, 4): 0.8, (2, 2): 0.4}
-    sys = build_system(graph, [1.0, 2.0, 1.5, 1.0, 0.8, 1.2], springs, 1)
+    sys = _general_system()
     state = OscillatorState([0.3, -0.2, 0.5, 0.0, 0.1, -0.4], [0.1, 0.0, -0.3, 0.2, 0.0, 0.0])
     v = sparse_vector_oracle(sys.extended_dim, {1: 0.6, 8: 0.8})
     estimate_observable(sys, state, v, 0.5, 0.2, 0.1, seed=118)
@@ -328,7 +395,9 @@ def test_system_json_round_trip(tmp_path):
     sys = build_system(chain(4), [1.0, 2.0, 0.5, 1.5], springs, 1)
     assert back.n_sites == 4
     assert np.array_equal(back.masses, sys.masses)
-    assert back.springs == springs
+    i, j, kap = back.pairs
+    assert list(zip(i.tolist(), j.tolist(), kap.tolist())) == [
+        (a, b, k) for (a, b), k in springs.items()]
     assert back.r0 == 1
     assert np.array_equal(dense_from_oracle(back.a_oracle()).entries,
                           dense_from_oracle(sys.a_oracle()).entries)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from glsim import (DenseMatrix, advection_hamiltonian, chain, dense_evolve,
-                   dense_from_oracle, graph_laplacian_oracle, grid,
-                   schrodinger_hamiltonian, spectral_norm, wave_to_oscillators)
+from glsim import (DenseMatrix, PreconditionError, advection_hamiltonian, chain,
+                   dense_evolve, dense_from_oracle, graph_laplacian_oracle, grid,
+                   local_matrix_from_rows, schrodinger_hamiltonian, spectral_norm,
+                   wave_to_oscillators)
 
 
 def _dense(oracle) -> np.ndarray:
@@ -57,10 +58,37 @@ def test_wave_system_matrix_is_scaled_laplacian():
 def test_wave_springs_symmetric_nonnegative_local():
     g = grid([3, 3])
     sys = wave_to_oscillators(graph_laplacian_oracle(g), c=0.7, a=0.5)
-    for (i, j), kap in sys.springs.items():
+    for i, j, kap in zip(*sys.pairs):
         assert i <= j
         assert kap > 0.0
         assert g.distance(i, j) <= 1
+
+
+def _chain_rows(rows: dict):
+    """A 3-site chain operator whose row i is rows[i]."""
+    return local_matrix_from_rows(chain(3), 1, lambda i: rows[i], norm_bound=4.0)
+
+
+@pytest.mark.parametrize("rows", [
+    {0: [(0, 1.0), (1, -1.0j)], 1: [(0, 1.0j), (1, 1.0)], 2: [(2, 0.0)]},
+    {0: [(0, -1.0), (1, 1.0)], 1: [(0, 1.0), (1, -1.0)], 2: [(2, 0.0)]},
+    {0: [(0, 0.5), (1, -1.0)], 1: [(0, -1.0), (1, 1.0)], 2: [(2, 0.0)]},
+], ids=["complex", "positive-off-diagonal", "negative-row-sum"])
+def test_wave_rejects_a_laplacian_that_is_no_spring_network(rows):
+    with pytest.raises(PreconditionError):
+        wave_to_oscillators(_chain_rows(rows), c=1.0, a=1.0)
+
+
+@pytest.mark.parametrize("c,a", [(1.0, 0.0), (1.0, -0.5), (0.0, 1.0), (-2.0, 1.0)])
+def test_wave_rejects_nonpositive_speed_or_spacing(c, a):
+    with pytest.raises(PreconditionError):
+        wave_to_oscillators(graph_laplacian_oracle(chain(3)), c=c, a=a)
+
+
+@pytest.mark.parametrize("c,a", [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0)])
+def test_wave_rejects_non_finite_speed_or_spacing(c, a):
+    with pytest.raises(PreconditionError):
+        wave_to_oscillators(graph_laplacian_oracle(chain(3)), c=c, a=a)
 
 
 # =====================================================================
