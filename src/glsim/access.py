@@ -77,8 +77,9 @@ class VectorOracle:
     query(i) -> complex entry, norm() -> float.  The sampler is a sorted mass
     table (support, masses): the sites in strictly increasing order and their
     probabilities, within TV distance zeta of |u_i|^2/||u||^2.
-    sample_positions(rng, k) draws k positions into support, and
-    sample_many(rng, k) the k sites support[positions].
+    sample_positions(rng, k) draws k positions into support, sample_many(rng,
+    k) the k sites support[positions], and sample_counts(rng, batch, reps)
+    reps batches of batch draws as how often each position was drawn in each.
     """
 
     def __init__(self, dimension: int, query_fn, norm: float | None,
@@ -102,8 +103,10 @@ class VectorOracle:
                 raise ValueError("table needs 1-d support and masses of one nonzero length")
             if support[0] < 0 or support[-1] >= self.dimension or np.any(np.diff(support) <= 0):
                 raise ValueError("table support must increase strictly within [0, dimension)")
-            if np.any(masses < 0):
-                raise ValueError("table masses must be nonnegative")
+            # a zero-mass entry could still take draws through rounding: the
+            # running sums, or numpy's multinomial remainder 1 - sum(pvals[:-1])
+            if not np.all(masses > 0):
+                raise ValueError("table masses must be positive")
             self.support, self.masses = support, masses
             self._cum = np.cumsum(masses)
             self._cum[-1] = 1.0
@@ -128,18 +131,28 @@ class VectorOracle:
     def can_sample(self) -> bool:
         return self.support is not None
 
-    def sample_positions(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """count draws from the table, as positions into support."""
+    def _check_sampler(self, *counts: int):
         if not self.can_sample:
             raise PreconditionError("oracle has no sampler")
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        if min(counts) < 0:
+            raise ValueError("draw counts must be nonnegative")
+
+    def sample_positions(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count draws from the table, as positions into support."""
+        self._check_sampler(count)
         self.cost.add(samples=int(count))
         return np.searchsorted(self._cum, rng.random(int(count)), side="right")
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count sites drawn from the table."""
         return self.support[self.sample_positions(rng, count)]
+
+    def sample_counts(self, rng: np.random.Generator, batch: int, reps: int) -> np.ndarray:
+        """(reps, len(support)) table: how often each position is drawn in each of
+        reps batches of batch draws."""
+        self._check_sampler(batch, reps)
+        self.cost.add(samples=int(batch) * int(reps))
+        return rng.multinomial(int(batch), self.masses, size=int(reps))
 
 
 def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray, query_fn,
@@ -194,12 +207,15 @@ def perturbed_sq_access(u, zeta: float,
 def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
                          cost: CostCounter | None = None) -> VectorOracle:
     """Sq-access to a vector given by a {index: value} dict; lazy in the dimension."""
-    idx = np.array(sorted(entries.keys()), dtype=np.int64)
-    if idx.size == 0:
+    if not entries:
         raise PreconditionError("cannot build sq-access to the zero vector")
+    idx = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
+    vals = np.fromiter(entries.values(), dtype=np.complex128, count=len(entries))
+    if np.any(idx[1:] <= idx[:-1]):  # psi0's keys come in increasing order already
+        order = np.argsort(idx)
+        idx, vals = idx[order], vals[order]
     if idx[0] < 0 or idx[-1] >= dimension:
         raise ValueError("entry index out of range")
-    vals = np.array([entries[int(i)] for i in idx], dtype=np.complex128)
     table = dict(zip(idx.tolist(), vals.tolist()))
     return _sq_oracle(dimension, idx, vals, lambda i: table.get(i, 0.0 + 0.0j), 0.0, cost)
 

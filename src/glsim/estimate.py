@@ -10,10 +10,16 @@ median of means over ceil(8 ln(2/delta)) batches of ceil(32/eps^2) draws
 brings the failure probability under delta.  The constants are this
 implementation's, fixed here and recorded in every report.
 
-The draws are positions into v's sorted mass table (VectorOracle.support).
-Counting them by position gives the distinct drawn sites in increasing
-order; v and w are queried once at each, and every draw reads its X back
-by position.
+A batch mean depends only on how often each site was drawn.  When v's
+sorted mass table (VectorOracle.support) has at most one batch of sites,
+the draws come as counts: VectorOracle.sample_counts gives, for every batch,
+how often each table position was drawn, and each batch mean is those
+counts times X over the batch size.  A larger table would make the
+(reps, len(support)) count table cost more time and memory than the draws
+themselves, so there the draws come as positions into the table
+(VectorOracle.sample_positions) and each batch mean averages X over its
+draws.  Either way v and w are queried once at each site drawn at least
+once, in increasing order.
 
 The composed solver applies a polynomial of a geometrically local matrix to
 u (through the light-cone kernel) and estimates v^dag P(A)u the same way.
@@ -67,9 +73,9 @@ def inner_product_estimate(w: VectorOracle, v: VectorOracle, eps: float,
 
     w needs query access only; v needs sampler, queries, and norm, with
     v.zeta <= eps/9.  Both vectors are promised by the caller to have norm
-    at most 1.  All draws for all batches come from one stream keyed by seed,
-    as positions into v's mass table; every drawn site is queried exactly
-    once, in increasing order.
+    at most 1.  The draws for all batches come from one stream keyed
+    by seed, as counts when v's table has at most batch sites and as positions
+    otherwise; every drawn site is queried exactly once, in increasing order.
     """
     if w.dimension != v.dimension:
         raise PreconditionError("w and v dimensions differ")
@@ -85,8 +91,13 @@ def inner_product_estimate(w: VectorOracle, v: VectorOracle, eps: float,
     vnorm = v.norm()
 
     rng = rng_stream(seed, 0)
-    pos = v.sample_positions(rng, total)
-    hit = np.flatnonzero(np.bincount(pos, minlength=v.support.size))
+    by_counts = v.support.size <= batch
+    if by_counts:
+        drawn = v.sample_counts(rng, batch, reps)
+        hit = np.flatnonzero(drawn.any(axis=0))
+    else:
+        drawn = v.sample_positions(rng, total)
+        hit = np.flatnonzero(np.bincount(drawn, minlength=v.support.size))
     sites = v.support[hit].tolist()
     vvals = np.array([v.query(i) for i in sites], dtype=np.complex128)
     if np.any(vvals == 0):
@@ -97,9 +108,15 @@ def inner_product_estimate(w: VectorOracle, v: VectorOracle, eps: float,
 
     x_table = np.zeros(v.support.size, dtype=np.complex128)
     x_table[hit] = np.conj(vvals) * wvals * (vnorm * vnorm) / (np.abs(vvals) ** 2)
-    x = x_table[pos].reshape(reps, batch)
-    means = x.mean(axis=1)
-    value = complex(float(np.median(means.real)), float(np.median(means.imag)))
+    if by_counts:
+        # two real matmuls on one float copy of the counts: a complex matmul
+        # would copy them to complex, twice the bytes
+        counts = drawn.astype(np.float64)
+        re, im = counts @ x_table.real / batch, counts @ x_table.imag / batch
+    else:
+        means = x_table[drawn].reshape(reps, batch).mean(axis=1)
+        re, im = means.real, means.imag
+    value = complex(float(np.median(re)), float(np.median(im)))
     return EstimateReport(value=value, eps=float(eps), delta=float(delta),
                           samples_used=total, repetitions=reps, seed=int(seed))
 

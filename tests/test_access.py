@@ -117,6 +117,31 @@ def test_top_draw_never_lands_on_a_zero_mass_site():
     assert u.cost.snapshot()["samples"] == 6
 
 
+def test_count_means_follow_the_table_law():
+    """Pearson's statistic of the pooled counts against the masses stays within a chi-square bound."""
+    rng = np.random.default_rng(18)
+    u = perturbed_sq_access(rng.normal(size=12) + 1j * rng.normal(size=12), zeta=0.02)
+    batch, reps = 50, 4000
+    counts = u.sample_counts(rng_stream(18, 0), batch, reps)
+    assert counts.shape == (reps, u.support.size)
+    assert np.all(counts.sum(axis=1) == batch)
+    expected = batch * reps * u.masses
+    pearson = float(np.sum((counts.sum(axis=0) - expected) ** 2 / expected))
+    dof = u.support.size - 1
+    assert pearson <= dof + 6.0 * np.sqrt(2.0 * dof)
+    assert u.cost.snapshot()["samples"] == batch * reps
+
+
+def test_sampler_rejects_negative_draw_counts():
+    u = sq_access_from_dense([0.6, 0.8])
+    with pytest.raises(ValueError):
+        u.sample_many(rng_stream(19, 0), -1)
+    with pytest.raises(ValueError):
+        u.sample_counts(rng_stream(19, 0), 5, -1)
+    with pytest.raises(PreconditionError):
+        VectorOracle(2, lambda i: 1.0, norm=1.0).sample_counts(rng_stream(19, 0), 5, 2)
+
+
 @pytest.mark.parametrize("table", [
     ([[0, 1]], [[0.5, 0.5]]),        # not 1-d
     ([0, 1], [1.0]),                 # lengths differ
@@ -126,6 +151,12 @@ def test_top_draw_never_lands_on_a_zero_mass_site():
     ([2, 1], [0.5, 0.5]),            # not increasing
     ([1, 1], [0.5, 0.5]),
     ([0, 1], [1.5, -0.5]),           # negative mass
+    ([0, 1], [0.0, 0.0]),            # no mass at all
+    # a zero mass could take draws through rounding: here the prefix sums to
+    # 1 - 2**-53, the remainder numpy's multinomial hands its last category
+    ([0, 1, 3], [0.5, 0.5 - 2.0 ** -53, 0.0]),
+    ([0, 1, 3], [0.5, 0.0, 0.5]),
+    ([0, 1], [np.nan, 1.0]),
 ])
 def test_bad_table_is_rejected(table):
     with pytest.raises(ValueError):
@@ -208,6 +239,14 @@ def test_sparse_oracle_is_lazy_in_dimension():
     draws = u.sample_many(rng_stream(16, 0), 2000)
     assert set(np.unique(draws)) <= {5, 7}
     assert abs(np.mean(draws == 7) - 0.64) <= 0.05
+
+
+@pytest.mark.parametrize("entries", [{2: 0.8j, 7: 0.6}, {7: 0.6, 2: 0.8j}])
+def test_sparse_table_is_sorted_whatever_the_key_order(entries):
+    u = sparse_vector_oracle(10, entries)
+    assert u.support.tolist() == [2, 7]
+    assert u.masses == pytest.approx([0.64, 0.36])
+    assert (u.query(2), u.query(7), u.query(3)) == (0.8j, 0.6, 0.0)
 
 
 def test_sparse_zero_vector_rejected():

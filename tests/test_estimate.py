@@ -101,8 +101,9 @@ def _pinned_v(kind: str, rng):
 
 @pytest.mark.parametrize("kind", ["dense", "perturbed", "sparse"])
 def test_estimate_is_a_median_of_means_over_the_sampler_draws(kind):
-    """The value is, bit for bit, a plain median of means over v.sample_many's draws,
-    and w is queried once per distinct drawn site, in increasing order."""
+    """With no more table sites than draws per batch, the value is, bit for bit,
+    a median of means over the multinomial counts of v's table, and w is
+    queried once per distinct counted site, in increasing order."""
     rng = np.random.default_rng(67)
     v, v_vec = _pinned_v(kind, rng)
     w_vec = rng.normal(size=v_vec.size) + 1j * rng.normal(size=v_vec.size)
@@ -116,16 +117,56 @@ def test_estimate_is_a_median_of_means_over_the_sampler_draws(kind):
     w = VectorOracle(v_vec.size, w_fn, norm=None)
     rep = inner_product_estimate(w, v, eps=0.2, delta=0.1, seed=68)
 
-    draws = v.sample_many(rng_stream(68, 0), rep.samples_used)
-    uniq, inverse = np.unique(draws, return_inverse=True)
-    vq, wq = v_vec[uniq], w_vec[uniq]
-    vnorm = v.norm()
-    x = (np.conj(vq) * wq * (vnorm * vnorm) / np.abs(vq) ** 2)[inverse]
-    means = x.reshape(rep.repetitions, rep.batch_size).mean(axis=1)
-    expected = complex(float(np.median(means.real)), float(np.median(means.imag)))
+    assert v.support.size <= rep.batch_size
+    counts = rng_stream(68, 0).multinomial(rep.batch_size, v.masses, size=rep.repetitions)
+    hit = np.flatnonzero(counts.sum(axis=0))
+    x = _x_table(v, v_vec, w_vec, hit)
+    expected = complex(float(np.median(counts @ x.real / rep.batch_size)),
+                       float(np.median(counts @ x.imag / rep.batch_size)))
     assert rep.value == expected
-    assert queried == uniq.tolist()
-    assert v.cost.snapshot()["queries"] == uniq.size
+    assert queried == v.support[hit].tolist()
+    assert v.cost.snapshot()["queries"] == hit.size
+    assert v.cost.snapshot()["samples"] == rep.samples_used
+
+
+@pytest.mark.parametrize("kind", ["dense", "perturbed"])
+def test_estimate_over_a_table_larger_than_a_batch_averages_positions(kind):
+    """With more table sites than draws per batch, the value is, bit for bit, a
+    median of means over v.sample_positions' draws, and w is queried once per
+    distinct drawn site, in increasing order."""
+    rng = np.random.default_rng(69)
+    v, v_vec = _pinned_v(kind, rng)
+    w_vec = rng.normal(size=v_vec.size) + 1j * rng.normal(size=v_vec.size)
+    w_vec /= 2.0 * np.linalg.norm(w_vec)
+    queried = []
+
+    def w_fn(i):
+        queried.append(i)
+        return w_vec[i]
+
+    w = VectorOracle(v_vec.size, w_fn, norm=None)
+    rep = inner_product_estimate(w, v, eps=1.5, delta=0.1, seed=70)
+    cost = v.cost.snapshot()
+
+    assert v.support.size > rep.batch_size
+    pos = v.sample_positions(rng_stream(70, 0), rep.samples_used)
+    hit = np.unique(pos)
+    x = _x_table(v, v_vec, w_vec, hit)
+    means = x[pos].reshape(rep.repetitions, rep.batch_size).mean(axis=1)
+    assert rep.value == complex(float(np.median(means.real)), float(np.median(means.imag)))
+    assert queried == v.support[hit].tolist()
+    assert cost["queries"] == hit.size
+    assert cost["samples"] == rep.samples_used
+
+
+def _x_table(v, v_vec, w_vec, hit):
+    """X = conj(v_i) w_i ||v||^2 / |v_i|^2 at the table positions hit, zero elsewhere."""
+    sites = v.support[hit]
+    vq, wq = v_vec[sites], w_vec[sites]
+    vnorm = v.norm()
+    x = np.zeros(v.support.size, dtype=np.complex128)
+    x[hit] = np.conj(vq) * wq * (vnorm * vnorm) / np.abs(vq) ** 2
+    return x
 
 
 # =====================================================================
