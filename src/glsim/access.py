@@ -2,8 +2,9 @@
 
 The engine never touches dense arrays directly; it sees a vector u through
 an entry query, a norm and a sorted mass table, and a matrix A through
-per-row sparse functionals restricted to a ball of radius r0.  Every access
-is metered by a CostCounter so tests can pin exact query budgets.
+blocks of sparse rows, each restricted to a ball of radius r0: rows(sites)
+returns one CSR block, and row(i) is its one-row case.  Every access is
+metered by a CostCounter so tests can pin exact query budgets.
 
 Sample-and-query ("sq") access to u means: entry queries, the Euclidean norm,
 and draws from a finite law within total-variation zeta of the exact
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -228,15 +230,20 @@ def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
 class LocalMatrixOracle:
     """Row access to a geometrically local matrix.
 
-    row(i) returns ((j1, v1), (j2, v2), ...) with j strictly increasing and
-    every j inside ball(i, r0).  Cost model: a row costs
-    (#returned entries + 1) matrix queries.
+    rows(sites) returns the rows of sites as one CSR block (indptr, cols,
+    vals): the k-th row is cols[indptr[k]:indptr[k + 1]], strictly increasing
+    and inside ball(sites[k], r0), with values vals[indptr[k]:indptr[k + 1]].
+    row(i) is the one-row block as ((j1, v1), (j2, v2), ...).  Cost model: a
+    row costs (#entries + 1) matrix queries, so a block costs the sum of
+    (len + 1) over its rows.
+    The block comes from source(sites) -> (indptr, cols, vals), in any column
+    order inside a row; rows sorts it and checks it before it meters it.
     norm_bound must upper-bound the spectral norm; structure flags
     (hermitian / anti_hermitian / psd) are promises the dense validator checks
     at desk scale.
     """
 
-    def __init__(self, graph: SiteGraph, r0: int, row_fn,
+    def __init__(self, graph: SiteGraph, r0: int, source,
                  norm_bound: float | None = None, hermitian: bool = False,
                  anti_hermitian: bool = False, psd: bool = False,
                  cost: CostCounter | None = None, check_locality: bool = False):
@@ -250,7 +257,7 @@ class LocalMatrixOracle:
             raise ValueError("norm_bound must be nonnegative")
         self.graph = graph
         self.r0 = int(r0)
-        self._row_fn = row_fn
+        self._source = source
         self.norm_bound = None if norm_bound is None else float(norm_bound)
         self.hermitian = bool(hermitian)
         self.anti_hermitian = bool(anti_hermitian)
@@ -262,30 +269,77 @@ class LocalMatrixOracle:
     def dimension(self) -> int:
         return self.graph.n_sites
 
-    def _clean(self, i: int, raw):
-        items = sorted(((int(j), complex(v)) for j, v in raw),
-                       key=lambda item: item[0])
-        prev = -1
-        for j, _ in items:
-            if j == prev:
-                raise OracleInconsistencyError(f"row {i} repeats column {j}")
-            prev = j
-            if not (0 <= j < self.dimension):
-                raise OracleInconsistencyError(f"row {i} column {j} out of range")
+    def _check(self, sites, indptr, cols, vals):
+        """Raise on the first row, in block order, with a repeated, out-of-range or
+        (with check_locality) non-local column; inside that row a repeated or
+        out-of-range column comes first.  The rows must be sorted."""
+        owner = np.repeat(np.arange(sites.size), indptr[1:] - indptr[:-1])
+        repeat = np.zeros(cols.size, dtype=bool)
+        repeat[1:] = (cols[1:] == cols[:-1]) & (owner[1:] == owner[:-1])
+        outside = cols.view(np.uint64) >= self.dimension   # a negative column wraps high
+        bad = repeat | outside
+        far = np.zeros(cols.size, dtype=bool)
         if self.check_locality:
-            allowed = set(self.graph.ball(i, self.r0))
-            for j, v in items:
-                if v != 0 and j not in allowed:
-                    raise LocalityError(f"entry ({i},{j}) outside radius {self.r0}")
-        return tuple(items)
+            near = ~outside & (vals != 0)
+            far[near] = self.graph.distances(sites[owner[near]], cols[near]) > self.r0
+        flagged = np.flatnonzero(bad | far)
+        if flagged.size == 0:
+            return
+        k = flagged[0]
+        i = int(sites[owner[k]])
+        in_row = np.flatnonzero(bad & (owner == owner[k]))
+        if in_row.size == 0:
+            raise LocalityError(f"entry ({i},{cols[k]}) outside radius {self.r0}")
+        k = in_row[0]
+        if repeat[k]:
+            raise OracleInconsistencyError(f"row {i} repeats column {cols[k]}")
+        raise OracleInconsistencyError(f"row {i} column {cols[k]} out of range")
+
+    def rows(self, sites):
+        """The rows of sites as a CSR block (indptr, cols, vals), columns strictly
+        increasing inside each row; costs the sum of (len + 1) queries."""
+        n = self.dimension
+        sites = np.asarray(sites, dtype=np.int64).ravel()
+        if sites.size and sites.view(np.uint64).max() >= n:   # a negative site wraps high
+            raise ValueError(f"row {sites[(sites < 0) | (sites >= n)][0]} out of range")
+        indptr, cols, vals = self._source(sites)
+        indptr = np.asarray(indptr, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.complex128)
+        if cols.size > 1 and np.less_equal(cols[1:], cols[:-1]).any():
+            # the columns step down or repeat somewhere: between rows, or inside one
+            owner = np.repeat(np.arange(sites.size), indptr[1:] - indptr[:-1])
+            same = owner[1:] == owner[:-1]
+            if (np.less(cols[1:], cols[:-1]) & same).any():
+                order = np.lexsort((cols, owner))
+                cols, vals = cols[order], vals[order]
+            ok = not (np.equal(cols[1:], cols[:-1]) & same).any() and cols.view(np.uint64).max() < n
+        else:   # increasing throughout: in range if its ends are
+            ok = cols.size == 0 or 0 <= cols[0] and cols[-1] < n
+        if not ok or self.check_locality:
+            self._check(sites, indptr, cols, vals)
+        self.cost.add(queries=cols.size + sites.size)
+        return indptr, cols, vals
 
     def row(self, i: int):
-        """Row i as ((j1, v1), ...) with j strictly increasing; costs len+1 queries."""
-        if not (0 <= i < self.dimension):
-            raise ValueError(f"row {i} out of range")
-        out = self._clean(i, self._row_fn(int(i)))
-        self.cost.add(queries=len(out) + 1)
-        return out
+        """Row i as ((j1, v1), ...) with j strictly increasing: the block rows([i])."""
+        _, cols, vals = self.rows([i])
+        return tuple(zip(cols.tolist(), vals.tolist()))
+
+
+def _row_source(row_fn):
+    """Block source that calls row_fn(i) -> ((j, v), ...) once per site, in the order
+    given, and sorts each row by column."""
+
+    def source(sites):
+        entries, indptr = [], [0]
+        for i in sites.tolist():
+            entries.extend(sorted(row_fn(i), key=itemgetter(0)))
+            indptr.append(len(entries))
+        cols, vals = zip(*entries) if entries else ((), ())
+        return indptr, cols, vals
+
+    return source
 
 
 def local_matrix_from_rows(graph: SiteGraph, r0: int, row_fn, *,
@@ -294,7 +348,7 @@ def local_matrix_from_rows(graph: SiteGraph, r0: int, row_fn, *,
                            cost: CostCounter | None = None,
                            check_locality: bool = False) -> LocalMatrixOracle:
     """Lazy local-matrix oracle from a row callable. Rows are produced on demand."""
-    return LocalMatrixOracle(graph, r0, row_fn, norm_bound=norm_bound,
+    return LocalMatrixOracle(graph, r0, _row_source(row_fn), norm_bound=norm_bound,
                              hermitian=hermitian, anti_hermitian=anti_hermitian,
                              psd=psd, cost=cost, check_locality=check_locality)
 
@@ -343,7 +397,7 @@ def local_matrix_from_dense(M, graph: SiteGraph, r0: int, *,
         js = np.flatnonzero(np.abs(M[i]) > 0)
         return tuple((int(j), complex(M[i, j])) for j in js)
 
-    return LocalMatrixOracle(graph, r0, row_fn, norm_bound=norm_bound,
+    return LocalMatrixOracle(graph, r0, _row_source(row_fn), norm_bound=norm_bound,
                              hermitian=bool(hermitian), anti_hermitian=bool(anti_hermitian),
                              psd=bool(psd), cost=cost)
 
@@ -361,11 +415,12 @@ def scale_matrix_oracle(A: LocalMatrixOracle, factor: complex) -> LocalMatrixOra
     psd = A.psd and factor.real > 0 and factor.imag == 0
     nb = None if A.norm_bound is None else abs(factor) * A.norm_bound
 
-    def row_fn(i: int):
-        # bypass A.row's metering; the wrapper recounts identically via shared cost
-        return tuple((j, factor * v) for j, v in A._row_fn(i))
+    def source(sites):
+        # A's raw block, not A.rows: the view meters it once, on the shared counter
+        indptr, cols, vals = A._source(sites)
+        return indptr, cols, factor * np.asarray(vals, dtype=np.complex128)
 
-    return LocalMatrixOracle(A.graph, A.r0, row_fn, norm_bound=nb,
+    return LocalMatrixOracle(A.graph, A.r0, source, norm_bound=nb,
                              hermitian=herm, anti_hermitian=anti, psd=psd,
                              cost=A.cost, check_locality=A.check_locality)
 

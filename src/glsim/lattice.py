@@ -81,6 +81,7 @@ class SiteGraph:
         ref = weakref.ref(self)
         self._cached_ball = lru_cache(BALL_CACHE_SIZE)(lambda i, R: ref()._ball(i, R))
         self._all_distances = lru_cache(1024)(lambda src: ref()._bfs_distances(src))
+        self._general_locality = lru_cache(1024)(lambda R: ref()._max_bfs_ball(R))
 
     # ---- config ------------------------------------------------------------
 
@@ -213,7 +214,8 @@ class SiteGraph:
 
         chain: min(2 floor(r) + 1, N). grid: per-axis distance-count convolution,
         evaluated at the most-central site for open boundaries (which attains the
-        max for L1 balls in a box), capped at N. general: exact max over BFS balls.
+        max for L1 balls in a box), capped at N. general: exact max over BFS balls,
+        kept per radius.
         """
         if r < 0:
             raise ValueError("radius must be nonnegative")
@@ -222,10 +224,10 @@ class SiteGraph:
             return min(2 * R + 1, self.n_sites)
         if self.kind == "grid":
             return self._grid_locality(R)
-        best = 0
-        for i in range(self.n_sites):
-            best = max(best, len(self._bfs_distances(i, radius=R)))
-        return best
+        return self._general_locality(R)
+
+    def _max_bfs_ball(self, R: int) -> int:
+        return max(len(self._bfs_distances(i, radius=R)) for i in range(self.n_sites))
 
     def _axis_count(self, L: int, R: int) -> list[int]:
         """counts[m] = max over centers of #positions at exact axis-distance m, m <= R."""

@@ -7,9 +7,9 @@ of the total site count.
 
 One kernel, poly_rows, serves every pipeline: it returns the rows e_i^T P(A)
 of several polynomials from one LightCone, which fetches each row within d-1
-hops of i once through the metered A.row.  The cone's sites are indexed in
-sorted global site order and its entries are stored as arrays sorted by
-(col, row), so one step vec^T A is a gather, a multiply and an
+hops of i once, one metered A.rows block per hop.  The cone's sites are
+indexed in sorted global site order and its entries are stored as arrays
+sorted by (col, row), so one step vec^T A is a gather, a multiply and an
 np.add.reduceat.  The only truncation anywhere is a hard-zero drop at 1e-300
 after each step, to stop denormal buildup.
 
@@ -40,31 +40,40 @@ def _hard_zero(vec: np.ndarray) -> np.ndarray:
 class LightCone:
     """The rows of A within `hops` row-hops of site i, each fetched once.
 
-    sites: the cone's global site numbers, sorted; local index n is sites[n],
-    and origin is the local index of i.  A row functional on the cone is a
-    length-len(sites) complex vector.  Each row keeps the hop it was fetched
-    at, so the cone also serves every smaller depth.
+    Hop h fetches, in one A.rows call, the sites first reached at hop h, in
+    increasing order.  sites: the cone's global site numbers, a sorted array;
+    local index n is sites[n], and origin is the local index of i.  A row
+    functional on the cone is a length-len(sites) complex vector.  Each row
+    keeps the hop it was fetched at, so the cone also serves every smaller
+    depth.
     """
 
     def __init__(self, A: LocalMatrixOracle, i: int, hops: int):
-        fetched: dict = {}   # site -> (hop, row)
-        frontier = [int(i)]
-        for hop in range(hops + 1):
-            reached = set()
-            for s in frontier:
-                fetched[s] = (hop, A.row(s))
-                reached.update(j for j, _ in fetched[s][1])
-            frontier = sorted(reached.difference(fetched))
-        self.sites = sorted(fetched.keys() | set(frontier))
-        local = {s: n for n, s in enumerate(self.sites)}
-        self.origin = local[int(i)]
-        # (col, row, hop, value), sorted: each column's rows in increasing site order
-        quads = sorted((local[j], local[s], hop, v)
-                       for s, (hop, row) in fetched.items() for j, v in row)
-        self._cols = np.array([c for c, _, _, _ in quads], dtype=np.intp)
-        self._rows = np.array([r for _, r, _, _ in quads], dtype=np.intp)
-        self._hops = np.array([h for _, _, h, _ in quads], dtype=np.intp)
-        self._vals = np.array([v for _, _, _, v in quads], dtype=np.complex128)
+        i = int(i)
+        reached, frontier = {i}, [i]
+        fetched, lens, blocks = [], [], []   # each row's site and length; each hop's (cols, vals)
+        for _ in range(hops + 1):
+            if not frontier:
+                break
+            indptr, cols, vals = A.rows(frontier)
+            ends = indptr.tolist()
+            fetched += frontier
+            lens += [b - a for a, b in zip(ends, ends[1:])]
+            blocks.append((cols, vals))
+            frontier = sorted(set(cols.tolist()) - reached)
+            reached.update(frontier)
+        self.sites = np.array(sorted(reached), dtype=np.int64)
+        self.origin = int(np.searchsorted(self.sites, i))
+        rows = np.repeat(np.array(fetched, dtype=np.int64), lens)
+        cols = np.concatenate([np.zeros(0, dtype=np.int64)] + [c for c, _ in blocks])
+        vals = np.concatenate([np.zeros(0, dtype=np.complex128)] + [v for _, v in blocks])
+        hop = np.repeat(np.arange(len(blocks)), [c.size for c, _ in blocks])
+        # sorted by (col, row): each column's rows in increasing site order
+        order = np.lexsort((rows, cols))
+        self._cols = np.searchsorted(self.sites, cols[order])
+        self._rows = np.searchsorted(self.sites, rows[order])
+        self._hops = hop[order]
+        self._vals = vals[order]
         self._steps: dict = {}
 
     def times_a(self, vec: np.ndarray, hops: int) -> np.ndarray:
@@ -154,7 +163,7 @@ def poly_rows(A: LocalMatrixOracle, polys, i: int) -> list[dict]:
                 rows_k = live[:, k]
                 acc[rows_k] = _hard_zero(acc[rows_k] + cols[k][rows_k] * cur)
         for n, row in zip(group, acc):   # nonzero entries in sorted site order
-            rows[n] = {site: v for site, v in zip(cone.sites, row.tolist()) if v}
+            rows[n] = {site: v for site, v in zip(cone.sites.tolist(), row.tolist()) if v}
     return rows
 
 

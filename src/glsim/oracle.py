@@ -64,18 +64,18 @@ def spectral_norm(M) -> float:
 
 
 def dense_from_oracle(A: LocalMatrixOracle, dimension: int | None = None) -> DenseMatrix:
-    """Materialize every row of a local-matrix oracle, asserting locality en route."""
+    """Materialize every row of a local-matrix oracle in one block, asserting locality."""
     n = A.dimension if dimension is None else int(dimension)
     if n != A.dimension:
         raise ValueError(f"dimension {n} does not match oracle dimension {A.dimension}")
     _check_cap(n)
+    indptr, cols, vals = A.rows(np.arange(n))
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    far = np.flatnonzero((vals != 0) & (A.graph.distances(rows, cols) > A.r0))
+    if far.size:
+        raise LocalityError(f"entry ({rows[far[0]]},{cols[far[0]]}) outside radius {A.r0}")
     M = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        allowed = set(A.graph.ball(i, A.r0))
-        for j, v in A.row(i):
-            if v != 0 and j not in allowed:
-                raise LocalityError(f"entry ({i},{j}) outside radius {A.r0}")
-            M[i, j] = v
+    M[rows, cols] = vals
     dm = DenseMatrix(M)
     tol = 1e-12 * max(1.0, float(np.abs(M).max()))
     if A.hermitian and not dm.hermitian:

@@ -19,9 +19,11 @@ remove all extended-space polynomial work.
 
 The springs are kept once, as one table sorted by (site, other site): row k
 is a spring of stiffness kappas[k] > 0 seen from sites[k] towards others[k],
-listed from both ends, or once for a wall spring (i, i).  A site's row of A
-or of B is a slice of the table, the pair slots are its rows with i <= j, and
-E and psi(0) are array expressions over those rows.
+listed from both ends, or once for a wall spring (i, i).  A site's row of B
+is a slice of the table, the pair slots are its rows with i <= j, and E and
+psi(0) are array expressions over those rows.  The rows of A are one CSR
+table derived from it when the system is built, and a block of them is a
+gather of slices.
 
 The degree of the exponential approximation obeys
 d_exp <= c1 * |t| * sqrt(N(r0) kappa_max / m_min) + c2 * ln(1/eps) + c3
@@ -39,7 +41,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .access import (LocalityError, LocalMatrixOracle, PreconditionError,
-                     VectorOracle, local_matrix_from_rows, sparse_vector_oracle)
+                     VectorOracle, _sq_oracle)
 from .estimate import EstimateReport, inner_product_estimate
 from .lattice import SiteGraph
 from .lightcone import poly_rows, row_dot
@@ -85,7 +87,10 @@ def extended_dimension(n: int) -> int:
 
 @dataclass
 class OscillatorSystem:
-    """Masses, the spring table (sites, others, kappas), and the derived local operators."""
+    """Masses, the spring table (sites, others, kappas), and the derived local operators.
+
+    The rows of A are kept as a second table, _a_rows, built with the system.
+    """
 
     graph: SiteGraph
     masses: np.ndarray
@@ -93,6 +98,9 @@ class OscillatorSystem:
     sites: np.ndarray
     others: np.ndarray
     kappas: np.ndarray
+
+    def __post_init__(self):
+        self._a_rows = self._a_table()   # set-up work, so no query pays for it
 
     @property
     def n_sites(self) -> int:
@@ -141,24 +149,43 @@ class OscillatorSystem:
         """Upper bound on ||H|| = sqrt(||A||)."""
         return math.sqrt(self.a_norm_bound)
 
+    def _a_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of A as one CSR table (indptr, cols, vals), columns increasing.
+
+        Row i holds -kappa_ij / sqrt(m_i m_j) at each spring (i, j), j != i, and
+        F_ii / m_i at (i, i) when site i has springs, F_ii summing the site's
+        kappas one by one in increasing order of the other site.
+        """
+        i, j, kap, m = self.sites, self.others, self.kappas, self.masses
+        starts = self._starts
+        counts = np.diff(starts)
+        diag = np.zeros(self.n_sites)
+        for k in range(counts.max(initial=0)):   # a running sum, left to right
+            more = np.flatnonzero(counts > k)
+            diag[more] += kap[starts[more] + k]
+        held = np.flatnonzero(counts)
+        off = -kap / np.sqrt(m[i] * m[j])
+        below, above = j < i, j > i
+        rows = np.concatenate((i[below], held, i[above]))
+        # a stable sort by row keeps each row's columns increasing: below, i, above
+        order = np.argsort(rows, kind="stable")
+        cols = np.concatenate((j[below], held, j[above]))[order]
+        vals = np.concatenate((off[below], diag[held] / m[held], off[above]))[order]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.n_sites))))
+        return indptr, cols, vals
+
     def a_oracle(self) -> LocalMatrixOracle:
-        """A = M^{-1/2} F M^{-1/2} as a Hermitian PSD local-matrix oracle."""
-        masses = self.masses
+        """A = M^{-1/2} F M^{-1/2} as a Hermitian PSD local-matrix oracle over _a_rows."""
+        table_ptr, table_cols, table_vals = self._a_rows
 
-        def row_fn(i: int):
-            out = []
-            diag = 0.0
-            for j, kap in zip(*self._row(i)):
-                diag += kap
-                if j != i:
-                    out.append((j, -kap / math.sqrt(masses[i] * masses[j])))
-            if diag != 0.0:
-                out.append((i, diag / masses[i]))
-            return out
+        def source(sites):
+            lo, counts = table_ptr[sites], table_ptr[sites + 1] - table_ptr[sites]
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            take = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], counts)
+            return indptr, table_cols[take], table_vals[take]
 
-        return local_matrix_from_rows(self.graph, self.r0, row_fn,
-                                      norm_bound=self.a_norm_bound,
-                                      hermitian=True, psd=True)
+        return LocalMatrixOracle(self.graph, self.r0, source, norm_bound=self.a_norm_bound,
+                                 hermitian=True, psd=True)
 
     # ---- sparse B and B^T applications -----------------------------------
 
@@ -281,8 +308,13 @@ def psi0(sys: OscillatorSystem, state: OscillatorState) -> VectorOracle:
     idx = np.concatenate((np.arange(sys.n_sites), slots))
     vals = np.concatenate((sv, 1j * (stretch * s)))
     nonzero = vals != 0
-    oracle = sparse_vector_oracle(sys.extended_dim,
-                                  dict(zip(idx[nonzero].tolist(), vals[nonzero].tolist())))
+    idx, vals = idx[nonzero], vals[nonzero]   # increasing: velocities, then slots by (i, j)
+
+    def query(i: int) -> complex:
+        k = int(np.searchsorted(idx, i))
+        return vals[k] if k < idx.size and idx[k] == i else 0.0 + 0.0j
+
+    oracle = _sq_oracle(sys.extended_dim, idx, vals, query, 0.0, None)
     if abs(oracle.norm() - 1.0) > 1e-9:
         raise RuntimeError(f"psi0 norm {oracle.norm()} != 1")
     return oracle

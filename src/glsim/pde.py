@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .access import LocalMatrixOracle, PreconditionError, local_matrix_from_rows
+from .access import (LocalMatrixOracle, PreconditionError, _row_source,
+                     local_matrix_from_rows)
 from .lattice import SiteGraph, grid
 from .oscillators import OscillatorSystem, build_system
 
@@ -24,18 +25,48 @@ from .oscillators import OscillatorSystem, build_system
 # =====================================================================
 
 
+def _laplacian_source(graph: SiteGraph):
+    """Block source of L = D - Adj: -1 at each distance-1 neighbor, the degree on the diagonal.
+
+    Chains and grids step +-1 along each axis of the row-major index, wrapping
+    on periodic axes; a periodic axis of length 2 has one neighbor, not two,
+    and one of length 1 none.  General graphs read their adjacency.
+    """
+    if graph.kind == "general":
+        def row_fn(i: int):
+            nbrs = graph._adj.get(i, ())
+            return [(j, -1.0) for j in nbrs] + [(i, float(len(nbrs)))]
+        return _row_source(row_fn)
+    dims = graph.dims or (graph.n_sites,)
+    strides = [math.prod(dims[d + 1:]) for d in range(len(dims))]
+    periodic = graph.boundary == "periodic"
+
+    def source(sites):
+        cand = [sites]
+        for L, stride in zip(dims, strides):
+            c = sites // stride % L
+            if periodic and L > 1:
+                cand.append(np.where(c == L - 1, sites - (L - 1) * stride, sites + stride))
+                if L > 2:
+                    cand.append(np.where(c == 0, sites + (L - 1) * stride, sites - stride))
+            elif not periodic:
+                cand.append(np.where(c > 0, sites - stride, -1))        # -1: no neighbor
+                cand.append(np.where(c < L - 1, sites + stride, -1))
+        cand = np.sort(np.stack(cand, axis=1), axis=1)
+        keep = cand >= 0
+        counts = keep.sum(axis=1)
+        cols = cand[keep]
+        vals = np.where(cols == np.repeat(sites, counts), np.repeat(counts - 1.0, counts), -1.0)
+        return np.concatenate(([0], np.cumsum(counts))), cols, vals
+
+    return source
+
+
 def graph_laplacian_oracle(graph: SiteGraph) -> LocalMatrixOracle:
     """L = D - Adj on distance-1 neighbors; Hermitian, PSD, ||L|| <= 2 (N(1) - 1)."""
-
-    def row_fn(i: int):
-        nbrs = [j for j in graph.ball(i, 1) if j != i]
-        out = [(j, -1.0) for j in nbrs]
-        out.append((i, float(len(nbrs))))
-        return out
-
     bound = 2.0 * (graph.locality_function(1) - 1)
-    return local_matrix_from_rows(graph, 1, row_fn, norm_bound=max(bound, 0.0),
-                                  hermitian=True, psd=True)
+    return LocalMatrixOracle(graph, 1, _laplacian_source(graph), norm_bound=max(bound, 0.0),
+                             hermitian=True, psd=True)
 
 
 # =====================================================================
@@ -56,9 +87,8 @@ def wave_to_oscillators(laplacian: LocalMatrixOracle, c: float, a: float) -> Osc
         raise PreconditionError("wave speed must be positive and finite")
     scale = (c * c) / (a * a)
     n = laplacian.dimension
-    entries = np.fromiter(((i, j, v) for i in range(n) for j, v in laplacian.row(i)),
-                          dtype=[("i", np.int64), ("j", np.int64), ("v", np.complex128)])
-    i, j, v = entries["i"], entries["j"], entries["v"]
+    indptr, j, v = laplacian.rows(np.arange(n))
+    i = np.repeat(np.arange(n), np.diff(indptr))
     if not np.all(np.abs(v.imag) <= 1e-12):
         raise PreconditionError("Laplacian must be real")
     kap = -scale * v.real

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from glsim import (CostCounter, Distribution, LocalityError,
                    OracleInconsistencyError, PreconditionError, VectorOracle,
-                   chain, induced_distribution, local_matrix_from_dense,
+                   build_system, chain, general, graph_laplacian_oracle, grid,
+                   induced_distribution, local_matrix_from_dense,
                    local_matrix_from_rows, perturbed_sq_access, rng_stream,
                    scale_matrix_oracle, sparse_vector_oracle,
                    sq_access_from_dense, tv_distance)
@@ -333,3 +334,147 @@ def test_scaled_oracle_shares_cost_counter():
     b = scale_matrix_oracle(a, 2.0)
     b.row(1)
     assert cost.snapshot()["queries"] > 0
+
+
+# =====================================================================
+# row blocks
+# =====================================================================
+
+
+LAPLACIAN_GRAPHS = {
+    "open-chain": lambda: chain(7),
+    "periodic-chain": lambda: chain(7, "periodic"),
+    "periodic-chain-2": lambda: chain(2, "periodic"),
+    "chain-1": lambda: chain(1, "periodic"),
+    "open-grid-1-2-3": lambda: grid([1, 2, 3]),
+    "periodic-grid-1-2-3": lambda: grid([1, 2, 3], "periodic"),
+    "open-grid-4-3": lambda: grid([4, 3]),
+    "periodic-grid-4-3": lambda: grid([4, 3], "periodic"),
+    "periodic-grid-2-1-5": lambda: grid([2, 1, 5], "periodic"),
+    "general": lambda: general(6, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 4), (1, 2)]),
+}
+
+
+def _wall_system_oracle():
+    """A on a 3 x 3 grid with unequal masses, unequal springs and two wall springs."""
+    g = grid([3, 3])
+    rng = np.random.default_rng(7)
+    springs = [(i, j, float(rng.uniform(0.5, 2.0))) for i in range(9) for j in range(i + 1, 9)
+               if g.distance(i, j) == 1]
+    springs += [(0, 0, 0.75), (4, 4, 1.25)]
+    return build_system(g, rng.uniform(0.5, 3.0, size=9), springs, 1).a_oracle()
+
+
+def _user_rows_oracle():
+    """A user row callable on a 9-site chain, columns in no particular order."""
+    return local_matrix_from_rows(
+        chain(9), 1, lambda i: [(j, 0.5 * i - 1j * j) for j in (i + 1, i - 1, i) if 0 <= j < 9],
+        check_locality=True)
+
+
+BLOCK_SOURCES = {
+    **{f"laplacian-{name}": (lambda make=make: graph_laplacian_oracle(make()))
+       for name, make in LAPLACIAN_GRAPHS.items()},
+    "a-oracle-walls": _wall_system_oracle,
+    "scaled-by-i": lambda: scale_matrix_oracle(_wall_system_oracle(), 1j),
+    "scaled-by-minus-2": lambda: scale_matrix_oracle(graph_laplacian_oracle(grid([3, 4])), -2.0),
+    "user-row-fn": _user_rows_oracle,
+}
+
+
+def _block_as_rows(block):
+    indptr, cols, vals = block
+    return [tuple(zip(cols[lo:hi].tolist(), vals[lo:hi].tolist()))
+            for lo, hi in zip(indptr[:-1], indptr[1:])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(BLOCK_SOURCES)), data=st.data())
+def test_block_equals_its_rows_value_for_value_and_cost_for_cost(name, data):
+    a = BLOCK_SOURCES[name]()
+    sites = data.draw(st.lists(st.integers(0, a.dimension - 1), max_size=12))
+    block = a.rows(sites)
+    block_cost = a.cost.queries
+    rows = [a.row(i) for i in sites]
+    assert _block_as_rows(block) == rows
+    assert a.cost.queries - block_cost == block_cost == sum(len(r) + 1 for r in rows)
+    for row in rows:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols))
+
+
+@pytest.mark.parametrize("name", sorted(LAPLACIAN_GRAPHS))
+def test_laplacian_rows_are_minus_one_on_the_unit_ball_and_the_degree_on_the_diagonal(name):
+    g = LAPLACIAN_GRAPHS[name]()
+    lap = graph_laplacian_oracle(g)
+    for i in range(g.n_sites):
+        nbrs = [j for j in g.ball(i, 1) if j != i]
+        expected = sorted([(j, -1.0 + 0j) for j in nbrs] + [(i, float(len(nbrs)) + 0j)])
+        assert list(lap.row(i)) == expected
+
+
+def test_wall_system_rows_sum_springs_left_to_right():
+    """The diagonal of A is the running sum of the site's kappas over m_i, bit for bit."""
+    a = _wall_system_oracle()
+    g, rng = grid([3, 3]), np.random.default_rng(7)
+    springs = [(i, j, float(rng.uniform(0.5, 2.0))) for i in range(9) for j in range(i + 1, 9)
+               if g.distance(i, j) == 1]
+    masses = rng.uniform(0.5, 3.0, size=9)
+    kap = {(i, j): k for i, j, k in springs}
+    kap.update({(j, i): k for i, j, k in springs})
+    kap.update({(0, 0): 0.75, (4, 4): 1.25})
+    for i in range(9):
+        diag, expected = 0.0, []
+        for j in range(9):
+            if (i, j) in kap:
+                diag += kap[(i, j)]
+                if j != i:
+                    expected.append((j, complex(-kap[(i, j)] / np.sqrt(masses[i] * masses[j]))))
+        expected.append((i, complex(diag / masses[i])))
+        assert a.row(i) == tuple(sorted(expected))
+
+
+BAD_ROWS = {
+    "repeated": ({2: [(1, 1.0), (2, 1.0), (1, 2.0)]}, OracleInconsistencyError),
+    "out-of-range": ({2: [(2, 1.0), (9, 1.0)]}, OracleInconsistencyError),
+    "negative": ({2: [(-3, 1.0), (2, 1.0)]}, OracleInconsistencyError),
+    "non-local": ({2: [(2, 1.0), (5, 1.0)]}, LocalityError),
+    "non-local-then-repeated": ({1: [(4, 1.0)], 2: [(2, 1.0), (2, 1.0)]}, LocalityError),
+    "repeated-then-non-local": ({1: [(1, 1.0), (1, 1.0)], 2: [(5, 1.0)]},
+                                OracleInconsistencyError),
+    "non-local-and-repeated-in-one-row": ({2: [(6, 1.0), (2, 1.0), (2, 1.0)]},
+                                          OracleInconsistencyError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROWS))
+def test_bad_block_raises_the_per_row_error(name):
+    bad, error = BAD_ROWS[name]
+    a = local_matrix_from_rows(chain(6), 1, lambda i: bad.get(i, [(i, 1.0)]),
+                               check_locality=True)
+    with pytest.raises(error):
+        a.rows(range(6))
+    with pytest.raises(error):
+        [a.row(i) for i in range(6)]
+    assert a.cost.queries == 2 * min(bad)  # the rows before the bad one; the block none
+
+
+def test_zero_entry_outside_r0_is_not_a_locality_error():
+    a = local_matrix_from_rows(chain(6), 1, lambda i: [(i, 1.0), ((i + 3) % 6, 0.0)],
+                               check_locality=True)
+    assert a.rows(range(6))[0].tolist() == [0, 2, 4, 6, 8, 10, 12]
+
+
+def test_row_out_of_range_is_a_value_error():
+    a = graph_laplacian_oracle(chain(4))
+    for sites in ([4], [0, -1]):
+        with pytest.raises(ValueError):
+            a.rows(sites)
+    assert a.cost.queries == 0
+
+
+def test_user_row_fn_is_called_once_per_site_in_block_order():
+    calls = []
+    a = local_matrix_from_rows(chain(8), 1, lambda i: calls.append(i) or [(i, 1.0)])
+    a.rows([5, 2, 7, 2])
+    assert calls == [5, 2, 7, 2]

@@ -106,6 +106,18 @@ def test_grid_locality_center_plus_four_neighbors():
     assert grid([32, 32]).locality_function(1) == 5
 
 
+def test_general_locality_function_is_kept_per_radius(monkeypatch):
+    g = general(6, [(0, 1), (1, 2), (3, 4)])
+    assert g.locality_function(1) == 3
+    bfs = []
+    real = g._bfs_distances
+    monkeypatch.setattr(g, "_bfs_distances", lambda *args, **kw: bfs.append(args) or real(*args, **kw))
+    assert g.locality_function(1.5) == 3
+    assert bfs == []
+    assert g.locality_function(2) == 3
+    assert len(bfs) == g.n_sites
+
+
 def test_locality_function_nondecreasing():
     for g in (chain(9), grid([4, 4]), general(6, [(0, 1), (1, 2), (3, 4)])):
         vals = [g.locality_function(r) for r in range(6)]

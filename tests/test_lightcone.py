@@ -230,7 +230,7 @@ def test_single_entry_query_budget():
     graph = chain(256)
     a_cost, u_cost = CostCounter(), CostCounter()
     a, _ = _random_local_hermitian(rng, graph, 1)
-    a = local_matrix_from_rows(graph, 1, a._row_fn, norm_bound=a.norm_bound,
+    a = local_matrix_from_rows(graph, 1, a.row, norm_bound=a.norm_bound,
                                hermitian=True, cost=a_cost)
     u = sq_access_from_dense(rng.normal(size=256), cost=u_cost)
     p = exp_poly(a.norm_bound, 0.5, 1e-6)
@@ -264,7 +264,7 @@ def test_each_row_fetched_at_most_once(graph, r0, basis):
 
     def row_fn(j):
         calls.append(j)
-        return base._row_fn(j)
+        return base.row(j)
 
     cost = CostCounter()
     a = local_matrix_from_rows(graph, r0, row_fn, norm_bound=base.norm_bound,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from glsim import (DenseMatrix, OracleInconsistencyError, Polynomial, chain,
+from glsim import (DenseMatrix, LocalityError, OracleInconsistencyError, Polynomial, chain,
                    dense_cap, dense_cos_sqrt_apply, dense_evolve,
                    dense_from_oracle, dense_poly_apply, dense_poly_matrix,
                    exp_poly, general, grid, local_matrix_from_dense,
@@ -36,6 +36,14 @@ def test_round_trip_from_dense_is_exact():
     dense = (dense + dense.conj().T) / 2.0
     a = local_matrix_from_dense(dense, g, 1, hermitian=True)
     assert np.array_equal(dense_from_oracle(a).entries, dense)
+
+
+def test_materialization_rejects_a_nonzero_entry_outside_r0():
+    """The oracle does not check locality itself; the dense reader does, on nonzero entries."""
+    a = local_matrix_from_rows(chain(6), 1,
+                               lambda i: [(i, 1.0), ((i + 3) % 6, 0.5 if i == 4 else 0.0)])
+    with pytest.raises(LocalityError, match=r"\(4,1\)"):
+        dense_from_oracle(a)
 
 
 def test_materialization_validates_declared_norm_bound():

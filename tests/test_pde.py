@@ -64,6 +64,21 @@ def test_wave_springs_symmetric_nonnegative_local():
         assert g.distance(i, j) <= 1
 
 
+def test_wave_system_from_one_block_matches_one_built_row_by_row():
+    """On a 64 x 64 grid the block read gives the arrays the per-row read gives,
+    and the Laplacian's counter reads the sum of (len + 1) over all rows."""
+    g = grid([64, 64])
+    n, c, a = g.n_sites, 1.3, 0.4
+    rows = [graph_laplacian_oracle(g).row(i) for i in range(n)]
+    by_rows = wave_to_oscillators(local_matrix_from_rows(g, 1, rows.__getitem__), c, a)
+    lap = graph_laplacian_oracle(g)
+    by_block = wave_to_oscillators(lap, c, a)
+    for name in ("masses", "sites", "others", "kappas"):
+        new, old = getattr(by_block, name), getattr(by_rows, name)
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+    assert lap.cost.queries == sum(len(row) + 1 for row in rows)
+
+
 def _chain_rows(rows: dict):
     """A 3-site chain operator whose row i is rows[i]."""
     return local_matrix_from_rows(chain(3), 1, lambda i: rows[i], norm_bound=4.0)
