@@ -10,12 +10,11 @@ against a dense brute-force oracle in the test suite and the acceptance
 criteria in glsim.acceptance.
 """
 
-from .access import (CostCounter, Distribution, LocalityError,
-                     LocalMatrixOracle, OracleInconsistencyError,
-                     PreconditionError, VectorOracle, induced_distribution,
+from .access import (CostCounter, LocalityError, LocalMatrixOracle,
+                     OracleInconsistencyError, PreconditionError, VectorOracle,
                      local_matrix_from_dense, local_matrix_from_rows,
                      perturbed_sq_access, rng_stream, scale_matrix_oracle,
-                     sparse_vector_oracle, sq_access_from_dense, tv_distance)
+                     sparse_vector_oracle, sq_access_from_dense)
 from .acceptance import CriterionResult, DEFAULT_SEED, SUITES, run_criterion, run_suite
 from .embeddings import (ClockHamiltonian, EmbeddedRun, Gate, ReadoutScan,
                          ReversibleCircuit, adjacent_transposition_decomposition,
@@ -34,9 +33,8 @@ from .oracle import (DenseMatrix, dense_cap, dense_cos_sqrt_apply,
                      dense_poly_matrix, spectral_norm)
 from .oscillators import (OscillatorState, OscillatorSystem, build_system,
                           estimate_energy, estimate_observable,
-                          extended_dimension, load_system, pair_decode,
-                          pair_index, psi0, read_state_csv,
-                          system_from_json_dict, total_energy)
+                          extended_dimension, load_system, pair_index, psi0,
+                          read_state_csv, system_from_json_dict, total_energy)
 from .pde import (advection_hamiltonian, graph_laplacian_oracle,
                   schrodinger_hamiltonian, wave_to_oscillators)
 from .polyapprox import (Polynomial, bessel_j_sequence, divide_out_zero,
@@ -48,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClockHamiltonian", "CostCounter", "CriterionResult", "DEFAULT_SEED",
-    "DenseMatrix", "Distribution", "EmbeddedRun", "EstimateReport",
+    "DenseMatrix", "EmbeddedRun", "EstimateReport",
     "EvolvedSampler", "Gate", "LocalMatrixOracle", "LocalityError",
     "OracleInconsistencyError", "OscillatorState", "OscillatorSystem",
     "OversamplerHandle", "Polynomial", "PreconditionError", "ReadoutScan",
@@ -62,16 +60,16 @@ __all__ = [
     "evt_gl_estimate", "exp_poly", "extended_dimension", "find_readout_time",
     "fk_classical", "fk_long_local", "fk_long_undilated", "gate_permutation",
     "gate_unitary", "general", "graph_laplacian_oracle", "grid",
-    "induced_distribution", "inner_product_estimate", "j_matrix",
+    "inner_product_estimate", "j_matrix",
     "lightcone_oversampler", "load_system", "local_matrix_from_dense",
     "local_matrix_from_rows", "mul_by_x", "overlap_coefficients",
-    "pair_decode", "pair_index", "parity_split", "parse_circuit",
+    "pair_index", "parity_split", "parse_circuit",
     "perturbed_sq_access", "poly_apply_query_oracle", "poly_rows", "psi0",
     "read_state_csv", "readout_overlap_curve", "rejection_sample",
     "rng_stream", "row_dot", "row_power", "run_criterion", "run_suite",
     "scale_matrix_oracle", "schrodinger_hamiltonian",
     "simulate_embedded_circuit", "sparse_vector_oracle", "spectral_norm",
     "sq_access_from_dense", "step_operator", "system_from_json_dict",
-    "total_energy", "tv_distance", "tv_error_bound", "w_matrix",
+    "total_energy", "tv_error_bound", "w_matrix",
     "wave_to_oscillators",
 ]

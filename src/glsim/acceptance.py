@@ -30,8 +30,7 @@ from .lightcone import entry_of_poly_apply, poly_apply_query_oracle, row_power
 from .oracle import (DenseMatrix, dense_evolve, dense_from_oracle,
                      dense_poly_apply, dense_poly_matrix, spectral_norm)
 from .oscillators import (OscillatorState, OscillatorSystem, build_system,
-                          estimate_energy, estimate_observable, pair_index,
-                          psi0, total_energy)
+                          estimate_energy, estimate_observable, psi0, total_energy)
 from .pde import (advection_hamiltonian, graph_laplacian_oracle,
                   schrodinger_hamiltonian, wave_to_oscillators)
 from .polyapprox import Polynomial, exp_poly, parity_split
@@ -286,13 +285,11 @@ def _random_oscillator(seed_key: tuple, n: int):
 
 
 def _dense_b(sys: OscillatorSystem) -> np.ndarray:
+    """B, read off the spring table: sqrt(kappa / m_i) at (i, slot), negated where i > j."""
     n = sys.n_sites
     b = np.zeros((n, sys.extended_dim - n))
-    for i, j, kap in zip(*sys.pairs):
-        col = pair_index(i, j, n) - n
-        b[i, col] += math.sqrt(kap / sys.masses[i])
-        if j != i:
-            b[j, col] -= math.sqrt(kap / sys.masses[j])
+    root = np.sqrt(sys.kappas / sys.masses[sys.sites])
+    b[sys.sites, sys.slots - n] = np.where(sys.sites <= sys.others, root, -root)
     return b
 
 

@@ -452,46 +452,3 @@ def random_local_pair(graph: SiteGraph, r0: int, rng: np.random.Generator,
         graph, r0, lambda i: sorted(rows[i].items()), norm_bound=norm_bound,
         hermitian=not anti, anti_hermitian=anti)
     return oracle, dense
-
-
-# =====================================================================
-# distributions
-# =====================================================================
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Finite distribution over site indices 0..dimension-1 (dense probabilities)."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a nonempty 1-d array")
-        if p.min() < -1e-12:
-            raise ValueError("negative probability")
-        s = float(p.sum())
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {s}, not 1")
-        object.__setattr__(self, "probs", np.clip(p, 0.0, None) / max(s, 1e-300))
-
-    @property
-    def dimension(self) -> int:
-        return self.probs.size
-
-
-def induced_distribution(u) -> Distribution:
-    """The measurement law p_i = |u_i|^2 / ||u||^2 of a dense vector."""
-    u = np.asarray(u, dtype=np.complex128).ravel()
-    m = np.abs(u) ** 2
-    s = float(m.sum())
-    if s == 0.0:
-        raise PreconditionError("zero vector has no induced distribution")
-    return Distribution(m / s)
-
-
-def tv_distance(p: Distribution, q: Distribution) -> float:
-    if p.dimension != q.dimension:
-        raise ValueError("dimension mismatch")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())

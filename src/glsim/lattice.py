@@ -6,11 +6,12 @@ N(r) = max_i |{j : d(i, j) <= r}| stays polynomial in r.  Everything the
 light-cone engine knows about geometry flows through SiteGraph: the
 distance d(i, j), the closed ball ball(i, r), and N(r).
 
-Three kinds are supported.  "chain" and "grid" (L1 metric, row-major
-index order) have closed-form metrics and stay lazy, so N may be as
-large as 2**62 without ever materializing sites.  "general" carries an
-explicit bond list and uses BFS distances; it is meant for desk-scale
-instances such as clock-register graphs.
+Three kinds are supported.  "grid" (L1 metric, row-major index order)
+has a closed-form metric and stays lazy, so N may be as large as 2**62
+without ever materializing sites; a "chain" is a grid with one axis,
+dims = (N,).  "general" carries an explicit bond list and uses BFS
+distances; it is meant for desk-scale instances such as clock-register
+graphs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class SiteGraph:
 
     kind: "chain", "grid", or "general".
     boundary: "open" or "periodic" (chain/grid only).
-    dims: per-axis lengths for grids (row-major site order).
+    dims: per-axis lengths (row-major site order); (n_sites,) for a chain.
     bonds: undirected edge list for general graphs.
     """
 
@@ -50,6 +51,8 @@ class SiteGraph:
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if not (1 <= self.n_sites <= MAX_SITES):
             raise ValueError(f"n_sites {self.n_sites} out of range")
+        if self.kind == "chain":
+            self.dims = (self.n_sites,)
         if self.kind == "grid":
             if not self.dims:
                 raise ValueError("grid graphs need dims")
@@ -110,11 +113,11 @@ class SiteGraph:
             return cls(kind="general", n_sites=int(cfg["n_sites"]), bonds=bonds)
         raise ValueError(f"unknown graph kind {kind!r}")
 
-    # ---- coordinates (grid) ------------------------------------------------
+    # ---- coordinates (chain, grid) ------------------------------------------
 
     def site_coords(self, i: int) -> tuple[int, ...]:
-        if self.kind != "grid":
-            raise ValueError("site_coords is grid-only")
+        if self.dims is None:
+            raise ValueError("site_coords needs a chain or grid")
         coords = []
         for d in reversed(self.dims):
             i, c = divmod(i, d)
@@ -122,8 +125,8 @@ class SiteGraph:
         return tuple(reversed(coords))
 
     def coords_site(self, coords) -> int:
-        if self.kind != "grid":
-            raise ValueError("coords_site is grid-only")
+        if self.dims is None:
+            raise ValueError("coords_site needs a chain or grid")
         i = 0
         for c, d in zip(coords, self.dims):
             i = i * d + (c % d)
@@ -148,9 +151,9 @@ class SiteGraph:
         if self.kind == "general":
             return np.array([self._all_distances(a).get(b, self.n_sites + 1)
                              for a, b in zip(i.tolist(), j.tolist())], dtype=np.int64)
-        # a chain is a grid with one axis; peel axes off the row-major index
+        # peel axes off the row-major index
         total = np.zeros(i.shape, dtype=np.int64)
-        for L in reversed(self.dims or (self.n_sites,)):
+        for L in reversed(self.dims):
             (i, a), (j, b) = np.divmod(i, L), np.divmod(j, L)
             d = np.abs(a - b)
             total += np.minimum(d, L - d) if self.boundary == "periodic" else d
@@ -179,19 +182,9 @@ class SiteGraph:
         return self._cached_ball(i, int(r))
 
     def _ball(self, i: int, R: int) -> tuple[int, ...]:
-        if self.kind == "chain":
-            return self._chain_ball(i, R)
-        if self.kind == "grid":
-            return self._grid_ball(i, R)
-        return tuple(sorted(self._bfs_distances(i, radius=R).keys()))
-
-    def _chain_ball(self, i: int, R: int) -> tuple[int, ...]:
-        n = self.n_sites
-        if self.boundary == "open":
-            return tuple(range(max(0, i - R), min(n - 1, i + R) + 1))
-        if 2 * R + 1 >= n:
-            return tuple(range(n))
-        return tuple(sorted((i + o) % n for o in range(-R, R + 1)))
+        if self.kind == "general":
+            return tuple(sorted(self._bfs_distances(i, radius=R).keys()))
+        return self._grid_ball(i, R)
 
     def _grid_ball(self, i: int, R: int) -> tuple[int, ...]:
         # axis by axis: (row-major index of the coordinates so far, budget left);
@@ -212,53 +205,31 @@ class SiteGraph:
     def locality_function(self, r: float) -> int:
         """N(r) = max_i |ball(i, r)|.
 
-        chain: min(2 floor(r) + 1, N). grid: per-axis distance-count convolution,
-        evaluated at the most-central site for open boundaries (which attains the
-        max for L1 balls in a box), capped at N. general: exact max over BFS balls,
-        kept per radius.
+        chain and grid: the convolution over axes of the counts of positions at
+        each axis distance from the most central position (which attains the max
+        for L1 balls in a box), with r capped at the diameter.  general: exact
+        max over BFS balls, kept per radius.
         """
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        R = int(r)
-        if self.kind == "chain":
-            return min(2 * R + 1, self.n_sites)
-        if self.kind == "grid":
-            return self._grid_locality(R)
-        return self._general_locality(R)
+        if self.kind == "general":
+            return self._general_locality(int(r))
+        periodic = self.boundary == "periodic"
+        R = min(int(r), sum(L // 2 if periodic else L - 1 for L in self.dims))
+        m = np.arange(R + 1)
+        counts = np.ones(1, dtype=np.int64)
+        for L in self.dims:
+            if periodic:   # two positions at each distance below L/2, one at L/2
+                axis = np.where(2 * m < L, 2, 2 * m == L)
+            else:
+                c = (L - 1) // 2
+                axis = (m <= c).astype(np.int64) + (m <= L - 1 - c)
+            axis[0] = 1
+            counts = np.convolve(counts, axis)[:R + 1]
+        return int(counts.sum())
 
     def _max_bfs_ball(self, R: int) -> int:
         return max(len(self._bfs_distances(i, radius=R)) for i in range(self.n_sites))
-
-    def _axis_count(self, L: int, R: int) -> list[int]:
-        """counts[m] = max over centers of #positions at exact axis-distance m, m <= R."""
-        counts = [0] * (R + 1)
-        counts[0] = 1
-        if self.boundary == "periodic":
-            for m in range(1, R + 1):
-                if 2 * m < L:
-                    counts[m] = 2
-                elif 2 * m == L:
-                    counts[m] = 1
-        else:
-            c = (L - 1) // 2
-            for m in range(1, R + 1):
-                counts[m] = (1 if c - m >= 0 else 0) + (1 if c + m <= L - 1 else 0)
-        return counts
-
-    def _grid_locality(self, R: int) -> int:
-        acc = [1] + [0] * R
-        for L in self.dims:
-            cnt = self._axis_count(L, R)
-            nxt = [0] * (R + 1)
-            for a, va in enumerate(acc):
-                if va == 0:
-                    continue
-                for b in range(0, R + 1 - a):
-                    if cnt[b]:
-                        nxt[a + b] += va * cnt[b]
-            acc = nxt
-        return min(sum(acc), self.n_sites)
-
 
 def chain(n_sites: int, boundary: str = "open") -> SiteGraph:
     return SiteGraph(kind="chain", n_sites=n_sites, boundary=boundary)

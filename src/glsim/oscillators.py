@@ -19,8 +19,10 @@ remove all extended-space polynomial work.
 
 The springs are kept once, as one table sorted by (site, other site): row k
 is a spring of stiffness kappas[k] > 0 seen from sites[k] towards others[k],
-listed from both ends, or once for a wall spring (i, i).  A site's row of B
-is a slice of the table, the pair slots are its rows with i <= j, and E and
+listed from both ends, or once for a wall spring (i, i).  Beside it sits one
+column of pair slots, slots[k] = pair_index(min, max of the two sites).  A
+site's row of B is a slice of the table; the columns of B are the table rows
+with i <= j, which lie in slot order, so B^T is looked up by slot, and E and
 psi(0) are array expressions over those rows.  The rows of A are one CSR
 table derived from it when the system is built, and a block of them is a
 gather of slices.
@@ -63,19 +65,6 @@ def pair_index(i: int, j: int, n: int) -> int:
     return n + _pair_offset(i, n) + (j - i)
 
 
-def pair_decode(idx: int, n: int) -> tuple[int, int]:
-    """Inverse of pair_index for idx >= n."""
-    r = idx - n
-    if r < 0 or idx >= extended_dimension(n):
-        raise ValueError(f"index {idx} is not a pair slot for n={n}")
-    # i is the last row with _pair_offset(i, n) <= r: the smaller root of
-    # i^2 - (2n + 1) i + 2r = 0, rounded down; isqrt may overshoot it by one
-    b = 2 * n + 1
-    i = (b - math.isqrt(b * b - 8 * r)) // 2
-    i -= _pair_offset(i, n) > r
-    return i, i + (r - _pair_offset(i, n))
-
-
 def extended_dimension(n: int) -> int:
     return n + (n * (n + 1)) // 2
 
@@ -115,20 +104,17 @@ class OscillatorSystem:
         """Site i's springs are the table rows _starts[i]:_starts[i + 1]."""
         return np.searchsorted(self.sites, np.arange(self.n_sites + 1))
 
-    def _row(self, i: int) -> tuple[list, list]:
-        """(others, kappas) of site i's springs, in increasing order of the other site."""
-        lo, hi = self._starts[i], self._starts[i + 1]
-        return self.others[lo:hi].tolist(), self.kappas[lo:hi].tolist()
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The pair slot of each table row: n + _pair_offset(min(i, j), n) + |i - j|."""
+        n, i, j = self.n_sites, self.sites, self.others
+        return n + _pair_offset(np.minimum(i, j), n) + np.abs(i - j)
 
-    def kappa(self, i: int, j: int) -> float:
-        others, kappas = self._row(i)
-        return kappas[others.index(j)] if j in others else 0.0
-
-    @property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, kappa) of every spring once, with i <= j, sorted by (i, j)."""
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, kappa, slot) of every spring once, with i <= j: the columns of B, by slot."""
         once = self.sites <= self.others
-        return self.sites[once], self.others[once], self.kappas[once]
+        return self.sites[once], self.others[once], self.kappas[once], self.slots[once]
 
     @cached_property
     def a_norm_bound(self) -> float:
@@ -189,25 +175,29 @@ class OscillatorSystem:
 
     # ---- sparse B and B^T applications -----------------------------------
 
-    def bdag_entry(self, a: int, b: int, z_fn) -> complex:
-        """(B^T z)_{(a,b)} for a site-space functional z_fn, a <= b."""
-        kap = self.kappa(a, b)
-        if kap == 0.0:
+    def bdag_entry(self, slot: int, z_fn) -> complex:
+        """(B^T z)_slot for a site-space functional z_fn; 0 at a slot with no spring."""
+        i, j, kappas, slots = self.pairs
+        k = int(np.searchsorted(slots, slot))
+        if k == slots.size or slots[k] != slot:
             return 0.0 + 0.0j
+        a, b, kap = int(i[k]), int(j[k]), kappas[k]
         if a == b:
             return math.sqrt(kap / self.masses[a]) * z_fn(a)
         return (math.sqrt(kap / self.masses[a]) * z_fn(a)
                 - math.sqrt(kap / self.masses[b]) * z_fn(b))
 
-    def b_entry(self, i: int, pair_fn) -> complex:
-        """(B w)_i for a pair-space functional pair_fn((a, b))."""
+    def b_entry(self, i: int, slot_fn) -> complex:
+        """(B w)_i for a pair-space functional slot_fn(slot)."""
+        lo, hi = self._starts[i], self._starts[i + 1]
         total = 0.0 + 0.0j
-        for j, kap in zip(*self._row(i)):
+        for j, kap, slot in zip(self.others[lo:hi].tolist(), self.kappas[lo:hi].tolist(),
+                                self.slots[lo:hi].tolist()):
             root = math.sqrt(kap / self.masses[i])
             if j >= i:
-                total += root * pair_fn((i, j))
+                total += root * slot_fn(slot)
             else:
-                total -= root * pair_fn((j, i))
+                total -= root * slot_fn(slot)
         return total
 
 
@@ -278,9 +268,8 @@ def _stretches(sys: OscillatorSystem, x: np.ndarray):
 
     (B^T sqrt(M) x)_(i,j) is sqrt(kappa) (x_i - x_j), or sqrt(kappa) x_i at a wall spring.
     """
-    i, j, kap = sys.pairs
-    n = sys.n_sites
-    return n + _pair_offset(i, n) + (j - i), np.sqrt(kap) * (x[i] - np.where(i == j, 0.0, x[j]))
+    i, j, kap, slots = sys.pairs
+    return slots, np.sqrt(kap) * (x[i] - np.where(i == j, 0.0, x[j]))
 
 
 def total_energy(sys: OscillatorSystem, state: OscillatorState) -> float:
@@ -375,10 +364,7 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
     n = sys.n_sites
 
     def w_query(idx: int) -> complex:
-        if idx < n:
-            return top(idx)
-        pa, pb = pair_decode(idx, n)
-        return 1j * sys.bdag_entry(pa, pb, z)
+        return top(idx) if idx < n else 1j * sys.bdag_entry(idx, z)
 
     w = VectorOracle(dimension=sys.extended_dim, query_fn=w_query, norm=None)
     return inner_product_estimate(w, v, eps / 2.0, delta, seed)
@@ -404,13 +390,14 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     """
     n = sys.n_sites
     vset = {int(i) for i in mass_subset}
-    xset = {tuple(sorted((int(pair[0]), int(pair[1])))) for pair in spring_subset}
+    pairs = {tuple(sorted((int(pair[0]), int(pair[1])))) for pair in spring_subset}
     for i in vset:
         if not 0 <= i < n:
             raise ValueError(f"mass index {i} out of range")
-    for pa, pb in xset:
+    for pa, pb in pairs:
         if not 0 <= pa <= pb < n:
             raise ValueError(f"spring pair ({pa},{pb}) out of range")
+    xset = {pair_index(pa, pb, n) for pa, pb in pairs}   # the selected spring slots
 
     a, pcos, psin, top, z = _evolved_blocks(sys, state0, t, eps / 4.0)
     a0, ptil = divide_out_zero(pcos)   # Pcos(y) = a0 + y * ptil(y)
@@ -422,10 +409,10 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     # bottom block of P psi0 is B^T phi_x with phi_x = i z, masked to the
     # selected spring slots
     @cache
-    def mbx(pair: tuple) -> complex:
-        if pair not in xset:
+    def mbx(slot: int) -> complex:
+        if slot not in xset:
             return 0.0 + 0.0j
-        return sys.bdag_entry(pair[0], pair[1], lambda k: 1j * z(k))
+        return sys.bdag_entry(slot, lambda k: 1j * z(k))
 
     g = cache(lambda i: sys.b_entry(i, mbx))
 
@@ -439,10 +426,9 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     def w_query(idx: int) -> complex:
         if idx < n:
             return site(idx)[0]
-        pa, pb = pair_decode(idx, n)
-        return (-1j * sys.bdag_entry(pa, pb, lambda i: site(i)[1])
-                + a0 * mbx((pa, pb))
-                + sys.bdag_entry(pa, pb, lambda i: site(i)[2]))
+        return (-1j * sys.bdag_entry(idx, lambda i: site(i)[1])
+                + a0 * mbx(idx)
+                + sys.bdag_entry(idx, lambda i: site(i)[2]))
 
     w = VectorOracle(dimension=sys.extended_dim, query_fn=w_query, norm=None)
     v = psi0(sys, state0)

@@ -37,7 +37,7 @@ def _laplacian_source(graph: SiteGraph):
             nbrs = graph._adj.get(i, ())
             return [(j, -1.0) for j in nbrs] + [(i, float(len(nbrs)))]
         return _row_source(row_fn)
-    dims = graph.dims or (graph.n_sites,)
+    dims = graph.dims
     strides = [math.prod(dims[d + 1:]) for d in range(len(dims))]
     periodic = graph.boundary == "periodic"
 

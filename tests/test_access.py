@@ -5,53 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glsim import (CostCounter, Distribution, LocalityError,
-                   OracleInconsistencyError, PreconditionError, VectorOracle,
-                   build_system, chain, general, graph_laplacian_oracle, grid,
-                   induced_distribution, local_matrix_from_dense,
+from glsim import (CostCounter, LocalityError, OracleInconsistencyError,
+                   PreconditionError, VectorOracle, build_system, chain, general,
+                   graph_laplacian_oracle, grid, local_matrix_from_dense,
                    local_matrix_from_rows, perturbed_sq_access, rng_stream,
                    scale_matrix_oracle, sparse_vector_oracle,
-                   sq_access_from_dense, tv_distance)
+                   sq_access_from_dense)
 
 N_DRAWS = 100_000
-
-
-# =====================================================================
-# induced distributions and TV distance
-# =====================================================================
-
-
-def test_induced_distribution_basis_vector():
-    p = induced_distribution([1.0, 0.0, 0.0])
-    assert np.allclose(p.probs, [1.0, 0.0, 0.0])
-
-
-def test_induced_distribution_symmetric():
-    s = 1.0 / np.sqrt(2.0)
-    p = induced_distribution([s, s])
-    assert np.allclose(p.probs, [0.5, 0.5])
-
-
-def test_induced_distribution_three_four():
-    p = induced_distribution([3.0, 4.0])
-    assert np.allclose(p.probs, [0.36, 0.64])
-
-
-def test_tv_distance_identical_is_zero():
-    p = induced_distribution([0.6, 0.8])
-    assert tv_distance(p, p) == 0.0
-
-
-def test_tv_distance_disjoint_is_one():
-    p = induced_distribution([1.0, 0.0])
-    q = induced_distribution([0.0, 1.0])
-    assert tv_distance(p, q) == pytest.approx(1.0)
-
-
-def test_tv_distance_direct_sum():
-    p = induced_distribution([np.sqrt(0.5), np.sqrt(0.5)])
-    q = induced_distribution([np.sqrt(0.75), np.sqrt(0.25)])
-    assert tv_distance(p, q) == pytest.approx(0.25)
 
 
 # =====================================================================
@@ -78,7 +39,8 @@ def test_random_vector_empirical_tv():
     u = sq_access_from_dense(vec)
     draws = u.sample_many(rng_stream(11, 0), N_DRAWS)
     emp = np.bincount(draws, minlength=64) / N_DRAWS
-    tv = 0.5 * np.abs(emp - induced_distribution(vec).probs).sum()
+    law = np.abs(vec) ** 2
+    tv = 0.5 * np.abs(emp - law / law.sum()).sum()
     assert tv <= 0.02
 
 
@@ -172,15 +134,15 @@ def test_table_is_the_perturbed_law(entries, fraction):
     """No zero-mass site in the table, unit total mass, TV distance zeta from |u_i|^2."""
     u = np.array(entries, dtype=np.complex128)
     assume(np.count_nonzero(u) >= 2)
-    exact = induced_distribution(u)
-    zeta = fraction * float(exact.probs.max())
+    exact = np.abs(u) ** 2 / np.sum(np.abs(u) ** 2)
+    zeta = fraction * float(exact.max())
     oracle = perturbed_sq_access(u, zeta)
     assert np.all(oracle.masses > 0)
     assert np.all(u[oracle.support] != 0)
     assert abs(float(oracle.masses.sum()) - 1.0) <= 1e-12
     law = np.zeros(u.size)
     law[oracle.support] = oracle.masses
-    assert abs(tv_distance(Distribution(law), exact) - zeta) <= 1e-12
+    assert abs(0.5 * np.abs(law - exact).sum() - zeta) <= 1e-12
 
 
 # =====================================================================
@@ -218,7 +180,8 @@ def test_perturbed_tv_is_zeta():
     pert = perturbed_sq_access(vec, zeta=zeta)
     draws = pert.sample_many(rng_stream(15, 0), 2 * N_DRAWS)
     emp = np.bincount(draws, minlength=32) / (2 * N_DRAWS)
-    tv = 0.5 * np.abs(emp - induced_distribution(vec).probs).sum()
+    law = np.abs(vec) ** 2
+    tv = 0.5 * np.abs(emp - law / law.sum()).sum()
     assert abs(tv - zeta) <= 0.02
 
 

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsim import SiteGraph, chain, general, grid
 
@@ -82,6 +84,22 @@ def test_periodic_chain_ball_wraps():
     assert set(chain(8, "periodic").ball(0, 2)) == {6, 7, 0, 1, 2}
 
 
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_chain_is_a_one_axis_grid_with_the_closed_form_balls(boundary):
+    for n in range(1, 10):
+        g = chain(n, boundary)
+        assert g.dims == (n,)
+        for i in range(n):
+            for r in range(n + 2):
+                if boundary == "open":
+                    expected = tuple(range(max(0, i - r), min(n - 1, i + r) + 1))
+                elif 2 * r + 1 >= n:
+                    expected = tuple(range(n))
+                else:
+                    expected = tuple(sorted((i + o) % n for o in range(-r, r + 1)))
+                assert g.ball(i, r) == expected
+
+
 def test_balls_nest_with_radius():
     g = grid([5, 4], "periodic")
     for i in range(g.n_sites):
@@ -116,6 +134,18 @@ def test_general_locality_function_is_kept_per_radius(monkeypatch):
     assert bfs == []
     assert g.locality_function(2) == 3
     assert len(bfs) == g.n_sites
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       boundary=st.sampled_from(["open", "periodic"]))
+def test_locality_function_is_the_largest_ball(dims, boundary):
+    """On chains (one axis) and grids N(r) is the largest ball, also for r past the diameter."""
+    g = chain(dims[0], boundary) if len(dims) == 1 else grid(dims, boundary)
+    i, j = np.divmod(np.arange(g.n_sites ** 2), g.n_sites)
+    diameter = int(g.distances(i, j).max())
+    for r in range(diameter + 3):
+        assert g.locality_function(r) == max(len(g.ball(k, r)) for k in range(g.n_sites))
 
 
 def test_locality_function_nondecreasing():

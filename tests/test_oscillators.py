@@ -7,7 +7,7 @@ from glsim import (DenseMatrix, LocalityError, OscillatorState, PreconditionErro
                    SiteGraph, build_system, chain, dense_from_oracle, dense_poly_apply,
                    dense_poly_matrix, estimate_energy, estimate_observable, exp_poly,
                    extended_dimension, general, grid, inner_product_estimate,
-                   load_system, pair_decode, pair_index, psi0, read_state_csv,
+                   load_system, pair_index, psi0, read_state_csv,
                    sparse_vector_oracle, spectral_norm, sq_access_from_dense,
                    total_energy)
 from glsim import lightcone, oscillators
@@ -45,13 +45,13 @@ SYSTEMS = {
 
 
 def _dense_b(sys) -> np.ndarray:
-    """B as an n x (extended_dim - n) dense block, columns indexed by spring pairs."""
+    """B as an n x (extended_dim - n) dense block, one b_entry call per entry of a column."""
     n = sys.n_sites
     b = np.zeros((n, sys.extended_dim - n), dtype=np.complex128)
     for a, c in zip(*sys.pairs[:2]):
-        col = pair_index(a, c, n) - n
+        col = pair_index(a, c, n)
         for i in range(n):
-            b[i, col] = sys.b_entry(i, lambda pr: 1.0 if pr == (a, c) else 0.0)
+            b[i, col - n] = sys.b_entry(i, lambda slot: 1.0 if slot == col else 0.0)
     return b
 
 
@@ -60,16 +60,10 @@ def _dense_b(sys) -> np.ndarray:
 # =====================================================================
 
 
-def test_pair_index_round_trip():
+def test_pair_index_fills_the_pair_slots_in_order():
     n = 7
-    seen = set()
-    for i in range(n):
-        for j in range(i, n):
-            idx = pair_index(i, j, n)
-            assert n <= idx < extended_dimension(n)
-            assert pair_decode(idx, n) == (i, j)
-            seen.add(idx)
-    assert len(seen) == n * (n + 1) // 2
+    slots = [pair_index(i, j, n) for i in range(n) for j in range(i, n)]
+    assert slots == list(range(n, extended_dimension(n)))
 
 
 def test_extended_dimension_formula():
@@ -85,7 +79,7 @@ def test_extended_dimension_formula():
 def test_single_mass_wall_spring_system():
     sys = build_system(chain(1), [1.0], {(0, 0): 1.0}, 1)
     assert np.allclose(dense_from_oracle(sys.a_oracle()).entries, [[1.0]])
-    assert sys.bdag_entry(0, 0, lambda k: {0: 1.0}[k]) == pytest.approx(1.0)
+    assert sys.bdag_entry(pair_index(0, 0, 1), lambda k: {0: 1.0}[k]) == pytest.approx(1.0)
 
 
 def test_two_mass_pair_matrix():
@@ -100,6 +94,18 @@ def test_b_times_b_dagger_reconstructs_a():
     b = _dense_b(sys)
     dense_a = dense_from_oracle(sys.a_oracle()).entries
     assert np.abs(b @ b.conj().T - dense_a).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_bdag_entry_is_dense_b_transpose_at_every_slot(kind):
+    """Every slot of the extended space, a spring's or not, against the b_entry-built B."""
+    sys = SYSTEMS[kind](np.random.default_rng(120))
+    n = sys.n_sites
+    bt = _dense_b(sys).T
+    assert np.count_nonzero(np.abs(bt).sum(axis=1) == 0) > 0   # slots with no spring are checked
+    for slot in range(n, sys.extended_dim):
+        for k in range(n):
+            assert sys.bdag_entry(slot, lambda i: float(i == k)) == bt[slot - n, k]
 
 
 def test_nonlocal_spring_rejected():
@@ -145,8 +151,10 @@ def test_spring_list_is_normalized():
     assert [a.row(i) for i in range(4)] == [
         ((0, 1.5), (1, -1.5)), ((0, -1.5), (1, 1.5)),
         ((2, 0.5), (3, -0.5)), ((2, -0.5), (3, 2.5))]
-    assert sys.kappa(1, 0) == sys.kappa(0, 1) == 1.5
-    assert sys.kappa(1, 2) == 0.0
+    i, j, kap, slots = sys.pairs
+    assert list(zip(i.tolist(), j.tolist(), kap.tolist())) == [
+        (0, 1, 1.5), (2, 3, 0.5), (3, 3, 2.0)]
+    assert slots.tolist() == [pair_index(0, 1, 4), pair_index(2, 3, 4), pair_index(3, 3, 4)]
 
 
 @pytest.mark.parametrize("springs", [{}, [], [(0, 1, 0.0)]], ids=["dict", "list", "zero"])
@@ -380,6 +388,39 @@ def test_energy_estimate_validates_index_ranges():
     assert abs(est.value) <= 0.1
 
 
+def test_energy_spring_subset_is_read_in_its_canonical_form():
+    """A reversed, a repeated or a springless pair changes nothing; a wall pair is its own slot."""
+    rng = np.random.default_rng(123)
+    sys = _grid_wall_system(rng)   # walls at sites 0, 5 and 11, none at 3
+    state = OscillatorState(rng.normal(size=12), rng.normal(size=12))
+
+    def value(springs, masses=(1, 4)):
+        return estimate_energy(sys, state, masses, springs, 0.7, 0.2, 0.1, seed=124).value
+
+    canonical = value([(0, 1), (4, 8), (5, 5)])
+    assert canonical != 0.0
+    assert value([(1, 0), (8, 4), (5, 5)]) == canonical
+    assert value([(0, 1), (4, 8), (0, 1), (5, 5), (1, 0), (5, 5)]) == canonical
+    assert value([(0, 1), (4, 8), (5, 5), (0, 2), (3, 3), (11, 0)]) == canonical
+    assert value([(5, 5)], ()) != 0.0
+    assert value([(0, 2), (3, 3), (11, 0)], ()) == 0.0
+
+
+@pytest.mark.parametrize("masses, springs, message", [
+    ([12], [], r"mass index 12 out of range"),
+    ([-1], [(0, 1)], r"mass index -1 out of range"),
+    ([12], [(0, 99)], r"mass index 12 out of range"),
+    ([], [(0, 12)], r"spring pair \(0,12\) out of range"),
+    ([], [(12, 0)], r"spring pair \(0,12\) out of range"),
+    ([0], [(3, -1)], r"spring pair \(-1,3\) out of range"),
+])
+def test_energy_subset_out_of_range_messages(masses, springs, message):
+    sys = _grid_wall_system(np.random.default_rng(125))
+    state = OscillatorState(np.ones(12), np.zeros(12))
+    with pytest.raises(ValueError, match=message):
+        estimate_energy(sys, state, masses, springs, 1.0, 0.2, 0.1, seed=126)
+
+
 # =====================================================================
 # persistence
 # =====================================================================
@@ -395,7 +436,7 @@ def test_system_json_round_trip(tmp_path):
     sys = build_system(chain(4), [1.0, 2.0, 0.5, 1.5], springs, 1)
     assert back.n_sites == 4
     assert np.array_equal(back.masses, sys.masses)
-    i, j, kap = back.pairs
+    i, j, kap, _ = back.pairs
     assert list(zip(i.tolist(), j.tolist(), kap.tolist())) == [
         (a, b, k) for (a, b), k in springs.items()]
     assert back.r0 == 1
