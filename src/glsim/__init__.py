@@ -26,8 +26,8 @@ from .embeddings import (ClockHamiltonian, EmbeddedRun, Gate, ReadoutScan,
                          step_operator, w_matrix)
 from .estimate import EstimateReport, evt_gl_estimate, inner_product_estimate
 from .lattice import SiteGraph, chain, general, grid
-from .lightcone import (entry_of_poly_apply, poly_apply_query_oracle, poly_rows,
-                        row_dot, row_power)
+from .lightcone import (cone_rows, entries_of_poly_apply, entry_of_poly_apply,
+                        poly_apply_query_oracle, poly_rows, row_power)
 from .oracle import (DenseMatrix, dense_cap, dense_cos_sqrt_apply,
                      dense_evolve, dense_from_oracle, dense_poly_apply,
                      dense_poly_matrix, spectral_norm)
@@ -53,10 +53,10 @@ __all__ = [
     "RejectionResult", "ReversibleCircuit", "SUITES", "SiteGraph", "VectorOracle",
     "adjacent_transposition_decomposition", "advection_hamiltonian",
     "bessel_j_sequence", "build_system", "chain", "classical_output",
-    "default_scan_horizon", "dense_cap", "dense_cos_sqrt_apply",
+    "cone_rows", "default_scan_horizon", "dense_cap", "dense_cos_sqrt_apply",
     "dense_evolve", "dense_from_oracle", "dense_poly_apply",
-    "dense_poly_matrix", "divide_out_zero", "entry_of_poly_apply",
-    "estimate_energy", "estimate_observable", "eval_scalar",
+    "dense_poly_matrix", "divide_out_zero", "entries_of_poly_apply",
+    "entry_of_poly_apply", "estimate_energy", "estimate_observable", "eval_scalar",
     "evt_gl_estimate", "exp_poly", "extended_dimension", "find_readout_time",
     "fk_classical", "fk_long_local", "fk_long_undilated", "gate_permutation",
     "gate_unitary", "general", "graph_laplacian_oracle", "grid",
@@ -66,7 +66,7 @@ __all__ = [
     "pair_index", "parity_split", "parse_circuit",
     "perturbed_sq_access", "poly_apply_query_oracle", "poly_rows", "psi0",
     "read_state_csv", "readout_overlap_curve", "rejection_sample",
-    "rng_stream", "row_dot", "row_power", "run_criterion", "run_suite",
+    "rng_stream", "row_power", "run_criterion", "run_suite",
     "scale_matrix_oracle", "schrodinger_hamiltonian",
     "simulate_embedded_circuit", "sparse_vector_oracle", "spectral_norm",
     "sq_access_from_dense", "step_operator", "system_from_json_dict",

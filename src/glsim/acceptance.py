@@ -180,10 +180,11 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
         u_or = VectorOracle(dimension=graph.n_sites, query_fn=lambda j, _u=u: _u[j],
                             norm=None)
         entry_of_poly_apply(oracle, p, u_or, i)
+        # each row within d - 1 hops once at (len + 1) queries; u once per site of the row
         d = p.degree
-        n_big = graph.locality_function(d * r0)
-        bound_a = 4.0 * d * d * n_big * graph.locality_function(r0)
-        bound_u = 4.0 * d * n_big
+        bound_a = (graph.locality_function(max(d - 1, 0) * r0)
+                   * (graph.locality_function(r0) + 1) if d else 0)
+        bound_u = graph.locality_function(d * r0)
         if oracle.cost.queries > bound_a or u_or.cost.queries > bound_u:
             over_budget += 1
         count += 1

@@ -76,16 +76,20 @@ class CostCounter:
 class VectorOracle:
     """Sq-access to a vector.
 
-    query(i) -> complex entry, norm() -> float.  The sampler is a sorted mass
-    table (support, masses): the sites in strictly increasing order and their
-    probabilities, within TV distance zeta of |u_i|^2/||u||^2.
+    query(i) -> complex entry, norm() -> float.  query_many(sites) answers
+    and meters a list of sites at once, through many_fn(sites) -> values
+    when the oracle has one and query_fn site by site otherwise.  The
+    sampler is a sorted mass table (support, masses): the sites in strictly
+    increasing order and their probabilities, within TV distance zeta of
+    |u_i|^2/||u||^2.
     sample_positions(rng, k) draws k positions into support, sample_many(rng,
     k) the k sites support[positions], and sample_counts(rng, batch, reps)
     reps batches of batch draws as how often each position was drawn in each.
     """
 
     def __init__(self, dimension: int, query_fn, norm: float | None,
-                 table=None, zeta: float = 0.0, cost: CostCounter | None = None):
+                 table=None, zeta: float = 0.0, cost: CostCounter | None = None,
+                 many_fn=None):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         if norm is not None and norm < 0:
@@ -94,6 +98,7 @@ class VectorOracle:
             raise ValueError("zeta must be nonnegative")
         self.dimension = int(dimension)
         self._query_fn = query_fn
+        self._many_fn = many_fn
         self._norm = None if norm is None else float(norm)
         self.zeta = float(zeta)
         self.cost = cost if cost is not None else CostCounter()
@@ -118,6 +123,17 @@ class VectorOracle:
             raise ValueError(f"index {i} out of range [0, {self.dimension})")
         self.cost.add(queries=1)
         return complex(self._query_fn(int(i)))
+
+    def query_many(self, sites) -> np.ndarray:
+        """The entries at sites, in order, as a complex array; meters len(sites) queries."""
+        sites = list(map(int, sites))
+        if sites and not (0 <= min(sites) and max(sites) < self.dimension):
+            bad = next(i for i in sites if not 0 <= i < self.dimension)
+            raise ValueError(f"index {bad} out of range [0, {self.dimension})")
+        self.cost.add(queries=len(sites))
+        if self._many_fn is not None:
+            return np.asarray(self._many_fn(sites), dtype=np.complex128)
+        return np.array([complex(self._query_fn(i)) for i in sites], dtype=np.complex128)
 
     @property
     def has_norm(self) -> bool:

@@ -19,7 +19,7 @@ counts times X over the batch size.  A larger table would make the
 themselves, so there the draws come as positions into the table
 (VectorOracle.sample_positions) and each batch mean averages X over its
 draws.  Either way v and w are queried once at each site drawn at least
-once, in increasing order.
+once, in increasing order, each through one query_many call.
 
 The composed solver applies a polynomial of a geometrically local matrix to
 u (through the light-cone kernel) and estimates v^dag P(A)u the same way.
@@ -99,12 +99,12 @@ def inner_product_estimate(w: VectorOracle, v: VectorOracle, eps: float,
         drawn = v.sample_positions(rng, total)
         hit = np.flatnonzero(np.bincount(drawn, minlength=v.support.size))
     sites = v.support[hit].tolist()
-    vvals = np.array([v.query(i) for i in sites], dtype=np.complex128)
+    vvals = v.query_many(sites)
     if np.any(vvals == 0):
         bad = sites[int(np.flatnonzero(vvals == 0)[0])]
         raise OracleInconsistencyError(
             f"sampler returned index {bad} but v_{bad} = 0")
-    wvals = np.array([w.query(i) for i in sites], dtype=np.complex128)
+    wvals = w.query_many(sites)
 
     x_table = np.zeros(v.support.size, dtype=np.complex128)
     x_table[hit] = np.conj(vvals) * wvals * (vnorm * vnorm) / (np.abs(vvals) ** 2)
@@ -126,7 +126,8 @@ def evt_gl_estimate(A, p: Polynomial, u: VectorOracle, v: VectorOracle,
     """Estimate v^dag P(A)u for a geometrically local A within eps, w.p. >= 1 - delta.
 
     Requires p.sup_bound <= 1 (small slack allowed) so that ||P(A)u|| stays
-    near 1; each sampled index triggers one light-cone entry evaluation.
+    near 1; the entries of P(A)u at the sampled indices come from one
+    batched light-cone pass.
     """
     if p.sup_bound is None:
         raise PreconditionError("polynomial carries no certified sup_bound")

@@ -207,14 +207,22 @@ class SiteGraph:
 
         chain and grid: the convolution over axes of the counts of positions at
         each axis distance from the most central position (which attains the max
-        for L1 balls in a box), with r capped at the diameter.  general: exact
-        max over BFS balls, kept per radius.
+        for L1 balls in a box), with r capped at the diameter; on one axis of
+        length L that count is closed-form, 1 + min(r, c) + min(r, L - 1 - c)
+        with c = (L - 1) // 2 (periodic: two positions at each distance below
+        L/2, one at L/2).  general: exact max over BFS balls, kept per radius.
         """
         if r < 0:
             raise ValueError("radius must be nonnegative")
         if self.kind == "general":
             return self._general_locality(int(r))
         periodic = self.boundary == "periodic"
+        if len(self.dims) == 1:
+            (L,), r = self.dims, int(r)
+            if periodic:
+                return 1 + 2 * min(r, (L - 1) // 2) + (1 if L % 2 == 0 and r >= L // 2 else 0)
+            c = (L - 1) // 2
+            return 1 + min(r, c) + min(r, L - 1 - c)
         R = min(int(r), sum(L // 2 if periodic else L - 1 for L in self.dims))
         m = np.arange(R + 1)
         counts = np.ones(1, dtype=np.int64)

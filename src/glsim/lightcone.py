@@ -5,24 +5,27 @@ supported inside ball(i, k*r0), so a single entry of P(A)u for a degree-d
 polynomial touches only ball(i, d*r0): the whole computation is independent
 of the total site count.
 
-One kernel, poly_rows, serves every pipeline: it returns the rows e_i^T P(A)
-of several polynomials from one LightCone, which fetches each row within d-1
-hops of i once, one metered A.rows block per hop.  The cone's sites are
-indexed in sorted global site order and its entries are stored as arrays
-sorted by (col, row), so one step vec^T A is a gather, a multiply and an
-np.add.reduceat.  The only truncation anywhere is a hard-zero drop at 1e-300
-after each step, to stop denormal buildup.
+One kernel, cone_rows, serves every pipeline: it returns the rows e_i^T P(A)
+of several polynomials for a batch of origins i.  One LightCone per chunk of
+origins fetches each row within d-1 hops of any of them once, one metered
+A.rows block per hop, and lays out each origin's own cone as one segment of
+a long vector, its sites in sorted global site order.  The cone's entries
+are stored as arrays sorted by (origin, col, row), so one step vec^T A is a
+gather, a multiply and an np.add.reduceat, and each origin's segment sums
+exactly the terms a cone of that origin alone would sum, in the same order.
+The only truncation anywhere is a hard-zero drop at 1e-300 after each step,
+to stop denormal buildup.  Chunks keep the working memory under CONE_BYTES.
 
-Every order the kernel uses -- which rows it fetches when, how it sums a
-column, which u entries it queries and in what order it adds them -- is the
-sorted order of the cone's sites.  It depends only on the sites' relative
+entries_of_poly_apply meets the rows with u: it queries u once at each
+distinct site where some row is nonzero, in increasing site order, and
+row_dots sums each row's products in site order with the rounding of a
+Python loop, so a batch gives each entry bit for bit as the batch of one
+does.  Every order the kernel uses depends only on the sites' relative
 positions, so results are bit-deterministic, and a local pattern embedded
 into a larger lattice gives the same value and the same query counts.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 import numpy as np
 
@@ -30,6 +33,11 @@ from .access import LocalMatrixOracle, PreconditionError, VectorOracle
 from .polyapprox import Polynomial
 
 HARD_ZERO = 1e-300
+CONE_BYTES = 32 * 2 ** 20  # working memory of one chunk of origins
+# an origin's share of it: bytes per A entry of its cone (index and value
+# arrays, step tables, temporaries) and per site for each polynomial's
+# vectors; measured peaks stay under half of what these constants allow
+ENTRY_BYTES, SITE_BYTES = 256, 256
 
 
 def _hard_zero(vec: np.ndarray) -> np.ndarray:
@@ -37,20 +45,37 @@ def _hard_zero(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-class LightCone:
-    """The rows of A within `hops` row-hops of site i, each fetched once.
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, increasing (np.unique without its overhead)."""
+    x = np.sort(x)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
-    Hop h fetches, in one A.rows call, the sites first reached at hop h, in
-    increasing order.  sites: the cone's global site numbers, a sorted array;
-    local index n is sites[n], and origin is the local index of i.  A row
-    functional on the cone is a length-len(sites) complex vector.  Each row
-    keeps the hop it was fetched at, so the cone also serves every smaller
-    depth.
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges [starts[k], starts[k] + lens[k])."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if ends.size else 0)
+
+
+class LightCone:
+    """The rows of A within `hops` row-hops of each of a sorted set of origins.
+
+    Hop h fetches, in one A.rows call, the sites first reached at hop h from
+    any origin, in increasing order, so each row is fetched once per cone.
+    The cone is one long vector of segments, one per origin: segment o spans
+    positions offsets[o]:offsets[o + 1] and holds origin o's own cone (the
+    sites within hops + 1 hops of it) in increasing site order; sites gives
+    each position's global site and origin each origin's position.  Each
+    entry keeps the hop its row lies at from its own origin, so the cone
+    also serves every smaller depth.  With one origin the union's hops are
+    the origin's, and the per-origin reach pass is skipped.
     """
 
-    def __init__(self, A: LocalMatrixOracle, i: int, hops: int):
-        i = int(i)
-        reached, frontier = {i}, [i]
+    def __init__(self, A: LocalMatrixOracle, origins, hops: int):
+        origins = [int(i) for i in origins]
+        reached, frontier = set(origins), origins
         fetched, lens, blocks = [], [], []   # each row's site and length; each hop's (cols, vals)
         for _ in range(hops + 1):
             if not frontier:
@@ -62,34 +87,86 @@ class LightCone:
             blocks.append((cols, vals))
             frontier = sorted(set(cols.tolist()) - reached)
             reached.update(frontier)
-        self.sites = np.array(sorted(reached), dtype=np.int64)
-        self.origin = int(np.searchsorted(self.sites, i))
-        rows = np.repeat(np.array(fetched, dtype=np.int64), lens)
+        union = np.array(sorted(reached), dtype=np.int64)
         cols = np.concatenate([np.zeros(0, dtype=np.int64)] + [c for c, _ in blocks])
         vals = np.concatenate([np.zeros(0, dtype=np.complex128)] + [v for _, v in blocks])
-        hop = np.repeat(np.arange(len(blocks)), [c.size for c, _ in blocks])
-        # sorted by (col, row): each column's rows in increasing site order
+        if len(origins) == 1:
+            self.sites = union
+            self.offsets = np.array([0, union.size])
+            self.origin = np.searchsorted(union, origins)
+            rows = np.repeat(np.array(fetched, dtype=np.int64), lens)
+            hop = np.repeat(np.arange(len(blocks)), [c.size for c, _ in blocks])
+            cols, rows = np.searchsorted(union, cols), np.searchsorted(union, rows)
+        else:
+            cols, rows, hop, vals = self._reach(union, origins, fetched, lens, cols, vals, hops)
+        # sorted by (origin, col, row): each column's rows in increasing site order;
+        # one array at a time, so the unsorted copy is freed as the sorted one is made
         order = np.lexsort((rows, cols))
-        self._cols = np.searchsorted(self.sites, cols[order])
-        self._rows = np.searchsorted(self.sites, rows[order])
-        self._hops = hop[order]
+        self._cols = cols = cols[order]
+        self._rows = rows = rows[order]
+        self._hops = hop = hop[order]
         self._vals = vals[order]
         self._steps: dict = {}
 
+    def _reach(self, union, origins, fetched, lens, cols, vals, hops):
+        """Lay out each origin's own cone by a breadth-first pass over the fetched rows.
+
+        A pair (origin o, site s) is keyed o * len(union) + s's index in union,
+        so the sorted keys are the long vector's positions.  Sets sites,
+        offsets and origin; returns the entries' (col position, row position,
+        hop, value), one copy of a row per origin whose cone holds it.
+        """
+        n, k = union.size, len(origins)
+        local = np.searchsorted(union, np.array(fetched, dtype=np.int64))
+        lens = np.array(lens, dtype=np.int64)
+        starts, lengths = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        lengths[local] = lens
+        starts[local] = np.cumsum(lens) - lens
+        col_local = np.searchsorted(union, cols)
+        front = seen = first = np.arange(k) * n + np.searchsorted(union, origins)
+        keys, dist = [first], [np.zeros(k, dtype=np.int64)]
+        for h in range(1, hops + 2):
+            owner, site = np.divmod(front, n)
+            new = _distinct(np.repeat(owner, lengths[site]) * n
+                            + col_local[_ranges(starts[site], lengths[site])])
+            at = np.minimum(np.searchsorted(seen, new), seen.size - 1)
+            front = new[seen[at] != new]
+            if front.size == 0:
+                break
+            seen = np.sort(np.concatenate((seen, front)))
+            keys.append(front)
+            dist.append(np.full(front.size, h))
+        keys, dist = np.concatenate(keys), np.concatenate(dist)
+        order = np.argsort(keys)
+        keys, dist = keys[order], dist[order]
+        self.sites = union[keys % n]
+        self.offsets = np.searchsorted(keys, np.arange(k + 1) * n)
+        self.origin = np.searchsorted(keys, first)
+        pos = np.flatnonzero(dist <= hops)         # the pairs whose rows the cone holds
+        owner, site = np.divmod(keys[pos], n)
+        take = _ranges(starts[site], lengths[site])
+        per = lengths[site]
+        cols = np.searchsorted(keys, np.repeat(owner, per) * n + col_local[take])
+        return cols, np.repeat(pos, per), np.repeat(dist[pos], per), vals[take]
+
     def times_a(self, vec: np.ndarray, hops: int) -> np.ndarray:
-        """vec^T A over the rows of a cone `hops` deep, each column summed in row-site order.
+        """vec^T A over the rows each origin's cone holds `hops` deep, each column
+        summed in row-site order.
 
         reduceat's rounding depends on how many terms a column holds, so a
-        step sums exactly the rows a cone of that depth would hold.
+        step sums exactly the rows a one-origin cone of that depth would hold.
         """
         if hops not in self._steps:
             keep = self._hops <= hops
-            cols = self._cols[keep]
+            rows, cols, vals = self._rows, self._cols, self._vals
+            if not keep.all():
+                rows, cols, vals = rows[keep], cols[keep], vals[keep]
             starts = np.flatnonzero(np.diff(cols, prepend=-1))
-            self._steps[hops] = (cols[starts], starts, self._rows[keep], self._vals[keep])
+            self._steps[hops] = (cols[starts], starts, rows, vals)
         cols, starts, rows, vals = self._steps[hops]
+        terms = vec[rows]
         out = np.zeros_like(vec)
-        out[cols] = np.add.reduceat(vec[rows] * vals, starts)
+        out[cols] = np.add.reduceat(np.multiply(terms, vals, out=terms), starts)
         return _hard_zero(out)
 
 
@@ -117,28 +194,54 @@ def _check_interval(A: LocalMatrixOracle, p: Polynomial):
         f"cannot certify spectrum inside interval [{lo}, {hi}]")
 
 
-def poly_rows(A: LocalMatrixOracle, polys, i: int) -> list[dict]:
-    """The row functionals e_i^T P(A), one {site: value} dict per polynomial.
+def _chunk_size(A: LocalMatrixOracle, degree: int, n_polys: int) -> int:
+    """How many origins one LightCone may hold within CONE_BYTES.
 
-    All rows come from one LightCone grown to the largest degree.  Monomial
-    basis accumulates sum_k a_k e_i^T A^k with running row powers; Chebyshev
-    runs the three-term recurrence on Abar = (2A - (hi+lo)I) / (hi-lo).  The
-    polynomials of one degree d share one recurrence over the rows a
-    degree-d cone holds, so each row is bit-identical to a one-polynomial
-    call.  The polynomials must share one basis and, for Chebyshev, one
-    interval.  Degree 0 never queries A.
+    An origin's cone holds at most N(d r0) sites and N((d-1) r0) rows of at
+    most N(r0) entries each.
+    """
+    graph = A.graph
+    n_sites = graph.locality_function(degree * A.r0)
+    per_origin = n_sites * (graph.locality_function(A.r0) * ENTRY_BYTES
+                            + (n_polys + 1) * SITE_BYTES)
+    return max(1, CONE_BYTES // per_origin)
+
+
+def cone_rows(A: LocalMatrixOracle, polys, sites):
+    """The row functionals e_i^T P(A) at the distinct sites, chunk by chunk.
+
+    Yields (origins, rows): origins is the next run of the sorted distinct
+    sites, and rows[n] the block (indptr, cols, vals) of polynomial n's rows
+    at them, row o being cols[indptr[o]:indptr[o + 1]] with its nonzero
+    values, columns increasing.  Each chunk is one LightCone grown to the
+    largest degree.  Monomial basis accumulates sum_k a_k e_i^T A^k with
+    running row powers; Chebyshev runs the three-term recurrence on
+    Abar = (2A - (hi+lo)I) / (hi-lo).  The polynomials of one degree d share
+    one recurrence over the rows a degree-d cone holds, so each row is
+    bit-identical to a one-polynomial, one-origin call.  The polynomials
+    must share one basis and, for Chebyshev, one interval.  Degree 0 never
+    queries A.
     """
     polys = tuple(polys)
     if len({p.basis for p in polys}) > 1:
         raise PreconditionError("polynomials of one pass must share a basis")
     if polys[0].basis == "chebyshev" and len({p.interval for p in polys}) > 1:
         raise PreconditionError("Chebyshev polynomials of one pass must share an interval")
-    if not (0 <= i < A.dimension):
-        raise ValueError(f"site {i} out of range")
+    origins = _distinct(np.asarray(sites, dtype=np.int64))
+    for end in origins[:1].tolist() + origins[-1:].tolist():
+        if not (0 <= end < A.dimension):
+            raise ValueError(f"site {end} out of range")
     _check_interval(A, polys[0])
+    degree = max(p.degree for p in polys)
+    size = _chunk_size(A, degree, len(polys)) if origins.size > 1 else 1
+    for at in range(0, origins.size, size):
+        chunk = origins[at:at + size]
+        yield chunk, _poly_rows(LightCone(A, chunk.tolist(), degree - 1), polys)
+
+
+def _poly_rows(cone: LightCone, polys) -> list:
     lo, hi = polys[0].interval
     delta, s = hi - lo, hi + lo
-    cone = LightCone(A, i, max(p.degree for p in polys) - 1)
     rows: list = [None] * len(polys)
     for deg in sorted({p.degree for p in polys}):
         group = [n for n, p in enumerate(polys) if p.degree == deg]
@@ -162,17 +265,38 @@ def poly_rows(A: LocalMatrixOracle, polys, i: int) -> list[dict]:
             elif some[k]:
                 rows_k = live[:, k]
                 acc[rows_k] = _hard_zero(acc[rows_k] + cols[k][rows_k] * cur)
-        for n, row in zip(group, acc):   # nonzero entries in sorted site order
-            rows[n] = {site: v for site, v in zip(cone.sites.tolist(), row.tolist()) if v}
+        for n, row in zip(group, acc):   # nonzero entries, origin by origin in site order
+            nz = np.flatnonzero(row)
+            rows[n] = (np.searchsorted(nz, cone.offsets), cone.sites[nz], row[nz])
     return rows
 
 
-def row_dot(row: dict, query) -> complex:
-    """sum_j row[j] * query(j) in the row's order, querying only the row's sites."""
-    total = 0.0 + 0.0j
-    for j, val in row.items():
-        total += val * query(j)
-    return complex(total)
+def poly_rows(A: LocalMatrixOracle, polys, i: int) -> list[dict]:
+    """The row functionals e_i^T P(A), one {site: value} dict per polynomial (see cone_rows)."""
+    (_, rows), = cone_rows(A, polys, [i])
+    return [dict(zip(cols.tolist(), vals.tolist())) for _, cols, vals in rows]
+
+
+def row_dots(rows, values) -> np.ndarray:
+    """sum_j row[j] * values[j] for each row of a block (indptr, cols, vals).
+
+    values holds one entry per column entry.  Each product is formed from
+    real parts in CPython's order and each row is summed from 0 in column
+    order by a sequential cumsum, so a row's dot equals the Python loop
+    `total = 0j; total += val * value` bit for bit.
+    """
+    indptr, _, a = rows
+    b = np.asarray(values, dtype=np.complex128)
+    lens = np.diff(indptr)
+    width = int(lens.max(initial=0)) + 1      # a leading 0 column, then the terms
+    flat = np.arange(a.size) + np.repeat(np.arange(lens.size) * width + 1 - indptr[:-1], lens)
+    parts = np.zeros((2, lens.size * width))
+    parts[0, flat] = a.real * b.real - a.imag * b.imag
+    parts[1, flat] = a.real * b.imag + a.imag * b.real
+    sums = np.cumsum(parts.reshape(2, lens.size, width), axis=2)[:, :, -1]
+    out = np.empty(lens.size, dtype=np.complex128)
+    out.real, out.imag = sums
+    return out
 
 
 def row_power(A: LocalMatrixOracle, i: int, k: int) -> dict:
@@ -182,24 +306,67 @@ def row_power(A: LocalMatrixOracle, i: int, k: int) -> dict:
     return poly_rows(A, (Polynomial((0.0,) * int(k) + (1.0,)),), i)[0]
 
 
-def entry_of_poly_apply(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
-                        i: int) -> complex:
-    """The single entry (P(A)u)_i, touching only the light cone of site i.
+def entries_of_poly_apply(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
+                          sites) -> np.ndarray:
+    """The entries (P(A)u)_i at the given sites, touching only their light cones.
 
-    The row e_i^T P(A) meets u in row_dot, which queries u only on the row.
+    Each chunk's rows meet u in row_dots; u is queried once at each distinct
+    site where some row is nonzero, in increasing order within a chunk.
     """
     if A.dimension != u.dimension:
         raise PreconditionError("matrix and vector dimensions differ")
-    return row_dot(poly_rows(A, (p,), i)[0], u.query)
+    sites = np.asarray(sites, dtype=np.int64)
+    origins = _distinct(sites)
+    out = [np.zeros(0, dtype=np.complex128)]
+    known = kvals = None              # the sites u was queried at, increasing, and its values
+    for _, (rows,) in cone_rows(A, (p,), origins):
+        need = _distinct(rows[1])
+        if known is None:
+            known, kvals = need, u.query_many(need.tolist())
+        else:
+            at = np.minimum(np.searchsorted(known, need), known.size - 1)
+            need = need[known[at] != need]
+            at = np.searchsorted(known, need)
+            new = u.query_many(need.tolist())
+            known, kvals = np.insert(known, at, need), np.insert(kvals, at, new)
+        out.append(row_dots(rows, kvals[np.searchsorted(known, rows[1])]))
+    return np.concatenate(out)[np.searchsorted(origins, sites)]
+
+
+def entry_of_poly_apply(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
+                        i: int) -> complex:
+    """The single entry (P(A)u)_i: the batch of one."""
+    return complex(entries_of_poly_apply(A, p, u, [i])[0])
+
+
+class _Memo(dict):
+    """Values by index.  A missing index is filled as a batch of one, and many
+    fills every missing index of a list with one fill call."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, i):
+        self.fill([i])
+        return dict.__getitem__(self, i)
+
+    def many(self, sites: list) -> list:
+        new = sorted(set(sites).difference(self))
+        if new:
+            self.fill(new)
+        return [self[i] for i in sites]
 
 
 def poly_apply_query_oracle(A: LocalMatrixOracle, p: Polynomial,
                             u: VectorOracle) -> VectorOracle:
     """Query access to w = P(A)u with per-index memoization; no sampler, no norm.
 
+    query_many answers the indices not yet known from one batched pass.
     Repeated queries of the same index issue the underlying A/u queries once.
     """
     _check_interval(A, p)
-    fn = cache(lambda i: entry_of_poly_apply(A, p, u, i))
+    memo = _Memo(lambda new: memo.update(zip(new, entries_of_poly_apply(A, p, u, new).tolist())))
     # fresh counter: reads of w are not reads of u; A/u meter themselves inside
-    return VectorOracle(dimension=A.dimension, query_fn=fn, norm=None, zeta=0.0)
+    return VectorOracle(dimension=A.dimension, query_fn=memo.__getitem__, norm=None,
+                        zeta=0.0, many_fn=memo.many)

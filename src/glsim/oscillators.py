@@ -46,7 +46,7 @@ from .access import (LocalityError, LocalMatrixOracle, PreconditionError,
                      VectorOracle, _sq_oracle)
 from .estimate import EstimateReport, inner_product_estimate
 from .lattice import SiteGraph
-from .lightcone import poly_rows, row_dot
+from .lightcone import cone_rows, row_dots
 from .polyapprox import divide_out_zero, exp_poly, mul_by_x, parity_split
 
 # =====================================================================
@@ -174,6 +174,17 @@ class OscillatorSystem:
                                  hermitian=True, psd=True)
 
     # ---- sparse B and B^T applications -----------------------------------
+
+    def slot_sites(self, slots) -> list:
+        """The sites bdag_entry reads at these slots: the lower end of each one's
+        spring, in slot order, then the upper ends (no sites for a slot without one)."""
+        i, j, _, cols = self.pairs
+        slots = np.asarray(slots, dtype=np.int64)
+        if cols.size == 0:
+            return []
+        k = np.minimum(np.searchsorted(cols, slots), cols.size - 1)
+        hit = k[cols[k] == slots]
+        return np.concatenate((i[hit], j[hit])).tolist()
 
     def bdag_entry(self, slot: int, z_fn) -> complex:
         """(B^T z)_slot for a site-space functional z_fn; 0 at a slot with no spring."""
@@ -318,11 +329,13 @@ def _evolved_blocks(sys: OscillatorSystem, state0: OscillatorState, t: float,
                     eps_poly: float):
     """Site-space blocks of P psi(0) for P = P_exp(H t) within eps_poly of e^{iHt}.
 
-    Returns (a, pcos, psin, top, z): the A oracle, the parity split of P_exp
-    on [-||H||, ||H||] into Pcos, Psin on [0, ||A||], and site functions
-    with top = Pcos(A) sv - A Psin(A) sx (the velocity block) and
-    z = Psin(A) sv + Pcos(A) sx (the pair block is i B^T z), both from one
-    memoized poly_rows pass over (Pcos, Psin, x Psin) per site.
+    Returns (a, pcos, psin, blocks): the A oracle, the parity split of P_exp
+    on [-||H||, ||H||] into Pcos, Psin on [0, ||A||], and blocks(sites),
+    which returns a per-site memo of (top_i, z_i) with
+    top = Pcos(A) sv - A Psin(A) sx (the velocity block) and
+    z = Psin(A) sv + Pcos(A) sx (the pair block is i B^T z).  The sites not
+    yet in the memo are filled from one cone_rows pass over
+    (Pcos, Psin, x Psin).
     """
     _, sv, sx = _scaled_state(sys, state0)
 
@@ -332,14 +345,18 @@ def _evolved_blocks(sys: OscillatorSystem, state0: OscillatorState, t: float,
     pcos, psin = parity_split(exp_poly(alpha_h, t, eps_poly))
     x_psin = mul_by_x(psin)            # y * Psin(y), realizing A Psin(A)
     a = sys.a_oracle()
+    memo: dict = {}
 
-    @cache
-    def site(i: int) -> tuple[complex, complex]:
-        rcos, rsin, rxsin = poly_rows(a, (pcos, psin, x_psin), i)
-        return (row_dot(rcos, lambda j: sv[j]) - row_dot(rxsin, lambda j: sx[j]),
-                row_dot(rsin, lambda j: sv[j]) + row_dot(rcos, lambda j: sx[j]))
+    def blocks(sites) -> dict:
+        new = sorted(set(sites).difference(memo))
+        for origins, (rcos, rsin, rxsin) in cone_rows(a, (pcos, psin, x_psin), new):
+            dots = [row_dots(r, vec[r[1]]).tolist()
+                    for r, vec in ((rcos, sv), (rxsin, sx), (rsin, sv), (rcos, sx))]
+            for i, c_sv, xs_sx, s_sv, c_sx in zip(origins.tolist(), *dots):
+                memo[i] = (c_sv - xs_sx, s_sv + c_sx)
+        return memo
 
-    return a, pcos, psin, (lambda i: site(i)[0]), (lambda i: site(i)[1])
+    return a, pcos, psin, blocks
 
 
 # =====================================================================
@@ -360,13 +377,17 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
         raise PreconditionError("v must live on the extended index space")
     if v.zeta > eps / 18.0 + 1e-15:
         raise PreconditionError(f"v.zeta = {v.zeta} exceeds eps/18")
-    _, _, _, top, z = _evolved_blocks(sys, state0, t, eps / 2.0)
+    _, _, _, blocks = _evolved_blocks(sys, state0, t, eps / 2.0)
     n = sys.n_sites
 
-    def w_query(idx: int) -> complex:
-        return top(idx) if idx < n else 1j * sys.bdag_entry(idx, z)
+    def w_many(idxs: list) -> list:
+        memo = blocks([i for i in idxs if i < n]
+                      + sys.slot_sites([i for i in idxs if i >= n]))
+        return [memo[i][0] if i < n else 1j * sys.bdag_entry(i, lambda k: memo[k][1])
+                for i in idxs]
 
-    w = VectorOracle(dimension=sys.extended_dim, query_fn=w_query, norm=None)
+    w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],
+                     norm=None, many_fn=w_many)
     return inner_product_estimate(w, v, eps / 2.0, delta, seed)
 
 
@@ -383,10 +404,11 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     mass_subset: sites whose kinetic energy enters; spring_subset: (i, j)
     pairs whose potential energy enters.  The estimand is
     psi(0)^dag P^dag V P psi(0) with V the projector onto the selected
-    velocity and spring slots.  Each site's entries of w take one poly_rows
-    pass over (Pcos, Psin, ptil).  Error budget: eps/4 polynomial, eps/3
-    statistical (hence sampler error <= eps/27); the cross terms fit in the
-    remainder.
+    velocity and spring slots.  The entries of w at a batch of indices take
+    one cone_rows pass over (Pcos, Psin, ptil) for their sites, and each
+    chunk of it one _evolved_blocks pass for the sites its rows read.
+    Error budget: eps/4 polynomial, eps/3 statistical (hence sampler error
+    <= eps/27); the cross terms fit in the remainder.
     """
     n = sys.n_sites
     vset = {int(i) for i in mass_subset}
@@ -398,13 +420,16 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
         if not 0 <= pa <= pb < n:
             raise ValueError(f"spring pair ({pa},{pb}) out of range")
     xset = {pair_index(pa, pb, n) for pa, pb in pairs}   # the selected spring slots
+    # the two ends of each selected spring, one column per spring
+    ends = np.array(sys.slot_sites(sorted(xset)), dtype=np.int64).reshape(2, -1)
 
-    a, pcos, psin, top, z = _evolved_blocks(sys, state0, t, eps / 4.0)
+    a, pcos, psin, blocks = _evolved_blocks(sys, state0, t, eps / 4.0)
+    evolved = blocks(())
     a0, ptil = divide_out_zero(pcos)   # Pcos(y) = a0 + y * ptil(y)
 
     # top block of P psi0, masked to the selected velocity slots
     def mphi_v(i: int) -> complex:
-        return top(i) if i in vset else 0.0 + 0.0j
+        return evolved[i][0] if i in vset else 0.0 + 0.0j
 
     # bottom block of P psi0 is B^T phi_x with phi_x = i z, masked to the
     # selected spring slots
@@ -412,25 +437,44 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     def mbx(slot: int) -> complex:
         if slot not in xset:
             return 0.0 + 0.0j
-        return sys.bdag_entry(slot, lambda k: 1j * z(k))
+        return sys.bdag_entry(slot, lambda k: 1j * evolved[k][1])
 
     g = cache(lambda i: sys.b_entry(i, mbx))
 
+    def gather(fn, sites: np.ndarray):
+        """fn at each of the increasing sites, as a gather at any of them."""
+        vals = np.array([fn(i) for i in sites.tolist()], dtype=np.complex128)
+        return lambda where: vals[np.searchsorted(sites, where)]
+
     # (w_i, h1_i, h2_i): the velocity entry of w, Psin(A) mphi_v and ptil(A) g
-    @cache
-    def site(i: int) -> tuple[complex, complex, complex]:
-        rcos, rsin, rtil = poly_rows(a, (pcos, psin, ptil), i)
-        return (row_dot(rcos, mphi_v) - 1j * row_dot(rsin, g),
-                row_dot(rsin, mphi_v), row_dot(rtil, g))
+    energy: dict = {}
 
-    def w_query(idx: int) -> complex:
-        if idx < n:
-            return site(idx)[0]
-        return (-1j * sys.bdag_entry(idx, lambda i: site(i)[1])
-                + a0 * mbx(idx)
-                + sys.bdag_entry(idx, lambda i: site(i)[2]))
+    def fill(sites: list):
+        new = sorted(set(sites).difference(energy))
+        for origins, (rcos, rsin, rtil) in cone_rows(a, (pcos, psin, ptil), new):
+            vsites = np.union1d(rcos[1], rsin[1])   # where mphi_v is read
+            gsites = np.union1d(rsin[1], rtil[1])   # where g is read
+            # g at site j reads z at both ends of each selected spring at j
+            near = np.isin(ends[0], gsites) | np.isin(ends[1], gsites)
+            blocks([i for i in vsites.tolist() if i in vset] + ends[:, near].ravel().tolist())
+            mv, gv = gather(mphi_v, vsites), gather(g, gsites)
+            dots = [row_dots(r, vec(r[1])).tolist()
+                    for r, vec in ((rcos, mv), (rsin, gv), (rsin, mv), (rtil, gv))]
+            for i, cos_v, sin_g, sin_v, til_g in zip(origins.tolist(), *dots):
+                energy[i] = (cos_v - 1j * sin_g, sin_v, til_g)
 
-    w = VectorOracle(dimension=sys.extended_dim, query_fn=w_query, norm=None)
+    def w_many(idxs: list) -> list:
+        slots = [i for i in idxs if i >= n]
+        fill([i for i in idxs if i < n] + sys.slot_sites(slots))
+        blocks(sys.slot_sites([slot for slot in slots if slot in xset]))
+        return [energy[i][0] if i < n else
+                (-1j * sys.bdag_entry(i, lambda k: energy[k][1])
+                 + a0 * mbx(i)
+                 + sys.bdag_entry(i, lambda k: energy[k][2]))
+                for i in idxs]
+
+    w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],
+                     norm=None, many_fn=w_many)
     v = psi0(sys, state0)
     return inner_product_estimate(w, v, eps / 3.0, delta, seed)
 

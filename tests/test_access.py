@@ -59,6 +59,23 @@ def test_queries_return_entries_and_count_cost():
     assert cost.snapshot()["queries"] == 2
 
 
+def test_query_many_meters_each_site_and_calls_query_fn_in_order():
+    calls = []
+    u = VectorOracle(5, lambda i: calls.append(i) or complex(i, -i), None)
+    values = u.query_many([3, 1, 3, 0])
+    assert values.dtype == np.complex128
+    assert values.tolist() == [3 - 3j, 1 - 1j, 3 - 3j, 0j]
+    assert calls == [3, 1, 3, 0] and u.cost.queries == 4
+    assert u.query_many([]).size == 0 and u.cost.queries == 4
+    with pytest.raises(ValueError, match="index 5 out of range"):
+        u.query_many([0, 5, -1])
+    with pytest.raises(ValueError, match="index -1 out of range"):
+        u.query_many([-1])
+    assert calls == [3, 1, 3, 0] and u.cost.queries == 4
+    batched = VectorOracle(5, lambda i: 1 / 0, None, many_fn=lambda sites: [2 * i for i in sites])
+    assert batched.query_many([4, 2]).tolist() == [8, 4] and batched.cost.queries == 2
+
+
 def test_zero_vector_rejected():
     with pytest.raises(PreconditionError):
         sq_access_from_dense(np.zeros(4))

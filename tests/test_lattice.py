@@ -1,6 +1,7 @@
 """Site graphs: metric axioms, balls, locality function, config round trips."""
 
 import gc
+import time
 import weakref
 
 import numpy as np
@@ -146,6 +147,20 @@ def test_locality_function_is_the_largest_ball(dims, boundary):
     diameter = int(g.distances(i, j).max())
     for r in range(diameter + 3):
         assert g.locality_function(r) == max(len(g.ball(k, r)) for k in range(g.n_sites))
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_chain_locality_function_is_closed_form_at_any_length(boundary):
+    """A 2^62-site chain at r = 10^9 answers without arrays, as 2r + 1 capped at N."""
+    g = chain(2 ** 62, boundary)
+    t0 = time.perf_counter()
+    assert g.locality_function(10 ** 9) == 2 * 10 ** 9 + 1
+    assert time.perf_counter() - t0 < 0.01
+    assert g.locality_function(2 ** 62) == 2 ** 62
+    for n in (1, 2, 7, 8):
+        small = chain(n, boundary)
+        assert [small.locality_function(r) for r in range(10)] == \
+            [min(2 * r + 1, n) for r in range(10)]
 
 
 def test_locality_function_nondecreasing():

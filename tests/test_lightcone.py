@@ -1,4 +1,7 @@
-"""Light-cone evaluation: rows of P(A), single entries of P(A)u, query budgets."""
+"""Light-cone evaluation: rows of P(A), batched entries of P(A)u, query budgets."""
+
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glsim import (CostCounter, Polynomial, PreconditionError, VectorOracle,
-                   chain, dense_from_oracle, dense_poly_apply, dense_poly_matrix,
-                   entry_of_poly_apply, exp_poly, grid, local_matrix_from_dense,
-                   local_matrix_from_rows, poly_apply_query_oracle, poly_rows,
-                   row_power, sq_access_from_dense)
+                   chain, cone_rows, dense_from_oracle, dense_poly_apply,
+                   dense_poly_matrix, entries_of_poly_apply, entry_of_poly_apply,
+                   exp_poly, general, graph_laplacian_oracle, grid, lightcone,
+                   local_matrix_from_dense, local_matrix_from_rows,
+                   poly_apply_query_oracle, poly_rows, row_power,
+                   sq_access_from_dense)
 
 
 def _random_local_hermitian(rng, graph, r0: int):
@@ -83,14 +88,41 @@ def test_row_power_support_certificate_is_tight_enough():
 # =====================================================================
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), layout=st.sampled_from(["chain", "grid"]),
+def _graph(layout: str, rng):
+    """A small graph of the given layout, its size drawn from rng."""
+    if layout in ("chain", "periodic-chain"):
+        return chain(int(rng.integers(3, 21)), "periodic" if layout == "periodic-chain" else "open")
+    if layout in ("grid", "periodic-grid"):
+        return grid([int(rng.integers(2, 6)), int(rng.integers(2, 6))],
+                    "periodic" if layout == "periodic-grid" else "open")
+    n = int(rng.integers(4, 16))
+    return general(n, [tuple(int(k) for k in bond) for bond in rng.integers(0, n, size=(n, 2))])
+
+
+def _origin_set(kind: str, n: int, rng) -> list:
+    """Batch origins: one site, unsorted, repeated, the two ends, or far apart."""
+    if kind == "one":
+        return [int(rng.integers(0, n))]
+    if kind == "unsorted":
+        return rng.permutation(n)[:min(n, 6)].tolist()
+    if kind == "repeated":
+        return rng.choice(min(n, 3), size=7).tolist() + [n - 1, n - 1]
+    if kind == "boundary":
+        return [n - 1, 0]
+    return [0, n // 2, n - 1]   # far apart
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       layout=st.sampled_from(["chain", "periodic-chain", "grid", "periodic-grid", "general"]),
        r0=st.sampled_from([1, 2]), basis=st.sampled_from(["monomial", "chebyshev"]),
-       degrees=st.lists(st.integers(0, 6), min_size=1, max_size=3))
-def test_poly_rows_match_dense_rows_and_single_calls(seed, layout, r0, basis, degrees):
+       degrees=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+       kind=st.sampled_from(["one", "unsorted", "repeated", "boundary", "far"]),
+       chunk=st.sampled_from([None, 1, 2]))
+def test_poly_rows_match_dense_rows_and_single_calls(seed, layout, r0, basis, degrees, kind,
+                                                     chunk):
     rng = np.random.default_rng(seed)
-    graph = chain(int(rng.integers(3, 21))) if layout == "chain" else \
-        grid([int(rng.integers(2, 6)), int(rng.integers(2, 6))])
+    graph = _graph(layout, rng)
     a, _ = _random_local_hermitian(rng, graph, r0)
     alpha = a.norm_bound
     polys = []
@@ -102,17 +134,36 @@ def test_poly_rows_match_dense_rows_and_single_calls(seed, layout, r0, basis, de
             polys.append(Polynomial(tuple(coeffs), basis="chebyshev",
                                     interval=(-alpha, alpha)))
     dense = dense_from_oracle(a)
-    i = int(rng.integers(0, graph.n_sites))
-    rows = poly_rows(a, polys, i)
-    assert len(rows) == len(polys)
-    for p, row in zip(polys, rows):
-        assert row == poly_rows(a, (p,), i)[0]
-        assert list(row) == sorted(row)
-        vec = np.zeros(graph.n_sites, dtype=np.complex128)
-        for j, v in row.items():
-            vec[j] = v
-        assert np.abs(vec - dense_poly_matrix(dense, p)[i]).max() <= 1e-10
+    origins = _origin_set(kind, graph.n_sites, rng)
+    u_vec = rng.normal(size=graph.n_sites) + 1j * rng.normal(size=graph.n_sites)
+    u_vec[rng.random(graph.n_sites) < 0.3] = 0.0
+    with patch.object(lightcone, "_chunk_size", lambda *args: chunk or len(origins)):
+        batch = {}
+        for sites, rows in cone_rows(a, polys, origins):
+            assert 0 < sites.size <= (chunk or sites.size)
+            for o, i in enumerate(sites.tolist()):
+                batch[i] = [dict(zip(cols[ptr[o]:ptr[o + 1]].tolist(),
+                                     vals[ptr[o]:ptr[o + 1]].tolist()))
+                            for ptr, cols, vals in rows]
+        entries = [entries_of_poly_apply(a, p, VectorOracle(graph.n_sites, u_vec.__getitem__, None),
+                                         origins) for p in polys]
+    assert sorted(batch) == sorted(set(origins))
+    for i in set(origins):
+        singles = poly_rows(a, polys, i)
+        assert len(singles) == len(polys)
+        for p, row, single in zip(polys, batch[i], singles):
+            assert row == single == poly_rows(a, (p,), i)[0]
+            assert list(row) == list(single) == sorted(row)
+            vec = np.zeros(graph.n_sites, dtype=np.complex128)
+            for j, v in row.items():
+                vec[j] = v
+            assert np.abs(vec - dense_poly_matrix(dense, p)[i]).max() <= 1e-10
+    for p, got in zip(polys, entries):
+        want = [entry_of_poly_apply(a, p, VectorOracle(graph.n_sites, u_vec.__getitem__, None), i)
+                for i in origins]
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
+    i = origins[0]
     other = (Polynomial(polys[0].coefficients, basis="chebyshev", interval=(-alpha, alpha))
              if basis == "monomial" else Polynomial(polys[0].coefficients))
     with pytest.raises(PreconditionError):
@@ -121,6 +172,68 @@ def test_poly_rows_match_dense_rows_and_single_calls(seed, layout, r0, basis, de
     narrow = Polynomial((1.0, 0.5), basis="chebyshev", interval=(-alpha, alpha))
     with pytest.raises(PreconditionError):
         poly_rows(a, (narrow, wider), i)
+
+
+def test_batch_sums_the_rows_of_each_origins_own_depth():
+    """Lower-degree polynomials of a batch step over the rows their own cones hold:
+    on an r0 = 2 grid a column holds up to 13 rows, where extra zero terms
+    would move reduceat's rounding."""
+    rng = np.random.default_rng(55)
+    a, _ = _random_local_hermitian(rng, grid([14, 14]), 2)
+    polys = [Polynomial(tuple(rng.normal(size=d + 1) / a.norm_bound ** np.arange(d + 1)))
+             for d in (2, 3, 6)]
+    origins = [0, 50, 97, 98, 113, 195]
+    (sites, rows), = cone_rows(a, polys, origins)
+    assert sites.tolist() == origins
+    for o, i in enumerate(origins):
+        for (ptr, cols, vals), single in zip(rows, poly_rows(a, polys, i)):
+            assert cols[ptr[o]:ptr[o + 1]].tolist() == list(single)
+            assert np.array_equal(vals[ptr[o]:ptr[o + 1]].view(np.uint64),
+                                  np.array(list(single.values())).view(np.uint64))
+
+
+def test_row_dots_round_like_a_python_loop():
+    """Each row's dot is the Python loop `total = 0j; total += val * value`, bit for bit."""
+    rng = np.random.default_rng(53)
+    lens = [0, 1, 3, 0, 40, 2, 17]
+    indptr = np.concatenate(([0], np.cumsum(lens)))
+    vals = rng.normal(size=indptr[-1]) + 1j * rng.normal(size=indptr[-1])
+    values = rng.normal(size=indptr[-1]) + 1j * rng.normal(size=indptr[-1])
+    vals[1], values[2], vals[5] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(1e300, -1e-300)
+    got = lightcone.row_dots((indptr, np.arange(indptr[-1]), vals), values)
+    want = []
+    for k in range(len(lens)):
+        total = 0j
+        for val, value in zip(vals[indptr[k]:indptr[k + 1]].tolist(),
+                              values[indptr[k]:indptr[k + 1]].tolist()):
+            total += val * value
+        want.append(total)
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_query_many_answers_a_batch_from_one_pass_and_memoizes():
+    rng = np.random.default_rng(54)
+    a, _ = _random_local_hermitian(rng, chain(40), 1)
+    vec = rng.normal(size=40) + 1j * rng.normal(size=40)
+    u = sq_access_from_dense(vec)
+    p = exp_poly(a.norm_bound, 0.6, 1e-8)
+    w = poly_apply_query_oracle(a, p, u)
+    cones = []
+
+    class CountingCone(lightcone.LightCone):
+        def __init__(self, A, origins, hops):
+            cones.append(list(origins))
+            super().__init__(A, origins, hops)
+
+    with patch.object(lightcone, "LightCone", CountingCone):
+        first = w.query(20)
+        batch = w.query_many([30, 20, 5, 30])
+        again = w.query_many([5, 20])
+    assert cones == [[20], [5, 30]]
+    assert batch[1] == first and batch[0] == batch[3] and again.tolist() == [batch[2], first]
+    assert w.cost.queries == 7
+    for i, value in zip((30, 20, 5), batch[:3].tolist()):
+        assert value == entry_of_poly_apply(a, p, sq_access_from_dense(vec), i)
 
 
 # =====================================================================
@@ -225,7 +338,7 @@ def test_query_oracle_matches_dense_at_sixteen_indices():
 
 
 def test_single_entry_query_budget():
-    """One entry of P(A)u costs at most 4 d^2 N(d r0) N(r0) A-queries and 4 d N(d r0) u-queries."""
+    """One entry of P(A)u costs at most N((d-1) r0)(N(r0)+1) A-queries and N(d r0) u-queries."""
     rng = np.random.default_rng(50)
     graph = chain(256)
     a_cost, u_cost = CostCounter(), CostCounter()
@@ -236,10 +349,9 @@ def test_single_entry_query_budget():
     p = exp_poly(a.norm_bound, 0.5, 1e-6)
     d = p.degree
     entry_of_poly_apply(a, p, u, 128)
-    n_d = graph.locality_function(d * 1)
-    n_1 = graph.locality_function(1)
-    assert a_cost.snapshot()["queries"] <= 4 * d * d * n_d * n_1
-    assert u_cost.snapshot()["queries"] <= 4 * d * n_d
+    assert a_cost.snapshot()["queries"] <= (graph.locality_function((d - 1) * 1)
+                                            * (graph.locality_function(1) + 1))
+    assert u_cost.snapshot()["queries"] <= graph.locality_function(d * 1)
 
 
 def _polynomial(basis: str, a, degree: int, rng) -> Polynomial:
@@ -251,16 +363,23 @@ def _polynomial(basis: str, a, degree: int, rng) -> Polynomial:
     return Polynomial(tuple(coeffs / scale ** np.arange(degree + 1)))
 
 
+@pytest.mark.parametrize("origins", ["one", "spread", "overlapping", "chunked"])
 @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
 @pytest.mark.parametrize("graph, r0", [
     pytest.param(chain(200), 1, id="open-chain"),
     pytest.param(grid([20, 20], boundary="periodic"), 1, id="periodic-grid"),
     pytest.param(chain(200), 2, id="chain-r0-2"),
 ])
-def test_each_row_fetched_at_most_once(graph, r0, basis):
+def test_each_row_fetched_at_most_once(graph, r0, basis, origins):
+    """A batch fetches each row of its cones' union once per chunk, and queries u once per
+    distinct site of its rows; it never costs more than its origins one at a time."""
     rng = np.random.default_rng(51)
     base, _ = _random_local_hermitian(rng, graph, r0)
-    calls = []
+    n, mid = graph.n_sites, graph.n_sites // 2 + 3
+    sites = {"one": [mid], "spread": [n - 1, mid, 0, n // 4],
+             "overlapping": [mid + 3, mid, mid + 1, mid, mid - 2],
+             "chunked": [mid + 3, mid, mid + 1, mid, mid - 2, 0, n - 1]}[origins]
+    calls, u_calls = [], []
 
     def row_fn(j):
         calls.append(j)
@@ -269,14 +388,62 @@ def test_each_row_fetched_at_most_once(graph, r0, basis):
     cost = CostCounter()
     a = local_matrix_from_rows(graph, r0, row_fn, norm_bound=base.norm_bound,
                                hermitian=True, cost=cost)
-    u = sq_access_from_dense(rng.normal(size=graph.n_sites))
+    u_vec = rng.normal(size=n)
+    u = VectorOracle(n, lambda j: u_calls.append(j) or u_vec[j], None)
     p = _polynomial(basis, a, 7, rng)
     d = p.degree
-    entry_of_poly_apply(a, p, u, graph.n_sites // 2 + 3)
-    assert len(calls) == len(set(calls))
-    assert set(calls) <= set(graph.ball(graph.n_sites // 2 + 3, (d - 1) * r0))
-    n_cone = graph.locality_function((d - 1) * r0)
-    assert cost.snapshot()["queries"] <= n_cone * (graph.locality_function(r0) + 1)
+    size = 2 if origins == "chunked" else len(sites)
+    with patch.object(lightcone, "_chunk_size", lambda *args: size):
+        batch = entries_of_poly_apply(a, p, u, sites)
+    chunks = [sorted(set(sites))[k:k + size] for k in range(0, len(set(sites)), size)]
+    # each chunk fetches the union of its origins' cones (a random local matrix
+    # fills its balls, so a cone's rows are the ball of radius (d-1) r0)
+    assert sorted(calls) == sorted(j for chunk in chunks
+                                   for j in set().union(*(graph.ball(i, (d - 1) * r0)
+                                                          for i in chunk)))
+    assert cost.queries == sum(len(base.row(j)) + 1 for j in calls)
+    batch_a, batch_u = cost.queries, len(u_calls)
+    rows = {i: poly_rows(a, (p,), i)[0] for i in set(sites)}
+    assert sorted(u_calls) == sorted(set().union(*rows.values()))
+    single_a = single_u = 0
+    for i in set(sites):
+        a.cost, u.cost = CostCounter(), CostCounter()
+        value = entry_of_poly_apply(a, p, u, i)
+        assert np.array_equal(np.array([value]).view(np.uint64),
+                              batch[sites.index(i):][:1].view(np.uint64))
+        single_a, single_u = single_a + a.cost.queries, single_u + u.cost.queries
+        assert a.cost.queries <= (graph.locality_function((d - 1) * r0)
+                                  * (graph.locality_function(r0) + 1))
+    assert batch_a <= single_a and batch_u <= single_u
+
+
+def test_spread_batch_stays_under_the_chunk_budget():
+    """20,000 far-apart origins split into chunks, each under CONE_BYTES of working memory."""
+    graph = chain(2 ** 20)
+    a = graph_laplacian_oracle(graph)
+    u = VectorOracle(graph.n_sites, lambda j: complex(np.cos(0.001 * j), 0.5), None)
+    p = Polynomial(tuple(0.3 ** k for k in range(6)))
+    sites = (np.arange(20_000) * 50 + 7).tolist()
+    cones = []
+
+    class CountingCone(lightcone.LightCone):
+        def __init__(self, A, origins, hops):
+            cones.append((len(origins), A.cost.queries))
+            super().__init__(A, origins, hops)
+
+    with patch.object(lightcone, "LightCone", CountingCone):
+        tracemalloc.start()
+        try:
+            values = entries_of_poly_apply(a, p, u, sites)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(cones) >= 3 and sum(k for k, _ in cones) == len(sites)
+    assert peak < lightcone.CONE_BYTES
+    # the cones never meet: per origin, 9 rows of 3 entries and 11 sites of u
+    assert a.cost.queries == len(sites) * 9 * 4 and u.cost.queries == len(sites) * 11
+    for k in (0, 9_999, 19_999):
+        assert values[k] == entry_of_poly_apply(a, p, u, sites[k])
 
 
 def _patch_oracles(L: int, ox: int, oy: int):
