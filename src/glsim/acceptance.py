@@ -609,7 +609,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     hs = schrodinger_hamiltonian(lap, pot, 0.6)
     hs_dense = dense_from_oracle(hs).entries
     se_bound_ok = (spectral_norm(hs_dense) <= hs.norm_bound + 1e-9
-                   and abs(hs.norm_bound - (6.0 / 0.36 + float(pot.max()))) <= 1e-9)
+                   and abs(hs.norm_bound - (4.0 / 0.36 + float(pot.max()))) <= 1e-9)
 
     lap2 = graph_laplacian_oracle(grid([5, 4]))
     sys = wave_to_oscillators(lap2, c=1.3, a=0.4)

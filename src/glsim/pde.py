@@ -160,9 +160,14 @@ def advection_hamiltonian(velocity, a: float, n_per_axis: int, D: int,
 
 def schrodinger_hamiltonian(laplacian: LocalMatrixOracle, potential, a: float,
                             v_max: float | None = None) -> LocalMatrixOracle:
-    """H = L/a^2 + diag(V); Hermitian, norm bound N(1)(N(1)-1)/a^2 + V_max."""
+    """H = L/a^2 + diag(V); Hermitian, norm bound ||L||/a^2 + V_max from L's norm_bound.
+
+    For graph_laplacian_oracle that is 2(N(1) - 1)/a^2 + V_max.
+    """
     if a <= 0:
         raise PreconditionError("grid spacing must be positive")
+    if laplacian.norm_bound is None:
+        raise PreconditionError("the Laplacian needs a declared norm_bound")
     n = laplacian.dimension
     if callable(potential):
         vfun = potential
@@ -184,8 +189,7 @@ def schrodinger_hamiltonian(laplacian: LocalMatrixOracle, potential, a: float,
         entries[i] = entries.get(i, 0.0) + vfun(i)
         return [(j, v) for j, v in entries.items() if v != 0]
 
-    locality = laplacian.graph.locality_function(laplacian.r0)
-    bound = locality * (locality - 1) * inv_a2 + float(v_max)
+    bound = laplacian.norm_bound * inv_a2 + float(v_max)
     psd = vmin_known is not None and vmin_known >= 0.0 and laplacian.psd
     return local_matrix_from_rows(laplacian.graph, laplacian.r0, row_fn,
                                   norm_bound=bound, hermitian=True, psd=psd)

@@ -84,10 +84,11 @@ def lightcone_oversampler(A: LocalMatrixOracle, d: int, psi: VectorOracle,
         js = psi.sample_many(rng, count)
         u = rng.random(count)
         out = np.empty(count, dtype=np.int64)
-        for j in np.unique(js):
-            ball = np.asarray(graph.ball(int(j), radius), dtype=np.int64)
-            mask = js == j
-            out[mask] = ball[(u[mask] * ball.size).astype(np.int64)]
+        order = np.argsort(js)  # one group of draws per distinct j
+        for group in np.split(order, np.flatnonzero(np.diff(js[order])) + 1):
+            if group.size:
+                ball = np.asarray(graph.ball(int(js[group[0]]), radius), dtype=np.int64)
+                out[group] = ball[(u[group] * ball.size).astype(np.int64)]
         return out
 
     def mass_fn(i: int) -> float:
@@ -126,13 +127,21 @@ def rejection_sample(p: OversamplerHandle, u: VectorOracle, phi: float,
     Caller certifies the oversampling inequality |u_i|^2 <= phi p_i and
     ||u|| >= alpha_min; the trial budget ceil((8 phi / alpha_min^2) ln(1/delta))
     then bounds the failure probability by delta.  Site draws and acceptance
-    thresholds come from separate substreams of (seed, *stream_key), drawn in
-    chunks; the result is deterministic for a fixed (seed, stream_key, chunk).
-    Trials are then tested in order, and p_i and |u_i|^2 are computed only
-    for the trial being tested.  The zero-mass and oversampling-inequality
-    checks therefore run on every tested trial, but not on the drawn trials
-    after the accepted one.
+    thresholds come in chunks from the one stream (seed, *stream_key); the
+    result is deterministic for a fixed (seed, stream_key, chunk).  Trials
+    are then tested in order, and p_i and |u_i|^2 are computed only for the
+    trial being tested.  The zero-mass and oversampling-inequality checks
+    therefore run on every tested trial, but not on the drawn trials after
+    the accepted one.
     """
+    return _rejection_sample(p, cache(lambda s: abs(u.query(s)) ** 2), phi, alpha_min,
+                             delta, seed, chunk, stream_key)
+
+
+def _rejection_sample(p: OversamplerHandle, u_mass, phi: float, alpha_min: float,
+                      delta: float, seed: int, chunk: int,
+                      stream_key: tuple) -> RejectionResult:
+    """rejection_sample with |u_s|^2 read from u_mass(s), which the caller may memoize across runs."""
     if phi < 1.0 - 1e-12:
         raise PreconditionError("phi must be at least 1")
     if not (0 < alpha_min):
@@ -140,14 +149,12 @@ def rejection_sample(p: OversamplerHandle, u: VectorOracle, phi: float,
     if not (0 < delta < 1):
         raise PreconditionError("delta must lie in (0, 1)")
     budget = int(math.ceil((8.0 * phi / (alpha_min * alpha_min)) * math.log(1.0 / delta)))
-    rng_sites = rng_stream(seed, *stream_key, 0)
-    rng_accept = rng_stream(seed, *stream_key, 1)
-    u_mass = cache(lambda s: abs(u.query(s)) ** 2)
+    rng = rng_stream(seed, *stream_key)
     done = 0
     while done < budget:
         k = min(chunk, budget - done)
-        sites = p.draw_many(rng_sites, k).tolist()
-        taus = rng_accept.random(k).tolist()
+        sites = p.draw_many(rng, k).tolist()
+        taus = rng.random(k).tolist()
         for f, (s, tau) in enumerate(zip(sites, taus)):
             mass = p.mass_query(s)
             if mass <= 0.0:
@@ -199,15 +206,17 @@ class EvolvedSampler:
         self.alpha_min = float(alpha_min)
         self.delta = float(delta)
         self.seed = int(seed)
-        # ||P(H)|| <= 2: exp_poly keeps |P(x) - e^{ixt}| <= eps <= 1 on [-||H||, ||H||]
+        # ||P(H)|| <= sup_bound, proven by exp_poly on an interval holding spec(H)
         self.oversampler = lightcone_oversampler(
-            generator, poly.degree, psi, norm_bound_P=2.0)
+            generator, poly.degree, psi, norm_bound_P=poly.sup_bound)
         self.phi = self.oversampler.phi
         zeta_cap = alpha_min * alpha_min / (16.0 * self.phi)
         if psi.zeta > zeta_cap + 1e-15:
             raise PreconditionError(
                 f"psi.zeta = {psi.zeta} exceeds alpha_min^2/(16 phi) = {zeta_cap}")
-        self.w = poly_apply_query_oracle(generator, poly, psi)
+        w = poly_apply_query_oracle(generator, poly, psi)
+        self.w = w
+        self._w_mass = cache(lambda s: abs(w.query(s)) ** 2)  # shared by all draws
 
     @property
     def tv_bound(self) -> float:
@@ -221,9 +230,8 @@ class EvolvedSampler:
 
         Deterministic given (seed, k).
         """
-        return rejection_sample(self.oversampler, self.w, self.phi,
-                                self.alpha_min, self.delta, seed=self.seed,
-                                stream_key=(int(k),))
+        return _rejection_sample(self.oversampler, self._w_mass, self.phi, self.alpha_min,
+                                 self.delta, self.seed, _DEFAULT_CHUNK, (int(k),))
 
     def draw_many(self, count: int) -> list:
         return [self.draw(k) for k in range(count)]

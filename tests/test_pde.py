@@ -176,3 +176,21 @@ def test_callable_potential_and_norm_preservation():
     u = rng.normal(size=16) + 1j * rng.normal(size=16)
     out = dense_evolve(DenseMatrix(-1j * dense), 0.9, u)
     assert abs(np.linalg.norm(out) - np.linalg.norm(u)) <= 1e-10
+
+
+def test_schrodinger_norm_bound_is_laplacian_bound_over_a2_plus_vmax():
+    """2(N(1) - 1)/a^2 + V_max from graph_laplacian_oracle, and it dominates the dense norm."""
+    rng = np.random.default_rng(123)
+    for g in (chain(12), grid([4, 5]), chain(9, "periodic")):
+        values = rng.uniform(-1.0, 2.0, size=g.n_sites)
+        h = schrodinger_hamiltonian(graph_laplacian_oracle(g), values, 0.6)
+        expected = 2.0 * (g.locality_function(1) - 1) / 0.36 + np.abs(values).max()
+        assert h.norm_bound == pytest.approx(expected, rel=1e-15)
+        assert spectral_norm(_dense(h)) <= h.norm_bound + 1e-9
+
+
+def test_schrodinger_refuses_a_laplacian_without_norm_bound():
+    g = chain(6)
+    lap = local_matrix_from_rows(g, 1, lambda i: [(i, 0.0)], hermitian=True)
+    with pytest.raises(PreconditionError):
+        schrodinger_hamiltonian(lap, np.zeros(6), 0.5)

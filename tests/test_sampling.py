@@ -11,6 +11,7 @@ from glsim import (DenseMatrix, EvolvedSampler, OversamplerHandle,
                    perturbed_sq_access, rejection_sample, rng_stream,
                    sparse_vector_oracle, sq_access_from_dense,
                    tv_error_bound)
+from glsim.access import random_local_pair
 
 
 def _unit(rng, n: int) -> np.ndarray:
@@ -206,6 +207,25 @@ def test_oversampler_mass_builds_balls_only_around_psi(monkeypatch):
     assert mass == 1.0 / 61
 
 
+def test_grouped_draws_match_the_per_draw_definition():
+    """draw_many groups draws by psi site; each output is ball(js[i])[floor(u[i] |ball|)]."""
+    rng = np.random.default_rng(801)
+    n, d = 300, 3
+    psi = sq_access_from_dense(_unit(rng, n))
+    a = _antihermitian_shift(n)
+    handle = lightcone_oversampler(a, d, psi, norm_bound_P=1.0)
+    draws = handle.draw_many(rng_stream(802, 0), 5_000)
+    ref = rng_stream(802, 0)
+    js = psi.sample_many(ref, 5_000)
+    u = ref.random(5_000)
+    expected = []
+    for j, x in zip(js.tolist(), u.tolist()):
+        ball = a.graph.ball(j, d)
+        expected.append(ball[int(x * len(ball))])
+    assert np.unique(js).size > 250
+    assert draws.tolist() == expected
+
+
 def test_oversampler_masses_sum_to_one_and_dominate_target():
     rng = np.random.default_rng(80)
     n = 48
@@ -268,6 +288,51 @@ def test_evolved_sampler_tv_against_dense_law():
     tv = 0.5 * np.abs(emp - truth).sum()
     assert tv <= tv_error_bound(eps, 1.0) + 3.0 * np.sqrt(n / 20_000)
     assert sampler.tv_bound == pytest.approx(2.0 * eps)
+
+
+def test_phi_is_sup_bound_squared_times_ball_size():
+    a = _antihermitian_shift(64)
+    psi = sparse_vector_oracle(64, {32: 1.0})
+    sampler = EvolvedSampler(a, 2.0, psi, eps=0.01, alpha_min=1.0, delta=1e-3, seed=91)
+    d = sampler.poly.degree
+    assert 1.0 < sampler.poly.sup_bound <= 1.01
+    assert sampler.phi == sampler.poly.sup_bound ** 2 * a.graph.locality_function(d)
+
+
+@pytest.mark.parametrize("graph", [chain(24), chain(20, "periodic"), grid([5, 6])],
+                         ids=["chain", "periodic-chain", "grid"])
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5])
+def test_certified_phi_oversamples_the_evolved_state_densely(graph, eps):
+    """|(P psi)_i|^2 <= phi p_i at phi = sup_bound^2 N(d r0), for eps up to alpha_min / 2."""
+    rng = np.random.default_rng([94, graph.n_sites, int(eps * 1000)])
+    for t in (0.4, 1.3):
+        a, _ = random_local_pair(graph, 1, rng, anti=True)
+        vec = _unit(rng, graph.n_sites)
+        sampler = EvolvedSampler(a, t, sq_access_from_dense(vec), eps=eps,
+                                 alpha_min=1.0, delta=1e-3, seed=95)
+        w = dense_poly_apply(dense_from_oracle(sampler.generator), sampler.poly, vec)
+        masses = np.array([sampler.oversampler.mass_query(i)
+                           for i in range(graph.n_sites)])
+        assert np.all(np.abs(w) ** 2 <= sampler.phi * masses * (1.0 + 1e-9) + 1e-15)
+
+
+def test_draws_do_not_depend_on_their_order_and_redraws_query_nothing():
+    n = 256
+    a = _antihermitian_shift(n)
+
+    def sampler():
+        return EvolvedSampler(a, 1.5, sparse_vector_oracle(n, {n // 2: 1.0}),
+                              eps=0.02, alpha_min=1.0, delta=1e-6, seed=96)
+
+    forward, backward = sampler(), sampler()
+    in_order = [forward.draw(k) for k in range(12)]
+    reversed_order = [backward.draw(k) for k in reversed(range(12))][::-1]
+    assert in_order == reversed_order
+    w_queries = forward.w.cost.snapshot()["queries"]
+    a_queries = a.cost.snapshot()["queries"]
+    assert [forward.draw(k) for k in range(12)] == in_order
+    assert forward.w.cost.snapshot()["queries"] == w_queries
+    assert a.cost.snapshot()["queries"] == a_queries
 
 
 def test_per_sample_cost_independent_of_lattice_size():
