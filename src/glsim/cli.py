@@ -671,11 +671,29 @@ PIPELINES = {
 # =====================================================================
 
 
+def _finite(parse):
+    """A JSON number parser for json.load: NaN, Infinity, -Infinity and
+    literals beyond the float range, such as 1e400 or a 400-digit integer,
+    are a ConfigError."""
+    def number(text: str):
+        try:
+            value = parse(text)
+            finite = math.isfinite(value)
+        except (OverflowError, ValueError):  # past float range, or int's digit limit
+            finite = False
+        if not finite:
+            shown = text if len(text) <= 32 else f"{text[:32]}... ({len(text)} characters)"
+            raise ConfigError(f"config number {shown} is not finite")
+        return value
+    return number
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_constant=_finite(float), parse_float=_finite(float),
+                        parse_int=_finite(int))
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg

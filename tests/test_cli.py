@@ -197,6 +197,38 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, scenario, cfg,
     assert "Traceback" not in err
 
 
+SAMPLE_CFG = {
+    "matrix": {"kind": "tridiagonal", "n": 16, "i_times": True},
+    "t": 0.4,
+    "psi": {"kind": "point", "site": 8},
+    "eps": 0.1,
+    "alpha_min": 0.9,
+    "delta": 0.1,
+}
+
+
+@pytest.mark.parametrize("scenario,cfg,literal", [
+    ("sample", dict(SAMPLE_CFG, t="@"), "Infinity"),
+    ("sample", dict(SAMPLE_CFG, t="@"), "-Infinity"),
+    ("sample", dict(SAMPLE_CFG, t="@"), "NaN"),
+    ("sample", dict(SAMPLE_CFG, t="@"), "1e400"),
+    ("sample", dict(SAMPLE_CFG, t="@"), "1" + "0" * 400),
+    ("pde", {"kind": "wave", "graph": {"kind": "chain", "n_sites": 8}, "c": "@",
+             "a": 1.0}, "NaN"),
+], ids=["sample-t-infinity", "sample-t-minus-infinity", "sample-t-nan",
+        "sample-t-overflowing-literal", "sample-t-400-digit-integer", "pde-wave-c-nan"])
+def test_non_finite_config_number_is_a_config_error(tmp_path, capsys, scenario, cfg,
+                                                    literal):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg).replace('"@"', literal))
+    assert main([scenario, "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: config number {literal[:32]}" in err
+    assert "is not finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / f"{scenario}_report.json").exists()
+
+
 # =====================================================================
 # precondition failures (exit code 2)
 # =====================================================================
@@ -223,15 +255,7 @@ def test_sampling_a_hermitian_generator_fails_preconditions(tmp_path, capsys):
 
 
 def test_sample_writes_series_and_counts_acceptances(tmp_path):
-    cfg = {
-        "matrix": {"kind": "tridiagonal", "n": 16, "i_times": True},
-        "t": 0.4,
-        "psi": {"kind": "point", "site": 8},
-        "eps": 0.1,
-        "alpha_min": 0.9,
-        "delta": 0.1,
-    }
-    cfg_path = _write_config(tmp_path, "samp.json", cfg)
+    cfg_path = _write_config(tmp_path, "samp.json", SAMPLE_CFG)
     assert main(["sample", "--config", cfg_path, "--out", str(tmp_path),
                  "--count", "8"]) == 0
     report = _read_report(tmp_path, "sample_report.json")
@@ -343,14 +367,6 @@ def test_pde_wave_dense_check_matches_scaled_laplacian(tmp_path):
     out = _read_report(tmp_path, "pde_report.json")["outputs"]
     assert out["n_sites"] == 9
     assert out["max_deviation"] <= 1e-10
-
-
-def test_pde_wave_with_nan_speed_is_a_precondition_failure(tmp_path, capsys):
-    cfg = {"kind": "wave", "graph": {"kind": "chain", "n_sites": 8}, "c": float("nan"),
-           "a": 1.0}
-    cfg_path = _write_config(tmp_path, "wave.json", cfg)
-    assert main(["pde", "--config", cfg_path, "--out", str(tmp_path)]) == 2
-    assert "precondition failure:" in capsys.readouterr().err
 
 
 def test_pde_advection_missing_field_is_a_config_error(tmp_path):

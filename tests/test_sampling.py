@@ -335,6 +335,39 @@ def test_draws_do_not_depend_on_their_order_and_redraws_query_nothing():
     assert a.cost.snapshot()["queries"] == a_queries
 
 
+def _grid_antihermitian(side: int):
+    """i(hopping + cos on-site) on a side x side grid, norm bound 4.5."""
+    graph = grid([side, side])
+
+    def row_fn(i):
+        return [(j, 0.5j * np.cos(i) if j == i else 1j) for j in graph.ball(i, 1)]
+
+    return local_matrix_from_rows(graph, 1, row_fn, norm_bound=4.5, anti_hermitian=True)
+
+
+@pytest.mark.parametrize("case", ["grid", "chain"])
+def test_batched_fill_draws_equal_the_lazy_public_path(case):
+    """EvolvedSampler's |w|^2 fills change no draw and cost fewer A queries than
+    the public rejection_sample, which queries w once per tested site."""
+    def sampler():
+        if case == "grid":
+            a, n = _grid_antihermitian(64), 64 * 64
+            psi = sparse_vector_oracle(n, {32 * 64 + 32: 0.8, 30 * 64 + 35: 0.6})
+            return a, EvolvedSampler(a, 1.0, psi, eps=0.05, alpha_min=0.9,
+                                     delta=0.01, seed=97)
+        a, n = _antihermitian_shift(256), 256
+        return a, EvolvedSampler(a, 1.5, sparse_vector_oracle(n, {n // 2: 1.0}),
+                                 eps=0.02, alpha_min=1.0, delta=1e-6, seed=97)
+
+    a_lazy, s = sampler()
+    lazy = [rejection_sample(s.oversampler, s.w, s.phi, s.alpha_min, s.delta, s.seed,
+                             512, (k,)) for k in range(200)]
+    a_fill, fresh = sampler()
+    assert [fresh.draw(k) for k in range(200)] == lazy
+    assert all(r.accepted for r in lazy)
+    assert a_fill.cost.snapshot()["queries"] < a_lazy.cost.snapshot()["queries"]
+
+
 def test_per_sample_cost_independent_of_lattice_size():
     outcomes = {}
     for log_n in (10, 16):
