@@ -84,7 +84,8 @@ class VectorOracle:
     |u_i|^2/||u||^2.
     sample_positions(rng, k) draws k positions into support, sample_many(rng,
     k) the k sites support[positions], and sample_counts(rng, batch, reps)
-    reps batches of batch draws as how often each position was drawn in each.
+    reps batches of batch draws as the positions drawn at least once and how
+    often each was drawn in each batch.
     """
 
     def __init__(self, dimension: int, query_fn, norm: float | None,
@@ -110,8 +111,9 @@ class VectorOracle:
                 raise ValueError("table needs 1-d support and masses of one nonzero length")
             if support[0] < 0 or support[-1] >= self.dimension or np.any(np.diff(support) <= 0):
                 raise ValueError("table support must increase strictly within [0, dimension)")
-            # a zero-mass entry could still take draws through rounding: the
-            # running sums, or numpy's multinomial remainder 1 - sum(pvals[:-1])
+            # a zero-mass entry could still take draws through rounding of the
+            # running sums; sample_counts hands numpy's multinomial remainder
+            # 1 - sum(pvals[:-1]) to the heaviest entry, never to a light one
             if not np.all(masses > 0):
                 raise ValueError("table masses must be positive")
             self.support, self.masses = support, masses
@@ -165,12 +167,67 @@ class VectorOracle:
         """count sites drawn from the table."""
         return self.support[self.sample_positions(rng, count)]
 
-    def sample_counts(self, rng: np.random.Generator, batch: int, reps: int) -> np.ndarray:
-        """(reps, len(support)) table: how often each position is drawn in each of
-        reps batches of batch draws."""
+    def sample_counts(self, rng: np.random.Generator, batch: int,
+                      reps: int) -> tuple[np.ndarray, np.ndarray]:
+        """reps batches of batch draws from the table, as (positions, counts): the
+        positions drawn at least once, increasing, and the (reps, len(positions))
+        table of how often each was drawn in each batch.
+
+        The counts follow the multinomial law over the table, drawn in the two
+        stages of _count_stages so that the work follows the draws rather than
+        the table: the heavy positions and one lump of the light ones, then,
+        only in the batches where the lump drew, a split of its draws over the
+        light positions.
+        """
         self._check_sampler(batch, reps)
-        self.cost.add(samples=int(batch) * int(reps))
-        return rng.multinomial(int(batch), self.masses, size=int(reps))
+        batch, reps = int(batch), int(reps)
+        self.cost.add(samples=batch * reps)
+        heavy, pvals, light, light_pvals = _count_stages(self.masses, batch * reps)
+        counts = rng.multinomial(batch, pvals, size=reps)
+        positions, table = heavy, counts[:, 1:]
+        rows = np.flatnonzero(counts[:, 0])
+        if rows.size:
+            split = rng.multinomial(counts[rows, 0], light_pvals)
+            hit = np.flatnonzero(split.any(axis=0))
+            tail = np.zeros((reps, hit.size), dtype=table.dtype)
+            tail[rows] = split[:, hit]
+            positions, table = np.append(heavy, light[hit]), np.hstack((table, tail))
+        drawn = np.flatnonzero(table.any(axis=0))
+        drawn = drawn[np.argsort(positions[drawn])]
+        return positions[drawn], table[:, drawn]
+
+
+def _heaviest_last(positions: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """positions in their order, except that the heaviest (the first on ties) goes last."""
+    top = int(np.argmax(masses[positions]))
+    return np.concatenate((positions[:top], positions[top + 1:], positions[top:top + 1]))
+
+
+def _count_stages(masses: np.ndarray, draws: int):
+    """The two multinomial stages of sample_counts for draws draws in all from a
+    table of K masses: (heavy, pvals, light, light_pvals).
+
+    The heavy positions have mass at least 1/(K draws), the heaviest always
+    among them; the light rest is lumped into one category of mass below
+    1/draws, so it expects less than one of the draws.  The first stage draws
+    over pvals = (the lump's mass, the masses at heavy), the second splits the
+    lump's draws over light with light_pvals, the masses at light over the
+    lump's.  Each stage lists its positions in table order but for its
+    heaviest, which goes last: numpy draws category j from
+    binomial(n_left, p_j / (1 - sum(p[:j]))) and gives the last category what
+    is left, so every running remainder it divides by is, up to rounding far
+    below it, at least p_j plus the heaviest mass, and each binomial's p lies
+    in [0, 1].  In decreasing-mass order those remainders would drown in the
+    rounding of the heavy sum.
+    """
+    light = masses * (masses.size * draws) < 1.0
+    light[np.argmax(masses)] = False
+    heavy = _heaviest_last(np.flatnonzero(~light), masses)
+    light = np.flatnonzero(light)
+    lump = float(masses[light].sum())
+    if light.size:
+        light = _heaviest_last(light, masses)
+    return heavy, np.append(lump, masses[heavy]), light, masses[light] / lump
 
 
 def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray, query_fn,

@@ -12,14 +12,15 @@ implementation's, fixed here and recorded in every report.
 
 A batch mean depends only on how often each site was drawn.  When v's
 sorted mass table (VectorOracle.support) has at most one batch of sites,
-the draws come as counts: VectorOracle.sample_counts gives, for every batch,
-how often each table position was drawn, and each batch mean is those
-counts times X over the batch size.  A larger table would make the
-(reps, len(support)) count table cost more time and memory than the draws
-themselves, so there the draws come as positions into the table
-(VectorOracle.sample_positions) and each batch mean averages X over its
-draws.  Either way v and w are queried once at each site drawn at least
-once, in increasing order, each through one query_many call.
+the draws come as counts: VectorOracle.sample_counts gives the table
+positions drawn at least once and, for every batch, how often each was
+drawn, and each batch mean is those counts times X over the batch size.
+Its first stage still draws one binomial per batch for every position of
+mass at least 1/(len(support) batch reps), which on a larger table can
+outnumber the draws themselves, so there the draws come as positions into
+the table (VectorOracle.sample_positions) and each batch mean averages X
+over its draws.  Either way v and w are queried once at each site drawn at
+least once, in increasing order, each through one query_many call.
 
 The composed solver applies a polynomial of a geometrically local matrix to
 u (through the light-cone kernel) and estimates v^dag P(A)u the same way.
@@ -74,8 +75,9 @@ def inner_product_estimate(w: VectorOracle, v: VectorOracle, eps: float,
     w needs query access only; v needs sampler, queries, and norm, with
     v.zeta <= eps/9.  Both vectors are promised by the caller to have norm
     at most 1.  The draws for all batches come from one stream keyed
-    by seed, as counts when v's table has at most batch sites and as positions
-    otherwise; every drawn site is queried exactly once, in increasing order.
+    by seed, as counts over the drawn positions when v's table has at most
+    batch sites and as positions otherwise; every drawn site is queried
+    exactly once, in increasing order.
     """
     if w.dimension != v.dimension:
         raise PreconditionError("w and v dimensions differ")
@@ -93,8 +95,7 @@ def inner_product_estimate(w: VectorOracle, v: VectorOracle, eps: float,
     rng = rng_stream(seed, 0)
     by_counts = v.support.size <= batch
     if by_counts:
-        drawn = v.sample_counts(rng, batch, reps)
-        hit = np.flatnonzero(drawn.any(axis=0))
+        hit, counts = v.sample_counts(rng, batch, reps)
     else:
         drawn = v.sample_positions(rng, total)
         hit = np.flatnonzero(np.bincount(drawn, minlength=v.support.size))
@@ -106,14 +107,15 @@ def inner_product_estimate(w: VectorOracle, v: VectorOracle, eps: float,
             f"sampler returned index {bad} but v_{bad} = 0")
     wvals = w.query_many(sites)
 
-    x_table = np.zeros(v.support.size, dtype=np.complex128)
-    x_table[hit] = np.conj(vvals) * wvals * (vnorm * vnorm) / (np.abs(vvals) ** 2)
+    x_hit = np.conj(vvals) * wvals * (vnorm * vnorm) / (np.abs(vvals) ** 2)
     if by_counts:
         # two real matmuls on one float copy of the counts: a complex matmul
         # would copy them to complex, twice the bytes
-        counts = drawn.astype(np.float64)
-        re, im = counts @ x_table.real / batch, counts @ x_table.imag / batch
+        counts = counts.astype(np.float64)
+        re, im = counts @ x_hit.real / batch, counts @ x_hit.imag / batch
     else:
+        x_table = np.zeros(v.support.size, dtype=np.complex128)
+        x_table[hit] = x_hit
         means = x_table[drawn].reshape(reps, batch).mean(axis=1)
         re, im = means.real, means.imag
     value = complex(float(np.median(re)), float(np.median(im)))

@@ -11,6 +11,7 @@ from glsim import (CostCounter, LocalityError, OracleInconsistencyError,
                    local_matrix_from_rows, perturbed_sq_access, rng_stream,
                    scale_matrix_oracle, sparse_vector_oracle,
                    sq_access_from_dense)
+from glsim.access import _count_stages
 
 N_DRAWS = 100_000
 
@@ -97,19 +98,104 @@ def test_top_draw_never_lands_on_a_zero_mass_site():
     assert u.cost.snapshot()["samples"] == 6
 
 
+def _pooled_counts(u, rng, batch, reps, calls=1):
+    """Counts per table position summed over calls of u.sample_counts, each
+    checked: rows sum to batch, positions increase strictly, no column is all
+    zero.  Also returns how many calls drew a light position."""
+    pooled = np.zeros(u.support.size, dtype=np.int64)
+    light_calls = 0
+    for _ in range(calls):
+        positions, counts = u.sample_counts(rng, batch, reps)
+        assert counts.shape == (reps, positions.size)
+        assert np.all(counts.sum(axis=1) == batch)
+        assert np.all(np.diff(positions) > 0)
+        assert np.all(counts.any(axis=0))
+        pooled[positions] += counts.sum(axis=0)
+        light_calls += bool(np.any(u.masses[positions] * (u.support.size * batch * reps) < 1.0))
+    return pooled, light_calls
+
+
+def _assert_pearson_bound(observed, expected):
+    """Pearson's statistic stays within six standard deviations of its chi-square mean."""
+    pearson = float(np.sum((observed - expected) ** 2 / expected))
+    dof = observed.size - 1
+    assert pearson <= dof + 6.0 * np.sqrt(2.0 * dof)
+
+
 def test_count_means_follow_the_table_law():
     """Pearson's statistic of the pooled counts against the masses stays within a chi-square bound."""
     rng = np.random.default_rng(18)
     u = perturbed_sq_access(rng.normal(size=12) + 1j * rng.normal(size=12), zeta=0.02)
     batch, reps = 50, 4000
-    counts = u.sample_counts(rng_stream(18, 0), batch, reps)
-    assert counts.shape == (reps, u.support.size)
-    assert np.all(counts.sum(axis=1) == batch)
-    expected = batch * reps * u.masses
-    pearson = float(np.sum((counts.sum(axis=0) - expected) ** 2 / expected))
-    dof = u.support.size - 1
-    assert pearson <= dof + 6.0 * np.sqrt(2.0 * dof)
+    pooled, _ = _pooled_counts(u, rng_stream(18, 0), batch, reps)
+    _assert_pearson_bound(pooled, batch * reps * u.masses)
     assert u.cost.snapshot()["samples"] == batch * reps
+
+
+def test_counts_over_a_core_and_a_vanishing_tail_follow_the_table_law():
+    """A Gaussian core of 200 sites amid 4,800 sites of mass near 1e-300 (the
+    shape of psi0's table): the core's pooled counts pass Pearson's test with
+    the tail as one more cell, and no tail site is ever drawn."""
+    rng = np.random.default_rng(20)
+    k = np.arange(200)
+    masses = np.concatenate((rng.uniform(0.5, 2.0, 2400) * 1e-300,
+                             np.exp(-((k - 100) / 25.0) ** 2 / 2.0),
+                             rng.uniform(0.5, 2.0, 2400) * 1e-300))
+    masses /= masses.sum()
+    u = VectorOracle(masses.size, lambda i: 1.0, norm=1.0, table=(np.arange(masses.size), masses))
+    core = np.arange(2400, 2600)
+    batch, reps = 200, 500
+    pooled, light_calls = _pooled_counts(u, rng_stream(20, 0), batch, reps)
+    tail = np.ones(masses.size, dtype=bool)
+    tail[core] = False
+    assert np.all(pooled[tail] == 0) and light_calls == 0
+    cells = np.append(masses[core], masses[tail].sum())
+    _assert_pearson_bound(np.append(pooled[core], 0), batch * reps * cells)
+
+
+def test_counts_follow_the_table_law_when_the_light_tail_is_drawn():
+    """900 of 1,000 masses just under the light threshold 1/(K batch reps): the
+    lumped tail draws in most calls, and both all the pooled counts and the
+    tail's alone (given its total) pass Pearson's test."""
+    rng = np.random.default_rng(21)
+    size, batch, reps, calls = 1000, 50, 4, 10_000
+    light = rng.permutation(size)[:900]
+    masses = rng.uniform(0.5, 1.0, size)
+    masses[light] = (1.0 - rng.uniform(1e-6, 1e-3, light.size)) / (size * batch * reps)
+    heavy = np.setdiff1d(np.arange(size), light)
+    masses[heavy] *= (1.0 - masses[light].sum()) / masses[heavy].sum()
+    u = VectorOracle(size, lambda i: 1.0, norm=1.0, table=(np.arange(size), masses))
+    _, _, light_stage, _ = _count_stages(u.masses, batch * reps)
+    assert sorted(light_stage.tolist()) == sorted(light.tolist())
+    pooled, light_calls = _pooled_counts(u, rng_stream(21, 0), batch, reps, calls)
+    assert light_calls > calls // 2
+    _assert_pearson_bound(pooled, calls * batch * reps * u.masses)
+    tail = u.masses[light] / u.masses[light].sum()
+    _assert_pearson_bound(pooled[light], pooled[light].sum() * tail)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(raw=st.lists(st.one_of(st.floats(1e-3, 1.0), st.floats(1e-300, 1e-250),
+                              st.floats(1e-12, 1e-6)), min_size=1, max_size=60),
+       draws=st.integers(1, 10 ** 9))
+def test_every_count_stage_binomial_has_a_probability(raw, draws):
+    """numpy's multinomial draws category j from binomial(n, p_j / remaining),
+    remaining = 1 - sum(p[:j]) in floating point; in both stages of
+    sample_counts that remainder never falls below the mass it divides, and
+    the stages cover the table once, the lump below one expected draw."""
+    masses = np.array(raw) / np.sum(raw)
+    assume(np.all(masses > 0))
+    heavy, pvals, light, light_pvals = _count_stages(masses, draws)
+    assert sorted(np.concatenate((heavy, light)).tolist()) == list(range(masses.size))
+    assert pvals[0] * draws < 1.0 and pvals[-1] == masses.max()
+    assert np.array_equal(pvals[1:], masses[heavy])
+    assert np.allclose(light_pvals * pvals[0], masses[light], rtol=1e-12, atol=0.0)
+    for stage in (pvals, light_pvals):
+        assert np.all((stage >= 0) & (stage <= 1))
+        remaining = 1.0
+        for p in stage[:-1].tolist():
+            assert remaining >= p
+            remaining -= p
 
 
 def test_sampler_rejects_negative_draw_counts():
@@ -132,8 +218,8 @@ def test_sampler_rejects_negative_draw_counts():
     ([1, 1], [0.5, 0.5]),
     ([0, 1], [1.5, -0.5]),           # negative mass
     ([0, 1], [0.0, 0.0]),            # no mass at all
-    # a zero mass could take draws through rounding: here the prefix sums to
-    # 1 - 2**-53, the remainder numpy's multinomial hands its last category
+    # a zero mass could take draws through rounding: here the running sums
+    # reach only 1 - 2**-53 before the last site, which the draws above take
     ([0, 1, 3], [0.5, 0.5 - 2.0 ** -53, 0.0]),
     ([0, 1, 3], [0.5, 0.0, 0.5]),
     ([0, 1], [np.nan, 1.0]),

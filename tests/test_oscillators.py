@@ -145,6 +145,11 @@ def test_conflicting_duplicate_spring_rejected():
         build_system(chain(3), np.ones(3), [(0, 1, 1.0), (1, 0, 2.0)], 1)
 
 
+def test_equal_duplicates_around_a_conflicting_spring_still_clash():
+    with pytest.raises(PreconditionError, match=r"\(0, 1\)"):
+        build_system(chain(3), np.ones(3), [(0, 1, 1.0), (1, 0, 2.0), (0, 1, 1.0)], 1)
+
+
 def test_spring_list_is_normalized():
     """An equal duplicate is kept once, (j, i) becomes (i, j), a zero spring is dropped."""
     sys = build_system(chain(4), np.ones(4),
