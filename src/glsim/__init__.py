@@ -11,7 +11,8 @@ criteria in glsim.acceptance.
 """
 
 from .access import (CostCounter, LocalityError, LocalMatrixOracle,
-                     OracleInconsistencyError, PreconditionError, VectorOracle,
+                     NumericalCheckError, OracleInconsistencyError,
+                     PreconditionError, VectorOracle,
                      local_matrix_from_dense, local_matrix_from_rows,
                      perturbed_sq_access, rng_stream, scale_matrix_oracle,
                      sparse_vector_oracle, sq_access_from_dense)
@@ -48,7 +49,7 @@ __all__ = [
     "ClockHamiltonian", "CostCounter", "CriterionResult", "DEFAULT_SEED",
     "DenseMatrix", "EmbeddedRun", "EstimateReport",
     "EvolvedSampler", "Gate", "LocalMatrixOracle", "LocalityError",
-    "OracleInconsistencyError", "OscillatorState", "OscillatorSystem",
+    "NumericalCheckError", "OracleInconsistencyError", "OscillatorState", "OscillatorSystem",
     "OversamplerHandle", "Polynomial", "PreconditionError", "ReadoutScan",
     "RejectionResult", "ReversibleCircuit", "SUITES", "SiteGraph", "VectorOracle",
     "adjacent_transposition_decomposition", "advection_hamiltonian",

@@ -31,6 +31,11 @@ class OracleInconsistencyError(RuntimeError):
     """Oracle answers contradict each other (e.g. sampled index has zero amplitude)."""
 
 
+class NumericalCheckError(RuntimeError):
+    """A result failed the self-check computed beside it (a grid cross-check, a
+    recombination), beyond the check's stated rounding bound."""
+
+
 class LocalityError(ValueError):
     """A matrix row has support outside the declared interaction radius."""
 

@@ -27,9 +27,10 @@ import numpy as np
 
 from . import __version__
 from .acceptance import DEFAULT_SEED, SUITES, run_suite
-from .access import (LocalityError, OracleInconsistencyError, PreconditionError,
-                     VectorOracle, local_matrix_from_rows, perturbed_sq_access,
-                     random_local_pair, rng_stream, sparse_vector_oracle)
+from .access import (LocalityError, NumericalCheckError, OracleInconsistencyError,
+                     PreconditionError, VectorOracle, local_matrix_from_rows,
+                     perturbed_sq_access, random_local_pair, rng_stream,
+                     sparse_vector_oracle)
 from .embeddings import (Gate, ReversibleCircuit, classical_output,
                          default_scan_horizon, find_readout_time, fk_classical,
                          fk_long_local, parse_circuit, readout_overlap_curve,
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PRECONDITION = 2
 EXIT_SAMPLER = 3
+EXIT_NUMERICAL = 4
 
 
 class ConfigError(ValueError):
@@ -816,6 +818,9 @@ def main(argv=None) -> int:
     except (PreconditionError, LocalityError, OracleInconsistencyError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except NumericalCheckError as exc:
+        print(f"numerical check failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         # in glsim a ValueError means bad input; ConfigError is one of them
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,13 +8,17 @@ of the total site count.
 One kernel, cone_rows, serves every pipeline: it returns the rows e_i^T P(A)
 of several polynomials for a batch of origins i.  One LightCone per chunk of
 origins fetches each row within d-1 hops of any of them once, one metered
-A.rows block per hop, and lays out each origin's own cone as one segment of
-a long vector, its sites in sorted global site order.  The cone's entries
-are stored as arrays sorted by (origin, col, row), so one step vec^T A is a
-gather, a multiply and an np.add.reduceat, and each origin's segment sums
-exactly the terms a cone of that origin alone would sum, in the same order.
-The only truncation anywhere is a hard-zero drop at 1e-300 after each step,
-to stop denormal buildup.  Chunks keep the working memory under CONE_BYTES.
+A.rows block per hop, and keeps each origin's own cone in one long vector
+laid out hop-major: by the hop from the origin, then by origin, then by
+site.  The sites within k hops of their origins are a prefix of it, and the
+cone's entries, sorted by (column, row site), hold the columns within k
+hops as a prefix too.  So step k of the recurrence touches only the sites
+within k hops: a gather, a multiply and an np.add.reduceat over that prefix
+of the entries, which is where row k of the recurrence can be nonzero.  A
+cone costs sum_k N(k r0) terms, not d N(d r0), and each column sums exactly
+the terms a cone of its origin alone would sum, in the same order.  The
+only truncation anywhere is a hard-zero drop at 1e-300 after each step, to
+stop denormal buildup.  Chunks keep the working memory under CONE_BYTES.
 
 entries_of_poly_apply meets the rows with u: it queries u once at each
 distinct site where some row is nonzero, in increasing site order, and
@@ -64,19 +68,26 @@ class LightCone:
 
     Hop h fetches, in one A.rows call, the sites first reached at hop h from
     any origin, in increasing order, so each row is fetched once per cone.
-    The cone is one long vector of segments, one per origin: segment o spans
-    positions offsets[o]:offsets[o + 1] and holds origin o's own cone (the
-    sites within hops + 1 hops of it) in increasing site order; sites gives
-    each position's global site and origin each origin's position.  Each
+    The cone is one long vector of (origin, site) pairs, origin o's pairs
+    being its own cone: the sites within hops + 1 hops of it.  The vector is
+    laid out hop-major, by the hop from the pair's own origin, then by
+    origin, then by site, so the pairs within k hops are the prefix
+    [:sizes[k]] and the origins are the prefix [:sizes[0]].  The entries are
+    sorted by (column position, site of the row), so the columns within k
+    hops hold a prefix of them, and step k of a recurrence from the origins
+    touches only the sites within k hops.  sites and offsets list the pairs
+    origin by origin, origin o's segment sites[offsets[o]:offsets[o + 1]]
+    in increasing site order, and order[j] is the position of pair j.  Each
     entry keeps the hop its row lies at from its own origin, so the cone
-    also serves every smaller depth.  With one origin the union's hops are
-    the origin's, and the per-origin reach pass is skipped.
+    also serves every smaller depth.  With one origin the fetch order is
+    the hop order, and the per-origin reach pass is skipped.
     """
 
     def __init__(self, A: LocalMatrixOracle, origins, hops: int):
         origins = [int(i) for i in origins]
         reached, frontier = set(origins), origins
         fetched, lens, blocks = [], [], []   # each row's site and length; each hop's (cols, vals)
+        counts = [len(origins)]              # how many sites each hop first reaches
         for _ in range(hops + 1):
             if not frontier:
                 break
@@ -87,34 +98,41 @@ class LightCone:
             blocks.append((cols, vals))
             frontier = sorted(set(cols.tolist()) - reached)
             reached.update(frontier)
+            counts.append(len(frontier))
         union = np.array(sorted(reached), dtype=np.int64)
         cols = np.concatenate([np.zeros(0, dtype=np.int64)] + [c for c, _ in blocks])
         vals = np.concatenate([np.zeros(0, dtype=np.complex128)] + [v for _, v in blocks])
         if len(origins) == 1:
-            self.sites = union
-            self.offsets = np.array([0, union.size])
-            self.origin = np.searchsorted(union, origins)
-            rows = np.repeat(np.array(fetched, dtype=np.int64), lens)
-            hop = np.repeat(np.arange(len(blocks)), [c.size for c, _ in blocks])
-            cols, rows = np.searchsorted(union, cols), np.searchsorted(union, rows)
+            at = np.array(fetched + frontier, dtype=np.int64)   # each position's site
+            self.order = np.argsort(at)
+            self.sites, self.offsets = union, np.array([0, union.size])
+            dist = np.repeat(np.arange(len(counts)), counts)
+            cols = self.order[np.searchsorted(union, cols)]
+            rows = np.repeat(np.arange(len(fetched)), lens)
+            key = at[rows]
         else:
-            cols, rows, hop, vals = self._reach(union, origins, fetched, lens, cols, vals, hops)
-        # sorted by (origin, col, row): each column's rows in increasing site order;
+            dist, cols, rows, key, vals = self._reach(union, origins, fetched, lens, cols,
+                                                      vals, hops)
+        self.sizes = np.searchsorted(dist, np.arange(hops + 2), side="right")
+        # sorted by (col, row site): each column's rows in increasing site order;
         # one array at a time, so the unsorted copy is freed as the sorted one is made
-        order = np.lexsort((rows, cols))
-        self._cols = cols = cols[order]
-        self._rows = rows = rows[order]
-        self._hops = hop = hop[order]
-        self._vals = vals[order]
+        by_col = np.lexsort((key, cols))
+        del key
+        self._cols = cols[by_col]
+        self._rows = rows = rows[by_col]
+        self._hops = dist[rows]
+        self._vals = vals[by_col]
         self._steps: dict = {}
 
     def _reach(self, union, origins, fetched, lens, cols, vals, hops):
         """Lay out each origin's own cone by a breadth-first pass over the fetched rows.
 
-        A pair (origin o, site s) is keyed o * len(union) + s's index in union,
-        so the sorted keys are the long vector's positions.  Sets sites,
-        offsets and origin; returns the entries' (col position, row position,
-        hop, value), one copy of a row per origin whose cone holds it.
+        A pair (origin o, site s) is keyed o * len(union) + s's index in union.
+        The pass finds the keys hop by hop, each hop's increasing, so their
+        concatenation is the hop-major layout.  Sets sites, offsets and order;
+        returns each position's hop and the entries' (col position, row
+        position, row site index, value), one copy of a row per origin whose
+        cone holds it.
         """
         n, k = union.size, len(origins)
         local = np.searchsorted(union, np.array(fetched, dtype=np.int64))
@@ -123,8 +141,8 @@ class LightCone:
         lengths[local] = lens
         starts[local] = np.cumsum(lens) - lens
         col_local = np.searchsorted(union, cols)
-        front = seen = first = np.arange(k) * n + np.searchsorted(union, origins)
-        keys, dist = [first], [np.zeros(k, dtype=np.int64)]
+        front = seen = np.arange(k) * n + np.searchsorted(union, origins)
+        keys, dist = [front], [np.zeros(k, dtype=np.int64)]
         for h in range(1, hops + 2):
             owner, site = np.divmod(front, n)
             new = _distinct(np.repeat(owner, lengths[site]) * n
@@ -137,24 +155,27 @@ class LightCone:
             keys.append(front)
             dist.append(np.full(front.size, h))
         keys, dist = np.concatenate(keys), np.concatenate(dist)
-        order = np.argsort(keys)
-        keys, dist = keys[order], dist[order]
-        self.sites = union[keys % n]
-        self.offsets = np.searchsorted(keys, np.arange(k + 1) * n)
-        self.origin = np.searchsorted(keys, first)
-        pos = np.flatnonzero(dist <= hops)         # the pairs whose rows the cone holds
-        owner, site = np.divmod(keys[pos], n)
+        self.order = np.argsort(keys)
+        ordered = keys[self.order]
+        self.sites = union[ordered % n]
+        self.offsets = np.searchsorted(ordered, np.arange(k + 1) * n)
+        held = int(np.searchsorted(dist, hops, side="right"))   # the pairs whose rows the cone holds
+        owner, site = np.divmod(keys[:held], n)
         take = _ranges(starts[site], lengths[site])
         per = lengths[site]
-        cols = np.searchsorted(keys, np.repeat(owner, per) * n + col_local[take])
-        return cols, np.repeat(pos, per), np.repeat(dist[pos], per), vals[take]
+        cols = self.order[np.searchsorted(ordered, np.repeat(owner, per) * n + col_local[take])]
+        return dist, cols, np.repeat(np.arange(held), per), np.repeat(site, per), vals[take]
 
-    def times_a(self, vec: np.ndarray, hops: int) -> np.ndarray:
-        """vec^T A over the rows each origin's cone holds `hops` deep, each column
-        summed in row-site order.
+    def times_a(self, vec: np.ndarray, hops: int, k: int) -> np.ndarray:
+        """Step k of a recurrence from the origins: (vec^T A)[:sizes[k]].
 
-        reduceat's rounding depends on how many terms a column holds, so a
-        step sums exactly the rows a one-origin cone of that depth would hold.
+        vec vanishes beyond k - 1 hops, so every column further out than k
+        hops is zero and the step touches only the sites within k hops: the
+        columns [:sizes[k]] and the prefix of the entries that holds them,
+        over the rows each origin's cone holds `hops` deep.  Each column sums
+        its rows in row-site order.  reduceat's rounding depends on how many
+        terms a column holds, so a column sums exactly the rows a one-origin
+        cone of that depth would hold.
         """
         if hops not in self._steps:
             keep = self._hops <= hops
@@ -162,11 +183,15 @@ class LightCone:
             if not keep.all():
                 rows, cols, vals = rows[keep], cols[keep], vals[keep]
             starts = np.flatnonzero(np.diff(cols, prepend=-1))
-            self._steps[hops] = (cols[starts], starts, rows, vals)
-        cols, starts, rows, vals = self._steps[hops]
-        terms = vec[rows]
-        out = np.zeros_like(vec)
-        out[cols] = np.add.reduceat(np.multiply(terms, vals, out=terms), starts)
+            heads = cols[starts]
+            # for each k, how many entries and column runs the columns within k hops hold
+            self._steps[hops] = (heads, starts, rows, vals, np.searchsorted(cols, self.sizes),
+                                 np.searchsorted(heads, self.sizes))
+        heads, starts, rows, vals, terms_in, runs_in = self._steps[hops]
+        m, g = terms_in[k], runs_in[k]
+        terms = vec[rows[:m]]
+        out = np.zeros(self.sizes[k], dtype=vec.dtype)
+        out[heads[:g]] = np.add.reduceat(np.multiply(terms, vals[:m], out=terms), starts[:g])
         return _hard_zero(out)
 
 
@@ -242,6 +267,7 @@ def cone_rows(A: LocalMatrixOracle, polys, sites):
 def _poly_rows(cone: LightCone, polys) -> list:
     lo, hi = polys[0].interval
     delta, s = hi - lo, hi + lo
+    sizes = cone.sizes
     rows: list = [None] * len(polys)
     for deg in sorted({p.degree for p in polys}):
         group = [n for n, p in enumerate(polys) if p.degree == deg]
@@ -249,23 +275,26 @@ def _poly_rows(cone: LightCone, polys) -> list:
         cols = coef.T[:, :, None]          # cols[k]: the group's c_k as a column
         live = coef != 0                   # live[:, k]: the rows c_k updates
         full, some = live.all(axis=0).tolist(), live.any(axis=0).tolist()
-        cur = prev = np.zeros(len(cone.sites), dtype=np.complex128)
-        cur[cone.origin] = 1.0
+        # step k writes only [:sizes[k]]; the buffers are zero beyond what they hold
+        prev, cur, nxt = (np.zeros(len(cone.sites), dtype=np.complex128) for _ in range(3))
+        cur[:sizes[0]] = 1.0               # the origins
         acc = cols[0] * cur
         for k in range(1, deg + 1):
+            within = sizes[k]
             if polys[0].basis == "monomial":
-                cur = cone.times_a(cur, deg - 1)
+                nxt[:within] = cone.times_a(cur, deg - 1, k)
             else:
-                nxt = _hard_zero((2.0 * cone.times_a(cur, deg - 1) - s * cur) / delta)
-                if k > 1:
-                    nxt = _hard_zero(2.0 * nxt - prev)
-                prev, cur = cur, nxt
+                step = _hard_zero((2.0 * cone.times_a(cur, deg - 1, k) - s * cur[:within])
+                                  / delta)
+                nxt[:within] = _hard_zero(2.0 * step - prev[:within]) if k > 1 else step
+            prev, cur, nxt = cur, nxt, prev
+            cur_k = cur[:within]
             if full[k]:
-                acc = _hard_zero(acc + cols[k] * cur)
+                acc[:, :within] = _hard_zero(acc[:, :within] + cols[k] * cur_k)
             elif some[k]:
                 rows_k = live[:, k]
-                acc[rows_k] = _hard_zero(acc[rows_k] + cols[k][rows_k] * cur)
-        for n, row in zip(group, acc):   # nonzero entries, origin by origin in site order
+                acc[rows_k, :within] = _hard_zero(acc[rows_k, :within] + cols[k][rows_k] * cur_k)
+        for n, row in zip(group, acc[:, cone.order]):   # origin by origin in site order
             nz = np.flatnonzero(row)
             rows[n] = (np.searchsorted(nz, cone.offsets), cone.sites[nz], row[nz])
     return rows

@@ -230,11 +230,16 @@ def build_system(graph: SiteGraph, masses, springs, r0: int) -> OscillatorSystem
     if far.size:
         k = far[0]
         raise LocalityError(f"spring ({i[k]}, {j[k]}) spans distance {dist[k]} > r0 = {r0}")
-    pair = i != j  # listed from both ends; a wall spring once
-    sites, others = np.concatenate((i, j[pair])), np.concatenate((j, i[pair]))
-    order = np.lexsort((others, sites))
-    return OscillatorSystem(graph, masses, int(r0), sites=sites[order], others=others[order],
-                            kappas=np.concatenate((kap, kap[pair]))[order])
+    # listed from both ends, a wall spring once.  The springs as (i, j) are
+    # sorted already; the pairs as (j, i), sorted by j stably, go before them,
+    # so one stable sort by site merges the two runs into (site, other) order
+    back = np.flatnonzero(i != j)
+    back = back[np.argsort(j[back], kind="stable")]
+    sites = np.concatenate((j[back], i))
+    order = np.argsort(sites, kind="stable")
+    return OscillatorSystem(graph, masses, int(r0), sites=sites[order],
+                            others=np.concatenate((i[back], j))[order],
+                            kappas=np.concatenate((kap[back], kap))[order])
 
 
 def _spring_columns(springs):

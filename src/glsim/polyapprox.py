@@ -22,7 +22,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import numpy.polynomial.polynomial as nppoly
 
-from .access import PreconditionError
+from .access import NumericalCheckError, PreconditionError
 
 
 # =====================================================================
@@ -115,6 +115,27 @@ def eval_scalar(p: Polynomial, x: float) -> complex:
     return c[0] + w * b1 - b2
 
 
+ROUNDING_MULTIPLE = 16
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def rounding_bound(p: Polynomial) -> float:
+    """ROUNDING_MULTIPLE * d * u * S: the tolerance of a check that computes p twice.
+
+    Evaluating p on its interval (Clenshaw or Horner) sums d + 1 terms whose
+    basis functions are bounded by 1 (Chebyshev) or by r^k (monomial,
+    r = max(|lo|, |hi|)), so to first order its rounding error is a small
+    multiple of d * u * S, with S = sum |c_k| (Chebyshev) or sum |a_k| r^k
+    (monomial) and u = 2^-53 the unit round-off; d is taken as at least 1.
+    The bound grows with the degree, where a fixed tolerance fails correct
+    results.
+    """
+    size = np.abs(np.asarray(p.coefficients, dtype=np.complex128))
+    if p.basis == "monomial":
+        size = size * max(abs(p.interval[0]), abs(p.interval[1])) ** np.arange(size.size)
+    return ROUNDING_MULTIPLE * max(p.degree, 1) * UNIT_ROUNDOFF * float(size.sum())
+
+
 # =====================================================================
 # Bessel coefficients and exp_poly
 # =====================================================================
@@ -154,7 +175,8 @@ def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
     the first degree d whose Bessel tail bound tail(d) drops below eps; d never
     exceeds ceil(e*alpha*|t|/2) + ceil(log2(1/eps)) + 4.  sup_bound = 1 + tail(d)
     holds on the whole interval, since |p(x)| <= |e^{ixt}| + |p(x) - e^{ixt}|.
-    A 2001-point grid cross-checks the error and sup_bound (RuntimeError).
+    A 2001-point grid cross-checks the error and sup_bound, each up to
+    rounding_bound(p) (NumericalCheckError).
     """
     alpha = float(alpha)
     t = float(t)
@@ -183,7 +205,7 @@ def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
         if tail <= eps:
             break
     else:
-        raise RuntimeError(
+        raise NumericalCheckError(
             f"Bessel tail bound did not reach eps={eps} within the degree cap {cap}")
 
     ik = 1j ** np.arange(degree + 1)
@@ -194,11 +216,12 @@ def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
     xs = np.linspace(-alpha, alpha, 2001)
     vals = p.eval_many(xs)
     grid_err = float(np.abs(vals - np.exp(1j * t * xs)).max())
-    if grid_err > eps:
-        raise RuntimeError(f"exp_poly grid error {grid_err:.3e} exceeds eps {eps:.3e}")
+    slack = rounding_bound(p)
+    if grid_err > eps + slack:
+        raise NumericalCheckError(f"exp_poly grid error {grid_err:.3e} exceeds eps {eps:.3e}")
     grid_sup = float(np.abs(vals).max())
-    if grid_sup > 1.0 + tail:
-        raise RuntimeError(f"exp_poly grid maximum {grid_sup:.9f} exceeds 1 + tail {tail:.3e}")
+    if grid_sup > 1.0 + tail + slack:
+        raise NumericalCheckError(f"exp_poly grid maximum {grid_sup:.9f} exceeds 1 + tail {tail:.3e}")
     return replace(p, sup_bound=1.0 + tail)
 
 
@@ -250,7 +273,7 @@ def parity_split(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     For Chebyshev input on [-alpha, alpha] the even part maps termwise through
     T_{2m}(x/alpha) = T_m(2y/alpha^2 - 1); the odd part is re-fit from the
     third-kind identity T_{2m+1}(x/alpha) = (x/alpha) V_m(2y/alpha^2 - 1).
-    The identity is re-verified at 64 Chebyshev nodes to 1e-12.
+    The identity is re-verified at 64 Chebyshev nodes (see _parity_check).
     """
     if p.basis == "monomial":
         a = np.asarray(p.coefficients, dtype=np.complex128)
@@ -284,14 +307,22 @@ def parity_split(p: Polynomial) -> tuple[Polynomial, Polynomial]:
 
 
 def _parity_check(p: Polynomial, pcos: Polynomial, psin: Polynomial):
+    """Pcos(x^2) + i x Psin(x^2) must equal p(x) at 64 Chebyshev nodes of p's
+    interval to within rounding_bound(p) (NumericalCheckError).
+
+    The split is exact in exact arithmetic, so the recombination error is
+    rounding alone: the split's own and that of three evaluations of degree
+    at most d.
+    """
     lo, hi = p.interval
     nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
         np.pi * (2.0 * np.arange(64) + 1.0) / 128.0)
     lhs = pcos.eval_many(nodes ** 2) + 1j * nodes * psin.eval_many(nodes ** 2)
     err = float(np.abs(lhs - p.eval_many(nodes)).max())
-    scale = max(1.0, float(np.abs(p.eval_many(nodes)).max()))
-    if err > 1e-12 * scale:
-        raise RuntimeError(f"parity split recombination error {err:.3e}")
+    bound = rounding_bound(p)
+    if err > bound:
+        raise NumericalCheckError(
+            f"parity split recombination error {err:.3e} exceeds its rounding bound {bound:.3e}")
     return pcos, psin
 
 

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 import glsim
@@ -317,6 +319,50 @@ def test_energy_single_time_reports_fraction_near_one(tmp_path):
     report = _read_report(tmp_path, "energy_report.json")
     point = report["outputs"]["points"][0]
     assert point["value_re"] == pytest.approx(1.0, abs=0.1)
+
+
+def test_oscillator_at_large_t_matches_the_dense_solution(tmp_path):
+    """t = 400 on a 3-mass unit chain (norm bound 6) needs exp_poly degree 998,
+    whose parity split a fixed 1e-12 recombination check refused."""
+    cfg = {
+        "system": {"graph": {"kind": "chain", "n_sites": 3}, "r0": 1,
+                   "masses": [1.0, 1.0, 1.0], "springs": [[0, 1, 1.0], [1, 2, 1.0]]},
+        "state": {"x": [1.0, 0.0, -1.0], "xdot": [0.0, 0.0, 0.0]},
+        "v": {"kind": "point", "site": 0},
+        "t": 400.0,
+        "eps": 0.05,
+        "delta": 0.05,
+    }
+    cfg_path = _write_config(tmp_path, "osc.json", cfg)
+    assert main(["oscillator", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    value = _read_report(tmp_path, "oscillator_report.json")["outputs"]["points"][0]["value_re"]
+    stiffness = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    w2, vecs = np.linalg.eigh(stiffness)
+    w = np.sqrt(np.clip(w2, 0.0, None))
+    x0 = np.array([1.0, 0.0, -1.0])
+    xdot = -(vecs * (w * np.sin(400.0 * w))) @ vecs.T @ x0   # unit masses, at rest at t = 0
+    exact = xdot[0] / math.sqrt(x0 @ stiffness @ x0)            # over sqrt(2E)
+    assert abs(value - exact) <= 0.05
+
+
+def test_failed_numerical_check_exits_4(tmp_path, capsys, monkeypatch):
+    def refuse(p):
+        raise glsim.NumericalCheckError("parity split recombination error 1e-3")
+
+    monkeypatch.setattr(glsim.oscillators, "parity_split", refuse)
+    cfg = {
+        "system": TWO_MASS_SYSTEM,
+        "state": {"x": [1.0, -1.0], "xdot": [0.0, 0.0]},
+        "v": {"kind": "point", "site": 0},
+        "t": 1.0,
+        "eps": 0.2,
+        "delta": 0.2,
+    }
+    cfg_path = _write_config(tmp_path, "osc.json", cfg)
+    assert main(["oscillator", "--config", cfg_path, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical check failed: parity split recombination error" in err
+    assert "Traceback" not in err
 
 
 def test_oscillator_requires_exactly_one_time_spec(tmp_path):

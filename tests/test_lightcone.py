@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glsim import (CostCounter, Polynomial, PreconditionError, VectorOracle,
-                   chain, cone_rows, dense_from_oracle, dense_poly_apply,
+                   build_system, chain, cone_rows, dense_from_oracle, dense_poly_apply,
                    dense_poly_matrix, entries_of_poly_apply, entry_of_poly_apply,
                    exp_poly, general, graph_laplacian_oracle, grid, lightcone,
-                   local_matrix_from_dense, local_matrix_from_rows,
-                   poly_apply_query_oracle, poly_rows, row_power,
+                   local_matrix_from_dense, local_matrix_from_rows, mul_by_x,
+                   parity_split, poly_apply_query_oracle, poly_rows, row_power,
                    sq_access_from_dense)
 
 
@@ -174,15 +174,31 @@ def test_poly_rows_match_dense_rows_and_single_calls(seed, layout, r0, basis, de
         poly_rows(a, (narrow, wider), i)
 
 
-def test_batch_sums_the_rows_of_each_origins_own_depth():
+def _monomials_on_an_r0_2_grid(rng):
+    a, _ = _random_local_hermitian(rng, grid([14, 14]), 2)
+    return a, [Polynomial(tuple(rng.normal(size=d + 1) / a.norm_bound ** np.arange(d + 1)))
+               for d in (2, 3, 6)]
+
+
+def _oscillator_triple_on_an_r0_2_grid(rng):
+    """(A, (Pcos, Psin, y Psin)) of a random r0 = 2 spring grid: Chebyshev on [0, ||A||]."""
+    graph = grid([14, 14])
+    springs = {(i, j): float(rng.uniform(0.5, 2.0)) for i in range(graph.n_sites)
+               for j in graph.ball(i, 2) if j >= i}
+    system = build_system(graph, rng.uniform(0.5, 2.0, graph.n_sites), springs, 2)
+    pcos, psin = parity_split(exp_poly(system.h_norm_bound, 0.7, 1e-9))
+    return system.a_oracle(), [pcos, psin, mul_by_x(psin)]
+
+
+@pytest.mark.parametrize("make", [_monomials_on_an_r0_2_grid,
+                                  _oscillator_triple_on_an_r0_2_grid])
+def test_batch_sums_the_rows_of_each_origins_own_depth(make):
     """Lower-degree polynomials of a batch step over the rows their own cones hold:
     on an r0 = 2 grid a column holds up to 13 rows, where extra zero terms
-    would move reduceat's rounding."""
-    rng = np.random.default_rng(55)
-    a, _ = _random_local_hermitian(rng, grid([14, 14]), 2)
-    polys = [Polynomial(tuple(rng.normal(size=d + 1) / a.norm_bound ** np.arange(d + 1)))
-             for d in (2, 3, 6)]
-    origins = [0, 50, 97, 98, 113, 195]
+    would move reduceat's rounding.  Origins near the boundary and far apart."""
+    a, polys = make(np.random.default_rng(55))
+    assert len({p.degree for p in polys}) > 1
+    origins = [0, 1, 13, 50, 97, 98, 113, 182, 195]
     (sites, rows), = cone_rows(a, polys, origins)
     assert sites.tolist() == origins
     for o, i in enumerate(origins):
@@ -190,6 +206,56 @@ def test_batch_sums_the_rows_of_each_origins_own_depth():
             assert cols[ptr[o]:ptr[o + 1]].tolist() == list(single)
             assert np.array_equal(vals[ptr[o]:ptr[o + 1]].view(np.uint64),
                                   np.array(list(single.values())).view(np.uint64))
+
+
+@pytest.mark.parametrize("graph, ball_size, origins", [
+    (chain(64), lambda k: 2 * k + 1, [30]),
+    (chain(64), lambda k: 2 * k + 1, [10, 30, 50]),
+    (grid([21, 21]), lambda k: 2 * k * k + 2 * k + 1, [220]),
+    (grid([21, 21]), lambda k: 2 * k * k + 2 * k + 1, [132, 220, 308])])
+def test_cone_is_laid_out_hop_major(graph, ball_size, origins):
+    """The pairs within k hops are the prefix [:sizes[k]]: for an interior origin
+    of a nearest-neighbour matrix those are ball(o, k), 2k+1 sites on a chain
+    and 2k^2+2k+1 on a grid."""
+    a = graph_laplacian_oracle(graph)
+    hops = 5
+    cone = lightcone.LightCone(a, origins, hops)
+    depth = np.empty(cone.sites.size, dtype=np.int64)   # hop of each pair from its origin
+    for o, origin in enumerate(origins):
+        seg = slice(cone.offsets[o], cone.offsets[o + 1])
+        depth[seg] = graph.distances(np.full(seg.stop - seg.start, origin), cone.sites[seg])
+    hop_of_position = np.empty_like(depth)
+    hop_of_position[cone.order] = depth
+    assert np.all(np.diff(hop_of_position) >= 0)
+    for k in range(hops + 2):
+        assert cone.sizes[k] == len(origins) * ball_size(k)
+        for o, origin in enumerate(origins):
+            seg = slice(cone.offsets[o], cone.offsets[o + 1])
+            held = cone.sites[seg][cone.order[seg] < cone.sizes[k]]
+            assert held.tolist() == sorted(graph.ball(origin, k))
+
+
+def test_step_k_sums_only_the_terms_within_k_hops():
+    """A degree-40 entry on a chain sums about half the terms that stepping over
+    the whole cone at every step would: column k hops out first holds terms at step k."""
+    a = graph_laplacian_oracle(chain(200))
+    p = Polynomial((0.0,) * 40 + (1.0,))
+    summed, whole = [], []
+
+    class CountingCone(lightcone.LightCone):
+        def times_a(self, vec, hops, k):
+            out = super().times_a(vec, hops, k)
+            _, _, rows, _, terms_in, _ = self._steps[hops]
+            summed.append(int(terms_in[k]))
+            whole.append(rows.size)
+            return out
+
+    with patch.object(lightcone, "LightCone", CountingCone):
+        got = row_power(a, 100, 40)
+    assert got == row_power(a, 100, 40)   # the counting cone changes nothing
+    assert len(summed) == 40 and whole == [whole[0]] * 40
+    assert sum(summed) <= 0.55 * sum(whole)
+    assert summed[0] == 9 and summed[-1] == whole[0]   # 3 columns of 3 rows; all of them
 
 
 def test_row_dots_round_like_a_python_loop():

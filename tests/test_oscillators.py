@@ -164,6 +164,31 @@ def test_spring_list_is_normalized():
     assert slots.tolist() == [pair_index(0, 1, 4), pair_index(2, 3, 4), pair_index(3, 3, 4)]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_spring_table_is_sorted_by_site_and_other(seed):
+    """The table merged from its two halves equals a lexsort of the both-ends
+    list, for spring lists with equal duplicates, reversed pairs and walls."""
+    rng = np.random.default_rng(seed)
+    graph = [chain(40), grid([7, 9]), grid([4, 5, 3])][seed % 3]
+    r0 = 1 + seed % 2
+    springs = {(i, j): float(rng.uniform(1e-3, 1e3)) for i in range(graph.n_sites)
+               for j in graph.ball(i, r0) if j >= i and rng.random() < 0.6}
+    rows = [(i, j, k) for (i, j), k in springs.items()]
+    rows += [rows[k] for k in rng.integers(0, len(rows), 20)]
+    rows += [(j, i, k) for i, j, k in (rows[k] for k in rng.integers(0, len(rows), 20))]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    sys = build_system(graph, rng.uniform(0.5, 2.0, graph.n_sites), rows, r0)
+    i, j = np.array(list(springs), dtype=np.int64).T
+    kap = np.array(list(springs.values()))
+    pair = i != j
+    sites, others = np.concatenate((i, j[pair])), np.concatenate((j, i[pair]))
+    order = np.lexsort((others, sites))
+    assert np.array_equal(sys.sites, sites[order])
+    assert np.array_equal(sys.others, others[order])
+    assert np.array_equal(sys.kappas.view(np.uint64),
+                          np.concatenate((kap, kap[pair]))[order].view(np.uint64))
+
+
 @pytest.mark.parametrize("springs", [{}, [], [(0, 1, 0.0)]], ids=["dict", "list", "zero"])
 def test_springless_system_moves_freely(springs):
     sys = build_system(chain(2), [1.0, 4.0], springs, 1)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from glsim import (Polynomial, bessel_j_sequence, divide_out_zero, eval_scalar,
-                   exp_poly, mul_by_x, parity_split)
+from glsim import (NumericalCheckError, Polynomial, bessel_j_sequence, divide_out_zero,
+                   eval_scalar, exp_poly, mul_by_x, parity_split, polyapprox)
 
 
 def _bessel_reference(z: float, k: int) -> float:
@@ -122,6 +122,35 @@ def test_parity_split_recombines_exponential():
     nodes = np.cos(np.pi * (2 * np.arange(64) + 1) / 128.0)
     recombined = pcos.eval_many(nodes**2) + 1j * nodes * psin.eval_many(nodes**2)
     assert np.abs(recombined - p.eval_many(nodes)).max() <= 1e-12
+
+
+def test_parity_check_bound_grows_with_the_degree():
+    """At alpha = sqrt(6), t = 400 (degree 998, the oscillator pipeline's eps 0.05)
+    a correct split recombines to about 1.2e-12, over the old fixed 1e-12 and
+    under 16 d u sum|c_k|."""
+    p = exp_poly(math.sqrt(6.0), 400.0, 0.025)
+    assert p.degree == 998
+    bound = polyapprox.rounding_bound(p)
+    assert bound == pytest.approx(16 * 998 * 2.0 ** -53 * np.abs(p.coefficients).sum())
+    assert 4e-12 < bound / 16 < 5e-12
+    parity_split(p)
+
+
+def test_a_wrong_split_fails_its_check_with_a_typed_error():
+    p = exp_poly(1.0, 2.0, 1e-8)
+    pcos, psin = parity_split(p)
+    nudged = Polynomial((pcos.coefficients[0] + 1e-9,) + pcos.coefficients[1:],
+                        basis="chebyshev", interval=pcos.interval)
+    with pytest.raises(NumericalCheckError, match="recombination error"):
+        polyapprox._parity_check(p, nudged, psin)
+
+
+@pytest.mark.parametrize("t", [0.0394, 1439.3])
+def test_exp_poly_grid_checks_allow_for_rounding(t):
+    """At eps = 1e-13 the tail (1.2e-16 at t = 0.0394) and eps itself (at
+    t = 1439.3) lie below the rounding of the grid's evaluations."""
+    p = exp_poly(0.3, t, 1e-13)
+    assert p.sup_bound - 1.0 <= 1e-13
 
 
 # =====================================================================
