@@ -27,8 +27,8 @@ from .embeddings import (ClockHamiltonian, EmbeddedRun, Gate, ReadoutScan,
                          step_operator, w_matrix)
 from .estimate import EstimateReport, evt_gl_estimate, inner_product_estimate
 from .lattice import SiteGraph, chain, general, grid
-from .lightcone import (cone_rows, entries_of_poly_apply, entry_of_poly_apply,
-                        poly_apply_query_oracle, poly_rows, row_power)
+from .lightcone import (entries_of_poly_apply, entry_of_poly_apply,
+                        poly_apply_query_oracle, poly_rows, row_power, window_entries)
 from .oracle import (DenseMatrix, dense_cap, dense_cos_sqrt_apply,
                      dense_evolve, dense_from_oracle, dense_poly_apply,
                      dense_poly_matrix, spectral_norm)
@@ -54,7 +54,7 @@ __all__ = [
     "RejectionResult", "ReversibleCircuit", "SUITES", "SiteGraph", "VectorOracle",
     "adjacent_transposition_decomposition", "advection_hamiltonian",
     "bessel_j_sequence", "build_system", "chain", "classical_output",
-    "cone_rows", "default_scan_horizon", "dense_cap", "dense_cos_sqrt_apply",
+    "default_scan_horizon", "dense_cap", "dense_cos_sqrt_apply",
     "dense_evolve", "dense_from_oracle", "dense_poly_apply",
     "dense_poly_matrix", "divide_out_zero", "entries_of_poly_apply",
     "entry_of_poly_apply", "estimate_energy", "estimate_observable", "eval_scalar",
@@ -72,5 +72,5 @@ __all__ = [
     "simulate_embedded_circuit", "sparse_vector_oracle", "spectral_norm",
     "sq_access_from_dense", "step_operator", "system_from_json_dict",
     "total_energy", "tv_error_bound", "w_matrix",
-    "wave_to_oscillators",
+    "wave_to_oscillators", "window_entries",
 ]

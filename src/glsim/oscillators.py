@@ -15,17 +15,22 @@ B B^T = A and the generator is the Hermitian dilation H = [[0, B],[B^T, 0]].
 Everything this module estimates reduces to polynomials of A applied through
 the light-cone kernel, plus single sparse applications of B and B^T: the
 identities B Psin(B^T B) B^T = A Psin(A) and Pcos(B^T B) B^T = B^T Pcos(A)
-remove all extended-space polynomial work.
+remove all extended-space polynomial work.  The kernel
+(lightcone.window_entries) takes a pipeline's site-space vectors at each
+chunk's window as arrays and returns every polynomial's entries at its sites.
 
 The springs are kept once, as one table sorted by (site, other site): row k
 is a spring of stiffness kappas[k] > 0 seen from sites[k] towards others[k],
 listed from both ends, or once for a wall spring (i, i).  Beside it sits one
 column of pair slots, slots[k] = pair_index(min, max of the two sites).  A
-site's row of B is a slice of the table; the columns of B are the table rows
-with i <= j, which lie in slot order, so B^T is looked up by slot, and E and
-psi(0) are array expressions over those rows.  The rows of A are one CSR
-table derived from it when the system is built, and a block of them is a
-gather of slices.
+site's row of B is a slice of the table, so B w at an array of sites sums
+each site's slice in table order (OscillatorSystem.b); the columns of B are
+the table rows with i <= j, which lie in slot order, so B^T z at an array of
+slots is a gather over them (OscillatorSystem.bdag), and E and psi(0) are
+array expressions over those rows.  b_entry and bdag_entry are the one-entry
+loops the array forms equal bit for bit.  The rows of A are one CSR table
+derived from it when the system is built, and a block of them is a gather of
+slices.
 
 The degree of the exponential approximation obeys
 d_exp <= c1 * |t| * sqrt(N(r0) kappa_max / m_min) + c2 * ln(1/eps) + c3
@@ -38,7 +43,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from .access import (LocalityError, LocalMatrixOracle, PreconditionError,
                      VectorOracle, _sq_oracle)
 from .estimate import EstimateReport, inner_product_estimate
 from .lattice import SiteGraph
-from .lightcone import cone_rows, row_dots
+from .lightcone import window_entries
 from .polyapprox import divide_out_zero, exp_poly, mul_by_x, parity_split
 
 # =====================================================================
@@ -175,19 +180,56 @@ class OscillatorSystem:
 
     # ---- sparse B and B^T applications -----------------------------------
 
-    def slot_sites(self, slots) -> list:
-        """The sites bdag_entry reads at these slots: the lower end of each one's
-        spring, in slot order, then the upper ends (no sites for a slot without one)."""
-        i, j, _, cols = self.pairs
+    def _springs_at(self, slots) -> tuple[np.ndarray, np.ndarray]:
+        """(at, k): the positions in slots of the slots that hold a spring, and the
+        index of that spring in pairs."""
+        cols = self.pairs[3]
         slots = np.asarray(slots, dtype=np.int64)
         if cols.size == 0:
-            return []
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         k = np.minimum(np.searchsorted(cols, slots), cols.size - 1)
-        hit = k[cols[k] == slots]
-        return np.concatenate((i[hit], j[hit])).tolist()
+        at = np.flatnonzero(cols[k] == slots)
+        return at, k[at]
+
+    def slot_sites(self, slots) -> list:
+        """The sites bdag reads at these slots: the lower end of each one's spring,
+        in slot order, then the upper ends (no sites for a slot without one)."""
+        i, j, _, _ = self.pairs
+        k = self._springs_at(slots)[1]
+        return np.concatenate((i[k], j[k])).tolist()
+
+    def bdag(self, slots, z_at) -> np.ndarray:
+        """(B^T z) at each of the slots, z_at(sites) giving z at an array of sites:
+        a gather over the spring table, bit for bit bdag_entry at each slot."""
+        i, j, kappas, _ = self.pairs
+        at, k = self._springs_at(slots)
+        lower, upper = i[k], j[k]
+        out = np.zeros(np.size(slots), dtype=np.complex128)
+        out[at] = np.sqrt(kappas[k] / self.masses[lower]) * z_at(lower)
+        two = lower != upper    # a wall spring has one end
+        out[at[two]] -= np.sqrt(kappas[k[two]] / self.masses[upper[two]]) * z_at(upper[two])
+        return out
+
+    def b(self, sites, w_at) -> np.ndarray:
+        """(B w) at each of the sites, w_at(slots) giving w at an array of slots: each
+        site's springs summed from 0 in table order, bit for bit b_entry at each site."""
+        sites = np.asarray(sites, dtype=np.int64)
+        lo = self._starts[sites]
+        counts = self._starts[sites + 1] - lo
+        first = np.cumsum(counts) - counts     # each site's first term
+        take = np.arange(counts.sum()) + np.repeat(lo - first, counts)
+        at = np.repeat(sites, counts)
+        terms = np.sqrt(self.kappas[take] / self.masses[at]) * w_at(self.slots[take])
+        terms = np.where(self.others[take] >= at, terms, -terms)
+        out = np.zeros(sites.size, dtype=np.complex128)
+        for k in range(counts.max(initial=0)):   # a running sum, left to right
+            more = np.flatnonzero(counts > k)
+            out[more] += terms[first[more] + k]
+        return out
 
     def bdag_entry(self, slot: int, z_fn) -> complex:
-        """(B^T z)_slot for a site-space functional z_fn; 0 at a slot with no spring."""
+        """(B^T z)_slot for a site-space functional z_fn; 0 at a slot with no spring:
+        bdag at one slot."""
         i, j, kappas, slots = self.pairs
         k = int(np.searchsorted(slots, slot))
         if k == slots.size or slots[k] != slot:
@@ -199,7 +241,7 @@ class OscillatorSystem:
                 - math.sqrt(kap / self.masses[b]) * z_fn(b))
 
     def b_entry(self, i: int, slot_fn) -> complex:
-        """(B w)_i for a pair-space functional slot_fn(slot)."""
+        """(B w)_i for a pair-space functional slot_fn(slot): b at one site."""
         lo, hi = self._starts[i], self._starts[i + 1]
         total = 0.0 + 0.0j
         for j, kap, slot in zip(self.others[lo:hi].tolist(), self.kappas[lo:hi].tolist(),
@@ -210,6 +252,11 @@ class OscillatorSystem:
             else:
                 total -= root * slot_fn(slot)
         return total
+
+
+def _column(memo: dict, sites, n: int) -> np.ndarray:
+    """Field n of memo's tuple at each of the sites, as an array."""
+    return np.array([memo[i][n] for i in np.asarray(sites).tolist()], dtype=np.complex128)
 
 
 def build_system(graph: SiteGraph, masses, springs, r0: int) -> OscillatorSystem:
@@ -358,8 +405,8 @@ def _evolved_blocks(sys: OscillatorSystem, scaled, t: float, eps_poly: float):
     which returns a per-site memo of (top_i, z_i) with
     top = Pcos(A) sv - A Psin(A) sx (the velocity block) and
     z = Psin(A) sv + Pcos(A) sx (the pair block is i B^T z).  The sites not
-    yet in the memo are filled from one cone_rows pass over
-    (Pcos, Psin, x Psin).
+    yet in the memo are filled from one window_entries pass of
+    (Pcos, Psin, x Psin) over the vectors (sv, sx).
     """
     _, sv, sx, _, _ = scaled
 
@@ -373,11 +420,13 @@ def _evolved_blocks(sys: OscillatorSystem, scaled, t: float, eps_poly: float):
 
     def blocks(sites) -> dict:
         new = sorted(set(sites).difference(memo))
-        for origins, (rcos, rsin, rxsin) in cone_rows(a, (pcos, psin, x_psin), new):
-            dots = [row_dots(r, vec[r[1]]).tolist()
-                    for r, vec in ((rcos, sv), (rxsin, sx), (rsin, sv), (rcos, sx))]
-            for i, c_sv, xs_sx, s_sv, c_sx in zip(origins.tolist(), *dots):
-                memo[i] = (c_sv - xs_sx, s_sv + c_sx)
+        if new:
+            origins, values = window_entries(
+                a, (pcos, psin, x_psin), new,
+                lambda window: np.stack((sv[window.sites], sx[window.sites]), axis=1))
+            top = values[0, :, 0] - values[2, :, 1]
+            z = values[1, :, 0] + values[0, :, 1]
+            memo.update(zip(origins.tolist(), zip(top.tolist(), z.tolist())))
         return memo
 
     return a, pcos, psin, blocks
@@ -404,11 +453,14 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
     _, _, _, blocks = _evolved_blocks(sys, _scaled_state(sys, state0), t, eps / 2.0)
     n = sys.n_sites
 
-    def w_many(idxs: list) -> list:
-        memo = blocks([i for i in idxs if i < n]
-                      + sys.slot_sites([i for i in idxs if i >= n]))
-        return [memo[i][0] if i < n else 1j * sys.bdag_entry(i, lambda k: memo[k][1])
-                for i in idxs]
+    def w_many(idxs: list) -> np.ndarray:
+        idxs = np.asarray(idxs, dtype=np.int64)
+        top = idxs < n
+        memo = blocks(idxs[top].tolist() + sys.slot_sites(idxs[~top]))
+        out = np.empty(idxs.size, dtype=np.complex128)
+        out[top] = _column(memo, idxs[top], 0)
+        out[~top] = 1j * sys.bdag(idxs[~top], lambda sites: _column(memo, sites, 1))
+        return out
 
     w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],
                      norm=None, many_fn=w_many)
@@ -429,8 +481,9 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     pairs whose potential energy enters.  The estimand is
     psi(0)^dag P^dag V P psi(0) with V the projector onto the selected
     velocity and spring slots.  The entries of w at a batch of indices take
-    one cone_rows pass over (Pcos, Psin, ptil) for their sites, and each
-    chunk of it one _evolved_blocks pass for the sites its rows read.
+    one window_entries pass of (Pcos, Psin, ptil) over the vectors
+    (mphi_v, g) for their sites, and each chunk's window one _evolved_blocks
+    pass for the sites where those vectors read P psi0.
     Error budget: eps/4 polynomial, eps/3 statistical (hence sampler error
     <= eps/27); the cross terms fit in the remainder.
     """
@@ -443,60 +496,61 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     for pa, pb in pairs:
         if not 0 <= pa <= pb < n:
             raise ValueError(f"spring pair ({pa},{pb}) out of range")
-    xset = {pair_index(pa, pb, n) for pa, pb in pairs}   # the selected spring slots
+    vsites = np.array(sorted(vset), dtype=np.int64)
+    xslots = np.array(sorted({pair_index(pa, pb, n) for pa, pb in pairs}), dtype=np.int64)
     # the two ends of each selected spring, one column per spring
-    ends = np.array(sys.slot_sites(sorted(xset)), dtype=np.int64).reshape(2, -1)
+    ends = np.array(sys.slot_sites(xslots), dtype=np.int64).reshape(2, -1)
 
     scaled = _scaled_state(sys, state0)
     a, pcos, psin, blocks = _evolved_blocks(sys, scaled, t, eps / 4.0)
     evolved = blocks(())
     a0, ptil = divide_out_zero(pcos)   # Pcos(y) = a0 + y * ptil(y)
+    g_hops = max(psin.degree, ptil.degree)   # g is read within this many hops
 
-    # top block of P psi0, masked to the selected velocity slots
-    def mphi_v(i: int) -> complex:
-        return evolved[i][0] if i in vset else 0.0 + 0.0j
-
-    # bottom block of P psi0 is B^T phi_x with phi_x = i z, masked to the
+    # the bottom block of P psi0 is B^T phi_x with phi_x = i z, masked to the
     # selected spring slots
-    @cache
-    def mbx(slot: int) -> complex:
-        if slot not in xset:
-            return 0.0 + 0.0j
-        return sys.bdag_entry(slot, lambda k: 1j * evolved[k][1])
+    def mbx(slots: np.ndarray) -> np.ndarray:
+        out = np.zeros(slots.size, dtype=np.complex128)
+        on = np.flatnonzero(np.isin(slots, xslots))
+        out[on] = sys.bdag(slots[on], lambda sites: 1j * _column(evolved, sites, 1))
+        return out
 
-    g = cache(lambda i: sys.b_entry(i, mbx))
-
-    def gather(fn, sites: np.ndarray):
-        """fn at each of the increasing sites, as a gather at any of them."""
-        vals = np.array([fn(i) for i in sites.tolist()], dtype=np.complex128)
-        return lambda where: vals[np.searchsorted(sites, where)]
+    def vectors(window) -> np.ndarray:
+        """mphi_v, the top block of P psi0 masked to the selected velocity slots,
+        and g = B mbx, at the window's sites; g only where Psin and ptil read it."""
+        sites, gsites = window.sites, window.sites[:window.sizes[g_hops]]
+        on = np.flatnonzero(np.isin(sites, vsites))
+        # g at site j reads z at both ends of each selected spring at j
+        near = np.isin(ends[0], gsites) | np.isin(ends[1], gsites)
+        blocks(sites[on].tolist() + ends[:, near].ravel().tolist())
+        out = np.zeros((sites.size, 2), dtype=np.complex128)
+        out[on, 0] = _column(evolved, sites[on], 0)
+        out[:gsites.size, 1] = sys.b(gsites, mbx)
+        return out
 
     # (w_i, h1_i, h2_i): the velocity entry of w, Psin(A) mphi_v and ptil(A) g
     energy: dict = {}
 
     def fill(sites: list):
         new = sorted(set(sites).difference(energy))
-        for origins, (rcos, rsin, rtil) in cone_rows(a, (pcos, psin, ptil), new):
-            vsites = np.union1d(rcos[1], rsin[1])   # where mphi_v is read
-            gsites = np.union1d(rsin[1], rtil[1])   # where g is read
-            # g at site j reads z at both ends of each selected spring at j
-            near = np.isin(ends[0], gsites) | np.isin(ends[1], gsites)
-            blocks([i for i in vsites.tolist() if i in vset] + ends[:, near].ravel().tolist())
-            mv, gv = gather(mphi_v, vsites), gather(g, gsites)
-            dots = [row_dots(r, vec(r[1])).tolist()
-                    for r, vec in ((rcos, mv), (rsin, gv), (rsin, mv), (rtil, gv))]
-            for i, cos_v, sin_g, sin_v, til_g in zip(origins.tolist(), *dots):
-                energy[i] = (cos_v - 1j * sin_g, sin_v, til_g)
+        if new:
+            origins, values = window_entries(a, (pcos, psin, ptil), new, vectors)
+            top = values[0, :, 0] - 1j * values[1, :, 1]
+            energy.update(zip(origins.tolist(), zip(top.tolist(), values[1, :, 0].tolist(),
+                                                    values[2, :, 1].tolist())))
 
-    def w_many(idxs: list) -> list:
-        slots = [i for i in idxs if i >= n]
-        fill([i for i in idxs if i < n] + sys.slot_sites(slots))
-        blocks(sys.slot_sites([slot for slot in slots if slot in xset]))
-        return [energy[i][0] if i < n else
-                (-1j * sys.bdag_entry(i, lambda k: energy[k][1])
-                 + a0 * mbx(i)
-                 + sys.bdag_entry(i, lambda k: energy[k][2]))
-                for i in idxs]
+    def w_many(idxs: list) -> np.ndarray:
+        idxs = np.asarray(idxs, dtype=np.int64)
+        top = idxs < n
+        slots = idxs[~top]
+        fill(idxs[top].tolist() + sys.slot_sites(slots))
+        blocks(sys.slot_sites(slots[np.isin(slots, xslots)]))
+        out = np.empty(idxs.size, dtype=np.complex128)
+        out[top] = _column(energy, idxs[top], 0)
+        out[~top] = (-1j * sys.bdag(slots, lambda sites: _column(energy, sites, 1))
+                     + a0 * mbx(slots)
+                     + sys.bdag(slots, lambda sites: _column(energy, sites, 2)))
+        return out
 
     w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],
                      norm=None, many_fn=w_many)

@@ -15,23 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .access import (LocalMatrixOracle, OracleInconsistencyError,
                      PreconditionError, VectorOracle, rng_stream,
                      scale_matrix_oracle)
-from .lightcone import poly_apply_query_oracle
+from .lightcone import _chunk_size, poly_apply_query_oracle
 from .polyapprox import exp_poly
 
 _DEFAULT_CHUNK = 512
-# sites whose |w|^2 EvolvedSampler computes through one light cone on a miss.
-# Measured on perfbench's sample-grid (1024^2 grid, degree 10): 8 sites cut
-# the A queries per draw 480 -> 180 and doubled the draws per second for
-# +4.5% peak RSS; 16 sites read +8% and a whole 512-draw chunk +27%, against
-# the benchmark's 10% bound on peak RSS
-_FILL_SITES = 8
 
 
 def tv_error_bound(eps: float, sol_norm: float) -> float:
@@ -213,11 +207,14 @@ class EvolvedSampler:
     A must be anti-Hermitian, so the evolution is unitary and A = iH with
     H = -iA Hermitian.  The evolution polynomial is exp_poly(||A||, t, eps)
     applied to H.  All draws share one |w_s|^2 memo, w = P(H) psi.  A tested
-    trial that misses it fills the first _FILL_SITES distinct unknown sites
-    among the drawn trials from it on through one light cone (w.query_many),
-    so w may be computed at drawn sites no trial tests.  The draws are those
-    of the public rejection_sample, which computes |u|^2 strictly per
-    tested trial, since every entry is bit-identical to a one-site query.
+    trial that misses it fills the first distinct unknown sites among the
+    drawn trials from it on, as many as one light-cone window holds
+    (lightcone._chunk_size), through one w.query_many: one forward
+    recurrence over the union of their cones, which is barely larger than
+    one cone when the draws cluster.  So w may be computed at drawn sites no
+    trial tests.  The draws are those of the public rejection_sample, which
+    computes |u|^2 strictly per tested trial, since every entry is
+    bit-identical to a one-site query.
     """
 
     def __init__(self, A: LocalMatrixOracle, t: float, psi: VectorOracle,
@@ -254,7 +251,13 @@ class EvolvedSampler:
         w = poly_apply_query_oracle(generator, poly, psi)
         self.w = w
         self._w_mass: dict = {}  # |w_s|^2, shared by all draws
-        self._fill = _mass_fill(self._w_mass, w.query_many, _FILL_SITES)
+
+    @cached_property
+    def _fill(self):
+        """The memo's fill: one light-cone window of drawn sites per miss, sized at
+        the first miss, so set-up does not pay for it."""
+        return _mass_fill(self._w_mass, self.w.query_many,
+                          _chunk_size(self.generator, self.poly.degree, 1))
 
     @property
     def tv_bound(self) -> float:

@@ -1,4 +1,4 @@
-"""Light-cone evaluation: rows of P(A), batched entries of P(A)u, query budgets."""
+"""Light-cone evaluation: the forward window, rows of P(A), batched entries of P(A)u, query budgets."""
 
 import tracemalloc
 from unittest.mock import patch
@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glsim import (CostCounter, Polynomial, PreconditionError, VectorOracle,
-                   build_system, chain, cone_rows, dense_from_oracle, dense_poly_apply,
+                   build_system, chain, dense_from_oracle, dense_poly_apply,
                    dense_poly_matrix, entries_of_poly_apply, entry_of_poly_apply,
                    exp_poly, general, graph_laplacian_oracle, grid, lightcone,
                    local_matrix_from_dense, local_matrix_from_rows, mul_by_x,
                    parity_split, poly_apply_query_oracle, poly_rows, row_power,
-                   sq_access_from_dense)
+                   sq_access_from_dense, window_entries)
 
 
 def _random_local_hermitian(rng, graph, r0: int):
@@ -135,29 +135,40 @@ def test_poly_rows_match_dense_rows_and_single_calls(seed, layout, r0, basis, de
                                     interval=(-alpha, alpha)))
     dense = dense_from_oracle(a)
     origins = _origin_set(kind, graph.n_sites, rng)
-    u_vec = rng.normal(size=graph.n_sites) + 1j * rng.normal(size=graph.n_sites)
-    u_vec[rng.random(graph.n_sites) < 0.3] = 0.0
-    with patch.object(lightcone, "_chunk_size", lambda *args: chunk or len(origins)):
-        batch = {}
-        for sites, rows in cone_rows(a, polys, origins):
-            assert 0 < sites.size <= (chunk or sites.size)
-            for o, i in enumerate(sites.tolist()):
-                batch[i] = [dict(zip(cols[ptr[o]:ptr[o + 1]].tolist(),
-                                     vals[ptr[o]:ptr[o + 1]].tolist()))
-                            for ptr, cols, vals in rows]
+    x = rng.normal(size=(graph.n_sites, 2)) + 1j * rng.normal(size=(graph.n_sites, 2))
+    x[rng.random(graph.n_sites) < 0.3] = 0.0
+    u_vec = x[:, 0]
+    chunks = []
+
+    class CountingWindow(lightcone.Window):
+        def __init__(self, A, sites, depth):
+            chunks.append(len(sites))
+            super().__init__(A, sites, depth)
+
+    with patch.object(lightcone, "_chunk_size", lambda *args: chunk or len(origins)), \
+            patch.object(lightcone, "Window", CountingWindow):
+        sites, batch = window_entries(a, polys, origins, lambda window: x[window.sites])
         entries = [entries_of_poly_apply(a, p, VectorOracle(graph.n_sites, u_vec.__getitem__, None),
                                          origins) for p in polys]
-    assert sorted(batch) == sorted(set(origins))
+    assert sites.tolist() == sorted(set(origins))
+    assert chunks and all(0 < size <= (chunk or size) for size in chunks)
     for i in set(origins):
         singles = poly_rows(a, polys, i)
         assert len(singles) == len(polys)
-        for p, row, single in zip(polys, batch[i], singles):
-            assert row == single == poly_rows(a, (p,), i)[0]
-            assert list(row) == list(single) == sorted(row)
+        for n, (p, single) in enumerate(zip(polys, singles)):
+            alone = poly_rows(a, (p,), i)[0]
+            assert list(single) == list(alone) == sorted(single)
+            assert np.array_equal(np.array(list(single.values()), dtype=complex).view(np.uint64),
+                                  np.array(list(alone.values()), dtype=complex).view(np.uint64))
             vec = np.zeros(graph.n_sites, dtype=np.complex128)
-            for j, v in row.items():
+            for j, v in single.items():
                 vec[j] = v
             assert np.abs(vec - dense_poly_matrix(dense, p)[i]).max() <= 1e-10
+            # the batch's entry is the one-polynomial, one-vector, one-origin entry, bit for bit
+            for v in range(2):
+                _, one = window_entries(a, (p,), [i], lambda window: x[window.sites, v:v + 1])
+                o = sites.tolist().index(i)
+                assert np.array_equal(batch[n, o, v:v + 1].view(np.uint64), one[0, 0].view(np.uint64))
     for p, got in zip(polys, entries):
         want = [entry_of_poly_apply(a, p, VectorOracle(graph.n_sites, u_vec.__getitem__, None), i)
                 for i in origins]
@@ -193,88 +204,105 @@ def _oscillator_triple_on_an_r0_2_grid(rng):
 @pytest.mark.parametrize("make", [_monomials_on_an_r0_2_grid,
                                   _oscillator_triple_on_an_r0_2_grid])
 def test_batch_sums_the_rows_of_each_origins_own_depth(make):
-    """Lower-degree polynomials of a batch step over the rows their own cones hold:
-    on an r0 = 2 grid a column holds up to 13 rows, where extra zero terms
-    would move reduceat's rounding.  Origins near the boundary and far apart."""
-    a, polys = make(np.random.default_rng(55))
+    """A batch of mixed-degree polynomials over two vectors gives each entry of each
+    polynomial and vector bit for bit as the one-polynomial, one-vector, one-origin
+    pass: on an r0 = 2 grid a row holds up to 13 entries, where a pairwise sum
+    would round otherwise.  Origins near the boundary and far apart."""
+    rng = np.random.default_rng(55)
+    a, polys = make(rng)
     assert len({p.degree for p in polys}) > 1
+    x = rng.normal(size=(a.dimension, 2)) + 1j * rng.normal(size=(a.dimension, 2))
     origins = [0, 1, 13, 50, 97, 98, 113, 182, 195]
-    (sites, rows), = cone_rows(a, polys, origins)
-    assert sites.tolist() == origins
+    sites, batch = window_entries(a, polys, origins, lambda window: x[window.sites])
+    assert sites.tolist() == origins and batch.shape == (len(polys), len(origins), 2)
     for o, i in enumerate(origins):
-        for (ptr, cols, vals), single in zip(rows, poly_rows(a, polys, i)):
-            assert cols[ptr[o]:ptr[o + 1]].tolist() == list(single)
-            assert np.array_equal(vals[ptr[o]:ptr[o + 1]].view(np.uint64),
-                                  np.array(list(single.values())).view(np.uint64))
+        for n, p in enumerate(polys):
+            for v in range(2):
+                _, one = window_entries(a, (p,), [i], lambda window: x[window.sites, v:v + 1])
+                assert np.array_equal(batch[n, o, v:v + 1].view(np.uint64),
+                                      one[0, 0].view(np.uint64))
 
 
 @pytest.mark.parametrize("graph, ball_size, origins", [
     (chain(64), lambda k: 2 * k + 1, [30]),
     (chain(64), lambda k: 2 * k + 1, [10, 30, 50]),
     (grid([21, 21]), lambda k: 2 * k * k + 2 * k + 1, [220]),
-    (grid([21, 21]), lambda k: 2 * k * k + 2 * k + 1, [132, 220, 308])])
+    (grid([31, 31]), lambda k: 2 * k * k + 2 * k + 1, [224, 240, 728]),
+    (grid([21, 21]), None, [132, 220, 308])])   # balls that overlap
 def test_cone_is_laid_out_hop_major(graph, ball_size, origins):
-    """The pairs within k hops are the prefix [:sizes[k]]: for an interior origin
-    of a nearest-neighbour matrix those are ball(o, k), 2k+1 sites on a chain
-    and 2k^2+2k+1 on a grid."""
+    """The window sites within h hops are the prefix [:sizes[h]], each hop's sites
+    increasing: for interior origins of a nearest-neighbour matrix those are the
+    union of the balls ball(o, h), each site once, and a ball holds 2h+1 sites on
+    a chain and 2h^2+2h+1 on a grid."""
     a = graph_laplacian_oracle(graph)
-    hops = 5
-    cone = lightcone.LightCone(a, origins, hops)
-    depth = np.empty(cone.sites.size, dtype=np.int64)   # hop of each pair from its origin
-    for o, origin in enumerate(origins):
-        seg = slice(cone.offsets[o], cone.offsets[o + 1])
-        depth[seg] = graph.distances(np.full(seg.stop - seg.start, origin), cone.sites[seg])
-    hop_of_position = np.empty_like(depth)
-    hop_of_position[cone.order] = depth
-    assert np.all(np.diff(hop_of_position) >= 0)
-    for k in range(hops + 2):
-        assert cone.sizes[k] == len(origins) * ball_size(k)
-        for o, origin in enumerate(origins):
-            seg = slice(cone.offsets[o], cone.offsets[o + 1])
-            held = cone.sites[seg][cone.order[seg] < cone.sizes[k]]
-            assert held.tolist() == sorted(graph.ball(origin, k))
+    hops = 6
+    window = lightcone.Window(a, origins, hops)
+    assert window.sites[:len(origins)].tolist() == origins
+    for h in range(hops + 1):
+        union = set().union(*(graph.ball(o, h) for o in origins))
+        assert window.sizes[h] == len(union)
+        if ball_size is not None:
+            assert window.sizes[h] == len(origins) * ball_size(h)
+        assert sorted(window.sites[:window.sizes[h]].tolist()) == sorted(union)
+        if h:
+            assert np.all(np.diff(window.sites[window.sizes[h - 1]:window.sizes[h]]) > 0)
+    # the fetched rows are those within hops - 1 hops, their entries in column order
+    assert window.cols.shape[1] == window.sizes[hops - 1]
+    cols = np.where(window.cols < window.sites.size,
+                    np.append(window.sites, -1)[window.cols], graph.n_sites)
+    assert np.all(np.diff(cols, axis=0) > 0)
 
 
 def test_step_k_sums_only_the_terms_within_k_hops():
     """A degree-40 entry on a chain sums about half the terms that stepping over
-    the whole cone at every step would: column k hops out first holds terms at step k."""
+    the whole window at every step would: step k sums the rows within 40 - k hops."""
     a = graph_laplacian_oracle(chain(200))
     p = Polynomial((0.0,) * 40 + (1.0,))
     summed, whole = [], []
 
-    class CountingCone(lightcone.LightCone):
-        def times_a(self, vec, hops, k):
-            out = super().times_a(vec, hops, k)
-            _, _, rows, _, terms_in, _ = self._steps[hops]
-            summed.append(int(terms_in[k]))
-            whole.append(rows.size)
-            return out
+    class CountingWindow(lightcone.Window):
+        def times_a(self, y, k):
+            rows = self.sizes[self.depth - k]
+            summed.append(int(np.count_nonzero(self.cols[:, :rows] < self.sites.size)))
+            whole.append(int(np.count_nonzero(self.cols < self.sites.size)))
+            return super().times_a(y, k)
 
-    with patch.object(lightcone, "LightCone", CountingCone):
-        got = row_power(a, 100, 40)
-    assert got == row_power(a, 100, 40)   # the counting cone changes nothing
+    u = VectorOracle(200, lambda j: complex(np.cos(j), 0.5), None)
+    with patch.object(lightcone, "Window", CountingWindow):
+        got = entry_of_poly_apply(a, p, u, 100)
+    assert got == entry_of_poly_apply(a, p, u, 100)   # the counting window changes nothing
     assert len(summed) == 40 and whole == [whole[0]] * 40
     assert sum(summed) <= 0.55 * sum(whole)
-    assert summed[0] == 9 and summed[-1] == whole[0]   # 3 columns of 3 rows; all of them
+    assert summed[0] == whole[0] == 79 * 3 and summed[-1] == 3   # every row; the origin's
 
 
-def test_row_dots_round_like_a_python_loop():
-    """Each row's dot is the Python loop `total = 0j; total += val * value`, bit for bit."""
+def test_window_rows_round_like_a_python_loop():
+    """Each row of a step is the Python loop `total = 0j; total += val * value` over
+    its entries in column order, bit for bit, whatever the number of vectors: on
+    an r0 = 2 grid, whose rows hold 13 entries."""
     rng = np.random.default_rng(53)
-    lens = [0, 1, 3, 0, 40, 2, 17]
-    indptr = np.concatenate(([0], np.cumsum(lens)))
-    vals = rng.normal(size=indptr[-1]) + 1j * rng.normal(size=indptr[-1])
-    values = rng.normal(size=indptr[-1]) + 1j * rng.normal(size=indptr[-1])
-    vals[1], values[2], vals[5] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(1e300, -1e-300)
-    got = lightcone.row_dots((indptr, np.arange(indptr[-1]), vals), values)
-    want = []
-    for k in range(len(lens)):
-        total = 0j
-        for val, value in zip(vals[indptr[k]:indptr[k + 1]].tolist(),
-                              values[indptr[k]:indptr[k + 1]].tolist()):
-            total += val * value
-        want.append(total)
-    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+    a, _ = _random_local_hermitian(rng, grid([12, 12]), 2)
+    window = lightcone.Window(a, [60, 65], 3)
+    m = window.sites.size
+    y = np.zeros((m + 1, 3), dtype=np.complex128)
+    y[:m] = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+    y[5, 1], y[7, 2] = complex(-0.0, 0.0), complex(1e300, -1e-300)
+    got = window.times_a(y, 1)
+    assert got.shape == (window.sizes[2], 3) and window.cols.shape[0] == 13
+    want = np.zeros_like(got)
+    for r in range(got.shape[0]):
+        held = np.flatnonzero(window.cols[:, r] < m)
+        assert np.all(np.diff(window.sites[window.cols[held, r]]) > 0)   # column order
+        for v in range(3):
+            total = 0j
+            for val, value in zip(window.vals[held, r].tolist(),
+                                  y[window.cols[held, r], v].tolist()):
+                total += val * value
+            want[r, v] = total if abs(total) >= lightcone.HARD_ZERO else 0.0
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for v in range(3):
+        one = window.times_a(np.ascontiguousarray(y[:, v:v + 1]), 1)
+        assert np.array_equal(one.view(np.uint64), got[:, v:v + 1].copy().view(np.uint64))
 
 
 def test_query_many_answers_a_batch_from_one_pass_and_memoizes():
@@ -286,12 +314,12 @@ def test_query_many_answers_a_batch_from_one_pass_and_memoizes():
     w = poly_apply_query_oracle(a, p, u)
     cones = []
 
-    class CountingCone(lightcone.LightCone):
-        def __init__(self, A, origins, hops):
+    class CountingWindow(lightcone.Window):
+        def __init__(self, A, origins, depth):
             cones.append(list(origins))
-            super().__init__(A, origins, hops)
+            super().__init__(A, origins, depth)
 
-    with patch.object(lightcone, "LightCone", CountingCone):
+    with patch.object(lightcone, "Window", CountingWindow):
         first = w.query(20)
         batch = w.query_many([30, 20, 5, 30])
         again = w.query_many([5, 20])
@@ -492,12 +520,12 @@ def test_spread_batch_stays_under_the_chunk_budget():
     sites = (np.arange(20_000) * 50 + 7).tolist()
     cones = []
 
-    class CountingCone(lightcone.LightCone):
-        def __init__(self, A, origins, hops):
+    class CountingWindow(lightcone.Window):
+        def __init__(self, A, origins, depth):
             cones.append((len(origins), A.cost.queries))
-            super().__init__(A, origins, hops)
+            super().__init__(A, origins, depth)
 
-    with patch.object(lightcone, "LightCone", CountingCone):
+    with patch.object(lightcone, "Window", CountingWindow):
         tracemalloc.start()
         try:
             values = entries_of_poly_apply(a, p, u, sites)

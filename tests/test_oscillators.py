@@ -110,6 +110,26 @@ def test_bdag_entry_is_dense_b_transpose_at_every_slot(kind):
             assert sys.bdag_entry(slot, lambda i: float(i == k)) == bt[slot - n, k]
 
 
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_b_and_bdag_arrays_equal_the_entry_loops_bitwise(kind):
+    """The array forms of B and B^T give b_entry and bdag_entry bit for bit: at every
+    slot, a spring's or not, and at every site, in any order and repeated."""
+    rng = np.random.default_rng(121)
+    sys = SYSTEMS[kind](rng)
+    n = sys.n_sites
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    w = rng.normal(size=sys.extended_dim) + 1j * rng.normal(size=sys.extended_dim)
+    z[0], w[-1] = complex(-0.0, 0.7), complex(1e-310, -0.0)
+    slots = rng.permutation(np.arange(n, sys.extended_dim).repeat(2))
+    got = sys.bdag(slots, lambda sites: z[sites])
+    want = np.array([sys.bdag_entry(int(s), lambda i: complex(z[i])) for s in slots])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    sites = rng.permutation(np.arange(n).repeat(2))
+    got = sys.b(sites, lambda slot: w[slot])
+    want = np.array([sys.b_entry(int(i), lambda slot: complex(w[slot])) for i in sites])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_nonlocal_spring_rejected():
     with pytest.raises(LocalityError):
         build_system(chain(5), np.ones(5), {(0, 4): 1.0}, 1)
@@ -376,12 +396,12 @@ def test_energy_query_vector_is_dense_p_dagger_v_p_psi0(monkeypatch):
 def test_observable_builds_one_light_cone_for_all_sites(monkeypatch):
     origins = []
 
-    class CountingCone(lightcone.LightCone):
-        def __init__(self, A, sites, hops):
+    class CountingWindow(lightcone.Window):
+        def __init__(self, A, sites, depth):
             origins.append(list(sites))
-            super().__init__(A, sites, hops)
+            super().__init__(A, sites, depth)
 
-    monkeypatch.setattr(lightcone, "LightCone", CountingCone)
+    monkeypatch.setattr(lightcone, "Window", CountingWindow)
     rng = np.random.default_rng(116)
     sys = _random_chain_system(rng, 6)
     state = OscillatorState(rng.normal(size=6), rng.normal(size=6))
