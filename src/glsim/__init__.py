@@ -38,8 +38,8 @@ from .oscillators import (OscillatorState, OscillatorSystem, build_system,
                           read_state_csv, system_from_json_dict, total_energy)
 from .pde import (advection_hamiltonian, graph_laplacian_oracle,
                   schrodinger_hamiltonian, wave_to_oscillators)
-from .polyapprox import (Polynomial, bessel_j_sequence, divide_out_zero,
-                         eval_scalar, exp_poly, mul_by_x, parity_split)
+from .polyapprox import (Polynomial, bessel_j_sequence, divide_out_zero, exp_poly,
+                         mul_by_x, parity_split)
 from .sampling import (EvolvedSampler, OversamplerHandle, RejectionResult,
                        lightcone_oversampler, rejection_sample, tv_error_bound)
 
@@ -57,7 +57,7 @@ __all__ = [
     "default_scan_horizon", "dense_cap", "dense_cos_sqrt_apply",
     "dense_evolve", "dense_from_oracle", "dense_poly_apply",
     "dense_poly_matrix", "divide_out_zero", "entries_of_poly_apply",
-    "entry_of_poly_apply", "estimate_energy", "estimate_observable", "eval_scalar",
+    "entry_of_poly_apply", "estimate_energy", "estimate_observable",
     "evt_gl_estimate", "exp_poly", "extended_dimension", "find_readout_time",
     "fk_classical", "fk_long_local", "fk_long_undilated", "gate_permutation",
     "gate_unitary", "general", "graph_laplacian_oracle", "grid",

@@ -7,15 +7,18 @@ p(x) = sum c_k T_k(w(x)) with w the affine map of the certified interval
 [-alpha, alpha], where w = x/alpha.
 
 exp_poly builds the degree-O(alpha t + log 1/eps) Chebyshev approximation of
-e^{ixt} on [-alpha, alpha] from Bessel-function coefficients, and
-parity_split decomposes any such p into even/odd parts re-expressed in the
-variable y = x^2:  p(x) = Pcos(x^2) + i x Psin(x^2).
+e^{ixt} on [-alpha, alpha] from Bessel-function coefficients.  The algebra the
+oscillators need is on Chebyshev series only, each step an exact O(d)
+identity checked by recombination at 64 nodes: parity_split writes
+p(x) = Pcos(x^2) + i x Psin(x^2) in the variable y = x^2 (the even
+coefficients termwise, the odd part by one alternating suffix sum),
+mul_by_x forms x p(x), and divide_out_zero writes p(y) = a0 + y ptilde(y) by
+a backward recurrence.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,28 +94,6 @@ class Polynomial:
         if self.basis == "monomial":
             return nppoly.polyval(x, c)
         return npcheb.chebval(self._to_w(x), c)
-
-
-def eval_scalar(p: Polynomial, x: float) -> complex:
-    """p(x) by Clenshaw (chebyshev) or Horner (monomial); warns outside the interval."""
-    x = float(x)
-    lo, hi = p.interval
-    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if not (lo - slack <= x <= hi + slack):
-        warnings.warn(f"evaluating at x={x} outside certified interval [{lo}, {hi}]",
-                      stacklevel=2)
-    c = p.coefficients
-    if p.basis == "monomial":
-        acc = 0.0 + 0.0j
-        for a in reversed(c):
-            acc = acc * x + a
-        return acc
-    w = (2.0 * x - (hi + lo)) / (hi - lo)
-    b1 = 0.0 + 0.0j
-    b2 = 0.0 + 0.0j
-    for a in reversed(c[1:]):
-        b1, b2 = a + 2.0 * w * b1 - b2, b1
-    return c[0] + w * b1 - b2
 
 
 ROUNDING_MULTIPLE = 16
@@ -208,7 +189,7 @@ def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
         raise NumericalCheckError(
             f"Bessel tail bound did not reach eps={eps} within the degree cap {cap}")
 
-    ik = 1j ** np.arange(degree + 1)
+    ik = np.array([1.0, 1j, -1.0, -1j])[np.arange(degree + 1) % 4]   # i^k, exactly
     coeffs = 2.0 * ik * J[:degree + 1]
     coeffs[0] = J[0]
     p = Polynomial(tuple(coeffs), basis="chebyshev", interval=(-alpha, alpha))
@@ -226,116 +207,68 @@ def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
 
 
 # =====================================================================
-# parity decomposition: p(x) = Pcos(x^2) + i x Psin(x^2)
+# exact Chebyshev algebra: parity split, x * p(x), division by y
 # =====================================================================
 
 
-def _thirdkind_eval(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_m g_m V_m(w) for third-kind Chebyshev V_0=1, V_1=2w-1, V_{m+1}=2wV_m - V_{m-1}."""
-    acc = np.zeros_like(w, dtype=np.complex128)
-    if len(g) == 0:
-        return acc
-    vm_prev = np.ones_like(w)
-    acc += g[0] * vm_prev
-    if len(g) == 1:
-        return acc
-    vm = 2.0 * w - 1.0
-    acc += g[1] * vm
-    for m in range(2, len(g)):
-        vm, vm_prev = 2.0 * w * vm - vm_prev, vm
-        acc += g[m] * vm
-    return acc
-
-
-def _chebfit_exact(f, deg: int) -> np.ndarray:
-    """First-kind Chebyshev coefficients of a degree-deg polynomial f on [-1,1],
-    by interpolation at deg+1 Chebyshev nodes (exact up to conditioning)."""
-    n = deg + 1
-    w = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
-    y = f(w)
-    if np.iscomplexobj(y):
-        cr = npcheb.chebfit(w, y.real, deg)
-        ci = npcheb.chebfit(w, y.imag, deg)
-        return cr + 1j * ci
-    return npcheb.chebfit(w, y, deg)
-
-
-def _real_cast(coeffs: np.ndarray) -> tuple:
-    scale = max(1.0, float(np.abs(coeffs).max()))
-    if float(np.abs(coeffs.imag).max()) <= 1e-10 * scale:
-        return tuple(complex(c, 0.0) for c in coeffs.real)
-    return tuple(complex(c) for c in coeffs)
+def _chebyshev_input(p: Polynomial, name: str) -> np.ndarray:
+    if p.basis != "chebyshev":
+        raise PreconditionError(f"{name} needs Chebyshev input")
+    return np.asarray(p.coefficients, dtype=np.complex128)
 
 
 def parity_split(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Split p(x) = Pcos(x^2) + i x Psin(x^2); both returned in y = x^2 on [0, alpha^2].
 
-    For Chebyshev input on [-alpha, alpha] the even part maps termwise through
-    T_{2m}(x/alpha) = T_m(2y/alpha^2 - 1); the odd part is re-fit from the
-    third-kind identity T_{2m+1}(x/alpha) = (x/alpha) V_m(2y/alpha^2 - 1).
-    The identity is re-verified at 64 Chebyshev nodes (see _parity_check).
+    p is a Chebyshev series on [-alpha, alpha]; with w = 2y/alpha^2 - 1, two
+    identities give both parts exactly (Mason & Handscomb, Chebyshev
+    Polynomials, 2003):
+      - T_{2m}(x/alpha) = T_m(w), so Pcos has the even coefficients c_{2m};
+      - T_{2m+1}(x/alpha) = (x/alpha) V_m(w), with V_m = U_m - U_{m-1} the
+        third-kind polynomials, and sum_m g_m V_m = sum_j b_j T_j with
+        b_0 = sum_m (-1)^m g_m and b_j = 2 (-1)^j sum_{m>=j} (-1)^m g_m,
+        so with g_m = c_{2m+1} / (i alpha) Psin's coefficients are one
+        alternating suffix sum.
+    Both cost O(d).  The recombination is re-verified at 64 Chebyshev nodes
+    (see _recombination_check).
     """
-    if p.basis == "monomial":
-        a = np.asarray(p.coefficients, dtype=np.complex128)
-        even = a[0::2]
-        odd = a[1::2] / 1j
-        lo, hi = p.interval
-        ymax = max(abs(lo), abs(hi)) ** 2
-        pcos = Polynomial(_real_cast(even) if even.size else (0.0,),
-                          basis="monomial", interval=(0.0, ymax if ymax > 0 else 1.0))
-        psin = Polynomial(_real_cast(odd) if odd.size else (0.0,),
-                          basis="monomial", interval=pcos.interval)
-        return _parity_check(p, pcos, psin)
-
+    c = _chebyshev_input(p, "parity_split")
     if not p.is_symmetric_interval:
-        raise PreconditionError(
-            "parity_split needs a symmetric interval for Chebyshev input")
+        raise PreconditionError("parity_split needs a symmetric interval")
     alpha = p.alpha
-    c = np.asarray(p.coefficients, dtype=np.complex128)
     ysq = alpha * alpha
-    even = c[0::2]
-    pcos = Polynomial(_real_cast(even), basis="chebyshev", interval=(0.0, ysq))
-
-    codd = c[1::2] / (1j * alpha)
-    if codd.size == 0 or not np.any(codd):
-        psin = Polynomial((0.0,), basis="chebyshev", interval=(0.0, ysq))
-    else:
-        deg = codd.size - 1
-        fitted = _chebfit_exact(lambda w: _thirdkind_eval(codd, w), deg)
-        psin = Polynomial(_real_cast(fitted), basis="chebyshev", interval=(0.0, ysq))
-    return _parity_check(p, pcos, psin)
+    pcos = Polynomial(tuple(c[0::2]), basis="chebyshev", interval=(0.0, ysq))
+    signs = (-1.0) ** np.arange(c.size // 2)
+    alternating = signs * (c[1::2] / (1j * alpha))     # (-1)^m g_m
+    b = 2.0 * signs * np.cumsum(alternating[::-1])[::-1]
+    b[:1] /= 2.0
+    psin = Polynomial(tuple(b), basis="chebyshev", interval=(0.0, ysq))
+    _recombination_check(p, "parity split",
+                         lambda x: pcos.eval_many(x * x) + 1j * x * psin.eval_many(x * x))
+    return pcos, psin
 
 
-def _parity_check(p: Polynomial, pcos: Polynomial, psin: Polynomial):
-    """Pcos(x^2) + i x Psin(x^2) must equal p(x) at 64 Chebyshev nodes of p's
-    interval to within rounding_bound(p) (NumericalCheckError).
+def _recombination_check(p: Polynomial, what: str, recombined) -> None:
+    """recombined(x) must equal p(x) at 64 Chebyshev nodes of p's interval
+    to within rounding_bound(p) (NumericalCheckError).
 
-    The split is exact in exact arithmetic, so the recombination error is
-    rounding alone: the split's own and that of three evaluations of degree
-    at most d.
+    The parity split and the division by y are exact in exact arithmetic,
+    so the recombination error is rounding alone: the identity's own and
+    that of the evaluations, each of degree at most d + 1.
     """
     lo, hi = p.interval
     nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
         np.pi * (2.0 * np.arange(64) + 1.0) / 128.0)
-    lhs = pcos.eval_many(nodes ** 2) + 1j * nodes * psin.eval_many(nodes ** 2)
-    err = float(np.abs(lhs - p.eval_many(nodes)).max())
+    err = float(np.abs(recombined(nodes) - p.eval_many(nodes)).max())
     bound = rounding_bound(p)
     if err > bound:
         raise NumericalCheckError(
-            f"parity split recombination error {err:.3e} exceeds its rounding bound {bound:.3e}")
-    return pcos, psin
-
-
-# =====================================================================
-# algebra on represented polynomials
-# =====================================================================
+            f"{what} recombination error {err:.3e} exceeds its rounding bound {bound:.3e}")
 
 
 def mul_by_x(p: Polynomial) -> Polynomial:
-    """The polynomial x -> x * p(x) in the same basis and interval."""
-    c = np.asarray(p.coefficients, dtype=np.complex128)
-    if p.basis == "monomial":
-        return Polynomial((0.0,) + tuple(c), basis="monomial", interval=p.interval)
+    """The Chebyshev series of x -> x * p(x) on p's interval."""
+    c = _chebyshev_input(p, "mul_by_x")
     lo, hi = p.interval
     delta, s = hi - lo, hi + lo
     out = np.zeros(len(c) + 1, dtype=np.complex128)
@@ -350,31 +283,30 @@ def mul_by_x(p: Polynomial) -> Polynomial:
 
 
 def divide_out_zero(p: Polynomial) -> tuple[complex, Polynomial]:
-    """Write p(y) = a0 + y * ptilde(y): returns (a0, ptilde). a0 = p(0).
+    """Write p(y) = a0 + y * ptilde(y) on p's interval [lo, hi], which holds 0.
 
-    For Chebyshev input the quotient is re-fit by interpolation at first-kind
-    nodes (strictly interior, so y=0 is never a node even when lo = 0).
+    With w the interval's variable and w0 = -(hi + lo)/(hi - lo) its value at
+    y = 0, y = (hi - lo)/2 * (w - w0), so ptilde is the quotient of the
+    Chebyshev series p(w) by (w - w0), times 2/(hi - lo).  The quotient's
+    coefficients come from the backward recurrence
+    b_{n-1} = 2 (c_n + w0 b_n) - b_{n+1} for n = d..2, then
+    b_0 = c_1 + w0 b_1 - b_2 / 2 (Clenshaw's recurrence at w0, whose last
+    step gives a0 = p(w0) = c_0 + w0 b_0 - b_1 / 2).  It costs O(d), and
+    a0 + y ptilde(y) = p(y) is re-verified at 64 Chebyshev nodes (see
+    _recombination_check).
     """
-    c = np.asarray(p.coefficients, dtype=np.complex128)
-    if p.basis == "monomial":
-        a0 = complex(c[0])
-        rest = tuple(c[1:]) if len(c) > 1 else (0.0,)
-        return a0, Polynomial(rest, basis="monomial", interval=p.interval)
+    c = _chebyshev_input(p, "divide_out_zero").tolist() + [0j]
     lo, hi = p.interval
     if not (lo <= 0.0 <= hi):
         raise PreconditionError("divide_out_zero needs 0 in the interval")
-    a0 = eval_scalar(p, 0.0)
-    deg = max(p.degree - 1, 0)
-    n = deg + 1
-    wn = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
-    yn = 0.5 * (hi + lo) + 0.5 * (hi - lo) * wn
-    if np.any(yn == 0.0):
-        raise RuntimeError("interpolation node hit y=0")
-    qv = (p.eval_many(yn) - a0) / yn
-    if n == 1:
-        coeffs = np.array([qv[0]], dtype=np.complex128)
-    else:
-        cr = npcheb.chebfit(wn, qv.real, deg)
-        ci = npcheb.chebfit(wn, qv.imag, deg)
-        coeffs = cr + 1j * ci
-    return complex(a0), Polynomial(tuple(coeffs), basis="chebyshev", interval=p.interval)
+    w0 = -(hi + lo) / (hi - lo)
+    d = p.degree
+    b = [0j] * (d + 3)
+    for n in range(d, 1, -1):
+        b[n - 1] = 2.0 * (c[n] + w0 * b[n]) - b[n + 1]
+    b[0] = c[1] + w0 * b[1] - b[2] / 2.0
+    a0 = c[0] + w0 * b[0] - b[1] / 2.0
+    ptil = Polynomial(tuple(np.asarray(b[:max(d, 1)]) * (2.0 / (hi - lo))),
+                      basis="chebyshev", interval=p.interval)
+    _recombination_check(p, "division by y", lambda y: a0 + y * ptil.eval_many(y))
+    return complex(a0), ptil

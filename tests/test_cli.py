@@ -321,28 +321,66 @@ def test_energy_single_time_reports_fraction_near_one(tmp_path):
     assert point["value_re"] == pytest.approx(1.0, abs=0.1)
 
 
-def test_oscillator_at_large_t_matches_the_dense_solution(tmp_path):
-    """t = 400 on a 3-mass unit chain (norm bound 6) needs exp_poly degree 998,
-    whose parity split a fixed 1e-12 recombination check refused."""
-    cfg = {
-        "system": {"graph": {"kind": "chain", "n_sites": 3}, "r0": 1,
-                   "masses": [1.0, 1.0, 1.0], "springs": [[0, 1, 1.0], [1, 2, 1.0]]},
-        "state": {"x": [1.0, 0.0, -1.0], "xdot": [0.0, 0.0, 0.0]},
-        "v": {"kind": "point", "site": 0},
-        "t": 400.0,
-        "eps": 0.05,
-        "delta": 0.05,
-    }
-    cfg_path = _write_config(tmp_path, "osc.json", cfg)
-    assert main(["oscillator", "--config", cfg_path, "--out", str(tmp_path)]) == 0
-    value = _read_report(tmp_path, "oscillator_report.json")["outputs"]["points"][0]["value_re"]
-    stiffness = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    w2, vecs = np.linalg.eigh(stiffness)
+THREE_MASS_CHAIN = {
+    "graph": {"kind": "chain", "n_sites": 3}, "r0": 1,
+    "masses": [1.0, 1.0, 1.0], "springs": [[0, 1, 1.0], [1, 2, 1.0]],
+}
+THREE_MASS_STIFFNESS = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+
+
+def _three_mass_dense_solution(x0, xdot0, t: float):
+    """x(t) and xdot(t) of THREE_MASS_CHAIN (unit masses) by its normal modes."""
+    w2, vecs = np.linalg.eigh(THREE_MASS_STIFFNESS)
     w = np.sqrt(np.clip(w2, 0.0, None))
+    c, s = vecs.T @ np.asarray(x0), vecs.T @ np.asarray(xdot0)
+    x = vecs @ (np.cos(t * w) * c + t * np.sinc(t * w / np.pi) * s)
+    xdot = vecs @ (-w * np.sin(t * w) * c + np.cos(t * w) * s)
+    return x, xdot
+
+
+def test_oscillator_at_large_t_matches_the_dense_solution(tmp_path):
+    """t = 400 and 4000 on a 3-mass unit chain (norm bound 6) need exp_poly
+    degree 998 and 9,837: a fixed 1e-12 recombination check refused the
+    first, and the second needs a parity split in O(d), not a refit."""
     x0 = np.array([1.0, 0.0, -1.0])
-    xdot = -(vecs * (w * np.sin(400.0 * w))) @ vecs.T @ x0   # unit masses, at rest at t = 0
-    exact = xdot[0] / math.sqrt(x0 @ stiffness @ x0)            # over sqrt(2E)
-    assert abs(value - exact) <= 0.05
+    for t in (400.0, 4000.0):
+        cfg = {
+            "system": THREE_MASS_CHAIN,
+            "state": {"x": x0.tolist(), "xdot": [0.0, 0.0, 0.0]},
+            "v": {"kind": "point", "site": 0},
+            "t": t,
+            "eps": 0.05,
+            "delta": 0.05,
+        }
+        cfg_path = _write_config(tmp_path, "osc.json", cfg)
+        assert main(["oscillator", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        value = _read_report(tmp_path, "oscillator_report.json")["outputs"]["points"][0]["value_re"]
+        _, xdot = _three_mass_dense_solution(x0, np.zeros(3), t)
+        exact = xdot[0] / math.sqrt(x0 @ THREE_MASS_STIFFNESS @ x0)   # over sqrt(2E)
+        assert abs(value - exact) <= 0.05, t
+
+
+def test_energy_at_large_t_matches_the_dense_solution(tmp_path):
+    """The energy pipeline's division by y at degree 1,001 and 9,843: the
+    kinetic energy of mass 0 and the potential of spring (0, 1), over E."""
+    x0, xdot0 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])
+    total = 0.5 * xdot0 @ xdot0 + 0.5 * x0 @ THREE_MASS_STIFFNESS @ x0
+    for t in (400.0, 4000.0):
+        cfg = {
+            "system": THREE_MASS_CHAIN,
+            "state": {"x": x0.tolist(), "xdot": xdot0.tolist()},
+            "mass_subset": [0],
+            "spring_subset": [[0, 1]],
+            "t": t,
+            "eps": 0.05,
+            "delta": 0.05,
+        }
+        cfg_path = _write_config(tmp_path, "en.json", cfg)
+        assert main(["energy", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        value = _read_report(tmp_path, "energy_report.json")["outputs"]["points"][0]["value_re"]
+        x, xdot = _three_mass_dense_solution(x0, xdot0, t)
+        exact = (0.5 * xdot[0] ** 2 + 0.5 * (x[0] - x[1]) ** 2) / total
+        assert abs(value - exact) <= 0.05, t
 
 
 def test_failed_numerical_check_exits_4(tmp_path, capsys, monkeypatch):

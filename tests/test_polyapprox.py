@@ -1,12 +1,15 @@
 """Polynomials: evaluation, exponential approximant, parity split, algebra."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glsim import (NumericalCheckError, Polynomial, bessel_j_sequence, divide_out_zero,
-                   eval_scalar, exp_poly, mul_by_x, parity_split, polyapprox)
+from glsim import (NumericalCheckError, Polynomial, PreconditionError, bessel_j_sequence,
+                   divide_out_zero, exp_poly, mul_by_x, parity_split, polyapprox)
 
 
 def _bessel_reference(z: float, k: int) -> float:
@@ -15,6 +18,23 @@ def _bessel_reference(z: float, k: int) -> float:
     # np.trapezoid is numpy >= 2.0; np.trapz is the fallback for numpy 1.24-1.26.
     trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
     return float(trapezoid(np.cos(k * theta - z * np.sin(theta)), theta) / np.pi)
+
+
+def _thirdkind_reference(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_m g_m V_m(w) by the third-kind recurrence V_{m+1} = 2w V_m - V_{m-1}
+    from V_{-1} = V_0 = 1 (so V_1 = 2w - 1), as an oracle independent of the
+    suffix sum."""
+    acc = np.zeros_like(w, dtype=np.complex128)
+    v_prev, v = np.ones_like(w), np.ones_like(w)
+    for gm in g:
+        acc += gm * v
+        v, v_prev = 2.0 * w * v - v_prev, v
+    return acc
+
+
+def _random_chebyshev(rng, degree: int, interval) -> Polynomial:
+    coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    return Polynomial(tuple(coeffs), basis="chebyshev", interval=interval)
 
 
 # =====================================================================
@@ -28,9 +48,9 @@ def test_degree_ignores_trailing_zeros():
     assert len(p.coefficients) == 2
 
 
-def test_eval_scalar_pinned_values():
-    assert eval_scalar(Polynomial((1.0,)), -0.8) == 1.0
-    assert eval_scalar(Polynomial((0.0, 1.0)), 0.5) == 0.5
+def test_eval_many_pinned_values():
+    assert Polynomial((1.0,)).eval_many(-0.8) == 1.0
+    assert Polynomial((0.0, 1.0)).eval_many(0.5) == 0.5
 
 
 def test_unknown_basis_rejected():
@@ -77,7 +97,7 @@ def test_exp_poly_degree_cap():
 
 def test_exp_poly_scalar_value():
     p = exp_poly(1.0, 3.0, 1e-8)
-    assert abs(eval_scalar(p, 0.7) - np.exp(2.1j)) <= 1e-8
+    assert abs(p.eval_many(0.7) - np.exp(2.1j)) <= 1e-8
 
 
 def test_exp_poly_sup_bound_is_certified():
@@ -86,6 +106,15 @@ def test_exp_poly_sup_bound_is_certified():
         xs = np.linspace(-alpha, alpha, 2001)
         assert np.abs(p.eval_many(xs)).max() <= p.sup_bound + 1e-12
         assert p.sup_bound <= 1.0 + 1e-8
+
+
+def test_exp_poly_forms_i_to_the_k_exactly():
+    """Even coefficients 2 i^k J_k are exactly real and odd ones exactly
+    imaginary; 1j ** k drifts off i^k by up to 6.3e-13 from k = 100 on."""
+    c = np.asarray(exp_poly(math.sqrt(6.0), 400.0, 0.025).coefficients)
+    assert c.size > 100
+    assert np.all(c[0::2].imag == 0.0)
+    assert np.all(c[1::2].real == 0.0)
 
 
 @pytest.mark.parametrize("alpha,t,eps", [(4.5, 200.0, 0.05), (1.0, 200.0, 0.2)])
@@ -109,7 +138,7 @@ def test_parity_split_constant():
 
 
 def test_parity_split_pure_odd():
-    p = Polynomial((0.0, 1.0j))
+    p = Polynomial((0.0, 1.0j), basis="chebyshev")
     pcos, psin = parity_split(p)
     ys = np.linspace(0.0, 1.0, 5)
     assert np.allclose(pcos.eval_many(ys), 0.0, atol=1e-12)
@@ -136,13 +165,90 @@ def test_parity_check_bound_grows_with_the_degree():
     parity_split(p)
 
 
+def _nudged(p: Polynomial) -> Polynomial:
+    return Polynomial((p.coefficients[0] + 1e-9,) + p.coefficients[1:],
+                      basis="chebyshev", interval=p.interval)
+
+
 def test_a_wrong_split_fails_its_check_with_a_typed_error():
     p = exp_poly(1.0, 2.0, 1e-8)
     pcos, psin = parity_split(p)
-    nudged = Polynomial((pcos.coefficients[0] + 1e-9,) + pcos.coefficients[1:],
-                        basis="chebyshev", interval=pcos.interval)
-    with pytest.raises(NumericalCheckError, match="recombination error"):
-        polyapprox._parity_check(p, nudged, psin)
+    nudged = _nudged(pcos)
+    with pytest.raises(NumericalCheckError, match="parity split recombination error"):
+        polyapprox._recombination_check(
+            p, "parity split", lambda x: nudged.eval_many(x * x) + 1j * x * psin.eval_many(x * x))
+
+
+def test_a_wrong_quotient_fails_its_check_with_a_typed_error():
+    pcos, _ = parity_split(exp_poly(1.0, 2.0, 1e-8))
+    a0, ptil = divide_out_zero(pcos)
+    nudged = _nudged(ptil)
+    with pytest.raises(NumericalCheckError, match="division by y recombination error"):
+        polyapprox._recombination_check(
+            pcos, "division by y", lambda y: a0 + y * nudged.eval_many(y))
+
+
+def test_split_and_division_each_run_their_check(monkeypatch):
+    p = exp_poly(1.0, 2.0, 1e-8)
+    pcos, _ = parity_split(p)
+    monkeypatch.setattr(polyapprox, "rounding_bound", lambda p: -1.0)
+    with pytest.raises(NumericalCheckError, match="parity split"):
+        parity_split(p)
+    with pytest.raises(NumericalCheckError, match="division by y"):
+        divide_out_zero(pcos)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 8, 101, 998, 2500])
+def test_odd_part_matches_the_thirdkind_recurrence(degree):
+    """Psin(y) = sum_m g_m V_m(2y/alpha^2 - 1) with g_m = c_{2m+1} / (i alpha),
+    to within 16 d u sum_m |g_m| (2m + 1), since |V_m| <= 2m + 1 on [-1, 1]."""
+    rng = np.random.default_rng(degree)
+    alpha = 2.5
+    p = _random_chebyshev(rng, degree, (-alpha, alpha))
+    _, psin = parity_split(p)
+    g = np.asarray(p.coefficients[1::2]) / (1j * alpha)
+    ys = np.linspace(0.0, alpha * alpha, 201)
+    reference = _thirdkind_reference(g, 2.0 * ys / alpha ** 2 - 1.0)
+    size = float((np.abs(g) * (2.0 * np.arange(g.size) + 1.0)).sum())
+    bound = polyapprox.ROUNDING_MULTIPLE * max(degree, 1) * polyapprox.UNIT_ROUNDOFF * size
+    assert np.abs(psin.eval_many(ys) - reference).max() <= bound
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(0, 300),
+       lo=st.sampled_from([0.0, -1e-3, -0.7, -4.0, -50.0]),
+       hi=st.sampled_from([0.0, 1e-3, 0.7, 4.0, 50.0]))
+def test_exact_algebra_recombines_within_the_rounding_bound(seed, degree, lo, hi):
+    """The division on any interval holding 0, the split on a symmetric one;
+    checked at random points, not at the 64 nodes of the built-in check."""
+    rng = np.random.default_rng(seed)
+    if lo < hi:
+        p = _random_chebyshev(rng, degree, (lo, hi))
+        a0, ptil = divide_out_zero(p)
+        ys = rng.uniform(lo, hi, 50)
+        err = np.abs(a0 + ys * ptil.eval_many(ys) - p.eval_many(ys)).max()
+        assert err <= polyapprox.rounding_bound(p)
+    alpha = max(-lo, hi) or 1.0
+    p = _random_chebyshev(rng, degree, (-alpha, alpha))
+    pcos, psin = parity_split(p)
+    xs = rng.uniform(-alpha, alpha, 50)
+    err = np.abs(pcos.eval_many(xs ** 2) + 1j * xs * psin.eval_many(xs ** 2) - p.eval_many(xs)).max()
+    assert err <= polyapprox.rounding_bound(p)
+
+
+def test_split_and_division_at_degree_19645_are_fast_and_checked():
+    """Both identities are O(d): at alpha = sqrt(6), t = 8000 each (with its
+    recombination check) takes a fraction of a second, where the refits
+    would solve a 10,000-column least-squares problem."""
+    p = exp_poly(math.sqrt(6.0), 8000.0, 0.025)
+    assert p.degree == 19645
+    t0 = time.perf_counter()
+    pcos, _ = parity_split(p)
+    t1 = time.perf_counter()
+    divide_out_zero(pcos)
+    t2 = time.perf_counter()
+    assert t1 - t0 < 1.0
+    assert t2 - t1 < 1.0
 
 
 @pytest.mark.parametrize("t", [0.0394, 1439.3])
@@ -163,6 +269,10 @@ def test_mul_by_x(basis):
     rng = np.random.default_rng(21)
     coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
     p = Polynomial(tuple(coeffs), basis=basis, interval=(-2.0, 2.0))
+    if basis == "monomial":
+        with pytest.raises(PreconditionError):
+            mul_by_x(p)
+        return
     q = mul_by_x(p)
     xs = np.linspace(-2.0, 2.0, 31)
     assert np.abs(q.eval_many(xs) - xs * p.eval_many(xs)).max() <= 1e-12
@@ -177,6 +287,12 @@ def test_divide_out_zero(basis, interval):
     rng = np.random.default_rng(22)
     coeffs = rng.normal(size=7) + 1j * rng.normal(size=7)
     p = Polynomial(tuple(coeffs), basis=basis, interval=interval)
+    if basis == "monomial":
+        with pytest.raises(PreconditionError):
+            divide_out_zero(p)
+        with pytest.raises(PreconditionError):
+            parity_split(p)
+        return
     a0, q = divide_out_zero(p)
     xs = np.linspace(interval[0], interval[1], 41)
     assert np.abs(a0 + xs * q.eval_many(xs) - p.eval_many(xs)).max() <= 1e-10
