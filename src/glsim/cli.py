@@ -355,24 +355,24 @@ def build_matrix(spec: dict, seed: int):
 def build_vector(spec: dict, dim: int, seed: int, role_key: int,
                  zeta: float = 0.0) -> VectorOracle:
     kind = spec["kind"]
-    if kind == "sparse":
-        if "entries" not in spec:
-            raise ConfigError("sparse vector needs entries")
-        entries = {int(k): _as_complex(v) for k, v in spec["entries"].items()}
-        bad = [k for k in entries if k >= dim]
-        if bad:
-            raise ConfigError(f"sparse entries out of range: {bad}")
+    if kind in ("point", "sparse"):
+        if kind == "point":
+            site = int(spec.get("site", 0))
+            if site >= dim:
+                raise ConfigError(f"point site {site} out of range for dimension {dim}")
+            entries = {site: 1.0 + 0.0j}
+        else:
+            if "entries" not in spec:
+                raise ConfigError("sparse vector needs entries")
+            entries = {int(k): _as_complex(v) for k, v in spec["entries"].items()}
+            bad = [k for k in entries if k >= dim]
+            if bad:
+                raise ConfigError(f"sparse entries out of range: {bad}")
         if zeta == 0.0:
             return sparse_vector_oracle(dim, entries)
         dense = np.zeros(dim, dtype=np.complex128)
         for k, val in entries.items():
             dense[k] = val
-    elif kind == "point":
-        site = spec.get("site", 0)
-        if site >= dim:
-            raise ConfigError(f"point site {site} out of range for dimension {dim}")
-        dense = np.zeros(dim, dtype=np.complex128)
-        dense[site] = 1.0
     elif kind == "uniform":
         dense = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     elif kind == "inline":

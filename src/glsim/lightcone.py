@@ -29,9 +29,10 @@ truncation anywhere is a hard-zero drop at 1e-300 after each step, to stop
 denormal buildup.  Chunks keep the working memory under CONE_BYTES: a window
 is never larger than the sum of its origins' cones.
 
-entries_of_poly_apply queries u once at each distinct window site, in
-increasing order, across chunks.  poly_rows and row_power are the batch of
-one origin with the identity over its window as the vectors.
+SiteMemo is the one memo of batch reads.  Through one, entries_of_poly_apply
+queries u once at each distinct window site, in increasing order, across
+chunks, and poly_apply_query_oracle answers w's queries.  poly_rows and
+row_power are the batch of one origin with the identity over its window.
 """
 
 from __future__ import annotations
@@ -87,6 +88,39 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     keep = np.ones(x.size, dtype=bool)
     keep[1:] = x[1:] != x[:-1]
     return x[keep]
+
+
+class SiteMemo:
+    """Values at sites, computed in batches and kept: the memo of batch reads.
+
+    The store is the held sites as a sorted int64 array and their values as
+    an (n, width) complex array, row k at sites[k].  at(sites) computes the
+    distinct sites it does not hold, in increasing order, with one fill(new)
+    call, which returns their rows as a (len(new), width) array; then it
+    returns the rows at sites in the order asked, repeats included.  Nothing
+    is filled when every site is held or none is asked.
+    """
+
+    def __init__(self, fill, width: int):
+        self.fill = fill
+        self.sites = np.zeros(0, dtype=np.int64)
+        self.values = np.zeros((0, width), dtype=np.complex128)
+
+    def at(self, sites) -> np.ndarray:
+        sites = np.asarray(sites, dtype=np.int64)
+        new = _distinct(sites)
+        if self.sites.size:
+            held = np.minimum(np.searchsorted(self.sites, new), self.sites.size - 1)
+            new = new[self.sites[held] != new]
+        if new.size:
+            k = np.searchsorted(self.sites, new)
+            width = self.values.shape[1]
+            # one insert into the flat store: an insert along axis 0 of the 2-d
+            # store would index it with a position array as large as the store
+            self.values = np.insert(self.values.ravel(), np.repeat(k * width, width),
+                                    np.ravel(self.fill(new))).reshape(-1, width)
+            self.sites = np.insert(self.sites, k, new)
+        return self.values[np.searchsorted(self.sites, sites)]
 
 
 class Window:
@@ -288,22 +322,8 @@ def entries_of_poly_apply(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
     if A.dimension != u.dimension:
         raise PreconditionError("matrix and vector dimensions differ")
     sites = np.asarray(sites, dtype=np.int64)
-    known = np.zeros(0, dtype=np.int64)          # the sites u was queried at, increasing
-    kvals = np.zeros(0, dtype=np.complex128)     # and its values there
-
-    def u_at(window):
-        nonlocal known, kvals
-        new = np.sort(window.sites)
-        if known.size:
-            at = np.minimum(np.searchsorted(known, new), known.size - 1)
-            new = new[known[at] != new]
-        if new.size:
-            at = np.searchsorted(known, new)
-            known = np.insert(known, at, new)
-            kvals = np.insert(kvals, at, u.query_many(new.tolist()))
-        return kvals[np.searchsorted(known, window.sites)][:, None]
-
-    origins, values = window_entries(A, (p,), sites, u_at)
+    u_memo = SiteMemo(lambda new: u.query_many(new.tolist())[:, None], 1)
+    origins, values = window_entries(A, (p,), sites, lambda window: u_memo.at(window.sites))
     return values[0, np.searchsorted(origins, sites), 0]
 
 
@@ -311,25 +331,6 @@ def entry_of_poly_apply(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
                         i: int) -> complex:
     """The single entry (P(A)u)_i: the batch of one."""
     return complex(entries_of_poly_apply(A, p, u, [i])[0])
-
-
-class _Memo(dict):
-    """Values by index.  A missing index is filled as a batch of one, and many
-    fills every missing index of a list with one fill call."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, i):
-        self.fill([i])
-        return dict.__getitem__(self, i)
-
-    def many(self, sites: list) -> list:
-        new = sorted(set(sites).difference(self))
-        if new:
-            self.fill(new)
-        return [self[i] for i in sites]
 
 
 def poly_apply_query_oracle(A: LocalMatrixOracle, p: Polynomial,
@@ -340,7 +341,7 @@ def poly_apply_query_oracle(A: LocalMatrixOracle, p: Polynomial,
     Repeated queries of the same index issue the underlying A/u queries once.
     """
     _check_interval(A, p)
-    memo = _Memo(lambda new: memo.update(zip(new, entries_of_poly_apply(A, p, u, new).tolist())))
+    memo = SiteMemo(lambda new: entries_of_poly_apply(A, p, u, new)[:, None], 1)
     # fresh counter: reads of w are not reads of u; A/u meter themselves inside
-    return VectorOracle(dimension=A.dimension, query_fn=memo.__getitem__, norm=None,
-                        zeta=0.0, many_fn=memo.many)
+    return VectorOracle(dimension=A.dimension, query_fn=lambda i: memo.at([i])[0, 0],
+                        norm=None, zeta=0.0, many_fn=lambda sites: memo.at(sites)[:, 0])

@@ -28,9 +28,9 @@ each site's slice in table order (OscillatorSystem.b); the columns of B are
 the table rows with i <= j, which lie in slot order, so B^T z at an array of
 slots is a gather over them (OscillatorSystem.bdag), and E and psi(0) are
 array expressions over those rows.  b_entry and bdag_entry are the one-entry
-loops the array forms equal bit for bit.  The rows of A are one CSR table
-derived from it when the system is built, and a block of them is a gather of
-slices.
+loops the array forms equal bit for bit.  A block of A's rows is built from
+the same slices (OscillatorSystem.a_oracle); no second table is kept.  The
+estimators keep their per-site blocks in lightcone.SiteMemo.
 
 The degree of the exponential approximation obeys
 d_exp <= c1 * |t| * sqrt(N(r0) kappa_max / m_min) + c2 * ln(1/eps) + c3
@@ -51,7 +51,7 @@ from .access import (LocalityError, LocalMatrixOracle, PreconditionError,
                      VectorOracle, _sq_oracle)
 from .estimate import EstimateReport, inner_product_estimate
 from .lattice import SiteGraph
-from .lightcone import window_entries
+from .lightcone import SiteMemo, window_entries
 from .polyapprox import divide_out_zero, exp_poly, mul_by_x, parity_split
 
 # =====================================================================
@@ -81,10 +81,7 @@ def extended_dimension(n: int) -> int:
 
 @dataclass
 class OscillatorSystem:
-    """Masses, the spring table (sites, others, kappas), and the derived local operators.
-
-    The rows of A are kept as a second table, _a_rows, built with the system.
-    """
+    """Masses, the spring table (sites, others, kappas), and the local operators read from it."""
 
     graph: SiteGraph
     masses: np.ndarray
@@ -94,7 +91,9 @@ class OscillatorSystem:
     kappas: np.ndarray
 
     def __post_init__(self):
-        self._a_rows = self._a_table()   # set-up work, so no query pays for it
+        # site i's springs are the table rows _starts[i]:_starts[i + 1]; an O(N)
+        # search, so set-up pays for it and no query does
+        self._starts = np.searchsorted(self.sites, np.arange(self.n_sites + 1))
 
     @property
     def n_sites(self) -> int:
@@ -103,11 +102,6 @@ class OscillatorSystem:
     @property
     def extended_dim(self) -> int:
         return extended_dimension(self.n_sites)
-
-    @cached_property
-    def _starts(self) -> np.ndarray:
-        """Site i's springs are the table rows _starts[i]:_starts[i + 1]."""
-        return np.searchsorted(self.sites, np.arange(self.n_sites + 1))
 
     @cached_property
     def slots(self) -> np.ndarray:
@@ -140,40 +134,40 @@ class OscillatorSystem:
         """Upper bound on ||H|| = sqrt(||A||)."""
         return math.sqrt(self.a_norm_bound)
 
-    def _a_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows of A as one CSR table (indptr, cols, vals), columns increasing.
+    def _slices(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(take, row, counts): the table rows of the sites' springs, site after site
+        in table order, the position in sites of each one's site, and each site's
+        spring count."""
+        lo = self._starts[sites]
+        counts = self._starts[sites + 1] - lo
+        row = np.repeat(np.arange(sites.size), counts)
+        take = np.arange(row.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        return take, row, counts
+
+    def a_oracle(self) -> LocalMatrixOracle:
+        """A = M^{-1/2} F M^{-1/2} as a Hermitian PSD local-matrix oracle over the springs.
 
         Row i holds -kappa_ij / sqrt(m_i m_j) at each spring (i, j), j != i, and
         F_ii / m_i at (i, i) when site i has springs, F_ii summing the site's
-        kappas one by one in increasing order of the other site.
+        kappas one by one in table order, that is in increasing order of the
+        other site.
         """
-        i, j, kap, m = self.sites, self.others, self.kappas, self.masses
-        starts = self._starts
-        counts = np.diff(starts)
-        diag = np.zeros(self.n_sites)
-        for k in range(counts.max(initial=0)):   # a running sum, left to right
-            more = np.flatnonzero(counts > k)
-            diag[more] += kap[starts[more] + k]
-        held = np.flatnonzero(counts)
-        off = -kap / np.sqrt(m[i] * m[j])
-        below, above = j < i, j > i
-        rows = np.concatenate((i[below], held, i[above]))
-        # a stable sort by row keeps each row's columns increasing: below, i, above
-        order = np.argsort(rows, kind="stable")
-        cols = np.concatenate((j[below], held, j[above]))[order]
-        vals = np.concatenate((off[below], diag[held] / m[held], off[above]))[order]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.n_sites))))
-        return indptr, cols, vals
-
-    def a_oracle(self) -> LocalMatrixOracle:
-        """A = M^{-1/2} F M^{-1/2} as a Hermitian PSD local-matrix oracle over _a_rows."""
-        table_ptr, table_cols, table_vals = self._a_rows
+        m = self.masses
 
         def source(sites):
-            lo, counts = table_ptr[sites], table_ptr[sites + 1] - table_ptr[sites]
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            take = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], counts)
-            return indptr, table_cols[take], table_vals[take]
+            take, row, counts = self._slices(sites)
+            at, j, kap = sites[row], self.others[take], self.kappas[take]
+            held = np.flatnonzero(counts)
+            diag = _running_sums(kap, row, sites.size)[held] / m[sites[held]]
+            off = -kap / np.sqrt(m[at] * m[j])
+            below, above = j < at, j > at
+            rows = np.concatenate((row[below], held, row[above]))
+            # a stable sort by row keeps each row's columns increasing: below, i, above
+            order = np.argsort(rows, kind="stable")
+            cols = np.concatenate((j[below], sites[held], j[above]))[order]
+            vals = np.concatenate((off[below], diag, off[above]))[order]
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=sites.size))))
+            return indptr, cols, vals
 
         return LocalMatrixOracle(self.graph, self.r0, source, norm_bound=self.a_norm_bound,
                                  hermitian=True, psd=True)
@@ -191,12 +185,12 @@ class OscillatorSystem:
         at = np.flatnonzero(cols[k] == slots)
         return at, k[at]
 
-    def slot_sites(self, slots) -> list:
+    def slot_sites(self, slots) -> np.ndarray:
         """The sites bdag reads at these slots: the lower end of each one's spring,
         in slot order, then the upper ends (no sites for a slot without one)."""
         i, j, _, _ = self.pairs
         k = self._springs_at(slots)[1]
-        return np.concatenate((i[k], j[k])).tolist()
+        return np.concatenate((i[k], j[k]))
 
     def bdag(self, slots, z_at) -> np.ndarray:
         """(B^T z) at each of the slots, z_at(sites) giving z at an array of sites:
@@ -214,18 +208,11 @@ class OscillatorSystem:
         """(B w) at each of the sites, w_at(slots) giving w at an array of slots: each
         site's springs summed from 0 in table order, bit for bit b_entry at each site."""
         sites = np.asarray(sites, dtype=np.int64)
-        lo = self._starts[sites]
-        counts = self._starts[sites + 1] - lo
-        first = np.cumsum(counts) - counts     # each site's first term
-        take = np.arange(counts.sum()) + np.repeat(lo - first, counts)
-        at = np.repeat(sites, counts)
+        take, row, _ = self._slices(sites)
+        at = sites[row]
         terms = np.sqrt(self.kappas[take] / self.masses[at]) * w_at(self.slots[take])
         terms = np.where(self.others[take] >= at, terms, -terms)
-        out = np.zeros(sites.size, dtype=np.complex128)
-        for k in range(counts.max(initial=0)):   # a running sum, left to right
-            more = np.flatnonzero(counts > k)
-            out[more] += terms[first[more] + k]
-        return out
+        return _running_sums(terms, row, sites.size)
 
     def bdag_entry(self, slot: int, z_fn) -> complex:
         """(B^T z)_slot for a site-space functional z_fn; 0 at a slot with no spring:
@@ -254,9 +241,14 @@ class OscillatorSystem:
         return total
 
 
-def _column(memo: dict, sites, n: int) -> np.ndarray:
-    """Field n of memo's tuple at each of the sites, as an array."""
-    return np.array([memo[i][n] for i in np.asarray(sites).tolist()], dtype=np.complex128)
+def _running_sums(terms: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
+    """out[r] = the terms with row r summed from 0, one at a time in order, as
+    np.bincount adds its weights (a complex sum is the sums of its parts)."""
+    if terms.dtype.kind != "c":
+        return np.bincount(row, terms, n)
+    out = np.empty(n, dtype=np.complex128)
+    out.real, out.imag = np.bincount(row, terms.real, n), np.bincount(row, terms.imag, n)
+    return out
 
 
 def build_system(graph: SiteGraph, masses, springs, r0: int) -> OscillatorSystem:
@@ -401,12 +393,11 @@ def _evolved_blocks(sys: OscillatorSystem, scaled, t: float, eps_poly: float):
     psi(0) given by its _scaled_state.
 
     Returns (a, pcos, psin, blocks): the A oracle, the parity split of P_exp
-    on [-||H||, ||H||] into Pcos, Psin on [0, ||A||], and blocks(sites),
-    which returns a per-site memo of (top_i, z_i) with
-    top = Pcos(A) sv - A Psin(A) sx (the velocity block) and
-    z = Psin(A) sv + Pcos(A) sx (the pair block is i B^T z).  The sites not
-    yet in the memo are filled from one window_entries pass of
-    (Pcos, Psin, x Psin) over the vectors (sv, sx).
+    on [-||H||, ||H||] into Pcos, Psin on [0, ||A||], and blocks, a SiteMemo
+    whose rows are (top_i, z_i) with top = Pcos(A) sv - A Psin(A) sx (the
+    velocity block) and z = Psin(A) sv + Pcos(A) sx (the pair block is
+    i B^T z).  The sites it does not hold are filled from one window_entries
+    pass of (Pcos, Psin, x Psin) over the vectors (sv, sx).
     """
     _, sv, sx, _, _ = scaled
 
@@ -416,20 +407,15 @@ def _evolved_blocks(sys: OscillatorSystem, scaled, t: float, eps_poly: float):
     pcos, psin = parity_split(exp_poly(alpha_h, t, eps_poly))
     x_psin = mul_by_x(psin)            # y * Psin(y), realizing A Psin(A)
     a = sys.a_oracle()
-    memo: dict = {}
 
-    def blocks(sites) -> dict:
-        new = sorted(set(sites).difference(memo))
-        if new:
-            origins, values = window_entries(
-                a, (pcos, psin, x_psin), new,
-                lambda window: np.stack((sv[window.sites], sx[window.sites]), axis=1))
-            top = values[0, :, 0] - values[2, :, 1]
-            z = values[1, :, 0] + values[0, :, 1]
-            memo.update(zip(origins.tolist(), zip(top.tolist(), z.tolist())))
-        return memo
+    def fill(new: np.ndarray) -> np.ndarray:
+        _, values = window_entries(
+            a, (pcos, psin, x_psin), new,
+            lambda window: np.stack((sv[window.sites], sx[window.sites]), axis=1))
+        return np.stack((values[0, :, 0] - values[2, :, 1],
+                         values[1, :, 0] + values[0, :, 1]), axis=1)
 
-    return a, pcos, psin, blocks
+    return a, pcos, psin, SiteMemo(fill, 2)
 
 
 # =====================================================================
@@ -456,10 +442,10 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
     def w_many(idxs: list) -> np.ndarray:
         idxs = np.asarray(idxs, dtype=np.int64)
         top = idxs < n
-        memo = blocks(idxs[top].tolist() + sys.slot_sites(idxs[~top]))
+        blocks.at(np.concatenate((idxs[top], sys.slot_sites(idxs[~top]))))
         out = np.empty(idxs.size, dtype=np.complex128)
-        out[top] = _column(memo, idxs[top], 0)
-        out[~top] = 1j * sys.bdag(idxs[~top], lambda sites: _column(memo, sites, 1))
+        out[top] = blocks.at(idxs[top])[:, 0]
+        out[~top] = 1j * sys.bdag(idxs[~top], lambda sites: blocks.at(sites)[:, 1])
         return out
 
     w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],
@@ -499,11 +485,10 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     vsites = np.array(sorted(vset), dtype=np.int64)
     xslots = np.array(sorted({pair_index(pa, pb, n) for pa, pb in pairs}), dtype=np.int64)
     # the two ends of each selected spring, one column per spring
-    ends = np.array(sys.slot_sites(xslots), dtype=np.int64).reshape(2, -1)
+    ends = sys.slot_sites(xslots).reshape(2, -1)
 
     scaled = _scaled_state(sys, state0)
     a, pcos, psin, blocks = _evolved_blocks(sys, scaled, t, eps / 4.0)
-    evolved = blocks(())
     a0, ptil = divide_out_zero(pcos)   # Pcos(y) = a0 + y * ptil(y)
     g_hops = max(psin.degree, ptil.degree)   # g is read within this many hops
 
@@ -512,7 +497,7 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     def mbx(slots: np.ndarray) -> np.ndarray:
         out = np.zeros(slots.size, dtype=np.complex128)
         on = np.flatnonzero(np.isin(slots, xslots))
-        out[on] = sys.bdag(slots[on], lambda sites: 1j * _column(evolved, sites, 1))
+        out[on] = sys.bdag(slots[on], lambda sites: 1j * blocks.at(sites)[:, 1])
         return out
 
     def vectors(window) -> np.ndarray:
@@ -522,34 +507,31 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
         on = np.flatnonzero(np.isin(sites, vsites))
         # g at site j reads z at both ends of each selected spring at j
         near = np.isin(ends[0], gsites) | np.isin(ends[1], gsites)
-        blocks(sites[on].tolist() + ends[:, near].ravel().tolist())
+        blocks.at(np.concatenate((sites[on], ends[:, near].ravel())))
         out = np.zeros((sites.size, 2), dtype=np.complex128)
-        out[on, 0] = _column(evolved, sites[on], 0)
+        out[on, 0] = blocks.at(sites[on])[:, 0]
         out[:gsites.size, 1] = sys.b(gsites, mbx)
         return out
 
-    # (w_i, h1_i, h2_i): the velocity entry of w, Psin(A) mphi_v and ptil(A) g
-    energy: dict = {}
+    def fill(new: np.ndarray) -> np.ndarray:
+        """(w_i, h1_i, h2_i): the velocity entry of w, Psin(A) mphi_v and ptil(A) g."""
+        _, values = window_entries(a, (pcos, psin, ptil), new, vectors)
+        return np.stack((values[0, :, 0] - 1j * values[1, :, 1], values[1, :, 0],
+                         values[2, :, 1]), axis=1)
 
-    def fill(sites: list):
-        new = sorted(set(sites).difference(energy))
-        if new:
-            origins, values = window_entries(a, (pcos, psin, ptil), new, vectors)
-            top = values[0, :, 0] - 1j * values[1, :, 1]
-            energy.update(zip(origins.tolist(), zip(top.tolist(), values[1, :, 0].tolist(),
-                                                    values[2, :, 1].tolist())))
+    energy = SiteMemo(fill, 3)
 
     def w_many(idxs: list) -> np.ndarray:
         idxs = np.asarray(idxs, dtype=np.int64)
         top = idxs < n
         slots = idxs[~top]
-        fill(idxs[top].tolist() + sys.slot_sites(slots))
-        blocks(sys.slot_sites(slots[np.isin(slots, xslots)]))
+        energy.at(np.concatenate((idxs[top], sys.slot_sites(slots))))
+        blocks.at(sys.slot_sites(slots[np.isin(slots, xslots)]))
         out = np.empty(idxs.size, dtype=np.complex128)
-        out[top] = _column(energy, idxs[top], 0)
-        out[~top] = (-1j * sys.bdag(slots, lambda sites: _column(energy, sites, 1))
+        out[top] = energy.at(idxs[top])[:, 0]
+        out[~top] = (-1j * sys.bdag(slots, lambda sites: energy.at(sites)[:, 1])
                      + a0 * mbx(slots)
-                     + sys.bdag(slots, lambda sites: _column(energy, sites, 2)))
+                     + sys.bdag(slots, lambda sites: energy.at(sites)[:, 2]))
         return out
 
     w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],

@@ -100,6 +100,23 @@ def test_output_names_are_honoured(tmp_path):
     assert (tmp_path / "custom.json").exists()
 
 
+def test_point_vectors_stay_sparse_at_any_dimension(tmp_path):
+    """point vectors are never densified: n = 2^40 answers as n = 512 does."""
+    values = []
+    for n in (512, 2 ** 40):
+        cfg_path = _write_config(tmp_path, "est.json",
+                                 dict(ESTIMATE_CFG, matrix={"kind": "tridiagonal", "n": n}))
+        assert main(["estimate", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        values.append(_read_report(tmp_path, "estimate_report.json")["outputs"])
+    assert values[0] == values[1]
+
+
+def test_point_vector_with_zeta_is_a_precondition_error(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, "est.json", dict(ESTIMATE_CFG, zeta=0.01))
+    assert main(["estimate", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # =====================================================================
 # config rejection (exit code 1)
 # =====================================================================

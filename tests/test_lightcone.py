@@ -387,6 +387,29 @@ def test_chebyshev_requires_declared_norm_bound():
 # =====================================================================
 
 
+@settings(max_examples=60, deadline=None)
+@given(requests=st.lists(st.lists(st.integers(0, 40), max_size=12), max_size=8))
+def test_site_memo_fills_each_unheld_site_once_against_a_dict(requests):
+    """One fill per at, of the distinct unheld sites in increasing order; none when
+    every site is held or nothing is asked; rows in the order asked, repeats kept."""
+    calls, model = [], {}
+
+    def fill(new):
+        calls.append(new.tolist())
+        return np.stack((new * (1.0 + 0.5j), -new.astype(np.complex128)), axis=1)
+
+    memo = lightcone.SiteMemo(fill, 2)
+    for sites in requests:
+        new = sorted(set(sites).difference(model))
+        before = len(calls)
+        got = memo.at(sites)
+        assert calls[before:] == ([new] if new else [])
+        model.update((i, (i * (1.0 + 0.5j), -complex(i))) for i in new)
+        assert got.shape == (len(sites), 2)
+        assert [tuple(row) for row in got.tolist()] == [model[i] for i in sites]
+    assert memo.sites.tolist() == sorted(model)
+
+
 def test_memoization_charges_queries_once():
     rng = np.random.default_rng(47)
     a, _ = _random_local_hermitian(rng, chain(32), 1)

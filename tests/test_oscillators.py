@@ -1,6 +1,7 @@
 """Coupled oscillators: system assembly, energies, state embedding, estimation."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,49 @@ def test_b_and_bdag_arrays_equal_the_entry_loops_bitwise(kind):
     got = sys.b(sites, lambda slot: w[slot])
     want = np.array([sys.b_entry(int(i), lambda slot: complex(w[slot])) for i in sites])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _a_row(springs: dict, masses, i: int) -> tuple[list, list]:
+    """Row i of A as (cols, vals), one entry at a time: F_ii sums site i's kappas
+    from 0 in increasing order of the other site, as b_entry sums B's terms."""
+    at_i = sorted((b if a == i else a, kap) for (a, b), kap in springs.items() if i in (a, b))
+    cols, vals, f_ii = [], [], 0.0
+    for j, kap in at_i:
+        f_ii += kap
+        if j != i:
+            cols.append(j)
+            vals.append(complex(-kap / math.sqrt(masses[i] * masses[j])))
+    if at_i:
+        k = sum(j < i for j in cols)
+        cols.insert(k, i)
+        vals.insert(k, complex(f_ii / masses[i]))
+    return cols, vals
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_rows_equal_the_one_row_loop_bitwise(seed):
+    """a_oracle's blocks equal _a_row byte for byte, with wall springs, isolated
+    sites and unequal masses, each block asked in an unsorted order with repeats."""
+    rng = np.random.default_rng(seed)
+    graph = [chain(30), grid([6, 7]), grid([3, 4, 3])][seed % 3]
+    r0 = 1 + seed % 2
+    n = graph.n_sites
+    isolated = set(rng.choice(n, size=3, replace=False).tolist())
+    springs = {(i, j): float(rng.uniform(1e-3, 1e3)) for i in range(n)
+               for j in graph.ball(i, r0)
+               if j >= i and not {i, j} & isolated and rng.random() < (0.5 if i == j else 0.7)}
+    masses = rng.uniform(0.1, 10.0, n)
+    sys = build_system(graph, masses, springs, r0)
+    a = sys.a_oracle()
+    sites = rng.permutation(np.arange(n).repeat(2))
+    for block in np.array_split(sites, 5):
+        indptr, cols, vals = a.rows(block)
+        for k, i in enumerate(block.tolist()):
+            want_cols, want_vals = _a_row(springs, masses, i)
+            got = slice(indptr[k], indptr[k + 1])
+            assert cols[got].tolist() == want_cols
+            assert vals[got].tobytes() == np.array(want_vals, dtype=np.complex128).tobytes()
+    assert all(not _a_row(springs, masses, i)[0] for i in isolated)
 
 
 def test_nonlocal_spring_rejected():

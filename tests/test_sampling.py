@@ -328,10 +328,10 @@ def test_draws_do_not_depend_on_their_order_and_redraws_query_nothing():
     in_order = [forward.draw(k) for k in range(12)]
     reversed_order = [backward.draw(k) for k in reversed(range(12))][::-1]
     assert in_order == reversed_order
-    w_queries = forward.w.cost.snapshot()["queries"]
+    psi_queries = forward.psi.cost.snapshot()["queries"]
     a_queries = a.cost.snapshot()["queries"]
     assert [forward.draw(k) for k in range(12)] == in_order
-    assert forward.w.cost.snapshot()["queries"] == w_queries
+    assert forward.psi.cost.snapshot()["queries"] == psi_queries
     assert a.cost.snapshot()["queries"] == a_queries
 
 
