@@ -236,7 +236,7 @@ def _count_stages(masses: np.ndarray, draws: int):
 
 
 def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray, query_fn,
-               zeta: float, cost: CostCounter | None) -> VectorOracle:
+               zeta: float, cost: CostCounter | None, many_fn=None) -> VectorOracle:
     """Sq-access to the vector with entries vals at the increasing sites (zero elsewhere).
 
     The norm is taken over vals, then mass zeta moves from the heaviest entry
@@ -264,7 +264,7 @@ def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray, query_fn,
         masses[recipient] += zeta
     keep = masses > 0
     return VectorOracle(dimension, query_fn, nrm, table=(sites[keep], masses[keep]),
-                        zeta=zeta, cost=cost)
+                        zeta=zeta, cost=cost, many_fn=many_fn)
 
 
 def sq_access_from_dense(u, cost: CostCounter | None = None) -> VectorOracle:
@@ -285,8 +285,11 @@ def perturbed_sq_access(u, zeta: float,
 
 
 def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
-                         cost: CostCounter | None = None) -> VectorOracle:
-    """Sq-access to a vector given by a {index: value} dict; lazy in the dimension."""
+                         cost: CostCounter | None = None, zeta: float = 0.0) -> VectorOracle:
+    """Sq-access to a vector given by a {index: value} dict; lazy in the dimension.
+
+    zeta > 0 perturbs the sampler as perturbed_sq_access does, over the entries alone.
+    """
     if not entries:
         raise PreconditionError("cannot build sq-access to the zero vector")
     idx = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
@@ -297,7 +300,7 @@ def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
     if idx[0] < 0 or idx[-1] >= dimension:
         raise ValueError("entry index out of range")
     table = dict(zip(idx.tolist(), vals.tolist()))
-    return _sq_oracle(dimension, idx, vals, lambda i: table.get(i, 0.0 + 0.0j), 0.0, cost)
+    return _sq_oracle(dimension, idx, vals, lambda i: table.get(i, 0.0 + 0.0j), zeta, cost)
 
 
 # =====================================================================

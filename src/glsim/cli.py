@@ -368,12 +368,8 @@ def build_vector(spec: dict, dim: int, seed: int, role_key: int,
             bad = [k for k in entries if k >= dim]
             if bad:
                 raise ConfigError(f"sparse entries out of range: {bad}")
-        if zeta == 0.0:
-            return sparse_vector_oracle(dim, entries)
-        dense = np.zeros(dim, dtype=np.complex128)
-        for k, val in entries.items():
-            dense[k] = val
-    elif kind == "uniform":
+        return sparse_vector_oracle(dim, entries, zeta=zeta)
+    if kind == "uniform":
         dense = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     elif kind == "inline":
         vals = [_as_complex(v) for v in spec.get("values", [])]

@@ -32,6 +32,12 @@ loops the array forms equal bit for bit.  A block of A's rows is built from
 the same slices (OscillatorSystem.a_oracle); no second table is kept.  The
 estimators keep their per-site blocks in lightcone.SiteMemo.
 
+An OscillatorState is immutable, so it is embedded once per system: E, the
+scaled vectors s sqrt(M) xdot and s sqrt(M) x (s = 1/sqrt(2E)) and psi(0)'s
+entries come from one O(N) pass, kept on the state for the last system it
+was embedded for, and total_energy, psi0 and both estimators, at every time,
+read that pass.
+
 The degree of the exponential approximation obeys
 d_exp <= c1 * |t| * sqrt(N(r0) kappa_max / m_min) + c2 * ln(1/eps) + c3
 with c1 = e/2, c2 = log2(e) ~ 1.443, c3 = 6.
@@ -42,8 +48,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -313,71 +320,115 @@ def _spring_columns(springs):
     return i, j, kap
 
 
-@dataclass
+@dataclass(frozen=True)
 class OscillatorState:
-    """Positions and velocities at one instant."""
+    """Positions and velocities at one instant, immutable.
+
+    x and xdot are read-only float64 copies of the input, so the state's
+    embedding for a system (_embedding) is computed once and kept on the
+    state; a later write to the caller's arrays cannot make it stale.
+    """
 
     x: np.ndarray
     xdot: np.ndarray
+    # (system, _Embedding) of the last system this state was embedded for
+    _embedded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64).ravel()
-        self.xdot = np.asarray(self.xdot, dtype=np.float64).ravel()
+        for name in ("x", "xdot"):
+            values = np.array(np.ravel(getattr(self, name)), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.x.size != self.xdot.size:
             raise ValueError("x and xdot lengths differ")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.xdot))):
             raise ValueError("x and xdot must be finite")
 
 
+class _Embedding(NamedTuple):
+    """A state's energy and unit embedding for one system, with s = 1/sqrt(2E):
+    s sqrt(M) xdot, s sqrt(M) x, and psi(0)'s nonzero entries (idx increasing:
+    velocities, then slots by (i, j)).  At zero energy only E is set."""
+
+    energy: float
+    sv: np.ndarray | None = None
+    sx: np.ndarray | None = None
+    idx: np.ndarray | None = None
+    vals: np.ndarray | None = None
+
+
 def _energy(sys: OscillatorSystem, state: OscillatorState):
-    """(E, slots, stretch): the energy, the pair slots of the springs i <= j,
-    and B^T sqrt(M) x there.
+    """(E, stretch): the energy, and B^T sqrt(M) x at the slots of the springs
+    i <= j (sys.pairs).
 
     (B^T sqrt(M) x)_(i,j) is sqrt(kappa) (x_i - x_j), or sqrt(kappa) x_i at a wall spring.
     """
-    if state.x.size != sys.n_sites:
-        raise ValueError("state dimension does not match the system")
-    i, j, kap, slots = sys.pairs
+    i, j, kap, _ = sys.pairs
     x = state.x
     stretch = np.sqrt(kap) * (x[i] - np.where(i == j, 0.0, x[j]))
     e = (0.5 * float(np.sum(sys.masses * state.xdot ** 2))
          + 0.5 * float(np.sum(stretch ** 2)))
-    return e, slots, stretch
+    return e, stretch
+
+
+def _embedding(sys: OscillatorSystem, state: OscillatorState) -> _Embedding:
+    """The state's _Embedding for sys, from one O(N) pass over the springs.
+
+    It is kept on the state for the last system asked, so every estimate,
+    time and psi0 call on that pair shares one pass.  The size check runs on
+    every call; a zero-energy embedding, which has no psi(0), is not kept.
+    """
+    if state.x.size != sys.n_sites:
+        raise ValueError("state dimension does not match the system")
+    held = state._embedded
+    if held is not None and held[0] is sys:
+        return held[1]
+    e, stretch = _energy(sys, state)
+    if e <= 0.0:
+        return _Embedding(e)
+    s = 1.0 / math.sqrt(2.0 * e)
+    root_m = np.sqrt(sys.masses)
+    sv = root_m * state.xdot * s
+    idx = np.concatenate((np.arange(sys.n_sites), sys.pairs[3]))
+    vals = np.concatenate((sv, 1j * (stretch * s)))
+    nonzero = vals != 0
+    embedded = _Embedding(e, sv, root_m * state.x * s, idx[nonzero], vals[nonzero])
+    object.__setattr__(state, "_embedded", (sys, embedded))
+    return embedded
+
+
+def _unit_embedding(sys: OscillatorSystem, state: OscillatorState) -> _Embedding:
+    """_embedding, which must have psi(0)."""
+    embedded = _embedding(sys, state)
+    if embedded.energy <= 0.0:
+        raise PreconditionError("zero-energy rest state has no unit embedding")
+    return embedded
 
 
 def total_energy(sys: OscillatorSystem, state: OscillatorState) -> float:
     """E = 1/2 sum m xdot^2 + 1/2 sum kappa_ii x_i^2 + 1/2 sum_{j>i} kappa_ij (x_i - x_j)^2."""
-    return _energy(sys, state)[0]
+    return _embedding(sys, state).energy
 
 
-def _scaled_state(sys: OscillatorSystem, state: OscillatorState):
-    """(s, s sqrt(M) xdot, s sqrt(M) x, slots, stretch) with s = 1/sqrt(2E), the
-    scale of the unit embedding, and _energy's slots and stretch: one pass
-    over the springs."""
-    e, slots, stretch = _energy(sys, state)
-    if e <= 0.0:
-        raise PreconditionError("zero-energy rest state has no unit embedding")
-    s = 1.0 / math.sqrt(2.0 * e)
-    root_m = np.sqrt(sys.masses)
-    return s, root_m * state.xdot * s, root_m * state.x * s, slots, stretch
-
-
-def psi0(sys: OscillatorSystem, state: OscillatorState, *, _scaled=None) -> VectorOracle:
+def psi0(sys: OscillatorSystem, state: OscillatorState) -> VectorOracle:
     """The unit vector (1/sqrt(2E)) (sqrt(M) xdot ; i B^T sqrt(M) x) with sq-access.
 
-    _scaled is _scaled_state(sys, state), for a caller that has computed it already.
+    Each call returns a fresh oracle with its own counter over the state's
+    kept embedding.
     """
-    s, sv, _, slots, stretch = _scaled_state(sys, state) if _scaled is None else _scaled
-    idx = np.concatenate((np.arange(sys.n_sites), slots))
-    vals = np.concatenate((sv, 1j * (stretch * s)))
-    nonzero = vals != 0
-    idx, vals = idx[nonzero], vals[nonzero]   # increasing: velocities, then slots by (i, j)
+    embedded = _unit_embedding(sys, state)
+    idx, vals = embedded.idx, embedded.vals
 
     def query(i: int) -> complex:
         k = int(np.searchsorted(idx, i))
         return vals[k] if k < idx.size and idx[k] == i else 0.0 + 0.0j
 
-    oracle = _sq_oracle(sys.extended_dim, idx, vals, query, 0.0, None)
+    def many(sites) -> np.ndarray:
+        sites = np.asarray(sites, dtype=np.int64)
+        k = np.minimum(np.searchsorted(idx, sites), idx.size - 1)
+        return np.where(idx[k] == sites, vals[k], 0.0)
+
+    oracle = _sq_oracle(sys.extended_dim, idx, vals, query, 0.0, None, many_fn=many)
     if abs(oracle.norm() - 1.0) > 1e-9:
         raise RuntimeError(f"psi0 norm {oracle.norm()} != 1")
     return oracle
@@ -388,9 +439,9 @@ def psi0(sys: OscillatorSystem, state: OscillatorState, *, _scaled=None) -> Vect
 # =====================================================================
 
 
-def _evolved_blocks(sys: OscillatorSystem, scaled, t: float, eps_poly: float):
+def _evolved_blocks(sys: OscillatorSystem, embedded: _Embedding, t: float, eps_poly: float):
     """Site-space blocks of P psi(0) for P = P_exp(H t) within eps_poly of e^{iHt},
-    psi(0) given by its _scaled_state.
+    psi(0) given by its _Embedding.
 
     Returns (a, pcos, psin, blocks): the A oracle, the parity split of P_exp
     on [-||H||, ||H||] into Pcos, Psin on [0, ||A||], and blocks, a SiteMemo
@@ -399,7 +450,7 @@ def _evolved_blocks(sys: OscillatorSystem, scaled, t: float, eps_poly: float):
     i B^T z).  The sites it does not hold are filled from one window_entries
     pass of (Pcos, Psin, x Psin) over the vectors (sv, sx).
     """
-    _, sv, sx, _, _ = scaled
+    sv, sx = embedded.sv, embedded.sx
 
     alpha_h = sys.h_norm_bound
     if alpha_h == 0.0:
@@ -436,7 +487,7 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
         raise PreconditionError("v must live on the extended index space")
     if v.zeta > eps / 18.0 + 1e-15:
         raise PreconditionError(f"v.zeta = {v.zeta} exceeds eps/18")
-    _, _, _, blocks = _evolved_blocks(sys, _scaled_state(sys, state0), t, eps / 2.0)
+    _, _, _, blocks = _evolved_blocks(sys, _unit_embedding(sys, state0), t, eps / 2.0)
     n = sys.n_sites
 
     def w_many(idxs: list) -> np.ndarray:
@@ -487,8 +538,7 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     # the two ends of each selected spring, one column per spring
     ends = sys.slot_sites(xslots).reshape(2, -1)
 
-    scaled = _scaled_state(sys, state0)
-    a, pcos, psin, blocks = _evolved_blocks(sys, scaled, t, eps / 4.0)
+    a, pcos, psin, blocks = _evolved_blocks(sys, _unit_embedding(sys, state0), t, eps / 4.0)
     a0, ptil = divide_out_zero(pcos)   # Pcos(y) = a0 + y * ptil(y)
     g_hops = max(psin.degree, ptil.degree)   # g is read within this many hops
 
@@ -537,7 +587,7 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
     w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],
                      norm=None, many_fn=w_many)
     # through the public psi0, which perfbench's capture hook wraps to meter v
-    v = psi0(sys, state0, _scaled=scaled)
+    v = psi0(sys, state0)
     return inner_product_estimate(w, v, eps / 3.0, delta, seed)
 
 

@@ -111,6 +111,19 @@ def test_point_vectors_stay_sparse_at_any_dimension(tmp_path):
     assert values[0] == values[1]
 
 
+def test_sparse_vectors_with_zeta_stay_sparse_at_any_dimension(tmp_path):
+    """a perturbed sparse v is built over its entries: n = 2^40 answers as n = 512 does."""
+    values = []
+    for n in (512, 2 ** 40):
+        cfg = dict(ESTIMATE_CFG, matrix={"kind": "tridiagonal", "n": n}, zeta=0.01,
+                   u={"kind": "sparse", "entries": {"3": 1.0, "5": [0.0, 0.5]}},
+                   v={"kind": "sparse", "entries": {"4": 1.0, "6": 0.5}})
+        cfg_path = _write_config(tmp_path, "est.json", cfg)
+        assert main(["estimate", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        values.append(_read_report(tmp_path, "estimate_report.json")["outputs"])
+    assert values[0] == values[1]
+
+
 def test_point_vector_with_zeta_is_a_precondition_error(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, "est.json", dict(ESTIMATE_CFG, zeta=0.01))
     assert main(["estimate", "--config", cfg_path, "--out", str(tmp_path)]) == 2

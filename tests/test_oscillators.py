@@ -1,6 +1,7 @@
 """Coupled oscillators: system assembly, energies, state embedding, estimation."""
 
 import inspect
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from glsim import (DenseMatrix, LocalityError, OscillatorState, PreconditionErro
                    sparse_vector_oracle, spectral_norm, sq_access_from_dense,
                    total_energy)
 from glsim import lightcone, oscillators
+from glsim.cli import main
 
 
 def _random_chain_system(rng, n: int):
@@ -349,6 +351,124 @@ def test_rest_state_has_no_unit_embedding():
     sys = build_system(chain(2), [1.0, 1.0], {(0, 1): 1.0}, 1)
     with pytest.raises(PreconditionError):
         psi0(sys, OscillatorState([0.0, 0.0], [0.0, 0.0]))
+
+
+# =====================================================================
+# the state's kept embedding
+# =====================================================================
+
+
+def _count_energy_passes(monkeypatch) -> list:
+    """Wrap oscillators._energy, the O(N) pass of an embedding; returns its call log."""
+    calls, energy = [], oscillators._energy
+
+    def counted(sys, state):
+        calls.append(sys)
+        return energy(sys, state)
+
+    monkeypatch.setattr(oscillators, "_energy", counted)
+    return calls
+
+
+def _embedding_outputs(sys, state_of, v):
+    """Everything read from the embedding, as bytes and counts, each call on state_of()."""
+    psi = psi0(sys, state_of())
+    obs = estimate_observable(sys, state_of(), v, 0.7, 0.2, 0.1, seed=130)
+    en = estimate_energy(sys, state_of(), [0, 2], [(1, 2)], 0.7, 0.2, 0.1, seed=131)
+    sites = np.arange(sys.extended_dim)
+    return (total_energy(sys, state_of()), psi.support.tobytes(), psi.masses.tobytes(),
+            psi.query_many(sites).tobytes(), obs.value, obs.samples_used,
+            en.value, en.samples_used)
+
+
+def test_state_is_embedded_once_and_reads_as_fresh_states(monkeypatch):
+    rng = np.random.default_rng(132)
+    sys = _random_chain_system(rng, 6)
+    x, xdot = rng.normal(size=6), rng.normal(size=6)
+    v = sparse_vector_oracle(sys.extended_dim, {1: 0.6, 9: 0.8j})
+    fresh = _embedding_outputs(sys, lambda: OscillatorState(x, xdot), v)
+    calls = _count_energy_passes(monkeypatch)
+    state = OscillatorState(x, xdot)
+    first = _embedding_outputs(sys, lambda: state, v)
+    assert len(calls) == 1
+    assert _embedding_outputs(sys, lambda: state, v) == first
+    assert len(calls) == 1
+    assert first == fresh
+
+
+def test_cli_time_series_embeds_its_state_once(tmp_path, monkeypatch):
+    cfg = {"system": {"graph": {"kind": "chain", "n_sites": 4}, "r0": 1,
+                      "masses": [1.0] * 4, "springs": [[0, 1, 1.0], [1, 2, 0.5], [2, 3, 1.0]]},
+           "state": {"x": [1.0, -0.5, 0.0, 0.2], "xdot": [0.0, 0.3, 0.0, 0.0]},
+           "v": {"kind": "point", "site": 0}, "t_grid": [0.0, 0.5, 1.0],
+           "eps": 0.2, "delta": 0.2}
+    path = tmp_path / "osc.json"
+    path.write_text(json.dumps(cfg))
+    calls = _count_energy_passes(monkeypatch)
+    assert main(["oscillator", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_a_second_system_reembeds_and_sizes_are_still_checked(monkeypatch):
+    rng = np.random.default_rng(133)
+    one, two = _random_chain_system(rng, 6), _random_chain_system(rng, 6)
+    x, xdot = rng.normal(size=6), rng.normal(size=6)
+    calls = _count_energy_passes(monkeypatch)
+    state = OscillatorState(x, xdot)
+    assert total_energy(one, state) == total_energy(one, OscillatorState(x, xdot))
+    assert total_energy(two, state) == total_energy(two, OscillatorState(x, xdot))
+    assert calls == [one, one, two, two]
+    assert state._embedded[0] is two    # one entry: the last system asked
+    with pytest.raises(ValueError, match="dimension"):
+        total_energy(_random_chain_system(rng, 7), state)
+    with pytest.raises(ValueError, match="dimension"):
+        psi0(_random_chain_system(rng, 5), state)
+    psi0(two, state)
+    assert calls == [one, one, two, two]
+
+
+def test_zero_energy_state_raises_on_every_call(monkeypatch):
+    sys = build_system(chain(3), [1.0] * 3, {(0, 1): 1.0, (1, 2): 1.0}, 1)
+    v = sparse_vector_oracle(sys.extended_dim, {0: 1.0})
+    calls = _count_energy_passes(monkeypatch)
+    state = OscillatorState([0.5, 0.5, 0.5], [0.0, 0.0, 0.0])   # no wall: no stretch
+    for _ in range(2):
+        assert total_energy(sys, state) == 0.0
+        with pytest.raises(PreconditionError, match="zero-energy"):
+            psi0(sys, state)
+        with pytest.raises(PreconditionError, match="zero-energy"):
+            estimate_observable(sys, state, v, 0.5, 0.2, 0.1, seed=134)
+        with pytest.raises(PreconditionError, match="zero-energy"):
+            estimate_energy(sys, state, [0], [], 0.5, 0.2, 0.1, seed=135)
+    assert len(calls) == 8 and state._embedded is None
+
+
+def test_state_holds_read_only_copies():
+    x, xdot = np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(4)
+    state = OscillatorState(x, xdot)
+    x[0, 0] = 9.0
+    assert state.x.tolist() == [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ValueError, match="read-only"):
+        state.x[0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.xdot[1] = 5.0
+    with pytest.raises(AttributeError):
+        state.x = np.ones(4)
+
+
+def test_psi0_batch_queries_equal_scalar_queries_with_their_own_counters():
+    rng = np.random.default_rng(136)
+    sys = _grid_wall_system(rng)
+    state = OscillatorState(rng.normal(size=12), np.where(rng.random(12) < 0.5, 0.0, 1.0))
+    one, two = psi0(sys, state), psi0(sys, state)
+    assert one is not two and one.cost is not two.cost
+    sites = np.concatenate((rng.integers(0, sys.extended_dim, size=60), one.support[::3],
+                            [0, sys.extended_dim - 1, 0]))
+    loop = np.array([one.query(i) for i in sites], dtype=np.complex128)
+    assert two.query_many(sites).tobytes() == loop.tobytes()
+    assert one.cost.snapshot() == two.cost.snapshot()
+    assert one.cost.queries == sites.size
+    assert psi0(sys, state).cost.snapshot() == {"queries": 0, "samples": 0, "norm_reads": 1}
 
 
 # =====================================================================
