@@ -13,8 +13,7 @@ criteria in glsim.acceptance.
 from .access import (CostCounter, LocalityError, LocalMatrixOracle,
                      NumericalCheckError, OracleInconsistencyError,
                      PreconditionError, VectorOracle,
-                     local_matrix_from_dense, local_matrix_from_rows,
-                     perturbed_sq_access, rng_stream, scale_matrix_oracle,
+                     local_matrix_from_rows, rng_stream, scale_matrix_oracle,
                      sparse_vector_oracle, sq_access_from_dense)
 from .acceptance import CriterionResult, DEFAULT_SEED, SUITES, run_criterion, run_suite
 from .embeddings import (ClockHamiltonian, EmbeddedRun, Gate, ReadoutScan,
@@ -62,10 +61,10 @@ __all__ = [
     "fk_classical", "fk_long_local", "fk_long_undilated", "gate_permutation",
     "gate_unitary", "general", "graph_laplacian_oracle", "grid",
     "inner_product_estimate", "j_matrix",
-    "lightcone_oversampler", "load_system", "local_matrix_from_dense",
+    "lightcone_oversampler", "load_system",
     "local_matrix_from_rows", "mul_by_x", "overlap_coefficients",
     "pair_index", "parity_split", "parse_circuit",
-    "perturbed_sq_access", "poly_apply_query_oracle", "poly_rows", "psi0",
+    "poly_apply_query_oracle", "poly_rows", "psi0",
     "read_state_csv", "readout_overlap_curve", "rejection_sample",
     "rng_stream", "row_power", "run_criterion", "run_suite",
     "scale_matrix_oracle", "schrodinger_hamiltonian",

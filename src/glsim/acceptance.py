@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .access import (VectorOracle, local_matrix_from_rows, perturbed_sq_access,
-                     random_local_pair, rng_stream, sparse_vector_oracle,
-                     sq_access_from_dense)
+from .access import (VectorOracle, local_matrix_from_rows, random_local_pair,
+                     rng_stream, sparse_vector_oracle, sq_access_from_dense)
 from .embeddings import (Gate, ReversibleCircuit, adjacent_transposition_decomposition,
                          classical_output, find_readout_time, fk_classical,
                          fk_long_local, fk_long_undilated, gate_permutation,
@@ -247,7 +246,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         truth = complex(np.vdot(v, dense_poly_apply(DenseMatrix(dense), p, u)))
         u_or = sq_access_from_dense(u)
         v_or = sq_access_from_dense(v)
-        v_pert = perturbed_sq_access(v, zeta=eps / 9.0)
+        v_pert = sq_access_from_dense(v, zeta=eps / 9.0)
         w = poly_apply_query_oracle(oracle, p, u_or)
         fails_exact = 0
         fails_pert = 0

@@ -50,8 +50,9 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 class CostCounter:
     """Monotone tally of one oracle's usage.
 
-    Each oracle carries its own counter (unless told to share one), so
-    query budgets for a matrix A and a vector u are read off separately.
+    Each oracle carries its own counter, so query budgets for a matrix A and
+    a vector u are read off separately; a scale_matrix_oracle view meters on
+    its base's.
     A counter is not shared between threads: run_suite's workers each build
     their own oracles, so no counter needs a lock.
     """
@@ -94,8 +95,7 @@ class VectorOracle:
     """
 
     def __init__(self, dimension: int, query_fn, norm: float | None,
-                 table=None, zeta: float = 0.0, cost: CostCounter | None = None,
-                 many_fn=None):
+                 table=None, zeta: float = 0.0, many_fn=None):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         if norm is not None and norm < 0:
@@ -107,7 +107,7 @@ class VectorOracle:
         self._many_fn = many_fn
         self._norm = None if norm is None else float(norm)
         self.zeta = float(zeta)
-        self.cost = cost if cost is not None else CostCounter()
+        self.cost = CostCounter()
         self.support = self.masses = None
         if table is not None:
             support = np.asarray(table[0], dtype=np.int64)
@@ -236,7 +236,7 @@ def _count_stages(masses: np.ndarray, draws: int):
 
 
 def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray, query_fn,
-               zeta: float, cost: CostCounter | None, many_fn=None) -> VectorOracle:
+               zeta: float, many_fn=None) -> VectorOracle:
     """Sq-access to the vector with entries vals at the increasing sites (zero elsewhere).
 
     The norm is taken over vals, then mass zeta moves from the heaviest entry
@@ -264,31 +264,26 @@ def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray, query_fn,
         masses[recipient] += zeta
     keep = masses > 0
     return VectorOracle(dimension, query_fn, nrm, table=(sites[keep], masses[keep]),
-                        zeta=zeta, cost=cost, many_fn=many_fn)
+                        zeta=zeta, many_fn=many_fn)
 
 
-def sq_access_from_dense(u, cost: CostCounter | None = None) -> VectorOracle:
-    """Exact sq-access (zeta = 0) to a dense vector."""
-    return perturbed_sq_access(u, 0.0, cost=cost)
+def sq_access_from_dense(u, zeta: float = 0.0) -> VectorOracle:
+    """Sq-access to a dense vector whose sampler is exactly TV distance zeta
+    from the true law.
 
-
-def perturbed_sq_access(u, zeta: float,
-                        cost: CostCounter | None = None) -> VectorOracle:
-    """Sq-access whose sampler is exactly TV distance zeta from the true law.
-
-    Mass zeta moves from the heaviest index to the lightest nonzero one (see
-    _sq_oracle).  Queries and the norm stay exact, so the oracle is a legal
-    zeta-sq-access realizing the worst advertised sampler error.
+    zeta > 0 moves mass zeta from the heaviest index to the lightest nonzero
+    one (see _sq_oracle).  Queries and the norm stay exact, so the oracle is a
+    legal zeta-sq-access realizing the worst advertised sampler error.
     """
     u = np.asarray(u, dtype=np.complex128).ravel()
-    return _sq_oracle(u.size, np.arange(u.size), u, lambda i: u[i], zeta, cost)
+    return _sq_oracle(u.size, np.arange(u.size), u, lambda i: u[i], zeta)
 
 
 def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
-                         cost: CostCounter | None = None, zeta: float = 0.0) -> VectorOracle:
+                         zeta: float = 0.0) -> VectorOracle:
     """Sq-access to a vector given by a {index: value} dict; lazy in the dimension.
 
-    zeta > 0 perturbs the sampler as perturbed_sq_access does, over the entries alone.
+    zeta > 0 perturbs the sampler as sq_access_from_dense does, over the entries alone.
     """
     if not entries:
         raise PreconditionError("cannot build sq-access to the zero vector")
@@ -300,7 +295,7 @@ def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
     if idx[0] < 0 or idx[-1] >= dimension:
         raise ValueError("entry index out of range")
     table = dict(zip(idx.tolist(), vals.tolist()))
-    return _sq_oracle(dimension, idx, vals, lambda i: table.get(i, 0.0 + 0.0j), zeta, cost)
+    return _sq_oracle(dimension, idx, vals, lambda i: table.get(i, 0.0 + 0.0j), zeta)
 
 
 # =====================================================================
@@ -426,61 +421,11 @@ def _row_source(row_fn):
 def local_matrix_from_rows(graph: SiteGraph, r0: int, row_fn, *,
                            norm_bound: float | None = None, hermitian: bool = False,
                            anti_hermitian: bool = False, psd: bool = False,
-                           cost: CostCounter | None = None,
                            check_locality: bool = False) -> LocalMatrixOracle:
     """Lazy local-matrix oracle from a row callable. Rows are produced on demand."""
     return LocalMatrixOracle(graph, r0, _row_source(row_fn), norm_bound=norm_bound,
                              hermitian=hermitian, anti_hermitian=anti_hermitian,
-                             psd=psd, cost=cost, check_locality=check_locality)
-
-
-def local_matrix_from_dense(M, graph: SiteGraph, r0: int, *,
-                            hermitian: bool | None = None,
-                            anti_hermitian: bool | None = None,
-                            psd: bool | None = None,
-                            norm_bound: float | None = None,
-                            cost: CostCounter | None = None) -> LocalMatrixOracle:
-    """Wrap a dense matrix, inferring structure flags and validating locality eagerly."""
-    M = np.asarray(M, dtype=np.complex128)
-    n = graph.n_sites
-    if M.shape != (n, n):
-        raise ValueError(f"matrix shape {M.shape} does not match {n} sites")
-    tol = 1e-12 * max(1.0, float(np.abs(M).max()))
-    herm = bool(np.abs(M - M.conj().T).max() <= tol)
-    anti = bool(np.abs(M + M.conj().T).max() <= tol) and not herm
-    if hermitian is None:
-        hermitian = herm
-    elif hermitian and not herm:
-        raise OracleInconsistencyError("matrix is not hermitian")
-    if anti_hermitian is None:
-        anti_hermitian = anti
-    elif anti_hermitian and not (anti or np.abs(M).max() <= tol):
-        raise OracleInconsistencyError("matrix is not anti-hermitian")
-    if psd is None:
-        psd = False
-        if hermitian:
-            evals = np.linalg.eigvalsh(M)
-            psd = bool(evals.min() >= -1e-12 * max(1.0, abs(float(evals.max()))))
-    elif psd:
-        if not hermitian:
-            raise OracleInconsistencyError("psd requires hermitian")
-        evals = np.linalg.eigvalsh(M)
-        if evals.min() < -1e-10 * max(1.0, abs(float(evals.max()))):
-            raise OracleInconsistencyError("matrix is not positive semidefinite")
-    rows, cols = np.nonzero(M)
-    far = np.flatnonzero(graph.distances(rows, cols) > r0)
-    if far.size:
-        raise LocalityError(f"entry ({rows[far[0]]},{cols[far[0]]}) outside radius {r0}")
-    if norm_bound is None:
-        norm_bound = float(np.linalg.norm(M, 2))
-
-    def row_fn(i: int):
-        js = np.flatnonzero(np.abs(M[i]) > 0)
-        return tuple((int(j), complex(M[i, j])) for j in js)
-
-    return LocalMatrixOracle(graph, r0, _row_source(row_fn), norm_bound=norm_bound,
-                             hermitian=bool(hermitian), anti_hermitian=bool(anti_hermitian),
-                             psd=bool(psd), cost=cost)
+                             psd=psd, check_locality=check_locality)
 
 
 def scale_matrix_oracle(A: LocalMatrixOracle, factor: complex) -> LocalMatrixOracle:

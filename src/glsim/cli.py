@@ -8,8 +8,9 @@ byte-identical for identical config + seed, except for the wall_time_s
 field.  Series data (scan curves, sample streams, time grids) goes to CSV.
 
 Exit codes: 0 success, 1 config/schema violation, 2 precondition failure,
-3 sampler failure (a rejection run exhausted its trial budget).  `verify`
-also exits 2 when any acceptance criterion fails.
+3 sampler failure (a rejection run exhausted its trial budget), 4 a failed
+internal numerical check.  `verify` also exits 2 when any acceptance
+criterion fails.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from . import __version__
 from .acceptance import DEFAULT_SEED, SUITES, run_suite
 from .access import (LocalityError, NumericalCheckError, OracleInconsistencyError,
                      PreconditionError, VectorOracle, local_matrix_from_rows,
-                     perturbed_sq_access, random_local_pair, rng_stream,
-                     sparse_vector_oracle)
+                     random_local_pair, rng_stream, sparse_vector_oracle,
+                     sq_access_from_dense)
 from .embeddings import (Gate, ReversibleCircuit, classical_output,
                          default_scan_horizon, find_readout_time, fk_classical,
                          fk_long_local, parse_circuit, readout_overlap_curve,
@@ -385,7 +386,7 @@ def build_vector(spec: dict, dim: int, seed: int, role_key: int,
             mags[mags == 0] = 1.0
             g = (floor + np.abs(g)) * g / mags
         dense = g / np.linalg.norm(g)
-    return perturbed_sq_access(dense, zeta)
+    return sq_access_from_dense(dense, zeta)
 
 
 def build_poly(spec: dict, default_alpha: float | None) -> Polynomial:

@@ -53,10 +53,6 @@ class EstimateReport:
     repetitions: int
     seed: int
 
-    @property
-    def batch_size(self) -> int:
-        return self.samples_used // self.repetitions
-
 
 def _plan(eps: float, delta: float) -> tuple[int, int]:
     if not (0 < eps <= 2):

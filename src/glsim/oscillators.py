@@ -27,16 +27,15 @@ site's row of B is a slice of the table, so B w at an array of sites sums
 each site's slice in table order (OscillatorSystem.b); the columns of B are
 the table rows with i <= j, which lie in slot order, so B^T z at an array of
 slots is a gather over them (OscillatorSystem.bdag), and E and psi(0) are
-array expressions over those rows.  b_entry and bdag_entry are the one-entry
-loops the array forms equal bit for bit.  A block of A's rows is built from
-the same slices (OscillatorSystem.a_oracle); no second table is kept.  The
+array expressions over those rows.  A block of A's rows is built from the
+same slices (OscillatorSystem.a_oracle); no second table is kept.  The
 estimators keep their per-site blocks in lightcone.SiteMemo.
 
 An OscillatorState is immutable, so it is embedded once per system: E, the
 scaled vectors s sqrt(M) xdot and s sqrt(M) x (s = 1/sqrt(2E)) and psi(0)'s
-entries come from one O(N) pass, kept on the state for the last system it
-was embedded for, and total_energy, psi0 and both estimators, at every time,
-read that pass.
+checked sq-oracle come from one O(N) pass, kept on the state for the last
+system it was embedded for, and total_energy, psi0 and both estimators, at
+every time, read that pass.
 
 The degree of the exponential approximation obeys
 d_exp <= c1 * |t| * sqrt(N(r0) kappa_max / m_min) + c2 * ln(1/eps) + c3
@@ -45,16 +44,16 @@ with c1 = e/2, c2 = log2(e) ~ 1.443, c3 = 6.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .access import (LocalityError, LocalMatrixOracle, PreconditionError,
+from .access import (CostCounter, LocalityError, LocalMatrixOracle, PreconditionError,
                      VectorOracle, _sq_oracle)
 from .estimate import EstimateReport, inner_product_estimate
 from .lattice import SiteGraph
@@ -201,7 +200,7 @@ class OscillatorSystem:
 
     def bdag(self, slots, z_at) -> np.ndarray:
         """(B^T z) at each of the slots, z_at(sites) giving z at an array of sites:
-        a gather over the spring table, bit for bit bdag_entry at each slot."""
+        a gather over the spring table."""
         i, j, kappas, _ = self.pairs
         at, k = self._springs_at(slots)
         lower, upper = i[k], j[k]
@@ -213,39 +212,13 @@ class OscillatorSystem:
 
     def b(self, sites, w_at) -> np.ndarray:
         """(B w) at each of the sites, w_at(slots) giving w at an array of slots: each
-        site's springs summed from 0 in table order, bit for bit b_entry at each site."""
+        site's springs summed from 0 in table order."""
         sites = np.asarray(sites, dtype=np.int64)
         take, row, _ = self._slices(sites)
         at = sites[row]
         terms = np.sqrt(self.kappas[take] / self.masses[at]) * w_at(self.slots[take])
         terms = np.where(self.others[take] >= at, terms, -terms)
         return _running_sums(terms, row, sites.size)
-
-    def bdag_entry(self, slot: int, z_fn) -> complex:
-        """(B^T z)_slot for a site-space functional z_fn; 0 at a slot with no spring:
-        bdag at one slot."""
-        i, j, kappas, slots = self.pairs
-        k = int(np.searchsorted(slots, slot))
-        if k == slots.size or slots[k] != slot:
-            return 0.0 + 0.0j
-        a, b, kap = int(i[k]), int(j[k]), kappas[k]
-        if a == b:
-            return math.sqrt(kap / self.masses[a]) * z_fn(a)
-        return (math.sqrt(kap / self.masses[a]) * z_fn(a)
-                - math.sqrt(kap / self.masses[b]) * z_fn(b))
-
-    def b_entry(self, i: int, slot_fn) -> complex:
-        """(B w)_i for a pair-space functional slot_fn(slot): b at one site."""
-        lo, hi = self._starts[i], self._starts[i + 1]
-        total = 0.0 + 0.0j
-        for j, kap, slot in zip(self.others[lo:hi].tolist(), self.kappas[lo:hi].tolist(),
-                                self.slots[lo:hi].tolist()):
-            root = math.sqrt(kap / self.masses[i])
-            if j >= i:
-                total += root * slot_fn(slot)
-            else:
-                total -= root * slot_fn(slot)
-        return total
 
 
 def _running_sums(terms: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
@@ -301,10 +274,12 @@ def _spring_columns(springs):
     bad = np.flatnonzero(~((rows[:, 2] >= 0) & (rows[:, 2] < math.inf)))
     if bad.size:
         raise PreconditionError(f"spring {rows[bad[0]].tolist()} needs a finite kappa >= 0")
-    if not np.all(np.isfinite(rows[:, :2])):
-        raise ValueError("spring sites must be finite")
+    # NaN and fractions fail the first test, infinities and sites beyond int64 the second
+    if not all(np.array_equal(np.trunc(c), c) and np.abs(c).max(initial=0.0) < 2.0 ** 63
+               for c in (rows[:, 0], rows[:, 1])):
+        raise ValueError("spring sites must be integers below 2^63")
     rows = rows[rows[:, 2] != 0.0]
-    i, j = np.trunc(rows[:, 0]), np.trunc(rows[:, 1])
+    i, j = rows[:, 0], rows[:, 1]
     i, j = np.minimum(i, j).astype(np.int64), np.maximum(i, j).astype(np.int64)
     # sorted by (i, j) alone: within a pair, equal springs dedupe to one
     # whatever their order, and unequal ones clash whatever their order
@@ -345,7 +320,8 @@ class OscillatorState:
             raise ValueError("x and xdot must be finite")
 
 
-class _Embedding(NamedTuple):
+@dataclass(frozen=True)
+class _Embedding:
     """A state's energy and unit embedding for one system, with s = 1/sqrt(2E):
     s sqrt(M) xdot, s sqrt(M) x, and psi(0)'s nonzero entries (idx increasing:
     velocities, then slots by (i, j)).  At zero energy only E is set."""
@@ -355,6 +331,20 @@ class _Embedding(NamedTuple):
     sx: np.ndarray | None = None
     idx: np.ndarray | None = None
     vals: np.ndarray | None = None
+
+    @cached_property
+    def psi(self) -> VectorOracle:
+        """psi(0)'s sq-oracle over (idx, vals), its table built and checked once,
+        on first use; psi0 hands out copies of it."""
+        idx, vals = self.idx, self.vals
+
+        def many(sites) -> np.ndarray:
+            sites = np.asarray(sites, dtype=np.int64)
+            k = np.minimum(np.searchsorted(idx, sites), idx.size - 1)
+            return np.where(idx[k] == sites, vals[k], 0.0)
+
+        return _sq_oracle(extended_dimension(self.sv.size), idx, vals,
+                          lambda i: many([i])[0], 0.0, many_fn=many)
 
 
 def _energy(sys: OscillatorSystem, state: OscillatorState):
@@ -413,22 +403,11 @@ def total_energy(sys: OscillatorSystem, state: OscillatorState) -> float:
 def psi0(sys: OscillatorSystem, state: OscillatorState) -> VectorOracle:
     """The unit vector (1/sqrt(2E)) (sqrt(M) xdot ; i B^T sqrt(M) x) with sq-access.
 
-    Each call returns a fresh oracle with its own counter over the state's
-    kept embedding.
+    Each call returns a shallow copy, with its own counter, of the oracle
+    kept on the state's embedding, so the table is built once per embedding.
     """
-    embedded = _unit_embedding(sys, state)
-    idx, vals = embedded.idx, embedded.vals
-
-    def query(i: int) -> complex:
-        k = int(np.searchsorted(idx, i))
-        return vals[k] if k < idx.size and idx[k] == i else 0.0 + 0.0j
-
-    def many(sites) -> np.ndarray:
-        sites = np.asarray(sites, dtype=np.int64)
-        k = np.minimum(np.searchsorted(idx, sites), idx.size - 1)
-        return np.where(idx[k] == sites, vals[k], 0.0)
-
-    oracle = _sq_oracle(sys.extended_dim, idx, vals, query, 0.0, None, many_fn=many)
+    oracle = copy.copy(_unit_embedding(sys, state).psi)
+    oracle.cost = CostCounter()
     if abs(oracle.norm() - 1.0) > 1e-9:
         raise RuntimeError(f"psi0 norm {oracle.norm()} != 1")
     return oracle

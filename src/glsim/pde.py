@@ -158,38 +158,29 @@ def advection_hamiltonian(velocity, a: float, n_per_axis: int, D: int,
 # =====================================================================
 
 
-def schrodinger_hamiltonian(laplacian: LocalMatrixOracle, potential, a: float,
-                            v_max: float | None = None) -> LocalMatrixOracle:
-    """H = L/a^2 + diag(V); Hermitian, norm bound ||L||/a^2 + V_max from L's norm_bound.
+def schrodinger_hamiltonian(laplacian: LocalMatrixOracle, potential,
+                            a: float) -> LocalMatrixOracle:
+    """H = L/a^2 + diag(V) for V given as an array over the sites; Hermitian,
+    PSD when L is and V >= 0, norm bound ||L||/a^2 + max|V| from L's norm_bound.
 
-    For graph_laplacian_oracle that is 2(N(1) - 1)/a^2 + V_max.
+    For graph_laplacian_oracle that is 2(N(1) - 1)/a^2 + max|V|.
     """
     if a <= 0:
         raise PreconditionError("grid spacing must be positive")
     if laplacian.norm_bound is None:
         raise PreconditionError("the Laplacian needs a declared norm_bound")
     n = laplacian.dimension
-    if callable(potential):
-        vfun = potential
-        if v_max is None:
-            raise PreconditionError("callable potential needs an explicit v_max")
-        vmin_known = None
-    else:
-        varr = np.asarray(potential, dtype=np.float64).ravel()
-        if varr.size != n:
-            raise PreconditionError(f"{varr.size} potential values for {n} sites")
-        vfun = lambda i: float(varr[i])
-        if v_max is None:
-            v_max = float(np.abs(varr).max()) if varr.size else 0.0
-        vmin_known = float(varr.min()) if varr.size else 0.0
+    varr = np.asarray(potential, dtype=np.float64).ravel()
+    if varr.size != n:
+        raise PreconditionError(f"{varr.size} potential values for {n} sites")
     inv_a2 = 1.0 / (a * a)
 
     def row_fn(i: int):
         entries = {j: v * inv_a2 for j, v in laplacian.row(i)}
-        entries[i] = entries.get(i, 0.0) + vfun(i)
+        entries[i] = entries.get(i, 0.0) + float(varr[i])
         return [(j, v) for j, v in entries.items() if v != 0]
 
-    bound = laplacian.norm_bound * inv_a2 + float(v_max)
-    psd = vmin_known is not None and vmin_known >= 0.0 and laplacian.psd
+    bound = laplacian.norm_bound * inv_a2 + float(np.abs(varr).max())
+    psd = float(varr.min()) >= 0.0 and laplacian.psd
     return local_matrix_from_rows(laplacian.graph, laplacian.r0, row_fn,
                                   norm_bound=bound, hermitian=True, psd=psd)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glsim import (CostCounter, LocalityError, OracleInconsistencyError,
-                   PreconditionError, VectorOracle, build_system, chain, general,
-                   graph_laplacian_oracle, grid, local_matrix_from_dense,
-                   local_matrix_from_rows, perturbed_sq_access, rng_stream,
-                   scale_matrix_oracle, sparse_vector_oracle,
-                   sq_access_from_dense)
+from glsim import (LocalityError, OracleInconsistencyError, PreconditionError,
+                   VectorOracle, build_system, chain, general, graph_laplacian_oracle,
+                   grid, local_matrix_from_rows, rng_stream, scale_matrix_oracle,
+                   sparse_vector_oracle, sq_access_from_dense)
 from glsim.access import _count_stages
+
+from dense_rows import dense_rows
 
 N_DRAWS = 100_000
 
@@ -53,11 +53,10 @@ def test_norm_matches_euclidean():
 
 
 def test_queries_return_entries_and_count_cost():
-    cost = CostCounter()
-    u = sq_access_from_dense([1.0, 2.0j, -3.0], cost=cost)
+    u = sq_access_from_dense([1.0, 2.0j, -3.0])
     assert u.query(1) == 2.0j
     assert u.query(2) == -3.0
-    assert cost.snapshot()["queries"] == 2
+    assert u.cost.snapshot()["queries"] == 2
 
 
 def test_query_many_meters_each_site_and_calls_query_fn_in_order():
@@ -125,7 +124,7 @@ def _assert_pearson_bound(observed, expected):
 def test_count_means_follow_the_table_law():
     """Pearson's statistic of the pooled counts against the masses stays within a chi-square bound."""
     rng = np.random.default_rng(18)
-    u = perturbed_sq_access(rng.normal(size=12) + 1j * rng.normal(size=12), zeta=0.02)
+    u = sq_access_from_dense(rng.normal(size=12) + 1j * rng.normal(size=12), zeta=0.02)
     batch, reps = 50, 4000
     pooled, _ = _pooled_counts(u, rng_stream(18, 0), batch, reps)
     _assert_pearson_bound(pooled, batch * reps * u.masses)
@@ -239,7 +238,7 @@ def test_table_is_the_perturbed_law(entries, fraction):
     assume(np.count_nonzero(u) >= 2)
     exact = np.abs(u) ** 2 / np.sum(np.abs(u) ** 2)
     zeta = fraction * float(exact.max())
-    oracle = perturbed_sq_access(u, zeta)
+    oracle = sq_access_from_dense(u, zeta)
     assert np.all(oracle.masses > 0)
     assert np.all(u[oracle.support] != 0)
     assert abs(float(oracle.masses.sum()) - 1.0) <= 1e-12
@@ -253,21 +252,10 @@ def test_table_is_the_perturbed_law(entries, fraction):
 # =====================================================================
 
 
-def test_zeta_zero_matches_exact_sampler_bitwise():
-    rng = np.random.default_rng(13)
-    vec = rng.normal(size=20)
-    exact = sq_access_from_dense(vec)
-    pert = perturbed_sq_access(vec, zeta=0.0)
-    a = exact.sample_many(rng_stream(9, 0), 5000)
-    b = pert.sample_many(rng_stream(9, 0), 5000)
-    assert np.array_equal(a, b)
-    assert pert.zeta == 0.0
-
-
 def test_perturbed_two_point_law():
     """(1,1)/sqrt2 with zeta=0.1 shifts mass 0.1 from index 0 to index 1."""
     s = 1.0 / np.sqrt(2.0)
-    pert = perturbed_sq_access([s, s], zeta=0.1)
+    pert = sq_access_from_dense([s, s], zeta=0.1)
     assert pert.zeta == 0.1
     assert pert.query(0) == pytest.approx(s)
     assert pert.norm() == pytest.approx(1.0)
@@ -280,7 +268,7 @@ def test_perturbed_tv_is_zeta():
     rng = np.random.default_rng(15)
     vec = rng.normal(size=32) + 1j * rng.normal(size=32)
     zeta = 0.05
-    pert = perturbed_sq_access(vec, zeta=zeta)
+    pert = sq_access_from_dense(vec, zeta=zeta)
     draws = pert.sample_many(rng_stream(15, 0), 2 * N_DRAWS)
     emp = np.bincount(draws, minlength=32) / (2 * N_DRAWS)
     law = np.abs(vec) ** 2
@@ -290,7 +278,7 @@ def test_perturbed_tv_is_zeta():
 
 def test_perturbation_needs_mass_to_move():
     with pytest.raises(PreconditionError):
-        perturbed_sq_access([1.0, 0.0], zeta=0.1)
+        sq_access_from_dense([1.0, 0.0], zeta=0.1)
 
 
 # =====================================================================
@@ -336,10 +324,15 @@ def _tridiag_dense(n: int) -> np.ndarray:
     return m
 
 
+def _tridiag_oracle(n: int, **flags):
+    return local_matrix_from_rows(chain(n), 1, dense_rows(_tridiag_dense(n)),
+                                  hermitian=True, **flags)
+
+
 def test_rows_sorted_local_and_hermitian_consistent():
     n = 12
     dense = _tridiag_dense(n)
-    a = local_matrix_from_dense(dense, chain(n), 1, hermitian=True)
+    a = _tridiag_oracle(n)
     for i in range(n):
         row = a.row(i)
         cols = [j for j, _ in row]
@@ -351,11 +344,9 @@ def test_rows_sorted_local_and_hermitian_consistent():
 
 
 def test_row_cost_is_length_plus_one():
-    cost = CostCounter()
-    a = local_matrix_from_dense(_tridiag_dense(6), chain(6), 1,
-                                hermitian=True, cost=cost)
+    a = _tridiag_oracle(6)
     row = a.row(2)
-    assert cost.snapshot()["queries"] == len(row) + 1
+    assert a.cost.snapshot()["queries"] == len(row) + 1
 
 
 def test_locality_violation_detected():
@@ -368,13 +359,6 @@ def test_locality_violation_detected():
         a.row(0)
 
 
-def test_dense_wrapper_rejects_an_entry_outside_r0():
-    dense = _tridiag_dense(6)
-    dense[0, 3] = dense[3, 0] = 0.5
-    with pytest.raises(LocalityError):
-        local_matrix_from_dense(dense, chain(6), 1)
-
-
 def test_duplicate_column_detected():
     a = local_matrix_from_rows(chain(4), 1, lambda i: [(i, 1.0), (i, 2.0)],
                                hermitian=True)
@@ -383,8 +367,7 @@ def test_duplicate_column_detected():
 
 
 def test_scale_oracle_tracks_structure_and_bound():
-    a = local_matrix_from_dense(_tridiag_dense(5), chain(5), 1,
-                                hermitian=True, norm_bound=3.0)
+    a = _tridiag_oracle(5, norm_bound=3.0)
     b = scale_matrix_oracle(a, -1j)
     assert b.anti_hermitian and not b.hermitian
     assert b.norm_bound == pytest.approx(3.0)
@@ -394,12 +377,10 @@ def test_scale_oracle_tracks_structure_and_bound():
 
 
 def test_scaled_oracle_shares_cost_counter():
-    cost = CostCounter()
-    a = local_matrix_from_dense(_tridiag_dense(5), chain(5), 1,
-                                hermitian=True, cost=cost)
+    a = _tridiag_oracle(5)
     b = scale_matrix_oracle(a, 2.0)
     b.row(1)
-    assert cost.snapshot()["queries"] > 0
+    assert b.cost is a.cost and a.cost.snapshot()["queries"] == 4
 
 
 # =====================================================================

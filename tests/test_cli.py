@@ -3,9 +3,12 @@
 import csv
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glsim
 from glsim import DEFAULT_SEED
@@ -208,6 +211,9 @@ FOUR_MASS_ENERGY_CFG = {
      {"system_file": json.dumps({"graph": {"kind": "chain", "n_sites": 4}, "r0": 1}),
       "state_file": "site,x,xdot\n0,1.0,0.0\n"}),
     ("pde", {"kind": "schrodinger", "graph": {"kind": "chain", "n_sites": 4}}, None),
+    ("oscillator", dict(FOUR_MASS_OSCILLATOR_CFG, state=FOUR_MASS_ENERGY_CFG["state"],
+                        system=dict(FOUR_MASS_OSCILLATOR_CFG["system"],
+                                    springs=[[0.6, 1, 1.0], [2, 3, 1.0]])), None),
 ], ids=["point-site-out-of-range", "grid-n-sites-contradicts-dims",
         "state-negative-site", "state-duplicate-site", "state-short-row",
         "state-file-missing", "state-x-xdot-lengths-differ",
@@ -215,7 +221,7 @@ FOUR_MASS_ENERGY_CFG = {
         "embed-gate-beyond-n", "embed-unknown-gate", "embed-circuit-file-missing",
         "sparse-vector-without-entries", "monomial-poly-without-coefficients",
         "graph-without-n-sites", "system-file-without-masses-and-springs",
-        "schrodinger-without-a"])
+        "schrodinger-without-a", "system-spring-site-not-an-integer"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, scenario, cfg,
                                            files):
     for key, text in (files or {}).items():
@@ -227,6 +233,55 @@ def test_malformed_input_is_a_config_error(tmp_path, capsys, scenario, cfg,
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "Traceback" not in err
+
+
+# masses and kappas stay off tiny positive values, which raise the degree
+# rather than test the input checks
+_FLAWS = {
+    "mass": st.sampled_from([0.0, -1.0, -1e300, 1e300]),
+    "negative-site": st.sampled_from([-1, -3]),
+    "out-of-range-site": st.sampled_from([4, 7, 2 ** 40, 1e30]),
+    "non-integer-site": st.sampled_from([0.5, 2.25, -0.5]),
+    "kappa": st.sampled_from([-1.0, -1e300, math.inf, 0.0]),
+    "conflicting-row": st.sampled_from([0.5, 3.0]),
+}
+
+
+@st.composite
+def _system_blocks(draw):
+    """A 4-site chain with springs between neighbours, then one to three flaws: a
+    zero, negative or huge mass; a spring row with a negative, out-of-range or
+    non-integer site or a negative or infinite kappa; a row repeating another's
+    sites with another kappa."""
+    masses = draw(st.lists(st.sampled_from([1.0, 2.5]), min_size=4, max_size=4))
+    springs = [[i, i + 1, draw(st.sampled_from([0.5, 1.0, 2.0]))] for i in range(3)]
+    for flaw in draw(st.lists(st.sampled_from(sorted(_FLAWS)), min_size=1, max_size=3)):
+        value = draw(_FLAWS[flaw])
+        if flaw == "mass":
+            masses[draw(st.integers(0, 3))] = value
+            continue
+        row = [draw(st.integers(0, 3)), draw(st.integers(0, 3)), 1.0]
+        if flaw == "conflicting-row":
+            row = draw(st.sampled_from(springs))[:2] + [value]
+        elif flaw == "kappa":
+            row[2] = value
+        else:
+            row[draw(st.integers(0, 1))] = value
+        springs.insert(draw(st.integers(0, len(springs))), row)
+    return {"graph": {"kind": "chain", "n_sites": 4}, "r0": 1,
+            "masses": masses, "springs": springs}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(system=_system_blocks())
+def test_malformed_system_blocks_exit_with_a_documented_code(system):
+    """Every system block gives exit 0, 1, 2 or 4 and no exception escapes main."""
+    cfg = dict(FOUR_MASS_ENERGY_CFG, system=system)
+    with tempfile.TemporaryDirectory() as out:
+        path = f"{out}/energy.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["energy", "--config", path, "--out", out]) in (0, 1, 2, 4)
 
 
 SAMPLE_CFG = {

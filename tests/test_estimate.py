@@ -5,9 +5,10 @@ import pytest
 
 from glsim import (Polynomial, PreconditionError, VectorOracle, chain,
                    dense_from_oracle, dense_poly_apply, entry_of_poly_apply,
-                   evt_gl_estimate, inner_product_estimate,
-                   local_matrix_from_dense, perturbed_sq_access, rng_stream,
-                   sparse_vector_oracle, sq_access_from_dense)
+                   evt_gl_estimate, inner_product_estimate, local_matrix_from_rows,
+                   rng_stream, sparse_vector_oracle, sq_access_from_dense)
+
+from dense_rows import dense_rows
 
 
 def _unit(rng, n: int) -> np.ndarray:
@@ -25,8 +26,8 @@ def _random_local_hermitian(rng, n: int):
             dense[i, i + 1] = v
             dense[i + 1, i] = np.conj(v)
     bound = max(float(np.abs(dense).sum(axis=1).max()), 1.0)
-    return local_matrix_from_dense(dense, graph, 1, hermitian=True,
-                                   norm_bound=bound), dense
+    return local_matrix_from_rows(graph, 1, dense_rows(dense), hermitian=True,
+                                  norm_bound=bound), dense
 
 
 # =====================================================================
@@ -66,14 +67,14 @@ def test_report_carries_plan_and_inputs():
     e1 = sq_access_from_dense([1.0, 0.0])
     rep = inner_product_estimate(e1, e1, eps=0.2, delta=0.1, seed=54)
     assert rep.eps == 0.2 and rep.delta == 0.1 and rep.seed == 54
-    assert rep.samples_used == rep.batch_size * rep.repetitions
-    assert rep.repetitions >= 1
+    # ceil(32 / eps^2) draws per batch, ceil(8 ln(2 / delta)) batches
+    assert rep.repetitions == 24 and rep.samples_used == 800 * 24
 
 
 def test_zeta_beyond_budget_rejected():
     rng = np.random.default_rng(55)
     vec = _unit(rng, 16)
-    v = perturbed_sq_access(vec, zeta=0.05)  # eps/9 with eps=0.1 allows 0.0111
+    v = sq_access_from_dense(vec, zeta=0.05)  # eps/9 with eps=0.1 allows 0.0111
     w = sq_access_from_dense(vec)
     with pytest.raises(PreconditionError):
         inner_product_estimate(w, v, eps=0.1, delta=0.05, seed=56)
@@ -96,7 +97,7 @@ def _pinned_v(kind: str, rng):
         return sparse_vector_oracle(40, entries), dense
     dense = _unit(rng, 24)
     dense[5] = 0.0
-    return perturbed_sq_access(dense, 0.02 if kind == "perturbed" else 0.0), dense
+    return sq_access_from_dense(dense, 0.02 if kind == "perturbed" else 0.0), dense
 
 
 @pytest.mark.parametrize("kind", ["dense", "perturbed", "sparse"])
@@ -117,13 +118,14 @@ def test_estimate_is_a_median_of_means_over_the_sampler_draws(kind):
     w = VectorOracle(v_vec.size, w_fn, norm=None)
     rep = inner_product_estimate(w, v, eps=0.2, delta=0.1, seed=68)
     cost = v.cost.snapshot()
+    batch = rep.samples_used // rep.repetitions
 
-    assert v.support.size <= rep.batch_size
-    hit, counts = v.sample_counts(rng_stream(68, 0), rep.batch_size, rep.repetitions)
+    assert v.support.size <= batch
+    hit, counts = v.sample_counts(rng_stream(68, 0), batch, rep.repetitions)
     x = _x_table(v, v_vec, w_vec, hit)[hit]
     counts = counts.astype(np.float64)
-    expected = complex(float(np.median(counts @ x.real / rep.batch_size)),
-                       float(np.median(counts @ x.imag / rep.batch_size)))
+    expected = complex(float(np.median(counts @ x.real / batch)),
+                       float(np.median(counts @ x.imag / batch)))
     assert rep.value == expected
     assert queried == v.support[hit].tolist()
     assert cost["queries"] == hit.size
@@ -148,12 +150,13 @@ def test_estimate_over_a_table_larger_than_a_batch_averages_positions(kind):
     w = VectorOracle(v_vec.size, w_fn, norm=None)
     rep = inner_product_estimate(w, v, eps=1.5, delta=0.1, seed=70)
     cost = v.cost.snapshot()
+    batch = rep.samples_used // rep.repetitions
 
-    assert v.support.size > rep.batch_size
+    assert v.support.size > batch
     pos = v.sample_positions(rng_stream(70, 0), rep.samples_used)
     hit = np.unique(pos)
     x = _x_table(v, v_vec, w_vec, hit)
-    means = x[pos].reshape(rep.repetitions, rep.batch_size).mean(axis=1)
+    means = x[pos].reshape(rep.repetitions, batch).mean(axis=1)
     assert rep.value == complex(float(np.median(means.real)), float(np.median(means.imag)))
     assert queried == v.support[hit].tolist()
     assert cost["queries"] == hit.size

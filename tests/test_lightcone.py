@@ -12,9 +12,11 @@ from glsim import (CostCounter, Polynomial, PreconditionError, VectorOracle,
                    build_system, chain, dense_from_oracle, dense_poly_apply,
                    dense_poly_matrix, entries_of_poly_apply, entry_of_poly_apply,
                    exp_poly, general, graph_laplacian_oracle, grid, lightcone,
-                   local_matrix_from_dense, local_matrix_from_rows, mul_by_x,
-                   parity_split, poly_apply_query_oracle, poly_rows, row_power,
-                   sq_access_from_dense, window_entries)
+                   local_matrix_from_rows, mul_by_x, parity_split,
+                   poly_apply_query_oracle, poly_rows, row_power, sq_access_from_dense,
+                   window_entries)
+
+from dense_rows import dense_rows
 
 
 def _random_local_hermitian(rng, graph, r0: int):
@@ -32,8 +34,8 @@ def _random_local_hermitian(rng, graph, r0: int):
                 dense[i, j] = v
                 dense[j, i] = np.conj(v)
     bound = float(np.abs(dense).sum(axis=1).max())
-    oracle = local_matrix_from_dense(dense, graph, r0, hermitian=True,
-                                     norm_bound=max(bound, 1.0))
+    oracle = local_matrix_from_rows(graph, r0, dense_rows(dense), hermitian=True,
+                                    norm_bound=max(bound, 1.0))
     return oracle, dense
 
 
@@ -345,14 +347,13 @@ def test_identity_oracle_square_returns_entry():
 
 
 def test_constant_polynomial_needs_no_matrix_queries():
-    cost = CostCounter()
     a = local_matrix_from_rows(chain(6), 1,
                                lambda i: [(i, 1.0)], hermitian=True,
-                               norm_bound=1.0, cost=cost)
+                               norm_bound=1.0)
     u = sq_access_from_dense(np.arange(1.0, 7.0))
     out = entry_of_poly_apply(a, Polynomial((2.5,)), u, 3)
     assert out == pytest.approx(2.5 * 4.0)
-    assert cost.snapshot()["queries"] == 0
+    assert a.cost.snapshot()["queries"] == 0
 
 
 def test_entry_matches_dense_for_exponential_polynomial():
@@ -413,17 +414,16 @@ def test_site_memo_fills_each_unheld_site_once_against_a_dict(requests):
 def test_memoization_charges_queries_once():
     rng = np.random.default_rng(47)
     a, _ = _random_local_hermitian(rng, chain(32), 1)
-    u_cost = CostCounter()
-    u = sq_access_from_dense(rng.normal(size=32), cost=u_cost)
+    u = sq_access_from_dense(rng.normal(size=32))
     w = poly_apply_query_oracle(a, exp_poly(a.norm_bound, 0.7, 1e-8), u)
     first = w.query(9)
     a_after_first = a.cost.snapshot()["queries"]
-    u_after_first = u_cost.snapshot()["queries"]
+    u_after_first = u.cost.snapshot()["queries"]
     assert a_after_first > 0
     second = w.query(9)
     assert second == first
     assert a.cost.snapshot()["queries"] == a_after_first
-    assert u_cost.snapshot()["queries"] == u_after_first
+    assert u.cost.snapshot()["queries"] == u_after_first
 
 
 def test_identity_polynomial_composition_reproduces_u():
@@ -458,17 +458,16 @@ def test_single_entry_query_budget():
     """One entry of P(A)u costs at most N((d-1) r0)(N(r0)+1) A-queries and N(d r0) u-queries."""
     rng = np.random.default_rng(50)
     graph = chain(256)
-    a_cost, u_cost = CostCounter(), CostCounter()
     a, _ = _random_local_hermitian(rng, graph, 1)
     a = local_matrix_from_rows(graph, 1, a.row, norm_bound=a.norm_bound,
-                               hermitian=True, cost=a_cost)
-    u = sq_access_from_dense(rng.normal(size=256), cost=u_cost)
+                               hermitian=True)
+    u = sq_access_from_dense(rng.normal(size=256))
     p = exp_poly(a.norm_bound, 0.5, 1e-6)
     d = p.degree
     entry_of_poly_apply(a, p, u, 128)
-    assert a_cost.snapshot()["queries"] <= (graph.locality_function((d - 1) * 1)
+    assert a.cost.snapshot()["queries"] <= (graph.locality_function((d - 1) * 1)
                                             * (graph.locality_function(1) + 1))
-    assert u_cost.snapshot()["queries"] <= graph.locality_function(d * 1)
+    assert u.cost.snapshot()["queries"] <= graph.locality_function(d * 1)
 
 
 def _polynomial(basis: str, a, degree: int, rng) -> Polynomial:
@@ -502,9 +501,8 @@ def test_each_row_fetched_at_most_once(graph, r0, basis, origins):
         calls.append(j)
         return base.row(j)
 
-    cost = CostCounter()
     a = local_matrix_from_rows(graph, r0, row_fn, norm_bound=base.norm_bound,
-                               hermitian=True, cost=cost)
+                               hermitian=True)
     u_vec = rng.normal(size=n)
     u = VectorOracle(n, lambda j: u_calls.append(j) or u_vec[j], None)
     p = _polynomial(basis, a, 7, rng)
@@ -518,8 +516,8 @@ def test_each_row_fetched_at_most_once(graph, r0, basis, origins):
     assert sorted(calls) == sorted(j for chunk in chunks
                                    for j in set().union(*(graph.ball(i, (d - 1) * r0)
                                                           for i in chunk)))
-    assert cost.queries == sum(len(base.row(j)) + 1 for j in calls)
-    batch_a, batch_u = cost.queries, len(u_calls)
+    assert a.cost.queries == sum(len(base.row(j)) + 1 for j in calls)
+    batch_a, batch_u = a.cost.queries, len(u_calls)
     rows = {i: poly_rows(a, (p,), i)[0] for i in set(sites)}
     assert sorted(u_calls) == sorted(set().union(*rows.values()))
     single_a = single_u = 0

@@ -6,8 +6,9 @@ import pytest
 from glsim import (DenseMatrix, LocalityError, OracleInconsistencyError, Polynomial, chain,
                    dense_cap, dense_cos_sqrt_apply, dense_evolve,
                    dense_from_oracle, dense_poly_apply, dense_poly_matrix,
-                   exp_poly, general, grid, local_matrix_from_dense,
-                   local_matrix_from_rows, spectral_norm)
+                   exp_poly, general, grid, local_matrix_from_rows, spectral_norm)
+
+from dense_rows import dense_rows
 
 
 def _random_hermitian(rng, n: int) -> np.ndarray:
@@ -34,7 +35,8 @@ def test_round_trip_from_dense_is_exact():
         for j in g.ball(i, 1):
             dense[i, j] = rng.normal() + 1j * rng.normal()
     dense = (dense + dense.conj().T) / 2.0
-    a = local_matrix_from_dense(dense, g, 1, hermitian=True)
+    a = local_matrix_from_rows(g, 1, dense_rows(dense), hermitian=True,
+                               norm_bound=spectral_norm(dense))
     assert np.array_equal(dense_from_oracle(a).entries, dense)
 
 

@@ -49,14 +49,43 @@ SYSTEMS = {
 }
 
 
+def _bdag_entry(sys, slot: int, z_fn) -> complex:
+    """(B^T z)_slot for a site-space functional z_fn, one spring at a time; 0 at a
+    slot with no spring."""
+    i, j, kappas, slots = sys.pairs
+    k = int(np.searchsorted(slots, slot))
+    if k == slots.size or slots[k] != slot:
+        return 0.0 + 0.0j
+    a, b, kap = int(i[k]), int(j[k]), kappas[k]
+    if a == b:
+        return math.sqrt(kap / sys.masses[a]) * z_fn(a)
+    return (math.sqrt(kap / sys.masses[a]) * z_fn(a)
+            - math.sqrt(kap / sys.masses[b]) * z_fn(b))
+
+
+def _b_entry(sys, i: int, slot_fn) -> complex:
+    """(B w)_i for a pair-space functional slot_fn(slot): site i's springs summed
+    from 0, one at a time in table order."""
+    lo, hi = sys._starts[i], sys._starts[i + 1]
+    total = 0.0 + 0.0j
+    for j, kap, slot in zip(sys.others[lo:hi].tolist(), sys.kappas[lo:hi].tolist(),
+                            sys.slots[lo:hi].tolist()):
+        root = math.sqrt(kap / sys.masses[i])
+        if j >= i:
+            total += root * slot_fn(slot)
+        else:
+            total -= root * slot_fn(slot)
+    return total
+
+
 def _dense_b(sys) -> np.ndarray:
-    """B as an n x (extended_dim - n) dense block, one b_entry call per entry of a column."""
+    """B as an n x (extended_dim - n) dense block, one _b_entry call per entry of a column."""
     n = sys.n_sites
     b = np.zeros((n, sys.extended_dim - n), dtype=np.complex128)
     for a, c in zip(*sys.pairs[:2]):
         col = pair_index(a, c, n)
         for i in range(n):
-            b[i, col - n] = sys.b_entry(i, lambda slot: 1.0 if slot == col else 0.0)
+            b[i, col - n] = _b_entry(sys, i, lambda slot: 1.0 if slot == col else 0.0)
     return b
 
 
@@ -84,7 +113,7 @@ def test_extended_dimension_formula():
 def test_single_mass_wall_spring_system():
     sys = build_system(chain(1), [1.0], {(0, 0): 1.0}, 1)
     assert np.allclose(dense_from_oracle(sys.a_oracle()).entries, [[1.0]])
-    assert sys.bdag_entry(pair_index(0, 0, 1), lambda k: {0: 1.0}[k]) == pytest.approx(1.0)
+    assert sys.bdag([pair_index(0, 0, 1)], lambda sites: np.ones(sites.size)) == pytest.approx(1.0)
 
 
 def test_two_mass_pair_matrix():
@@ -102,20 +131,20 @@ def test_b_times_b_dagger_reconstructs_a():
 
 
 @pytest.mark.parametrize("kind", SYSTEMS)
-def test_bdag_entry_is_dense_b_transpose_at_every_slot(kind):
-    """Every slot of the extended space, a spring's or not, against the b_entry-built B."""
+def test_bdag_is_dense_b_transpose_at_every_slot(kind):
+    """Every slot of the extended space, a spring's or not, against the _b_entry-built B."""
     sys = SYSTEMS[kind](np.random.default_rng(120))
     n = sys.n_sites
     bt = _dense_b(sys).T
     assert np.count_nonzero(np.abs(bt).sum(axis=1) == 0) > 0   # slots with no spring are checked
-    for slot in range(n, sys.extended_dim):
-        for k in range(n):
-            assert sys.bdag_entry(slot, lambda i: float(i == k)) == bt[slot - n, k]
+    slots = np.arange(n, sys.extended_dim)
+    for k in range(n):
+        assert np.array_equal(sys.bdag(slots, lambda sites: (sites == k) * 1.0), bt[:, k])
 
 
 @pytest.mark.parametrize("kind", SYSTEMS)
 def test_b_and_bdag_arrays_equal_the_entry_loops_bitwise(kind):
-    """The array forms of B and B^T give b_entry and bdag_entry bit for bit: at every
+    """The array forms of B and B^T give _b_entry and _bdag_entry bit for bit: at every
     slot, a spring's or not, and at every site, in any order and repeated."""
     rng = np.random.default_rng(121)
     sys = SYSTEMS[kind](rng)
@@ -125,17 +154,17 @@ def test_b_and_bdag_arrays_equal_the_entry_loops_bitwise(kind):
     z[0], w[-1] = complex(-0.0, 0.7), complex(1e-310, -0.0)
     slots = rng.permutation(np.arange(n, sys.extended_dim).repeat(2))
     got = sys.bdag(slots, lambda sites: z[sites])
-    want = np.array([sys.bdag_entry(int(s), lambda i: complex(z[i])) for s in slots])
+    want = np.array([_bdag_entry(sys, int(s), lambda i: complex(z[i])) for s in slots])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     sites = rng.permutation(np.arange(n).repeat(2))
     got = sys.b(sites, lambda slot: w[slot])
-    want = np.array([sys.b_entry(int(i), lambda slot: complex(w[slot])) for i in sites])
+    want = np.array([_b_entry(sys, int(i), lambda slot: complex(w[slot])) for i in sites])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _a_row(springs: dict, masses, i: int) -> tuple[list, list]:
     """Row i of A as (cols, vals), one entry at a time: F_ii sums site i's kappas
-    from 0 in increasing order of the other site, as b_entry sums B's terms."""
+    from 0 in increasing order of the other site, as _b_entry sums B's terms."""
     at_i = sorted((b if a == i else a, kap) for (a, b), kap in springs.items() if i in (a, b))
     cols, vals, f_ii = [], [], 0.0
     for j, kap in at_i:
@@ -469,6 +498,29 @@ def test_psi0_batch_queries_equal_scalar_queries_with_their_own_counters():
     assert one.cost.snapshot() == two.cost.snapshot()
     assert one.cost.queries == sites.size
     assert psi0(sys, state).cost.snapshot() == {"queries": 0, "samples": 0, "norm_reads": 1}
+
+
+def test_psi0_builds_one_table_per_embedding(monkeypatch):
+    """Three psi0 calls on one state build psi(0)'s sq-oracle once; each call gets
+    a copy with its own counter that reads as a fresh state's oracle."""
+    rng = np.random.default_rng(137)
+    sys = _grid_wall_system(rng)
+    x, xdot = rng.normal(size=12), rng.normal(size=12)
+    fresh = psi0(sys, OscillatorState(x, xdot))
+    built = []
+    sq_oracle = oscillators._sq_oracle
+    monkeypatch.setattr(oscillators, "_sq_oracle",
+                        lambda *args, **kwargs: built.append(args) or sq_oracle(*args, **kwargs))
+    state = OscillatorState(x, xdot)
+    copies = [psi0(sys, state) for _ in range(3)]
+    assert len(built) == 1
+    assert len({id(psi.cost) for psi in copies}) == 3
+    for psi in copies:
+        assert psi.cost.snapshot() == {"queries": 0, "samples": 0, "norm_reads": 1}
+        assert psi.support.tobytes() == fresh.support.tobytes()
+        assert psi.masses.tobytes() == fresh.masses.tobytes()
+    copies[0].sample_many(np.random.default_rng(0), 5)
+    assert copies[0].cost.samples == 5 and copies[1].cost.samples == 0
 
 
 # =====================================================================

@@ -162,13 +162,11 @@ def test_constant_potential_shifts_spectrum_exactly():
                        np.linalg.eigvalsh(base) + 2.5, atol=1e-12)
 
 
-def test_callable_potential_and_norm_preservation():
+def test_potential_on_the_diagonal_and_norm_preservation():
     g = grid([4, 4])
     rng = np.random.default_rng(122)
     values = rng.uniform(0.0, 2.0, size=16)
-    h = schrodinger_hamiltonian(graph_laplacian_oracle(g),
-                                lambda i: values[i], 0.6,
-                                v_max=float(values.max()))
+    h = schrodinger_hamiltonian(graph_laplacian_oracle(g), values, 0.6)
     dense = _dense(h)  # validates the declared norm_bound densely
     assert np.allclose(np.diag(dense).real - values,
                        np.diag(_dense(graph_laplacian_oracle(g))) / 0.36,

@@ -6,12 +6,12 @@ import pytest
 from glsim import (DenseMatrix, EvolvedSampler, OversamplerHandle,
                    PreconditionError, SiteGraph, chain, dense_evolve,
                    dense_from_oracle, dense_poly_apply, exp_poly, grid,
-                   lightcone_oversampler,
-                   local_matrix_from_dense, local_matrix_from_rows,
-                   perturbed_sq_access, rejection_sample, rng_stream,
-                   sparse_vector_oracle, sq_access_from_dense,
-                   tv_error_bound)
+                   lightcone_oversampler, local_matrix_from_rows,
+                   rejection_sample, rng_stream, sparse_vector_oracle,
+                   sq_access_from_dense, tv_error_bound)
 from glsim.access import random_local_pair
+
+from dense_rows import dense_rows
 
 
 def _unit(rng, n: int) -> np.ndarray:
@@ -238,8 +238,8 @@ def test_oversampler_masses_sum_to_one_and_dominate_target():
             dense[i, i + 1] = v
             dense[i + 1, i] = np.conj(v)
     bound = max(float(np.abs(dense).sum(axis=1).max()), 1.0)
-    a = local_matrix_from_dense(dense, chain(n), 1, hermitian=True,
-                                norm_bound=bound)
+    a = local_matrix_from_rows(chain(n), 1, dense_rows(dense), hermitian=True,
+                               norm_bound=bound)
     eps = 1e-6
     p = exp_poly(bound, 1.0, eps)
     handle = lightcone_oversampler(a, p.degree, sq_access_from_dense(vec),
@@ -407,7 +407,7 @@ def test_sampler_rejects_excessive_sampler_noise():
     n = 8
     vec = _unit(rng, n)
     a = _antihermitian_shift(n)
-    noisy = perturbed_sq_access(vec, zeta=0.3)
+    noisy = sq_access_from_dense(vec, zeta=0.3)
     with pytest.raises(PreconditionError):
         EvolvedSampler(a, 1.0, noisy, eps=0.05, alpha_min=1.0, delta=1e-6,
                        seed=90)
