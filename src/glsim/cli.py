@@ -7,10 +7,10 @@ config, the outputs, oracle cost counters, and wall time.  Reports are
 byte-identical for identical config + seed, except for the wall_time_s
 field.  Series data (scan curves, sample streams, time grids) goes to CSV.
 
-Exit codes: 0 success, 1 config/schema violation, 2 precondition failure,
-3 sampler failure (a rejection run exhausted its trial budget), 4 a failed
-internal numerical check.  `verify` also exits 2 when any acceptance
-criterion fails.
+Exit codes: 0 success, 1 config/schema violation (or sizes that do not fit
+in memory), 2 precondition failure, 3 sampler failure (a rejection run
+exhausted its trial budget), 4 a failed internal numerical check.  `verify`
+also exits 2 when any acceptance criterion fails.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .embeddings import (Gate, ReversibleCircuit, classical_output,
                          simulate_embedded_circuit)
 from .estimate import evt_gl_estimate
 from .lattice import SiteGraph, chain
-from .oracle import dense_from_oracle, spectral_norm
+from .oracle import dense_cap, dense_from_oracle, spectral_norm
 from .oscillators import (OscillatorState, estimate_energy, estimate_observable,
                           read_state_csv, system_from_json_dict, load_system)
 from .pde import (advection_hamiltonian, graph_laplacian_oracle,
@@ -347,6 +347,9 @@ def build_matrix(spec: dict, seed: int):
     if "graph" not in spec:
         raise ConfigError("random_local matrix needs a graph")
     graph = SiteGraph.from_config(spec["graph"])
+    if graph.n_sites > dense_cap():
+        raise ConfigError(f"random_local matrix is dense-backed: {graph.n_sites} sites "
+                          f"exceed the dense cap {dense_cap()}")
     rng = rng_stream(seed, 6000, int(spec.get("seed_key", 0)))
     oracle, _ = random_local_pair(graph, int(spec.get("r0", 1)), rng,
                                   anti=bool(spec.get("anti", False)))
@@ -821,6 +824,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         # in glsim a ValueError means bad input; ConfigError is one of them
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a dense vector or a polynomial degree too large for the config's sizes
+        print(f"config error: the config needs more memory than there is: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -4,7 +4,8 @@ A matrix A over sites {0..N-1} is (r0, N(r))-geometrically local when
 A_ij = 0 whenever d(i, j) > r0 and the metric's growth function
 N(r) = max_i |{j : d(i, j) <= r}| stays polynomial in r.  Everything the
 light-cone engine knows about geometry flows through SiteGraph: the
-distance d(i, j), the closed ball ball(i, r), and N(r).
+distance d(i, j), the closed ball ball(i, r) as sorted runs of consecutive
+sites (runs), and N(r).
 
 Three kinds are supported.  "grid" (L1 metric, row-major index order)
 has a closed-form metric and stays lazy, so N may be as large as 2**62
@@ -16,6 +17,7 @@ graphs.
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
@@ -24,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_SITES = 2 ** 62
-BALL_CACHE_SIZE = 65536  # (site, radius) balls kept per graph
+BALL_CACHE_SIZE = 65536  # (site, radius) BFS balls kept per general graph
 
 
 @dataclass
@@ -82,7 +84,16 @@ class SiteGraph:
         # the caches reach the graph through a weak reference, so a dropped
         # graph is freed at once instead of at the next cyclic gc pass
         ref = weakref.ref(self)
-        self._cached_ball = lru_cache(BALL_CACHE_SIZE)(lambda i, R: ref()._ball(i, R))
+        self._cached_ball = lru_cache(BALL_CACHE_SIZE)(
+            lambda i, R: tuple(sorted(ref()._bfs_distances(i, radius=R))))
+        self._offset_table = lru_cache(64)(lambda R: ref()._leading_offsets(R))
+        self._unclipped_sites = lru_cache(4)(lambda R: ref()._unclipped_ball(R))
+        if self.dims is not None:   # the axes' lengths and row-major strides, the diameter
+            self._dims = np.array(self.dims, dtype=np.int64)
+            self._strides = np.array([math.prod(self.dims[k + 1:]) for k in range(len(self.dims))],
+                                     dtype=np.int64)
+            self._diameter = sum(L // 2 if self.boundary == "periodic" else L - 1
+                                 for L in self.dims)
         self._all_distances = lru_cache(1024)(lambda src: ref()._bfs_distances(src))
         self._general_locality = lru_cache(1024)(lambda R: ref()._max_bfs_ball(R))
 
@@ -174,31 +185,108 @@ class SiteGraph:
 
     # ---- balls ---------------------------------------------------------------
 
-    def ball(self, i: int, r: float) -> tuple[int, ...]:
-        """Closed ball {j : d(i,j) <= r}, sorted. r is floored to the metric's integer scale."""
+    def runs(self, i: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """ball(i, r) as sorted, disjoint runs of consecutive sites: (starts, lengths).
+
+        chain and grid: each offset of the leading axes within r (a table kept
+        per radius) that lands in the box gives one run along the last axis,
+        as far as the budget r leaves; a periodic last axis splits a wrapped
+        run in two, and a run over the whole axis stays one.  A site at least
+        r from every face gets the table's runs of such a ball, shifted to it
+        (its lengths array is shared and read-only).  general: the runs of the
+        cached BFS ball.  r is floored to the metric's integer scale.
+        """
         self._check_site(i)
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        return self._cached_ball(i, int(r))
-
-    def _ball(self, i: int, R: int) -> tuple[int, ...]:
         if self.kind == "general":
-            return tuple(sorted(self._bfs_distances(i, radius=R).keys()))
-        return self._grid_ball(i, R)
+            ball = np.asarray(self._cached_ball(i, int(r)), dtype=np.int64)
+            cuts = np.flatnonzero(np.diff(ball) != 1) + 1
+            return ball[np.r_[0, cuts]], np.diff(np.r_[0, cuts, ball.size])
+        R = min(int(r), self._diameter)
+        unclipped = self._unclipped(i, R)
+        if unclipped is not None:
+            return i + unclipped[0], unclipped[1]
+        offsets, shift, budget, _ = self._offset_table(R)
+        *lead, x = self.site_coords(i)
+        lead = np.array(lead, dtype=np.int64)
+        L, lead_dims = self.dims[-1], self._dims[:-1]
+        pos = offsets + lead   # the leading coordinates of each run
+        if self.boundary == "open":
+            inside = ((pos >= 0) & (pos < lead_dims)).all(axis=1)
+            left = np.minimum(budget[inside], x)
+            right = np.minimum(budget[inside], L - 1 - x)
+            return i + shift[inside] - left, left + right + 1
+        base = i - x + (pos % lead_dims - lead) @ self._strides[:-1]
+        width = np.minimum(2 * budget + 1, L)
+        lo = np.where(width == L, 0, (x - budget) % L)
+        first = np.minimum(width, L - lo)   # the rest wraps to the start of the axis
+        starts = np.concatenate((base + lo, base))
+        lengths = np.concatenate((first, width - first))
+        keep = np.flatnonzero(lengths)
+        order = keep[np.argsort(starts[keep])]
+        return starts[order], lengths[order]
 
-    def _grid_ball(self, i: int, R: int) -> tuple[int, ...]:
-        # axis by axis: (row-major index of the coordinates so far, budget left);
-        # no recursive closure, which would tie the graph into a reference cycle
-        partial = [(0, R)]
-        for c, L in zip(self.site_coords(i), self.dims):
+    def _unclipped(self, i: int, R: int):
+        """The radius table's runs of a ball no face clips (starts less the site,
+        lengths), when every coordinate of site i is at least R from both faces
+        of its axis; else None."""
+        unclipped = self._offset_table(R)[3]
+        if unclipped is not None and all(R <= c < L - R
+                                         for c, L in zip(self.site_coords(i), self.dims)):
+            return unclipped
+        return None
+
+    def _leading_offsets(self, R: int):
+        """The offsets of the leading axes within L1 distance R, one row each in
+        lexicographic order; the shift each makes to a site's index; the
+        budget R - |offset| each leaves for the last axis; and, when every
+        axis is at least 2R + 1 long, the runs of a ball no face clips, as
+        read-only (starts less the site, lengths), else None.  A periodic axis
+        of length L takes the offsets from -((L - 1) // 2) to L // 2, one per
+        position."""
+        offsets = np.zeros((1, 0), dtype=np.int64)
+        cost = np.zeros(1, dtype=np.int64)
+        for L in self.dims[:-1]:
             if self.boundary == "periodic":
-                reach = min(R, L - 1)
-                axis = {(c + o) % L: min(abs(o), L - abs(o)) for o in range(-reach, reach + 1)}
+                axis = np.arange(-min(R, (L - 1) // 2), min(R, L // 2) + 1)
             else:
-                axis = {pos: abs(pos - c) for pos in range(max(0, c - R), min(L - 1, c + R) + 1)}
-            partial = [(base * L + pos, budget - d) for base, budget in partial
-                       for pos, d in axis.items() if d <= budget]
-        return tuple(sorted(base for base, _ in partial))
+                axis = np.arange(-min(R, L - 1), min(R, L - 1) + 1)
+            total = cost[:, None] + np.abs(axis)
+            row, col = np.nonzero(total <= R)
+            offsets = np.column_stack((offsets[row], axis[col]))
+            cost = total[row, col]
+        shift, budget = offsets @ self._strides[:-1], R - cost
+        unclipped = None
+        if min(self.dims) > 2 * R:
+            unclipped = (shift - budget, 2 * budget + 1)
+            for a in unclipped:
+                a.setflags(write=False)
+        return offsets, shift, budget, unclipped
+
+    def _unclipped_ball(self, R: int) -> np.ndarray:
+        """The members, less the site, of a ball of radius R no face clips; read-only."""
+        members = run_sites(*self._offset_table(R)[3])
+        members.setflags(write=False)
+        return members
+
+    def ball(self, i: int, r: float) -> tuple[int, ...]:
+        """Closed ball {j : d(i,j) <= r}, sorted. r is floored to the metric's integer scale."""
+        return tuple(self.ball_sites(i, r).tolist())
+
+    def ball_sites(self, i: int, r: float) -> np.ndarray:
+        """ball(i, r) as a sorted int64 array: when no face clips the ball, the
+        members of such a ball (kept for the last few radii) shifted to i, else
+        the members of its runs."""
+        if self.kind != "general" and 0 <= i < self.n_sites and r >= 0:
+            R = min(int(r), self._diameter)
+            if self._unclipped(i, R) is not None:
+                return i + self._unclipped_sites(R)
+        return run_sites(*self.runs(i, r))
+
+    def ball_size(self, i: int, r: float) -> int:
+        """|ball(i, r)|: the sum of the run lengths."""
+        return int(self.runs(i, r)[1].sum())
 
     # ---- locality function -----------------------------------------------------
 
@@ -223,7 +311,7 @@ class SiteGraph:
                 return 1 + 2 * min(r, (L - 1) // 2) + (1 if L % 2 == 0 and r >= L // 2 else 0)
             c = (L - 1) // 2
             return 1 + min(r, c) + min(r, L - 1 - c)
-        R = min(int(r), sum(L // 2 if periodic else L - 1 for L in self.dims))
+        R = min(int(r), self._diameter)
         m = np.arange(R + 1)
         counts = np.ones(1, dtype=np.int64)
         for L in self.dims:
@@ -238,6 +326,13 @@ class SiteGraph:
 
     def _max_bfs_ball(self, R: int) -> int:
         return max(len(self._bfs_distances(i, radius=R)) for i in range(self.n_sites))
+
+
+def run_sites(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The members of the runs (starts, lengths), run by run: start, start + 1, ..."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
 
 def chain(n_sites: int, boundary: str = "open") -> SiteGraph:
     return SiteGraph(kind="chain", n_sites=n_sites, boundary=boundary)

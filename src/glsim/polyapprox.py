@@ -123,7 +123,13 @@ def rounding_bound(p: Polynomial) -> float:
 
 
 def bessel_j_sequence(z: float, K: int) -> np.ndarray:
-    """J_0(z)..J_K(z) by backward (Miller) recurrence with sum normalization."""
+    """J_0(z)..J_K(z) by backward (Miller) recurrence with sum normalization.
+
+    Each step multiplies by 2m/|z| a value kept below 1e250, so it cannot
+    overflow while 2M/|z| <= 1e58.  Below that |z| (< 1e-55 or so) the
+    series' leading terms (|z|/2)^k / k! are used instead: the next terms
+    are smaller by a factor below |z|^2 / 4 < 1e-110, far under rounding.
+    """
     if K < 0:
         raise ValueError("K must be nonnegative")
     z = float(z)
@@ -133,17 +139,22 @@ def bessel_j_sequence(z: float, K: int) -> np.ndarray:
         return out
     az = abs(z)
     M = K + 20 + int(math.ceil(az))
-    vals = np.zeros(M + 2)
-    vals[M + 1] = 0.0
-    vals[M] = 1e-300
-    for m in range(M, 0, -1):
-        nxt = (2.0 * m / az) * vals[m] - vals[m + 1]
-        vals[m - 1] = nxt
-        if abs(nxt) > 1e250:
-            vals *= 1e-250
-    norm = vals[0] + 2.0 * vals[2:M + 1:2].sum()
-    vals = vals / norm
-    out = vals[:K + 1].copy()
+    if 2.0 * M / az > 1e58:
+        out = np.ones(K + 1)
+        for k in range(1, K + 1):
+            out[k] = out[k - 1] * (az / 2.0) / k
+    else:
+        vals = np.zeros(M + 2)
+        vals[M + 1] = 0.0
+        vals[M] = 1e-300
+        for m in range(M, 0, -1):
+            nxt = (2.0 * m / az) * vals[m] - vals[m + 1]
+            vals[m - 1] = nxt
+            if abs(nxt) > 1e250:
+                vals *= 1e-250
+        norm = vals[0] + 2.0 * vals[2:M + 1:2].sum()
+        vals = vals / norm
+        out = vals[:K + 1].copy()
     if z < 0.0:
         out[1::2] *= -1.0
     return out

@@ -22,7 +22,9 @@ import numpy as np
 from .access import (LocalMatrixOracle, OracleInconsistencyError,
                      PreconditionError, VectorOracle, rng_stream,
                      scale_matrix_oracle)
-from .lightcone import _chunk_size, entries_of_poly_apply, poly_apply_query_oracle
+from .lattice import run_sites
+from .lightcone import (SiteMemo, _chunk_size, entries_of_poly_apply,
+                        poly_apply_query_oracle)
 from .polyapprox import exp_poly
 
 _DEFAULT_CHUNK = 512
@@ -66,8 +68,18 @@ def lightcone_oversampler(A: LocalMatrixOracle, d: int, psi: VectorOracle,
                           norm_bound_P: float) -> OversamplerHandle:
     """The ball-smeared law p_i = sum_{j in ball(i, d r0)} |psi_j|^2 / |ball(j, d r0)|.
 
-    Drawing: sample j ~ psi, then a uniform member of ball(j, d r0).  Because
-    ball membership is symmetric, this is exactly the stated mass function.
+    Drawing: sample j ~ psi, then a uniform member of ball(j, d r0), as an
+    array from SiteGraph.ball_sites.  Because ball membership is
+    symmetric, this is exactly the stated mass function, summed over the
+    sites of psi's table: a mass finds those inside ball(i, d r0) with one
+    searchsorted per run edge and adds their weights |psi_j|^2 / ||psi||^2 /
+    |ball(j, d r0)| from 0.0 in increasing j, with no Python loop over the
+    ball.  A weight is computed once, in Python float arithmetic, for the
+    table sites a mass meets first, with one query of psi at each, so psi is
+    queried only at its table sites near the tested trials and set-up reads
+    none of the table.  A site off the table is never drawn and adds
+    nothing; with zeta > 0 that includes a donor whose mass fell to exactly
+    0 (see access._sq_oracle).
     phi = norm_bound_P^2 * N(d r0) oversamples P(A)psi whenever
     ||P(A)|| <= norm_bound_P.
     """
@@ -78,7 +90,14 @@ def lightcone_oversampler(A: LocalMatrixOracle, d: int, psi: VectorOracle,
     graph = A.graph
     radius = d * A.r0
     nrm2 = psi.norm() ** 2
-    psi_mass = cache(lambda j: abs(psi.query(j)) ** 2 / nrm2)
+    support = psi.support
+
+    def weights(sites: np.ndarray) -> np.ndarray:
+        vals = psi.query_many(sites).tolist()
+        return np.array([[abs(q) ** 2 / nrm2 / graph.ball_size(j, radius)]
+                         for q, j in zip(vals, sites.tolist())])
+
+    weight = SiteMemo(weights, 1)   # at psi's table sites
 
     def draw_many_fn(rng: np.random.Generator, count: int) -> np.ndarray:
         js = psi.sample_many(rng, count)
@@ -87,17 +106,17 @@ def lightcone_oversampler(A: LocalMatrixOracle, d: int, psi: VectorOracle,
         order = np.argsort(js)  # one group of draws per distinct j
         for group in np.split(order, np.flatnonzero(np.diff(js[order])) + 1):
             if group.size:
-                ball = np.asarray(graph.ball(int(js[group[0]]), radius), dtype=np.int64)
+                ball = graph.ball_sites(int(js[group[0]]), radius)
                 out[group] = ball[(u[group] * ball.size).astype(np.int64)]
         return out
 
     def mass_fn(i: int) -> float:
-        total = 0.0
-        for j in graph.ball(i, radius):
-            mass = psi_mass(j)
-            if mass:  # a skipped term is +0.0, so the sum is unchanged
-                total += mass / len(graph.ball(j, radius))
-        return total
+        starts, lengths = graph.runs(i, radius)
+        lo, hi = np.searchsorted(support, (starts, starts + lengths))
+        sites = support[run_sites(lo, hi - lo)]
+        if not sites.size:
+            return 0.0
+        return float(np.cumsum(weight.at(sites)[:, 0].real)[-1])   # in order, from 0.0
 
     phi = float(norm_bound_P) ** 2 * graph.locality_function(radius)
     return OversamplerHandle(dimension=A.dimension, draw_many_fn=draw_many_fn,
@@ -215,13 +234,14 @@ class EvolvedSampler:
     trial tests; w is held once, as |w|^2 (self.w, query access to w, has its
     own memo, which no draw reads).  The draws are those of the public
     rejection_sample, which computes |u|^2 strictly per tested trial, since
-    every entry is bit-identical to a one-site query.
+    every entry is bit-identical to a one-site query.  The oversampler
+    (lightcone_oversampler) reads psi only at its table sites near the tested
+    trials, so set-up does no work over psi's table.
 
     The trial loop reads one site at a time, so its memo stays a dict: on a
     1024 x 1024 grid a sorted-array memo of |w|^2 and the oversampler masses,
     testing trials chunk by chunk, slowed cold first draws from 13-52 ms to
-    16-126 ms, and a numpy gather behind psi's one-site queries slowed the
-    first round of draws from 0.025-0.027 s to 0.033-0.034 s.
+    16-126 ms.
     """
 
     def __init__(self, A: LocalMatrixOracle, t: float, psi: VectorOracle,

@@ -184,6 +184,16 @@ FOUR_MASS_ENERGY_CFG = {
 }
 
 
+SAMPLE_CFG = {
+    "matrix": {"kind": "tridiagonal", "n": 16, "i_times": True},
+    "t": 0.4,
+    "psi": {"kind": "point", "site": 8},
+    "eps": 0.1,
+    "alpha_min": 0.9,
+    "delta": 0.1,
+}
+
+
 @pytest.mark.parametrize("scenario,cfg,files", [
     ("estimate", dict(ESTIMATE_CFG, matrix={"kind": "tridiagonal", "n": 8},
                       u={"kind": "point", "site": 9}), None),
@@ -214,6 +224,12 @@ FOUR_MASS_ENERGY_CFG = {
     ("oscillator", dict(FOUR_MASS_OSCILLATOR_CFG, state=FOUR_MASS_ENERGY_CFG["state"],
                         system=dict(FOUR_MASS_OSCILLATOR_CFG["system"],
                                     springs=[[0.6, 1, 1.0], [2, 3, 1.0]])), None),
+    ("sample", dict(SAMPLE_CFG, matrix={"kind": "tridiagonal", "n": 2 ** 40, "i_times": True},
+                    psi={"kind": "uniform"}), None),
+    ("sample", dict(SAMPLE_CFG, matrix={"kind": "tridiagonal", "n": 16, "i_times": True,
+                                        "offdiag": 2.0 ** 40}), None),
+    ("sample", dict(SAMPLE_CFG, matrix={"kind": "random_local", "anti": True,
+                                        "graph": {"kind": "chain", "n_sites": 2 ** 20}}), None),
 ], ids=["point-site-out-of-range", "grid-n-sites-contradicts-dims",
         "state-negative-site", "state-duplicate-site", "state-short-row",
         "state-file-missing", "state-x-xdot-lengths-differ",
@@ -221,7 +237,9 @@ FOUR_MASS_ENERGY_CFG = {
         "embed-gate-beyond-n", "embed-unknown-gate", "embed-circuit-file-missing",
         "sparse-vector-without-entries", "monomial-poly-without-coefficients",
         "graph-without-n-sites", "system-file-without-masses-and-springs",
-        "schrodinger-without-a", "system-spring-site-not-an-integer"])
+        "schrodinger-without-a", "system-spring-site-not-an-integer",
+        "sample-dense-psi-beyond-memory", "sample-degree-beyond-memory",
+        "random-local-beyond-the-dense-cap"])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, scenario, cfg,
                                            files):
     for key, text in (files or {}).items():
@@ -284,14 +302,84 @@ def test_malformed_system_blocks_exit_with_a_documented_code(system):
         assert main(["energy", "--config", path, "--out", out]) in (0, 1, 2, 4)
 
 
-SAMPLE_CFG = {
-    "matrix": {"kind": "tridiagonal", "n": 16, "i_times": True},
-    "t": 0.4,
-    "psi": {"kind": "point", "site": 8},
-    "eps": 0.1,
-    "alpha_min": 0.9,
-    "delta": 0.1,
+def test_huge_masses_give_a_degree_zero_energy_run(tmp_path):
+    """Masses of 1e300 make alpha t about 1e-300; exp_poly once overflowed there (exit 4)."""
+    system = dict(FOUR_MASS_ENERGY_CFG["system"], masses=[1e300] * 4)
+    path = _write_config(tmp_path, "energy.json", dict(FOUR_MASS_ENERGY_CFG, system=system))
+    assert main(["energy", "--config", path, "--out", str(tmp_path)]) == 0
+    assert _read_report(tmp_path, "energy_report.json")["outputs"]["points"][0]["value_re"] == 1.0
+
+
+# sizes are small, or far too large for any memory (2^40 dense entries), never
+# in between, where a dense vector or matrix would fill the machine
+_BIG = 2 ** 40
+_VECTOR_BASES = {
+    "point": {"kind": "point", "site": 8},
+    "uniform": {"kind": "uniform"},
+    "inline": {"kind": "inline", "values": [0.25] * 16},
+    "sparse": {"kind": "sparse", "entries": {"3": 0.6, "8": [0.0, 0.8]}},
+    "random": {"kind": "random", "seed_key": 1, "floor": 0.1},
 }
+_VECTOR_FLAWS = {
+    "kind": st.sampled_from(sorted(_VECTOR_BASES) + ["bogus"]),
+    "site": st.sampled_from([16, _BIG, -1, 0.5, "8"]),
+    "values": st.sampled_from([[], [0.25] * 15, [0.0] * 16, [1e300] * 16, [1e-300] * 16,
+                               [[0.25, 0.0]] * 16, ["x"] * 16]),
+    "entries": st.sampled_from([{}, {"16": 1.0}, {"9" * 20: 1.0}, {"-1": 1.0},
+                                {"3": 0.0}, {"3": 1e300, "4": 1e300}]),
+    "seed_key": st.sampled_from([-1, 0.5]),
+    "floor": st.sampled_from([1e300, -1.0]),
+}
+_MATRIX_BASES = {
+    "tridiagonal": {"kind": "tridiagonal", "n": 16, "i_times": True},
+    "laplacian": {"kind": "laplacian", "graph": {"kind": "grid", "dims": [4, 4]}},
+    "random_local": {"kind": "random_local", "anti": True,
+                     "graph": {"kind": "chain", "n_sites": 16, "boundary": "periodic"}},
+}
+_MATRIX_FLAWS = {
+    "kind": st.sampled_from(sorted(_MATRIX_BASES) + ["bogus"]),
+    "n": st.sampled_from([0, 1, _BIG]),
+    "diag": st.sampled_from([2.5, 1e300, float(_BIG)]),
+    "offdiag": st.sampled_from([0.0, -1.0, 1e300, float(_BIG)]),
+    "i_times": st.just(False),
+    "anti": st.just(False),
+    "r0": st.sampled_from([0, 2]),
+    "graph": st.sampled_from([
+        {"kind": "bogus"}, {"kind": "chain"}, {"kind": "chain", "n_sites": 0},
+        {"kind": "chain", "n_sites": _BIG}, {"kind": "chain", "n_sites": 16, "boundary": "x"},
+        {"kind": "grid", "dims": [4, 0]}, {"kind": "grid", "dims": [4, 4], "n_sites": 15},
+        {"kind": "grid", "dims": [_BIG, _BIG]}, {"kind": "grid", "dims": []},
+        {"kind": "general", "n_sites": 16}, {"kind": "general", "n_sites": 16, "bonds": [[0, 16]]},
+        {"kind": "general", "n_sites": 16, "bonds": [[0, -1]]},
+        {"kind": "general", "n_sites": 4, "bonds": [[0, 1], [1, 2], [2, 2]]}]),
+}
+
+
+@st.composite
+def _flawed_block(draw, bases, flaws):
+    """A valid block of a drawn kind, then one to three of its fields set to an
+    out-of-range, fractional, negative, huge, mistyped or contradicting value."""
+    block = dict(bases[draw(st.sampled_from(sorted(bases)))])
+    for key in draw(st.lists(st.sampled_from(sorted(flaws)), unique=True, min_size=1,
+                             max_size=3)):
+        block[key] = draw(flaws[key])
+    return block
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(psi=st.one_of(st.none(), _flawed_block(_VECTOR_BASES, _VECTOR_FLAWS)),
+       matrix=st.one_of(st.none(), _flawed_block(_MATRIX_BASES, _MATRIX_FLAWS)))
+def test_malformed_sample_blocks_exit_with_a_documented_code(psi, matrix):
+    """Every psi vector block and matrix block of the sample config gives exit 0, 1,
+    2 or 4 and no exception escapes main."""
+    cfg = dict(SAMPLE_CFG, count=3)
+    cfg.update({key: block for key, block in (("psi", psi), ("matrix", matrix))
+                if block is not None})
+    with tempfile.TemporaryDirectory() as out:
+        path = f"{out}/sample.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["sample", "--config", path, "--out", out]) in (0, 1, 2, 4)
 
 
 @pytest.mark.parametrize("scenario,cfg,literal", [

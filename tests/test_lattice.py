@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glsim import SiteGraph, chain, general, grid
+from glsim.lattice import run_sites
+
+from small_graphs import small_graphs
 
 
 # =====================================================================
@@ -99,6 +102,60 @@ def test_chain_is_a_one_axis_grid_with_the_closed_form_balls(boundary):
                 else:
                     expected = tuple(sorted((i + o) % n for o in range(-r, r + 1)))
                 assert g.ball(i, r) == expected
+
+
+def _brute_balls(g) -> np.ndarray:
+    """The L1/BFS distance table d[i, j] of a small graph, from distances()."""
+    i, j = np.divmod(np.arange(g.n_sites ** 2), g.n_sites)
+    return g.distances(i, j).reshape(g.n_sites, g.n_sites)
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(g=small_graphs())
+def test_runs_and_ball_are_the_brute_force_ball(g):
+    """At every site and radius up to past the diameter: runs() are int64, sorted,
+    disjoint, nonempty and cover exactly {j : d(i, j) <= r}; ball() and
+    ball_sites() are that set as a sorted tuple of ints and an int64 array,
+    ball_size() its size."""
+    dist = _brute_balls(g)
+    top = int(dist[dist <= g.n_sites].max()) + 2
+    for r in range(top):
+        for i in range(g.n_sites):
+            expected = np.flatnonzero(dist[i] <= r).tolist()
+            starts, lengths = g.runs(i, r)
+            assert starts.dtype == lengths.dtype == np.int64
+            assert np.all(lengths > 0)
+            assert np.all(starts[1:] > starts[:-1] + lengths[:-1] - 1)
+            assert run_sites(starts, lengths).tolist() == expected
+            ball = g.ball(i, r)
+            assert ball == tuple(expected) and all(type(j) is int for j in ball)
+            sites = g.ball_sites(i, r)
+            assert sites.dtype == np.int64 and sites.tolist() == expected
+            assert g.ball_size(i, r) == len(expected)
+
+
+def test_a_wrapped_run_splits_and_a_whole_axis_run_stays_one():
+    """Periodic 2 x 5 grid: from site 0 at r = 1 the last axis wraps, so the site's
+    row holds two runs, (0, 1) and (4); from site 1 at r = 2 the row's run covers
+    the whole axis and stays one run, (0..4), beside the other row's (5..7)."""
+    g = grid([2, 5], "periodic")
+    assert [x.tolist() for x in g.runs(0, 1)] == [[0, 4, 5], [2, 1, 1]]
+    assert [x.tolist() for x in g.runs(1, 2)] == [[0, 5], [5, 3]]
+
+
+def test_runs_need_no_per_site_cache():
+    """A 2^40-site grid answers runs and ball_size at r = 10 with no per-site ball
+    cache: an interior site shifts the radius table's runs, whose lengths array
+    is shared and read-only."""
+    g = grid([2 ** 20, 2 ** 20])
+    centre = (2 ** 19) * 2 ** 20 + 2 ** 19
+    starts, lengths = g.runs(centre, 10)
+    assert starts.size == 21 and lengths.sum() == 221 == g.ball_size(centre + 7, 10)
+    assert starts[10] == centre - 10 and lengths[10] == 21
+    assert g.ball_size(0, 10) == 66
+    assert g._cached_ball.cache_info().currsize == 0
+    with pytest.raises(ValueError):
+        lengths[0] = 5
 
 
 def test_balls_nest_with_radius():

@@ -70,9 +70,28 @@ def test_bessel_sequence_matches_integral_form(z):
         assert abs(seq[k] - _bessel_reference(z, k)) <= 1e-10
 
 
+@pytest.mark.parametrize("z", [1e-55, -1e-60, 1e-100, 1e-200, 1e-320])
+def test_bessel_sequence_at_tiny_argument_is_the_leading_series_term(z):
+    """Where a Miller step could overflow, J_k(z) = (z/2)^k / k! to rounding, finite."""
+    seq = bessel_j_sequence(z, 6)
+    expected = [(z / 2.0) ** k / math.factorial(k) for k in range(7)]
+    assert np.all(np.isfinite(seq))
+    assert seq[0] == 1.0
+    assert np.allclose(seq, expected, rtol=1e-14, atol=0.0)
+
+
 # =====================================================================
 # the exponential approximant
 # =====================================================================
+
+
+def test_exp_poly_at_tiny_alpha_t_is_degree_zero():
+    """alpha t = 1e-200 once overflowed the Bessel recurrence (NumericalCheckError)."""
+    for t in (1e-60, 1e-100, 1e-200):
+        p = exp_poly(1.0, t, 0.05)
+        assert p.degree == 0
+        assert p.coefficients == (1.0,)
+        assert p.sup_bound == 1.0
 
 
 def test_exp_poly_at_t_zero_is_one():

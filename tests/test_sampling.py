@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsim import (DenseMatrix, EvolvedSampler, OversamplerHandle,
                    PreconditionError, SiteGraph, chain, dense_evolve,
                    dense_from_oracle, dense_poly_apply, exp_poly, grid,
                    lightcone_oversampler, local_matrix_from_rows,
-                   rejection_sample, rng_stream, sparse_vector_oracle,
+                   VectorOracle, rejection_sample, rng_stream, sparse_vector_oracle,
                    sq_access_from_dense, tv_error_bound)
 from glsim.access import random_local_pair
 
 from dense_rows import dense_rows
+from small_graphs import small_graphs
 
 
 def _unit(rng, n: int) -> np.ndarray:
@@ -189,22 +192,126 @@ def test_point_state_smears_uniformly_over_ball():
 
 
 def test_oversampler_mass_builds_balls_only_around_psi(monkeypatch):
-    """A point psi on a 64x64 grid at d = 5: a mass query builds ball(i) and the one
-    ball around psi's site, not a ball around each of the 61 sites of ball(i)."""
+    """A point psi on a 64x64 grid at d = 5: a mass query takes the runs of ball(i),
+    the ball size at psi's one table site, and reads psi once, there; it builds no
+    Python ball.  A second mass query takes only its own runs."""
     side, d = 64, 5
     centre = (side // 2) * side + side // 2
     a = local_matrix_from_rows(grid([side, side]), 1, lambda i: [(i, 1j)],
                                norm_bound=1.0, anti_hermitian=True)
     psi = sparse_vector_oracle(side * side, {centre: 1.0})
     handle = lightcone_oversampler(a, d, psi, norm_bound_P=1.0)
-    ball_calls = []
-    real_ball = SiteGraph.ball
-    monkeypatch.setattr(SiteGraph, "ball",
-                        lambda self, i, r: ball_calls.append(i) or real_ball(self, i, r))
+    calls = []
+    real_runs = SiteGraph.runs
+    monkeypatch.setattr(SiteGraph, "ball", lambda self, i, r: calls.append(("ball", i)))
+    monkeypatch.setattr(SiteGraph, "runs",
+                        lambda self, i, r: calls.append(("runs", i)) or real_runs(self, i, r))
     mass = handle.mass_query(centre + 2)
-    assert ball_calls == [centre + 2, centre]
-    assert psi.cost.snapshot()["queries"] == 61
+    assert calls == [("runs", centre + 2), ("runs", centre)]
+    assert psi.cost.snapshot()["queries"] == 1
     assert mass == 1.0 / 61
+    assert handle.mass_query(centre - side) == 1.0 / 61
+    assert calls[2:] == [("runs", centre - side)]
+    assert psi.cost.snapshot()["queries"] == 1
+
+
+def test_dense_psi_mass_reads_psi_only_inside_the_ball(monkeypatch):
+    """A dense psi on a 1024 x 1024 grid at d r0 = 10: set-up reads nothing of psi;
+    a mass query takes the runs of ball(i) and the ball sizes of its 221 table
+    sites, reads psi at those 221 sites in one query_many and builds no Python
+    ball; the next site's mass reads psi only at the 21 sites new to it."""
+    side = 1024
+    a = local_matrix_from_rows(grid([side, side]), 1, lambda i: [(i, 1j)],
+                               norm_bound=1.0, anti_hermitian=True)
+    psi = sq_access_from_dense(np.full(side * side, 1.0 / side))
+    handle = lightcone_oversampler(a, 10, psi, norm_bound_P=1.0)
+    assert psi.cost.snapshot() == {"queries": 0, "samples": 0, "norm_reads": 1}
+    calls = []
+    real_runs, real_many = SiteGraph.runs, VectorOracle.query_many
+    monkeypatch.setattr(SiteGraph, "ball", lambda self, i, r: calls.append("ball"))
+    monkeypatch.setattr(SiteGraph, "runs",
+                        lambda self, i, r: calls.append("runs") or real_runs(self, i, r))
+    monkeypatch.setattr(VectorOracle, "query_many",
+                        lambda self, s: calls.append(len(s)) or real_many(self, s))
+    centre = 500 * side + 500
+    mass = handle.mass_query(centre)
+    assert calls == ["runs", 221] + ["runs"] * 221
+    assert psi.cost.snapshot()["queries"] == 221
+    assert mass == pytest.approx(1.0 / side ** 2, rel=1e-12)
+    del calls[:]
+    handle.mass_query(centre + 1)
+    assert calls == ["runs", 21] + ["runs"] * 21
+    assert psi.cost.snapshot()["queries"] == 242
+
+
+def _reference_masses(dist: np.ndarray, radius: int, psi, sites=None) -> list:
+    """The oversampler masses by their first definition, as floats: for each i,
+    0.0 plus, in increasing j over {j : d(i, j) <= radius} (and in sites, if
+    given), |psi_j|^2 / ||psi||^2 / |{k : d(j, k) <= radius}| wherever that
+    term is nonzero."""
+    nrm2 = psi.norm() ** 2
+    inside = dist <= radius
+    out = []
+    for i in range(dist.shape[0]):
+        total = 0.0
+        for j in np.flatnonzero(inside[i]).tolist():
+            mass = abs(psi.query(j)) ** 2 / nrm2
+            if mass and (sites is None or j in sites):
+                total += mass / int(inside[j].sum())
+        out.append(total)
+    return out
+
+
+@st.composite
+def _oversampler_cases(draw):
+    """A small graph (small_graphs), a radius 0-3, and a point, a dense or a
+    zeta > 0 dense psi."""
+    graph = draw(small_graphs())
+    n = graph.n_sites
+    kind = draw(st.sampled_from(["point", "dense", "zeta"] if n > 1 else ["point", "dense"]))
+    seed = draw(st.integers(0, 2 ** 16))
+    if kind == "point":
+        psi = sparse_vector_oracle(n, {draw(st.integers(0, n - 1)): 1.0})
+    else:
+        psi = sq_access_from_dense(_unit(np.random.default_rng(seed), n),
+                                   zeta=1e-3 if kind == "zeta" else 0.0)
+    return graph, draw(st.integers(0, 3)), psi, seed
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(case=_oversampler_cases())
+def test_oversampler_is_bitwise_its_first_definition(case):
+    """Every mass equals _reference_masses bit for bit, and draw_many gives, draw
+    for draw, the member floor(u |ball(j)|) of the sorted brute-force ball of
+    the drawn psi site j, with u the stream's next uniform."""
+    graph, radius, psi, seed = case
+    i, j = np.divmod(np.arange(graph.n_sites ** 2), graph.n_sites)
+    dist = graph.distances(i, j).reshape(graph.n_sites, graph.n_sites)
+    a = local_matrix_from_rows(graph, 1, lambda i: [(i, 1j)], norm_bound=1.0,
+                               anti_hermitian=True)
+    handle = lightcone_oversampler(a, radius, psi, norm_bound_P=1.0)
+    masses = [handle.mass_query(i) for i in range(graph.n_sites)]
+    assert masses == _reference_masses(dist, radius, psi)
+    draws = handle.draw_many(rng_stream(seed, 1), 300)
+    ref = rng_stream(seed, 1)
+    js, us = psi.sample_many(ref, 300).tolist(), ref.random(300).tolist()
+    balls = [np.flatnonzero(row <= radius) for row in dist]
+    assert draws.tolist() == [int(balls[j][int(u * balls[j].size)]) for j, u in zip(js, us)]
+
+
+def test_a_zeta_donor_left_at_zero_mass_leaves_the_table_and_the_masses():
+    """The one place the masses leave their first definition: zeta equal to the
+    donor's mass takes site 0 out of psi's table, so psi never draws it, and a
+    mass sums over table sites only, leaving out site 0's term."""
+    psi = sq_access_from_dense([0.5, 0.5, 0.5, 0.5], zeta=0.25)
+    assert psi.support.tolist() == [1, 2, 3] and psi.masses.tolist() == [0.5, 0.25, 0.25]
+    a = _antihermitian_shift(4)
+    handle = lightcone_oversampler(a, 1, psi, norm_bound_P=1.0)
+    dist = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    masses = [handle.mass_query(i) for i in range(4)]
+    assert masses == _reference_masses(dist, 1, psi, sites={1, 2, 3})
+    assert masses[0] == 0.25 / 3 and masses[0] != _reference_masses(dist, 1, psi)[0]
+    assert 0 not in psi.sample_many(rng_stream(5, 0), 1000).tolist()
 
 
 def test_grouped_draws_match_the_per_draw_definition():
