@@ -29,7 +29,8 @@ from .lightcone import entry_of_poly_apply, poly_apply_query_oracle, row_power
 from .oracle import (DenseMatrix, dense_evolve, dense_from_oracle,
                      dense_poly_apply, dense_poly_matrix, spectral_norm)
 from .oscillators import (OscillatorState, OscillatorSystem, build_system,
-                          estimate_energy, estimate_observable, psi0, total_energy)
+                          estimate_energy, estimate_observable, pair_slots, psi0,
+                          total_energy)
 from .pde import (advection_hamiltonian, graph_laplacian_oracle,
                   schrodinger_hamiltonian, wave_to_oscillators)
 from .polyapprox import Polynomial, exp_poly, parity_split
@@ -284,12 +285,20 @@ def _random_oscillator(seed_key: tuple, n: int):
     return rng, sys, state
 
 
+def _all_springs(sys: OscillatorSystem):
+    """(sites, others, kappas): every site's springs, read at once."""
+    sites = np.arange(sys.n_sites)
+    indptr, others, kappas = sys.springs(sites)
+    return np.repeat(sites, np.diff(indptr)), others, kappas
+
+
 def _dense_b(sys: OscillatorSystem) -> np.ndarray:
-    """B, read off the spring table: sqrt(kappa / m_i) at (i, slot), negated where i > j."""
+    """B, read off the springs: sqrt(kappa / m_i) at (i, slot), negated where i > j."""
     n = sys.n_sites
+    sites, others, kappas = _all_springs(sys)
     b = np.zeros((n, sys.extended_dim - n))
-    root = np.sqrt(sys.kappas / sys.masses[sys.sites])
-    b[sys.sites, sys.slots - n] = np.where(sys.sites <= sys.others, root, -root)
+    root = np.sqrt(kappas / sys.masses[sites])
+    b[sites, pair_slots(sites, others, n) - n] = np.where(sites <= others, root, -root)
     return b
 
 
@@ -375,7 +384,9 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     full_ok = True
     full_worst = 0.0
-    all_springs = list(zip(*sys.pairs[:2]))
+    sites, others, _ = _all_springs(sys)
+    once = sites <= others
+    all_springs = list(zip(sites[once].tolist(), others[once].tolist()))
     for ti, t in enumerate((0.8, 2.1)):
         for r in range(3):
             est = estimate_energy(sys, state, range(n), all_springs, t, eps,

@@ -242,12 +242,26 @@ def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray, query_fn,
     The norm is taken over vals, then mass zeta moves from the heaviest entry
     (lowest site on ties) to the lightest nonzero entry other than the donor
     (again lowest on ties).  Sites left with zero mass stay out of the table,
-    so they are never drawn.
+    so they are never drawn.  Where the squared norm overflows or falls below
+    the normal floats, the norm and masses are taken over vals / max|vals|,
+    so entries near either end of the float range keep their table.
     """
-    nrm = float(np.linalg.norm(vals))
-    if nrm == 0.0:
-        raise PreconditionError("cannot build sq-access to the zero vector")
-    masses = np.abs(vals) ** 2 / (nrm * nrm)
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = float(np.linalg.norm(vals))
+    if np.finfo(np.float64).tiny <= nrm * nrm < math.inf:
+        masses = np.abs(vals) ** 2 / (nrm * nrm)
+    else:
+        top = float(np.abs(vals).max(initial=0.0))
+        if top == 0.0:
+            raise PreconditionError("cannot build sq-access to the zero vector")
+        if not top < math.inf:
+            raise ValueError("vector entries must be finite")
+        squares = (np.abs(vals) / top) ** 2
+        total = float(squares.sum())
+        nrm = top * math.sqrt(total)
+        if nrm == math.inf:
+            raise PreconditionError(f"vector norm {top:.3g} * {math.sqrt(total):.3g} overflows")
+        masses = squares / total
     zeta = float(zeta)
     if not (0 <= zeta < 1):
         raise PreconditionError("zeta must lie in [0, 1)")
@@ -384,12 +398,18 @@ class LocalMatrixOracle:
         vals = np.asarray(vals, dtype=np.complex128)
         if cols.size > 1 and np.less_equal(cols[1:], cols[:-1]).any():
             # the columns step down or repeat somewhere: between rows, or inside one
-            owner = np.repeat(np.arange(sites.size), indptr[1:] - indptr[:-1])
-            same = owner[1:] == owner[:-1]
-            if (np.less(cols[1:], cols[:-1]) & same).any():
-                order = np.lexsort((cols, owner))
-                cols, vals = cols[order], vals[order]
-            ok = not (np.equal(cols[1:], cols[:-1]) & same).any() and cols.view(np.uint64).max() < n
+            same = np.ones(cols.size - 1, dtype=bool)   # entries k, k + 1 in one row
+            starts = indptr[1:-1]
+            same[starts[(starts > 0) & (starts < cols.size)] - 1] = False
+            if (np.less_equal(cols[1:], cols[:-1]) & same).any():
+                if (np.less(cols[1:], cols[:-1]) & same).any():
+                    owner = np.repeat(np.arange(sites.size), indptr[1:] - indptr[:-1])
+                    order = np.lexsort((cols, owner))
+                    cols, vals = cols[order], vals[order]
+                ok = not (np.equal(cols[1:], cols[:-1]) & same).any()
+            else:   # each row increases: in range if its ends are
+                ok = True
+            ok = ok and cols.view(np.uint64).max() < n
         else:   # increasing throughout: in range if its ends are
             ok = cols.size == 0 or 0 <= cols[0] and cols[-1] < n
         if not ok or self.check_locality:

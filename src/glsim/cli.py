@@ -170,7 +170,9 @@ _CIRCUIT = {
     "properties": {
         "n": {"type": "integer", "minimum": 1},
         "gates": {"type": "array", "items": {
-            "type": "array", "minItems": 2, "maxItems": 2}},
+            "type": "array", "minItems": 2, "maxItems": 2,
+            "prefixItems": [{"type": "string"},
+                            {"type": "array", "items": {"type": "integer", "minimum": 0}}]}},
     },
     "required": ["n", "gates"],
     "additionalProperties": False,
@@ -423,10 +425,7 @@ def build_circuit(cfg: dict) -> ReversibleCircuit:
         raise ConfigError("embed needs circuit or circuit_file")
     spec = cfg["circuit"]
     gates = []
-    for row in spec["gates"]:
-        kind, qubits = row
-        if not isinstance(kind, str) or not isinstance(qubits, list):
-            raise ConfigError(f"gate rows are [name, [qubits]]; got {row!r}")
+    for kind, qubits in spec["gates"]:   # rows are [name, [qubits]] by the schema
         gates.append(Gate(kind.upper(), tuple(int(q) for q in qubits)))
     return ReversibleCircuit(n=int(spec["n"]), gates=tuple(gates))
 

@@ -19,23 +19,25 @@ remove all extended-space polynomial work.  The kernel
 (lightcone.window_entries) takes a pipeline's site-space vectors at each
 chunk's window as arrays and returns every polynomial's entries at its sites.
 
-The springs are kept once, as one table sorted by (site, other site): row k
-is a spring of stiffness kappas[k] > 0 seen from sites[k] towards others[k],
-listed from both ends, or once for a wall spring (i, i).  Beside it sits one
-column of pair slots, slots[k] = pair_index(min, max of the two sites).  A
-site's row of B is a slice of the table, so B w at an array of sites sums
-each site's slice in table order (OscillatorSystem.b); the columns of B are
-the table rows with i <= j, which lie in slot order, so B^T z at an array of
-slots is a gather over them (OscillatorSystem.bdag), and E and psi(0) are
-array expressions over those rows.  A block of A's rows is built from the
-same slices (OscillatorSystem.a_oracle); no second table is kept.  The
-estimators keep their per-site blocks in lightcone.SiteMemo.
+A system reads its springs through one block source, springs(sites), which
+gives each asked site's springs, increasing in the other site, a wall spring
+(i, i) among them (OscillatorSystem).  build_system keeps explicit springs
+as one table sorted by (site, other) and slices it; the wave front-end
+(pde.wave_to_oscillators) reads them off the Laplacian's rows on demand and
+keeps no table.  B w at an array of sites sums each site's springs in order
+(OscillatorSystem.b); a pair slot decodes in arithmetic to its ends (i, j),
+and B^T z at an array of slots reads the springs at the lower ends once
+(OscillatorSystem.at_slots, SlotSprings.bdag).  A block of A's rows is
+built from the same springs, or read from the system's own A source
+(OscillatorSystem.a_oracle).  The estimators keep their per-site blocks in
+lightcone.SiteMemo.
 
 An OscillatorState is immutable, so it is embedded once per system: E, the
 scaled vectors s sqrt(M) xdot and s sqrt(M) x (s = 1/sqrt(2E)) and psi(0)'s
-checked sq-oracle come from one O(N) pass, kept on the state for the last
-system it was embedded for, and total_energy, psi0 and both estimators, at
-every time, read that pass.
+checked sq-oracle come from one pass over the state's support (the springs
+are read only where x != 0), kept on the state for the last system it was
+embedded for, and total_energy, psi0 and both estimators, at every time,
+read that pass.
 
 The degree of the exponential approximation obeys
 d_exp <= c1 * |t| * sqrt(N(r0) kappa_max / m_min) + c2 * ln(1/eps) + c3
@@ -50,6 +52,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -76,8 +79,29 @@ def pair_index(i: int, j: int, n: int) -> int:
     return n + _pair_offset(i, n) + (j - i)
 
 
+def pair_slots(i, j, n: int) -> np.ndarray:
+    """pair_index of each pair (i[k], j[k]), given in either order, as an array."""
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    return n + _pair_offset(np.minimum(i, j), n) + np.abs(i - j)
+
+
 def extended_dimension(n: int) -> int:
     return n + (n * (n + 1)) // 2
+
+
+def _pair_ends(slots: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of each pair slot, i <= j: the inverse of pair_index, in arithmetic.
+
+    r, the number of pair slots after a slot, lies in [T(k), T(k + 1)) for
+    k = n - 1 - i and T(k) = k (k + 1) / 2; the float root is exact to well
+    under one, and one step each way corrects it.
+    """
+    r = (n * (n + 1)) // 2 - 1 - (slots - n)
+    k = ((np.sqrt(8.0 * r + 1.0) - 1.0) // 2.0).astype(np.int64)
+    k -= (k * (k + 1)) // 2 > r
+    k += ((k + 1) * (k + 2)) // 2 <= r
+    i = n - 1 - k
+    return i, slots - n - _pair_offset(i, n) + i
 
 
 # =====================================================================
@@ -87,19 +111,23 @@ def extended_dimension(n: int) -> int:
 
 @dataclass
 class OscillatorSystem:
-    """Masses, the spring table (sites, others, kappas), and the local operators read from it."""
+    """Masses, a spring source, and the local operators read through it.
+
+    springs(sites) -> (indptr, others, kappas) is each site's springs as one
+    CSR block: the springs of sites[k] go to others[indptr[k]:indptr[k + 1]],
+    increasing, with stiffnesses kappas[indptr[k]:indptr[k + 1]] > 0, and a
+    wall spring has other == site.  A spring (i, j) is seen from both ends,
+    with one kappa.  a_norm_bound upper-bounds ||A|| = ||B||^2.  a_source,
+    when set, is A's own block source (LocalMatrixOracle's), which must give
+    the A the springs give; otherwise A's rows are built from the springs.
+    """
 
     graph: SiteGraph
     masses: np.ndarray
     r0: int
-    sites: np.ndarray
-    others: np.ndarray
-    kappas: np.ndarray
-
-    def __post_init__(self):
-        # site i's springs are the table rows _starts[i]:_starts[i + 1]; an O(N)
-        # search, so set-up pays for it and no query does
-        self._starts = np.searchsorted(self.sites, np.arange(self.n_sites + 1))
+    springs: Callable
+    a_norm_bound: float
+    a_source: Callable | None = None
 
     @property
     def n_sites(self) -> int:
@@ -109,116 +137,109 @@ class OscillatorSystem:
     def extended_dim(self) -> int:
         return extended_dimension(self.n_sites)
 
-    @cached_property
-    def slots(self) -> np.ndarray:
-        """The pair slot of each table row: n + _pair_offset(min(i, j), n) + |i - j|."""
-        n, i, j = self.n_sites, self.sites, self.others
-        return n + _pair_offset(np.minimum(i, j), n) + np.abs(i - j)
-
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, kappa, slot) of every spring once, with i <= j: the columns of B, by slot."""
-        once = self.sites <= self.others
-        return self.sites[once], self.others[once], self.kappas[once], self.slots[once]
-
-    @cached_property
-    def a_norm_bound(self) -> float:
-        """Upper bound on ||A|| = ||B||^2: 2 * N(r0) * kappa_max / m_min.
-
-        Schur test on B: every row of B holds at most N(r0) spring entries
-        (neighbors plus a possible self-spring) of size at most
-        sqrt(kappa_max/m_min), and every column holds at most two, so
-        ||B||^2 <= ||B||_1 ||B||_inf <= 2 N(r0) kappa_max / m_min.  The
-        factor 2 is needed: on a 2D grid with uniform springs the diagonal
-        of F alone reaches (N(r0) - 1) kappa.
-        """
-        return float(2.0 * self.graph.locality_function(self.r0)
-                     * self.kappas.max(initial=0.0) / self.masses.min())
-
     @property
     def h_norm_bound(self) -> float:
         """Upper bound on ||H|| = sqrt(||A||)."""
         return math.sqrt(self.a_norm_bound)
 
-    def _slices(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(take, row, counts): the table rows of the sites' springs, site after site
-        in table order, the position in sites of each one's site, and each site's
-        spring count."""
-        lo = self._starts[sites]
-        counts = self._starts[sites + 1] - lo
+    def _spring_rows(self, sites: np.ndarray):
+        """(row, others, kappas): the springs at sites, each with its position in sites."""
+        indptr, others, kappas = self.springs(sites)
+        return np.repeat(np.arange(sites.size), np.diff(indptr)), others, kappas
+
+    def _a_rows(self, sites: np.ndarray):
+        """A's rows at sites from the springs: -kappa_ij / sqrt(m_i m_j) at each
+        spring (i, j), j != i, and F_ii / m_i at (i, i) when site i has springs,
+        F_ii summing the site's kappas one by one in increasing order of the
+        other site."""
+        m = self.masses
+        indptr, j, kap = self.springs(sites)
+        counts = np.diff(indptr)
         row = np.repeat(np.arange(sites.size), counts)
-        take = np.arange(row.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        return take, row, counts
+        at = sites[row]
+        held = np.flatnonzero(counts)
+        diag = _running_sums(kap, row, sites.size)[held] / m[sites[held]]
+        off = -kap / np.sqrt(m[at] * m[j])
+        below, above = j < at, j > at
+        rows = np.concatenate((row[below], held, row[above]))
+        # a stable sort by row keeps each row's columns increasing: below, i, above
+        order = np.argsort(rows, kind="stable")
+        cols = np.concatenate((j[below], sites[held], j[above]))[order]
+        vals = np.concatenate((off[below], diag, off[above]))[order]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=sites.size))))
+        return indptr, cols, vals
 
     def a_oracle(self) -> LocalMatrixOracle:
-        """A = M^{-1/2} F M^{-1/2} as a Hermitian PSD local-matrix oracle over the springs.
-
-        Row i holds -kappa_ij / sqrt(m_i m_j) at each spring (i, j), j != i, and
-        F_ii / m_i at (i, i) when site i has springs, F_ii summing the site's
-        kappas one by one in table order, that is in increasing order of the
-        other site.
-        """
-        m = self.masses
-
-        def source(sites):
-            take, row, counts = self._slices(sites)
-            at, j, kap = sites[row], self.others[take], self.kappas[take]
-            held = np.flatnonzero(counts)
-            diag = _running_sums(kap, row, sites.size)[held] / m[sites[held]]
-            off = -kap / np.sqrt(m[at] * m[j])
-            below, above = j < at, j > at
-            rows = np.concatenate((row[below], held, row[above]))
-            # a stable sort by row keeps each row's columns increasing: below, i, above
-            order = np.argsort(rows, kind="stable")
-            cols = np.concatenate((j[below], sites[held], j[above]))[order]
-            vals = np.concatenate((off[below], diag, off[above]))[order]
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=sites.size))))
-            return indptr, cols, vals
-
-        return LocalMatrixOracle(self.graph, self.r0, source, norm_bound=self.a_norm_bound,
-                                 hermitian=True, psd=True)
+        """A = M^{-1/2} F M^{-1/2} as a Hermitian PSD local-matrix oracle, on a
+        fresh counter, from a_source or else from the springs."""
+        return LocalMatrixOracle(self.graph, self.r0, self.a_source or self._a_rows,
+                                 norm_bound=self.a_norm_bound, hermitian=True, psd=True)
 
     # ---- sparse B and B^T applications -----------------------------------
 
-    def _springs_at(self, slots) -> tuple[np.ndarray, np.ndarray]:
-        """(at, k): the positions in slots of the slots that hold a spring, and the
-        index of that spring in pairs."""
-        cols = self.pairs[3]
+    def at_slots(self, slots) -> SlotSprings:
+        """The springs at an array of slots, from one springs read at their lower ends."""
         slots = np.asarray(slots, dtype=np.int64)
-        if cols.size == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        k = np.minimum(np.searchsorted(cols, slots), cols.size - 1)
-        at = np.flatnonzero(cols[k] == slots)
-        return at, k[at]
-
-    def slot_sites(self, slots) -> np.ndarray:
-        """The sites bdag reads at these slots: the lower end of each one's spring,
-        in slot order, then the upper ends (no sites for a slot without one)."""
-        i, j, _, _ = self.pairs
-        k = self._springs_at(slots)[1]
-        return np.concatenate((i[k], j[k]))
+        n = self.n_sites
+        pair = np.flatnonzero(slots >= n)
+        if not pair.size:   # velocity slots alone: nothing to read
+            return SlotSprings(slots.size, pair, pair, pair, np.zeros(0), self.masses)
+        i, j = _pair_ends(slots[pair], n)
+        row, others, kappas = self._spring_rows(i)
+        hit = others == j[row]    # a site's others are distinct: one hit at most
+        row = row[hit]
+        return SlotSprings(slots.size, pair[row], i[row], j[row], kappas[hit], self.masses)
 
     def bdag(self, slots, z_at) -> np.ndarray:
-        """(B^T z) at each of the slots, z_at(sites) giving z at an array of sites:
-        a gather over the spring table."""
-        i, j, kappas, _ = self.pairs
-        at, k = self._springs_at(slots)
-        lower, upper = i[k], j[k]
-        out = np.zeros(np.size(slots), dtype=np.complex128)
-        out[at] = np.sqrt(kappas[k] / self.masses[lower]) * z_at(lower)
-        two = lower != upper    # a wall spring has one end
-        out[at[two]] -= np.sqrt(kappas[k[two]] / self.masses[upper[two]]) * z_at(upper[two])
-        return out
+        """(B^T z) at each of the slots, z_at(sites) giving z at an array of sites."""
+        return self.at_slots(slots).bdag(z_at)
 
     def b(self, sites, w_at) -> np.ndarray:
         """(B w) at each of the sites, w_at(slots) giving w at an array of slots: each
-        site's springs summed from 0 in table order."""
+        site's springs summed from 0 in increasing order of the other site."""
         sites = np.asarray(sites, dtype=np.int64)
-        take, row, _ = self._slices(sites)
+        row, others, kappas = self._spring_rows(sites)
         at = sites[row]
-        terms = np.sqrt(self.kappas[take] / self.masses[at]) * w_at(self.slots[take])
-        terms = np.where(self.others[take] >= at, terms, -terms)
+        slots = pair_slots(at, others, self.n_sites)
+        terms = np.sqrt(kappas / self.masses[at]) * w_at(slots)
+        terms = np.where(others >= at, terms, -terms)
         return _running_sums(terms, row, sites.size)
+
+
+@dataclass(frozen=True)
+class SlotSprings:
+    """The springs at an array of size slots, read once: at, the positions in the
+    slots of those that hold a spring, increasing; the spring's ends lower <=
+    upper (equal at a wall spring) and its kappa."""
+
+    size: int
+    at: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    kappas: np.ndarray
+    masses: np.ndarray
+
+    @property
+    def sites(self) -> np.ndarray:
+        """The sites bdag reads: the lower end of each spring, in slot order, then
+        the upper ends (no sites for a slot without one)."""
+        return np.concatenate((self.lower, self.upper))
+
+    def only(self, keep: np.ndarray) -> SlotSprings:
+        """The springs where the boolean keep (one per spring) holds; the slots of
+        the others read as slots without a spring."""
+        return SlotSprings(self.size, self.at[keep], self.lower[keep], self.upper[keep],
+                           self.kappas[keep], self.masses)
+
+    def bdag(self, z_at) -> np.ndarray:
+        """(B^T z) at each slot, z_at(sites) giving z at an array of sites: a gather
+        over the springs."""
+        lower, upper, kappas = self.lower, self.upper, self.kappas
+        out = np.zeros(self.size, dtype=np.complex128)
+        out[self.at] = np.sqrt(kappas / self.masses[lower]) * z_at(lower)
+        two = lower != upper    # a wall spring has one end
+        out[self.at[two]] -= np.sqrt(kappas[two] / self.masses[upper[two]]) * z_at(upper[two])
+        return out
 
 
 def _running_sums(terms: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
@@ -231,12 +252,38 @@ def _running_sums(terms: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _lookup(keys: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """values[k] where at holds keys[k] (keys increasing), 0 where it holds no key."""
+    if keys.size == 0:
+        return np.zeros(at.shape, dtype=values.dtype)
+    k = np.minimum(np.searchsorted(keys, at), keys.size - 1)
+    return np.where(keys[k] == at, values[k], 0.0)
+
+
+def _table_springs(sites_col: np.ndarray, others: np.ndarray, kappas: np.ndarray, n: int):
+    """The springs source of a table sorted by (site, other): a site's springs are
+    one slice of it, found by an O(N) search at set-up."""
+    starts = np.searchsorted(sites_col, np.arange(n + 1))
+
+    def springs(sites):
+        lo = starts[sites]
+        counts = starts[sites + 1] - lo
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        take = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], counts)
+        return indptr, others[take], kappas[take]
+
+    return springs
+
+
 def build_system(graph: SiteGraph, masses, springs, r0: int) -> OscillatorSystem:
-    """Validate and assemble an oscillator system.
+    """Validate and assemble an oscillator system from explicit springs.
 
     springs may be a dict {(i, j): kappa} or an iterable of (i, j, kappa);
     orientation is normalized to i <= j, zero springs are dropped and an
-    equal duplicate is kept once.
+    equal duplicate is kept once.  The springs are kept as one table sorted
+    by (site, other), each listed from both ends, a wall spring once, and
+    the system reads slices of it.  Its a_norm_bound is the Schur bound
+    2 N(r0) kappa_max / m_min (_schur_bound).
     """
     masses = np.asarray(masses, dtype=np.float64).ravel()
     if masses.size != graph.n_sites:
@@ -256,9 +303,23 @@ def build_system(graph: SiteGraph, masses, springs, r0: int) -> OscillatorSystem
     back = back[np.argsort(j[back], kind="stable")]
     sites = np.concatenate((j[back], i))
     order = np.argsort(sites, kind="stable")
-    return OscillatorSystem(graph, masses, int(r0), sites=sites[order],
-                            others=np.concatenate((i[back], j))[order],
-                            kappas=np.concatenate((kap[back], kap))[order])
+    table = _table_springs(sites[order], np.concatenate((i[back], j))[order],
+                           np.concatenate((kap[back], kap))[order], graph.n_sites)
+    return OscillatorSystem(graph, masses, int(r0), table,
+                            _schur_bound(graph, int(r0), kap, masses))
+
+
+def _schur_bound(graph: SiteGraph, r0: int, kappas: np.ndarray, masses: np.ndarray) -> float:
+    """Upper bound on ||A|| = ||B||^2: 2 * N(r0) * kappa_max / m_min.
+
+    Schur test on B: every row of B holds at most N(r0) spring entries
+    (neighbors plus a possible self-spring) of size at most
+    sqrt(kappa_max/m_min), and every column holds at most two, so
+    ||B||^2 <= ||B||_1 ||B||_inf <= 2 N(r0) kappa_max / m_min.  The
+    factor 2 is needed: on a 2D grid with uniform springs the diagonal
+    of F alone reaches (N(r0) - 1) kappa.
+    """
+    return float(2.0 * graph.locality_function(r0) * kappas.max(initial=0.0) / masses.min())
 
 
 def _spring_columns(springs):
@@ -339,50 +400,64 @@ class _Embedding:
         idx, vals = self.idx, self.vals
 
         def many(sites) -> np.ndarray:
-            sites = np.asarray(sites, dtype=np.int64)
-            k = np.minimum(np.searchsorted(idx, sites), idx.size - 1)
-            return np.where(idx[k] == sites, vals[k], 0.0)
+            return _lookup(idx, vals, np.asarray(sites, dtype=np.int64))
 
         return _sq_oracle(extended_dimension(self.sv.size), idx, vals,
                           lambda i: many([i])[0], 0.0, many_fn=many)
 
 
 def _energy(sys: OscillatorSystem, state: OscillatorState):
-    """(E, stretch): the energy, and B^T sqrt(M) x at the slots of the springs
-    i <= j (sys.pairs).
+    """(E, moving, held, slots, stretch): the energy; the sites where xdot != 0 and
+    where x != 0; and B^T sqrt(M) x at the slots, increasing, of the springs with
+    an end in held, the only slots where it can be nonzero.
 
-    (B^T sqrt(M) x)_(i,j) is sqrt(kappa) (x_i - x_j), or sqrt(kappa) x_i at a wall spring.
+    The springs are read at held alone, and the kinetic terms summed over moving
+    alone.  (B^T sqrt(M) x)_(i,j) is sqrt(kappa) (x_i - x_j), or sqrt(kappa) x_i
+    at a wall spring.
     """
-    i, j, kap, _ = sys.pairs
-    x = state.x
+    x, xdot, n = state.x, state.xdot, sys.n_sites
+    moving, held = np.flatnonzero(xdot), np.flatnonzero(x)
+    row, others, kap = sys._spring_rows(held)
+    at = held[row]
+    once = (at <= others) | (x[others] == 0)   # a spring with both ends held, from its lower end
+    at, others, kap = at[once], others[once], kap[once]
+    i = np.minimum(at, others)
+    j = at + others - i
+    slots = pair_slots(i, j, n)
+    # the springs read from their lower ends come in slot order, the rest in a
+    # few sorted runs, which a stable sort merges
+    order = np.argsort(slots, kind="stable")
+    i, j, kap, slots = i[order], j[order], kap[order], slots[order]
     stretch = np.sqrt(kap) * (x[i] - np.where(i == j, 0.0, x[j]))
-    e = (0.5 * float(np.sum(sys.masses * state.xdot ** 2))
+    e = (0.5 * float(np.sum(sys.masses[moving] * xdot[moving] ** 2))
          + 0.5 * float(np.sum(stretch ** 2)))
-    return e, stretch
+    return e, moving, held, slots, stretch
 
 
 def _embedding(sys: OscillatorSystem, state: OscillatorState) -> _Embedding:
-    """The state's _Embedding for sys, from one O(N) pass over the springs.
+    """The state's _Embedding for sys, from one pass over the state's support.
 
     It is kept on the state for the last system asked, so every estimate,
     time and psi0 call on that pair shares one pass.  The size check runs on
     every call; a zero-energy embedding, which has no psi(0), is not kept.
     """
-    if state.x.size != sys.n_sites:
+    n = sys.n_sites
+    if state.x.size != n:
         raise ValueError("state dimension does not match the system")
-    held = state._embedded
-    if held is not None and held[0] is sys:
-        return held[1]
-    e, stretch = _energy(sys, state)
+    embedded = state._embedded
+    if embedded is not None and embedded[0] is sys:
+        return embedded[1]
+    e, moving, held, slots, stretch = _energy(sys, state)
     if e <= 0.0:
         return _Embedding(e)
     s = 1.0 / math.sqrt(2.0 * e)
-    root_m = np.sqrt(sys.masses)
-    sv = root_m * state.xdot * s
-    idx = np.concatenate((np.arange(sys.n_sites), sys.pairs[3]))
-    vals = np.concatenate((sv, 1j * (stretch * s)))
+    sv, sx = np.zeros(n), np.zeros(n)
+    sv[moving] = np.sqrt(sys.masses[moving]) * state.xdot[moving] * s
+    sx[held] = np.sqrt(sys.masses[held]) * state.x[held] * s
+    idx = np.concatenate((moving, slots))
+    vals = np.concatenate((sv[moving], 1j * (stretch * s)))
     nonzero = vals != 0
-    embedded = _Embedding(e, sv, root_m * state.x * s, idx[nonzero], vals[nonzero])
+    embedded = _Embedding(e, sv, sx, idx[nonzero], vals[nonzero])
     object.__setattr__(state, "_embedded", (sys, embedded))
     return embedded
 
@@ -472,10 +547,11 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
     def w_many(idxs: list) -> np.ndarray:
         idxs = np.asarray(idxs, dtype=np.int64)
         top = idxs < n
-        blocks.at(np.concatenate((idxs[top], sys.slot_sites(idxs[~top]))))
+        springs = sys.at_slots(idxs[~top])
+        blocks.at(np.concatenate((idxs[top], springs.sites)))
         out = np.empty(idxs.size, dtype=np.complex128)
         out[top] = blocks.at(idxs[top])[:, 0]
-        out[~top] = 1j * sys.bdag(idxs[~top], lambda sites: blocks.at(sites)[:, 1])
+        out[~top] = 1j * springs.bdag(lambda sites: blocks.at(sites)[:, 1])
         return out
 
     w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],
@@ -514,8 +590,7 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
             raise ValueError(f"spring pair ({pa},{pb}) out of range")
     vsites = np.array(sorted(vset), dtype=np.int64)
     xslots = np.array(sorted({pair_index(pa, pb, n) for pa, pb in pairs}), dtype=np.int64)
-    # the two ends of each selected spring, one column per spring
-    ends = sys.slot_sites(xslots).reshape(2, -1)
+    selected = sys.at_slots(xslots)   # the selected springs, read once
 
     a, pcos, psin, blocks = _evolved_blocks(sys, _unit_embedding(sys, state0), t, eps / 4.0)
     a0, ptil = divide_out_zero(pcos)   # Pcos(y) = a0 + y * ptil(y)
@@ -523,23 +598,21 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
 
     # the bottom block of P psi0 is B^T phi_x with phi_x = i z, masked to the
     # selected spring slots
-    def mbx(slots: np.ndarray) -> np.ndarray:
-        out = np.zeros(slots.size, dtype=np.complex128)
-        on = np.flatnonzero(np.isin(slots, xslots))
-        out[on] = sys.bdag(slots[on], lambda sites: 1j * blocks.at(sites)[:, 1])
-        return out
+    def iz(sites: np.ndarray) -> np.ndarray:
+        return 1j * blocks.at(sites)[:, 1]
 
     def vectors(window) -> np.ndarray:
         """mphi_v, the top block of P psi0 masked to the selected velocity slots,
         and g = B mbx, at the window's sites; g only where Psin and ptil read it."""
         sites, gsites = window.sites, window.sites[:window.sizes[g_hops]]
         on = np.flatnonzero(np.isin(sites, vsites))
-        # g at site j reads z at both ends of each selected spring at j
-        near = np.isin(ends[0], gsites) | np.isin(ends[1], gsites)
-        blocks.at(np.concatenate((sites[on], ends[:, near].ravel())))
+        # g at site j reads mbx at each selected spring at j, so z at both its ends
+        near = selected.only(np.isin(selected.lower, gsites) | np.isin(selected.upper, gsites))
+        blocks.at(np.concatenate((sites[on], near.sites)))
+        mbx = near.bdag(iz)    # at each selected slot; 0 at those no site of g reads
         out = np.zeros((sites.size, 2), dtype=np.complex128)
         out[on, 0] = blocks.at(sites[on])[:, 0]
-        out[:gsites.size, 1] = sys.b(gsites, mbx)
+        out[:gsites.size, 1] = sys.b(gsites, lambda slots: _lookup(xslots, mbx, slots))
         return out
 
     def fill(new: np.ndarray) -> np.ndarray:
@@ -554,13 +627,15 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
         idxs = np.asarray(idxs, dtype=np.int64)
         top = idxs < n
         slots = idxs[~top]
-        energy.at(np.concatenate((idxs[top], sys.slot_sites(slots))))
-        blocks.at(sys.slot_sites(slots[np.isin(slots, xslots)]))
+        springs = sys.at_slots(slots)
+        chosen = springs.only(np.isin(slots[springs.at], xslots))
+        energy.at(np.concatenate((idxs[top], springs.sites)))
+        blocks.at(chosen.sites)
         out = np.empty(idxs.size, dtype=np.complex128)
         out[top] = energy.at(idxs[top])[:, 0]
-        out[~top] = (-1j * sys.bdag(slots, lambda sites: energy.at(sites)[:, 1])
-                     + a0 * mbx(slots)
-                     + sys.bdag(slots, lambda sites: energy.at(sites)[:, 2]))
+        out[~top] = (-1j * springs.bdag(lambda sites: energy.at(sites)[:, 1])
+                     + a0 * chosen.bdag(iz)
+                     + springs.bdag(lambda sites: energy.at(sites)[:, 2]))
         return out
 
     w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],

@@ -17,7 +17,7 @@ import numpy as np
 from .access import (LocalMatrixOracle, PreconditionError, _row_source,
                      local_matrix_from_rows)
 from .lattice import SiteGraph, grid
-from .oscillators import OscillatorSystem, build_system
+from .oscillators import OscillatorSystem
 
 
 # =====================================================================
@@ -37,27 +37,30 @@ def _laplacian_source(graph: SiteGraph):
             nbrs = graph._adj.get(i, ())
             return [(j, -1.0) for j in nbrs] + [(i, float(len(nbrs)))]
         return _row_source(row_fn)
-    dims = graph.dims
-    strides = [math.prod(dims[d + 1:]) for d in range(len(dims))]
+    dims = np.array(graph.dims, dtype=np.int64)
+    strides = np.array([math.prod(graph.dims[d + 1:]) for d in range(dims.size)], dtype=np.int64)
     periodic = graph.boundary == "periodic"
+    # the columns site - stride_0, ..., site - stride_last, site, site + stride_last,
+    # ..., site + stride_0 increase on open axes; a periodic wrap breaks that order
+    offsets = np.concatenate((-strides, [0], strides[::-1]))
+    wrap = np.concatenate((dims * strides, [0], -(dims * strides)[::-1]))
+    # a periodic axis of length 2 has one neighbour, of length 1 none
+    ring = np.concatenate((dims > 2, [True], (dims > 1)[::-1]))
 
     def source(sites):
-        cand = [sites]
-        for L, stride in zip(dims, strides):
-            c = sites // stride % L
-            if periodic and L > 1:
-                cand.append(np.where(c == L - 1, sites - (L - 1) * stride, sites + stride))
-                if L > 2:
-                    cand.append(np.where(c == 0, sites + (L - 1) * stride, sites - stride))
-            elif not periodic:
-                cand.append(np.where(c > 0, sites - stride, -1))        # -1: no neighbor
-                cand.append(np.where(c < L - 1, sites + stride, -1))
-        cand = np.sort(np.stack(cand, axis=1), axis=1)
-        keep = cand >= 0
-        counts = keep.sum(axis=1)
-        cols = cand[keep]
-        vals = np.where(cols == np.repeat(sites, counts), np.repeat(counts - 1.0, counts), -1.0)
-        return np.concatenate(([0], np.cumsum(counts))), cols, vals
+        coords = sites[:, None] // strides % dims
+        first, last = coords == 0, coords == dims - 1
+        edge = np.concatenate((first, np.zeros((sites.size, 1), dtype=bool), last[:, ::-1]), axis=1)
+        cand = sites[:, None] + offsets
+        if periodic:
+            cand = np.sort(np.where(edge, cand + wrap, cand)[:, ring], axis=1)
+            vals = np.where(cand == sites[:, None], cand.shape[1] - 1.0, -1.0)
+            return np.arange(0, cand.size + 1, cand.shape[1]), cand.ravel(), vals.ravel()
+        keep = ~edge
+        counts = np.count_nonzero(keep, axis=1)
+        vals = np.full(cand.shape, -1.0)
+        vals[:, dims.size] = counts - 1.0
+        return np.concatenate(([0], np.cumsum(counts))), cand[keep], vals[keep]
 
     return source
 
@@ -77,35 +80,77 @@ def graph_laplacian_oracle(graph: SiteGraph) -> LocalMatrixOracle:
 def wave_to_oscillators(laplacian: LocalMatrixOracle, c: float, a: float) -> OscillatorSystem:
     """u_tt = c^2 Lap u on a graph: unit masses with kappa_ij = -(c^2/a^2) L_ij.
 
-    Wall springs come from row sums (zero for a pure graph Laplacian, positive
-    when the input carries a confining diagonal).  The resulting A equals
-    (c^2/a^2) L exactly.
+    Builds no table and reads no row: the system reads L's block at the
+    sites it asks for, when it asks.  A site's springs come from its own row
+    of L: kappa_ij = -(c^2/a^2) L_ij at each off-diagonal that gives a
+    positive kappa, and a wall spring of (c^2/a^2) times the row sum, added
+    in row order, where that exceeds 1e-12 (none for a pure graph Laplacian;
+    a confining diagonal gives walls).  A is (c^2/a^2) times L's raw block, on
+    the A oracle's own counter, so it equals (c^2/a^2) L up to one rounding
+    per entry, and ||A|| <= (c^2/a^2) L.norm_bound.  Every block read, for the
+    springs or for A, must be a spring network's rows (real, no off-diagonal
+    giving a kappa below -1e-12, no scaled row sum below -1e-12); the first
+    read that meets a bad row raises PreconditionError.  L must be declared
+    Hermitian and carry a norm_bound.
     """
     if not 0 < a < math.inf:
         raise PreconditionError("grid spacing must be positive and finite")
     if not 0 < c < math.inf:
         raise PreconditionError("wave speed must be positive and finite")
+    if not laplacian.hermitian:
+        raise PreconditionError("the Laplacian must be declared Hermitian")
+    if laplacian.norm_bound is None:
+        raise PreconditionError("the Laplacian needs a declared norm_bound")
     scale = (c * c) / (a * a)
+
+    def checked(sites, indptr, cols, vals):
+        """(row, diag, kap, wall) of a block of L: each entry's position in sites,
+        whether it is on the diagonal, -scale times its value, and scale times
+        each row's sum, added in block order; raises on a row that is no
+        spring network's."""
+        vals = np.asarray(vals)
+        if vals.dtype.kind == "c":
+            if not np.all(np.abs(vals.imag) <= 1e-12):
+                raise PreconditionError("Laplacian must be real")
+            vals = vals.real
+        cols = np.asarray(cols, dtype=np.int64)
+        row = np.repeat(np.arange(sites.size), np.diff(indptr))
+        diag = cols == sites[row]
+        kap = -scale * vals
+        if not np.all((kap >= -1e-12) | diag):
+            k = np.flatnonzero(~((kap >= -1e-12) | diag))[0]
+            raise PreconditionError(
+                f"positive off-diagonal L_({sites[row[k]]},{cols[k]}) gives a negative spring")
+        wall = scale * np.bincount(row, weights=vals, minlength=sites.size)
+        if not np.all(wall >= -1e-12):
+            raise PreconditionError(f"negative row sum at site {sites[np.argmin(wall >= -1e-12)]}")
+        return row, diag, kap, wall
+
+    def springs(sites):
+        indptr, cols, vals = laplacian.rows(sites)
+        row, diag, kap, wall = checked(sites, indptr, cols, vals)
+        # a wall spring takes the diagonal's place among the row's sorted columns
+        kap = np.where(diag, wall[row], kap)
+        keep = kap > np.where(diag, 1e-12, 0.0)
+        if wall.max(initial=0.0) > 1e-12:
+            bare = np.flatnonzero((wall > 1e-12)
+                                  & (np.bincount(row[diag], minlength=sites.size) == 0))
+            if bare.size:   # a row with no diagonal entry: its wall goes in order
+                row, cols = np.append(row, bare), np.append(cols, sites[bare])
+                kap, keep = np.append(kap, wall[bare]), np.append(keep, True)
+                order = np.lexsort((cols, row))
+                row, cols, kap, keep = row[order], cols[order], kap[order], keep[order]
+        counts = np.bincount(row[keep], minlength=sites.size)
+        return np.concatenate(([0], np.cumsum(counts))), cols[keep], kap[keep]
+
+    def a_source(sites):
+        indptr, cols, vals = laplacian._source(sites)
+        indptr = np.asarray(indptr, dtype=np.int64)
+        return indptr, cols, -checked(sites, indptr, cols, vals)[2]
+
     n = laplacian.dimension
-    indptr, j, v = laplacian.rows(np.arange(n))
-    i = np.repeat(np.arange(n), np.diff(indptr))
-    if not np.all(np.abs(v.imag) <= 1e-12):
-        raise PreconditionError("Laplacian must be real")
-    kap = -scale * v.real
-    upper = j > i
-    bad = np.flatnonzero(upper & ~(kap >= -1e-12))
-    if bad.size:
-        raise PreconditionError(
-            f"positive off-diagonal L_({i[bad[0]]},{j[bad[0]]}) gives a negative spring")
-    wall = scale * np.bincount(i, weights=v.real, minlength=n)  # row sums, in row order
-    bad = np.flatnonzero(~(wall >= -1e-12))
-    if bad.size:
-        raise PreconditionError(f"negative row sum at site {bad[0]}")
-    upper &= kap > 0
-    walls = np.flatnonzero(wall > 1e-12)
-    springs = np.concatenate((np.column_stack((i[upper], j[upper], kap[upper])),
-                              np.column_stack((walls, walls, wall[walls]))))
-    return build_system(laplacian.graph, np.ones(n), springs, laplacian.r0)
+    return OscillatorSystem(laplacian.graph, np.broadcast_to(1.0, n), laplacian.r0, springs,
+                            scale * laplacian.norm_bound, a_source=a_source)
 
 
 # =====================================================================

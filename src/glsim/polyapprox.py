@@ -178,6 +178,8 @@ def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
     if not (0 < eps <= 1):
         raise PreconditionError("eps must lie in (0, 1]")
     z = alpha * t
+    if not abs(z) < math.inf:
+        raise PreconditionError(f"alpha * t = {alpha!r} * {t!r} is not finite")
     cap = int(math.ceil(math.e * abs(z) / 2.0)) + int(math.ceil(math.log2(1.0 / eps))) + 4
     K = cap + 30
     J = bessel_j_sequence(z, K)

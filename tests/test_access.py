@@ -309,6 +309,40 @@ def test_sparse_zero_vector_rejected():
         sparse_vector_oracle(8, {})
 
 
+@pytest.mark.parametrize("x", [1e300, 1e308, 1e160, 1e-170, 1e-300, 5e-324])
+def test_entries_near_the_ends_of_the_float_range_keep_their_table(x):
+    """A squared norm past the float range, or below the normal floats, is taken
+    over the entries scaled by the largest; the zero entry stays out."""
+    for u in (sparse_vector_oracle(4, {0: x, 1: x}), sq_access_from_dense([x, x, 0.0])):
+        assert u.support.tolist() == [0, 1]
+        assert u.masses.tolist() == [0.5, 0.5]
+        assert u.norm() == pytest.approx(x * np.sqrt(2.0), rel=1e-15, abs=5e-324)
+    u = sq_access_from_dense([3e299, 0.0, 4e299j, 1e-300])
+    assert u.support.tolist() == [0, 2]
+    assert u.masses == pytest.approx([0.36, 0.64], rel=1e-15)
+    assert u.norm() == pytest.approx(5e299, rel=1e-15)
+
+
+def test_tables_in_the_normal_range_are_the_plain_quotients():
+    """|u_i|^2 / ||u||^2 with ||u|| from np.linalg.norm, bit for bit."""
+    rng = np.random.default_rng(17)
+    for scale in (1e-150, 1e-3, 1.0, 1e150):
+        u = scale * (rng.normal(size=40) + 1j * rng.normal(size=40))
+        nrm = float(np.linalg.norm(u))
+        assert sq_access_from_dense(u).masses.tobytes() == (np.abs(u) ** 2 / (nrm * nrm)).tobytes()
+
+
+@pytest.mark.parametrize("entries, error", [
+    ({0: 1.7e308, 1: 1.7e308}, PreconditionError),   # the norm itself overflows
+    ({0: np.inf, 1: 1.0}, ValueError),
+    ({0: np.nan, 1: 1.0}, ValueError),
+    ({0: 0.0, 3: 0.0}, PreconditionError),
+])
+def test_unrepresentable_or_zero_vectors_are_rejected(entries, error):
+    with pytest.raises(error):
+        sparse_vector_oracle(4, entries)
+
+
 # =====================================================================
 # local matrix oracles
 # =====================================================================

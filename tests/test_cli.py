@@ -382,6 +382,106 @@ def test_malformed_sample_blocks_exit_with_a_documented_code(psi, matrix):
         assert main(["sample", "--config", path, "--out", out]) in (0, 1, 2, 4)
 
 
+# alpha * t stays tiny, or so large that the degree cap is out of reach at once;
+# never in between, where exp_poly would build a huge Bessel table
+_POLY_BASES = {
+    "exp": {"kind": "exp", "t": 0.5},
+    "chebyshev": {"kind": "chebyshev", "coefficients": [0.5, 0.25], "interval": [-4.0, 4.0],
+                  "sup_bound": 1.0},
+    "monomial": {"kind": "monomial", "coefficients": [0.0, 0.5], "sup_bound": 1.0},
+}
+_POLY_FLAWS = {
+    "kind": st.sampled_from(sorted(_POLY_BASES) + ["bogus"]),
+    "alpha": st.sampled_from([0.0, -1.0, 1e-300, 1e300, "4"]),
+    "t": st.sampled_from([0.0, -0.5, 1e-300, 1e300, -1e300, "0.5"]),
+    "tol": st.sampled_from([0.0, -1.0, 1e-300, 2.0]),
+    "coefficients": st.sampled_from([[], [0.0], [1e300, 1e300], [1e-300], ["x"], [[1, 2, 3]],
+                                     [[0.5, 0.5]]]),
+    "interval": st.sampled_from([[1.0, -1.0], [0.0, 0.0], [-1e300, 1e300], [1.0], [-1.0, 1e-300]]),
+    "sup_bound": st.sampled_from([0.0, -1.0, 1e-300, 1.25, 1e300]),
+}
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(poly=_flawed_block(_POLY_BASES, _POLY_FLAWS))
+def test_malformed_poly_blocks_exit_with_a_documented_code(poly):
+    """Every poly block of the estimate config gives exit 0, 1, 2 or 4 and no
+    exception escapes main."""
+    with tempfile.TemporaryDirectory() as out:
+        path = f"{out}/estimate.json"
+        with open(path, "w") as fh:
+            json.dump(dict(ESTIMATE_CFG, poly=poly), fh)
+        assert main(["estimate", "--config", path, "--out", out]) in (0, 1, 2, 4)
+
+
+def test_exp_poly_with_an_overflowing_alpha_t_is_a_precondition_error(tmp_path, capsys):
+    """alpha * t = inf once escaped main as an OverflowError."""
+    cfg = dict(ESTIMATE_CFG, poly={"kind": "exp", "alpha": 1e300, "t": 1e300})
+    path = _write_config(tmp_path, "estimate.json", cfg)
+    assert main(["estimate", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+# three qubits at most, so every embedding stays small
+_GATE_ROWS = [["X", [0]], ["CNOT", [0, 1]], ["TOFFOLI", [0, 1, 2]], ["x", [2]]]
+_CIRCUIT_FLAWS = {
+    "n": st.sampled_from([0, -1, 1, 2.5, "3"]),
+    "name": st.sampled_from([5, None, "FOO", "H", "hadamard", ""]),
+    "qubits": st.sampled_from(["0", [], [0, 0], [0, 1, 2, 3], [-1], [None], [[0]], [0.5],
+                               [True], [2 ** 40], [1e30], [3]]),
+    "row": st.sampled_from([["X"], ["X", [0], 1], "X 0", 7, None]),
+    "gates": st.sampled_from([[], None, "X 0", {}]),
+}
+
+
+@st.composite
+def _circuit_blocks(draw):
+    """A valid 3-qubit circuit of one to three classical gates, then one to three
+    flaws: n out of range, mistyped or too small; a gate name unknown, mistyped or
+    a Hadamard; qubits mistyped, repeated, negative, fractional, out of range or
+    of the wrong count; a row or the gate list malformed."""
+    gates = [list(row) for row in draw(st.lists(st.sampled_from(_GATE_ROWS), min_size=1,
+                                                max_size=3))]
+    block = {"n": 3, "gates": gates}
+    for flaw in draw(st.lists(st.sampled_from(sorted(_CIRCUIT_FLAWS)), min_size=1,
+                              max_size=3)):
+        value = draw(_CIRCUIT_FLAWS[flaw])
+        k = draw(st.integers(0, len(gates) - 1))
+        if flaw in ("n", "gates"):
+            block[flaw] = value
+        elif flaw == "row":
+            gates[k] = value
+        elif isinstance(gates[k], list) and len(gates[k]) == 2:
+            gates[k] = [value, gates[k][1]] if flaw == "name" else [gates[k][0], value]
+    return block
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(circuit=_circuit_blocks(), mode=st.sampled_from(["short", "long"]))
+def test_malformed_circuit_blocks_exit_with_a_documented_code(circuit, mode):
+    """Every circuit block of the embed config gives exit 0, 1, 2 or 4 and no
+    exception escapes main."""
+    with tempfile.TemporaryDirectory() as out:
+        path = f"{out}/embed.json"
+        with open(path, "w") as fh:
+            json.dump({"mode": mode, "circuit": circuit}, fh)
+        assert main(["embed", "--config", path, "--out", out]) in (0, 1, 2, 4)
+
+
+@pytest.mark.parametrize("value", [1e300, 1e-300, 1e-170])
+def test_inline_values_near_the_float_range_ends_make_a_table(tmp_path, capsys, value):
+    """Entries whose squares overflow or underflow still give a table: estimate runs
+    (exit 0), and sample, whose psi must be a unit vector, reports that (exit 2)."""
+    cfg = dict(ESTIMATE_CFG, u={"kind": "inline", "values": [value] * 24})
+    path = _write_config(tmp_path, "estimate.json", cfg)
+    assert main(["estimate", "--config", path, "--out", str(tmp_path)]) == 0
+    assert math.isfinite(_read_report(tmp_path, "estimate_report.json")["outputs"]["value_re"])
+    cfg = dict(SAMPLE_CFG, count=3, psi={"kind": "inline", "values": [value] * 16})
+    path = _write_config(tmp_path, "sample.json", cfg)
+    assert main(["sample", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "psi must be a unit vector" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scenario,cfg,literal", [
     ("sample", dict(SAMPLE_CFG, t="@"), "Infinity"),
     ("sample", dict(SAMPLE_CFG, t="@"), "-Infinity"),

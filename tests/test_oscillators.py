@@ -16,6 +16,7 @@ from glsim import (DenseMatrix, LocalityError, OscillatorState, PreconditionErro
                    total_energy)
 from glsim import lightcone, oscillators
 from glsim.cli import main
+from spring_tables import spring_pairs, spring_table
 
 
 def _random_chain_system(rng, n: int):
@@ -52,7 +53,7 @@ SYSTEMS = {
 def _bdag_entry(sys, slot: int, z_fn) -> complex:
     """(B^T z)_slot for a site-space functional z_fn, one spring at a time; 0 at a
     slot with no spring."""
-    i, j, kappas, slots = sys.pairs
+    i, j, kappas, slots = spring_pairs(sys)
     k = int(np.searchsorted(slots, slot))
     if k == slots.size or slots[k] != slot:
         return 0.0 + 0.0j
@@ -66,10 +67,10 @@ def _bdag_entry(sys, slot: int, z_fn) -> complex:
 def _b_entry(sys, i: int, slot_fn) -> complex:
     """(B w)_i for a pair-space functional slot_fn(slot): site i's springs summed
     from 0, one at a time in table order."""
-    lo, hi = sys._starts[i], sys._starts[i + 1]
+    _, others, kappas = sys.springs(np.array([i]))
     total = 0.0 + 0.0j
-    for j, kap, slot in zip(sys.others[lo:hi].tolist(), sys.kappas[lo:hi].tolist(),
-                            sys.slots[lo:hi].tolist()):
+    for j, kap in zip(others.tolist(), kappas.tolist()):
+        slot = pair_index(min(i, j), max(i, j), sys.n_sites)
         root = math.sqrt(kap / sys.masses[i])
         if j >= i:
             total += root * slot_fn(slot)
@@ -82,7 +83,7 @@ def _dense_b(sys) -> np.ndarray:
     """B as an n x (extended_dim - n) dense block, one _b_entry call per entry of a column."""
     n = sys.n_sites
     b = np.zeros((n, sys.extended_dim - n), dtype=np.complex128)
-    for a, c in zip(*sys.pairs[:2]):
+    for a, c in zip(*spring_pairs(sys)[:2]):
         col = pair_index(a, c, n)
         for i in range(n):
             b[i, col - n] = _b_entry(sys, i, lambda slot: 1.0 if slot == col else 0.0)
@@ -98,6 +99,22 @@ def test_pair_index_fills_the_pair_slots_in_order():
     n = 7
     slots = [pair_index(i, j, n) for i in range(n) for j in range(i, n)]
     assert slots == list(range(n, extended_dimension(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 2 ** 20, 2 ** 31])
+def test_pair_slots_decode_to_their_ends(n):
+    """_pair_ends inverts pair_slots at random pairs and at the first and last slot
+    of random rows, where at 2^31 sites the float square root alone is one off."""
+    rng = np.random.default_rng(n)
+    i, j, rows = rng.integers(0, n, size=(3, 400))
+    i = np.concatenate((i, rows, rows, [0, n - 1]))
+    j = np.concatenate((j, rows, np.full_like(rows, n - 1), [0, n - 1]))
+    slots = oscillators.pair_slots(i, j, n)
+    assert slots.min() >= n and slots.max() < extended_dimension(n)
+    lower, upper = oscillators._pair_ends(slots, n)
+    assert np.array_equal(lower, np.minimum(i, j)) and np.array_equal(upper, np.maximum(i, j))
+    if n <= 1000:
+        assert [pair_index(a, b, n) for a, b in zip(lower.tolist(), upper.tolist())] == slots.tolist()
 
 
 def test_extended_dimension_formula():
@@ -253,7 +270,7 @@ def test_spring_list_is_normalized():
     assert [a.row(i) for i in range(4)] == [
         ((0, 1.5), (1, -1.5)), ((0, -1.5), (1, 1.5)),
         ((2, 0.5), (3, -0.5)), ((2, -0.5), (3, 2.5))]
-    i, j, kap, slots = sys.pairs
+    i, j, kap, slots = spring_pairs(sys)
     assert list(zip(i.tolist(), j.tolist(), kap.tolist())) == [
         (0, 1, 1.5), (2, 3, 0.5), (3, 3, 2.0)]
     assert slots.tolist() == [pair_index(0, 1, 4), pair_index(2, 3, 4), pair_index(3, 3, 4)]
@@ -278,9 +295,10 @@ def test_spring_table_is_sorted_by_site_and_other(seed):
     pair = i != j
     sites, others = np.concatenate((i, j[pair])), np.concatenate((j, i[pair]))
     order = np.lexsort((others, sites))
-    assert np.array_equal(sys.sites, sites[order])
-    assert np.array_equal(sys.others, others[order])
-    assert np.array_equal(sys.kappas.view(np.uint64),
+    table = spring_table(sys)
+    assert np.array_equal(table[0], sites[order])
+    assert np.array_equal(table[1], others[order])
+    assert np.array_equal(table[2].view(np.uint64),
                           np.concatenate((kap, kap[pair]))[order].view(np.uint64))
 
 
@@ -388,7 +406,7 @@ def test_rest_state_has_no_unit_embedding():
 
 
 def _count_energy_passes(monkeypatch) -> list:
-    """Wrap oscillators._energy, the O(N) pass of an embedding; returns its call log."""
+    """Wrap oscillators._energy, the pass of an embedding over the state; returns its call log."""
     calls, energy = [], oscillators._energy
 
     def counted(sys, state):
@@ -543,7 +561,7 @@ def test_energy_estimate_full_subsets_is_one():
     rng = np.random.default_rng(107)
     sys = _random_chain_system(rng, 8)
     state = OscillatorState(rng.normal(size=8), rng.normal(size=8))
-    est = estimate_energy(sys, state, range(8), list(zip(*sys.pairs[:2])), 1.3,
+    est = estimate_energy(sys, state, range(8), list(zip(*spring_pairs(sys)[:2])), 1.3,
                           eps=0.1, delta=0.05, seed=108)
     assert abs(est.value - 1.0) <= 0.1
 
@@ -633,7 +651,7 @@ def test_norm_bound_is_computed_once_per_system(monkeypatch):
 
     def counting(self, r):
         # the light-cone kernel sizes its chunks from N(r) too; count the norm bound's calls
-        if inspect.currentframe().f_back.f_code.co_name == "a_norm_bound":
+        if inspect.currentframe().f_back.f_code.co_name == "_schur_bound":
             calls.append(r)
         return real(self, r)
 
@@ -706,7 +724,7 @@ def test_system_json_round_trip(tmp_path):
     sys = build_system(chain(4), [1.0, 2.0, 0.5, 1.5], springs, 1)
     assert back.n_sites == 4
     assert np.array_equal(back.masses, sys.masses)
-    i, j, kap, _ = back.pairs
+    i, j, kap, _ = spring_pairs(back)
     assert list(zip(i.tolist(), j.tolist(), kap.tolist())) == [
         (a, b, k) for (a, b), k in springs.items()]
     assert back.r0 == 1
