@@ -36,7 +36,7 @@ from .oscillators import (OscillatorState, OscillatorSystem, build_system,
                           extended_dimension, load_system, pair_index, psi0,
                           read_state_csv, system_from_json_dict, total_energy)
 from .pde import (advection_hamiltonian, graph_laplacian_oracle,
-                  schrodinger_hamiltonian, wave_to_oscillators)
+                  schrodinger_hamiltonian, stencil_oracle, wave_to_oscillators)
 from .polyapprox import (Polynomial, bessel_j_sequence, divide_out_zero, exp_poly,
                          mul_by_x, parity_split)
 from .sampling import (EvolvedSampler, OversamplerHandle, RejectionResult,
@@ -69,7 +69,7 @@ __all__ = [
     "rng_stream", "row_power", "run_criterion", "run_suite",
     "scale_matrix_oracle", "schrodinger_hamiltonian",
     "simulate_embedded_circuit", "sparse_vector_oracle", "spectral_norm",
-    "sq_access_from_dense", "step_operator", "system_from_json_dict",
+    "sq_access_from_dense", "stencil_oracle", "step_operator", "system_from_json_dict",
     "total_energy", "tv_error_bound", "w_matrix",
     "wave_to_oscillators", "window_entries",
 ]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .access import (VectorOracle, local_matrix_from_rows, random_local_pair,
-                     rng_stream, sparse_vector_oracle, sq_access_from_dense)
+from .access import (VectorOracle, random_local_pair, rng_stream, sparse_vector_oracle,
+                     sq_access_from_dense)
 from .embeddings import (Gate, ReversibleCircuit, adjacent_transposition_decomposition,
                          classical_output, find_readout_time, fk_classical,
                          fk_long_local, fk_long_undilated, gate_permutation,
@@ -32,7 +32,7 @@ from .oscillators import (OscillatorState, OscillatorSystem, build_system,
                           estimate_energy, estimate_observable, pair_slots, psi0,
                           total_energy)
 from .pde import (advection_hamiltonian, graph_laplacian_oracle,
-                  schrodinger_hamiltonian, wave_to_oscillators)
+                  schrodinger_hamiltonian, stencil_oracle, wave_to_oscillators)
 from .polyapprox import Polynomial, exp_poly, parity_split
 from .sampling import EvolvedSampler
 
@@ -191,17 +191,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     # N-independence: identical lazy tridiagonal chains at two very different N
     def lazy_pair(n: int):
-        def row_fn(j: int):
-            out = []
-            if j > 0:
-                out.append((j - 1, 1.0 + 0.0j))
-            out.append((j, 0.3 + 0.0j))
-            if j < n - 1:
-                out.append((j + 1, 1.0 + 0.0j))
-            return out
-
-        a = local_matrix_from_rows(chain(n), 1, row_fn, norm_bound=2.3,
-                                   hermitian=True)
+        a = stencil_oracle(chain(n), [1.0], [1.0], 0.3, norm_bound=2.3, hermitian=True)
         u_lazy = VectorOracle(
             dimension=n, norm=None,
             query_fn=lambda j: complex(math.sin(0.001 * j),
@@ -425,16 +415,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     n, t, eps = 64, 2.0, 0.01
     n_samples = 100_000
 
-    def row_fn(i: int):
-        out = []
-        if i > 0:
-            out.append((i - 1, 1j))
-        if i < n - 1:
-            out.append((i + 1, 1j))
-        return out
-
-    a = local_matrix_from_rows(chain(n), 1, row_fn, norm_bound=2.0,
-                               anti_hermitian=True)
+    a = stencil_oracle(chain(n), [1j], [1j], 0.0, norm_bound=2.0, anti_hermitian=True)
     psi = sparse_vector_oracle(n, {n // 2: 1.0 + 0.0j})
     sampler = EvolvedSampler(a, t, psi, eps, alpha_min=1.0, delta=1e-3,
                              seed=seed + 77)

@@ -29,9 +29,8 @@ import numpy as np
 from . import __version__
 from .acceptance import DEFAULT_SEED, SUITES, run_suite
 from .access import (LocalityError, NumericalCheckError, OracleInconsistencyError,
-                     PreconditionError, VectorOracle, local_matrix_from_rows,
-                     random_local_pair, rng_stream, sparse_vector_oracle,
-                     sq_access_from_dense)
+                     PreconditionError, VectorOracle, random_local_pair, rng_stream,
+                     sparse_vector_oracle, sq_access_from_dense)
 from .embeddings import (Gate, ReversibleCircuit, classical_output,
                          default_scan_horizon, find_readout_time, fk_classical,
                          fk_long_local, parse_circuit, readout_overlap_curve,
@@ -42,7 +41,7 @@ from .oracle import dense_cap, dense_from_oracle, spectral_norm
 from .oscillators import (OscillatorState, estimate_energy, estimate_observable,
                           read_state_csv, system_from_json_dict, load_system)
 from .pde import (advection_hamiltonian, graph_laplacian_oracle,
-                  schrodinger_hamiltonian, wave_to_oscillators)
+                  schrodinger_hamiltonian, stencil_oracle, wave_to_oscillators)
 from .polyapprox import Polynomial, exp_poly
 from .sampling import EvolvedSampler
 
@@ -327,20 +326,9 @@ def build_matrix(spec: dict, seed: int):
         diag = float(spec.get("diag", 0.0))
         off = float(spec.get("offdiag", 1.0))
         factor = 1j if spec.get("i_times", False) else 1.0
-
-        def row_fn(i: int):
-            out = []
-            if i > 0:
-                out.append((i - 1, factor * off))
-            if diag != 0.0:
-                out.append((i, factor * diag))
-            if i < n - 1:
-                out.append((i + 1, factor * off))
-            return out
-
-        return local_matrix_from_rows(
-            chain(n), 1, row_fn, norm_bound=abs(diag) + 2.0 * abs(off),
-            hermitian=factor == 1.0, anti_hermitian=factor == 1j)
+        return stencil_oracle(chain(n), [factor * off], [factor * off], factor * diag,
+                              norm_bound=abs(diag) + 2.0 * abs(off),
+                              hermitian=factor == 1.0, anti_hermitian=factor == 1j)
     if kind == "laplacian":
         if "graph" not in spec:
             raise ConfigError("laplacian matrix needs a graph")
@@ -390,6 +378,8 @@ def build_vector(spec: dict, dim: int, seed: int, role_key: int,
             mags = np.abs(g)
             mags[mags == 0] = 1.0
             g = (floor + np.abs(g)) * g / mags
+        with np.errstate(over="ignore"):   # a huge floor: the squares overflow, not g
+            g = g if math.isfinite(np.linalg.norm(g)) else g / np.abs(g).max()
         dense = g / np.linalg.norm(g)
     return sq_access_from_dense(dense, zeta)
 

@@ -11,64 +11,99 @@ and is the default in the CLI).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .access import (LocalMatrixOracle, PreconditionError, _row_source,
-                     local_matrix_from_rows)
+from .access import LocalMatrixOracle, PreconditionError, _row_source
 from .lattice import SiteGraph, grid
 from .oscillators import OscillatorSystem
 
 
 # =====================================================================
-# graph Laplacian
+# stencils on chains and grids, and the graph Laplacian
 # =====================================================================
 
 
-def _laplacian_source(graph: SiteGraph):
-    """Block source of L = D - Adj: -1 at each distance-1 neighbor, the degree on the diagonal.
+@lru_cache(maxsize=64)
+def _stencil_slots(dims: tuple, periodic: bool) -> np.ndarray:
+    """Rows (axis, offset, limit, wrap, ring) of the 2D+1 stencil slots on a grid:
+    slot k steps along axis[k] to site + offset[k] (increasing in k) unless the
+    site's coordinate there is limit[k]; a periodic axis then wraps by wrap[k],
+    if ring[k], which is 0 where its length is 2 (backward step) or 1."""
+    D, st = len(dims), [math.prod(dims[d + 1:]) for d in range(len(dims))]
+    slots = np.array([
+        [*range(D), 0, *range(D - 1, -1, -1)],
+        [-s for s in st] + [0] + st[::-1],
+        [0] * D + [-1] + [n - 1 for n in dims[::-1]],
+        [n * s for n, s in zip(dims, st)] + [0] + [-n * s for n, s in zip(dims[::-1], st[::-1])],
+        [n > 2 or not periodic for n in dims] + [1] + [n > 1 or not periodic for n in dims[::-1]],
+    ])
+    slots.flags.writeable = False
+    return slots
 
-    Chains and grids step +-1 along each axis of the row-major index, wrapping
-    on periodic axes; a periodic axis of length 2 has one neighbor, not two,
-    and one of length 1 none.  General graphs read their adjacency.
-    """
-    if graph.kind == "general":
-        def row_fn(i: int):
-            nbrs = graph._adj.get(i, ())
-            return [(j, -1.0) for j in nbrs] + [(i, float(len(nbrs)))]
-        return _row_source(row_fn)
-    dims = np.array(graph.dims, dtype=np.int64)
-    strides = np.array([math.prod(graph.dims[d + 1:]) for d in range(dims.size)], dtype=np.int64)
+
+def _stencil_source(graph: SiteGraph, back, fwd, diag):
+    """Block source of a stencil on a chain or grid: back[d] at site - stride_d and
+    fwd[d] at site + stride_d along each axis d, diag on the diagonal, where diag
+    None puts minus the sum of the row's kept off-diagonal weights (0.0 for none).
+    Steps wrap on periodic axes; one of length 2 keeps its forward step alone (both
+    reach one site), one of length 1 neither.  A step off an open axis, or a zero
+    weight, gives no entry; diag None always does."""
+    dims, strides, D = graph._dims, graph._strides, len(graph.dims)
+    if not len(back) == len(fwd) == D:
+        raise ValueError(f"a stencil on {D} axes needs {D} back and fwd weights")
+    weights = np.array([*back, 0.0 if diag is None else diag, *fwd[::-1]])
+    weights = weights.astype(np.complex128 if weights.dtype.kind == "c" else np.float64)
     periodic = graph.boundary == "periodic"
-    # the columns site - stride_0, ..., site - stride_last, site, site + stride_last,
-    # ..., site + stride_0 increase on open axes; a periodic wrap breaks that order
-    offsets = np.concatenate((-strides, [0], strides[::-1]))
-    wrap = np.concatenate((dims * strides, [0], -(dims * strides)[::-1]))
-    # a periodic axis of length 2 has one neighbour, of length 1 none
-    ring = np.concatenate((dims > 2, [True], (dims > 1)[::-1]))
+    axis, offsets, limit, wrap, ring = _stencil_slots(graph.dims, periodic)
+    slot = (weights != 0) & (ring > 0)
+    slot[D] |= diag is None
+    if periodic and diag is None:   # every slot is kept on every row
+        weights[D] = 0.0 - weights[slot].sum()
+    centre = np.count_nonzero(slot[:D])
+    axis, offsets, limit, wrap, weights = (x[slot] for x in (axis, offsets, limit, wrap, weights))
 
     def source(sites):
-        coords = sites[:, None] // strides % dims
-        first, last = coords == 0, coords == dims - 1
-        edge = np.concatenate((first, np.zeros((sites.size, 1), dtype=bool), last[:, ::-1]), axis=1)
+        keep = (sites[:, None] // strides % dims)[:, axis] != limit
         cand = sites[:, None] + offsets
         if periodic:
-            cand = np.sort(np.where(edge, cand + wrap, cand)[:, ring], axis=1)
-            vals = np.where(cand == sites[:, None], cand.shape[1] - 1.0, -1.0)
-            return np.arange(0, cand.size + 1, cand.shape[1]), cand.ravel(), vals.ravel()
-        keep = ~edge
+            cand = np.where(keep, cand, cand + wrap)
+            order = np.argsort(cand, axis=1)
+            return (np.arange(sites.size + 1) * weights.size,
+                    np.take_along_axis(cand, order, axis=1).ravel(), weights[order].ravel())
+        vals = np.where(keep, weights, 0.0)
+        if diag is None:   # the diagonal's own weight is 0.0 here
+            vals[:, centre] = 0.0 - vals.sum(axis=1)
         counts = np.count_nonzero(keep, axis=1)
-        vals = np.full(cand.shape, -1.0)
-        vals[:, dims.size] = counts - 1.0
         return np.concatenate(([0], np.cumsum(counts))), cand[keep], vals[keep]
 
     return source
 
 
+def stencil_oracle(graph: SiteGraph, back, fwd, diag, *, norm_bound: float,
+                   hermitian: bool = False, anti_hermitian: bool = False) -> LocalMatrixOracle:
+    """The 1-local operator on a chain or grid of the stencil with per-axis weights
+    back and fwd and diagonal diag (see _stencil_source); zero weights are not stored."""
+    if graph.kind == "general":
+        raise PreconditionError("a stencil needs a chain or grid")
+    return LocalMatrixOracle(graph, 1, _stencil_source(graph, back, fwd, diag),
+                             norm_bound=norm_bound, hermitian=hermitian,
+                             anti_hermitian=anti_hermitian)
+
+
 def graph_laplacian_oracle(graph: SiteGraph) -> LocalMatrixOracle:
-    """L = D - Adj on distance-1 neighbors; Hermitian, PSD, ||L|| <= 2 (N(1) - 1)."""
+    """L = D - Adj on distance-1 neighbors; Hermitian, PSD, ||L|| <= 2 (N(1) - 1).
+    A stencil on chains and grids; general graphs read their adjacency."""
+    if graph.kind == "general":
+        def row_fn(i: int):
+            nbrs = graph._adj.get(i, ())
+            return [(j, -1.0) for j in nbrs] + [(i, float(len(nbrs)))]
+        source = _row_source(row_fn)
+    else:
+        source = _stencil_source(graph, [-1.0] * len(graph.dims), [-1.0] * len(graph.dims), None)
     bound = 2.0 * (graph.locality_function(1) - 1)
-    return LocalMatrixOracle(graph, 1, _laplacian_source(graph), norm_bound=max(bound, 0.0),
+    return LocalMatrixOracle(graph, 1, source, norm_bound=max(bound, 0.0),
                              hermitian=True, psd=True)
 
 
@@ -174,28 +209,10 @@ def advection_hamiltonian(velocity, a: float, n_per_axis: int, D: int,
         raise PreconditionError(f"{velocity.size} velocity components for D={D}")
     if boundary == "periodic" and n_per_axis < 3:
         raise PreconditionError("periodic axes need at least 3 sites")
-    g = grid([n_per_axis] * D, boundary=boundary)
-
-    def row_fn(i: int):
-        coords = g.site_coords(i)
-        entries: dict = {}
-        for d in range(D):
-            vd = velocity[d]
-            if vd == 0.0:
-                continue
-            for step, sign in ((1, -1.0), (-1, 1.0)):
-                c = coords[d] + step
-                if boundary == "periodic":
-                    c %= n_per_axis
-                elif not (0 <= c < n_per_axis):
-                    continue
-                j = g.coords_site(coords[:d] + (c,) + coords[d + 1:])
-                entries[j] = entries.get(j, 0.0) + sign * 1j * vd / (2.0 * a)
-        return [(j, v) for j, v in entries.items() if v != 0]
-
-    vmax = float(np.abs(velocity).max()) if velocity.size else 0.0
-    return local_matrix_from_rows(g, 1, row_fn, norm_bound=D * vmax / a,
-                                  hermitian=True)
+    # each weight in scalar arithmetic, added to 0.0 so that a zero real part is +0.0
+    back, fwd = ([0.0 + sign * 1j * vd / (2.0 * a) for vd in velocity] for sign in (1.0, -1.0))
+    return stencil_oracle(grid([n_per_axis] * D, boundary=boundary), back, fwd, 0.0,
+                          norm_bound=D * float(np.abs(velocity).max()) / a, hermitian=True)
 
 
 # =====================================================================
@@ -210,8 +227,8 @@ def schrodinger_hamiltonian(laplacian: LocalMatrixOracle, potential,
 
     For graph_laplacian_oracle that is 2(N(1) - 1)/a^2 + max|V|.
     """
-    if a <= 0:
-        raise PreconditionError("grid spacing must be positive")
+    if not (a > 0 and a * a > 0 and 1.0 / (a * a) < math.inf):
+        raise PreconditionError(f"grid spacing {a:.3g} must be positive, with 1/a^2 finite")
     if laplacian.norm_bound is None:
         raise PreconditionError("the Laplacian needs a declared norm_bound")
     n = laplacian.dimension
@@ -220,12 +237,22 @@ def schrodinger_hamiltonian(laplacian: LocalMatrixOracle, potential,
         raise PreconditionError(f"{varr.size} potential values for {n} sites")
     inv_a2 = 1.0 / (a * a)
 
-    def row_fn(i: int):
-        entries = {j: v * inv_a2 for j, v in laplacian.row(i)}
-        entries[i] = entries.get(i, 0.0) + float(varr[i])
-        return [(j, v) for j, v in entries.items() if v != 0]
+    def source(sites):
+        # L's raw block, not L.rows: this oracle meters the block, on its own counter
+        indptr, cols, vals = laplacian._source(sites)
+        row = np.repeat(np.arange(sites.size), np.diff(indptr))
+        cols, vals = np.asarray(cols, dtype=np.int64), np.asarray(vals) * inv_a2
+        diag = cols == sites[row]
+        vals[diag] += varr[sites[row[diag]]]
+        bare = np.flatnonzero(np.bincount(row[diag], minlength=sites.size) == 0)
+        at = np.asarray(indptr)[bare + 1]   # a row with no diagonal entry gets one, at its end
+        row, cols = np.insert(row, at, bare), np.insert(cols, at, sites[bare])
+        vals = np.insert(vals, at, varr[sites[bare]])
+        keep = vals != 0
+        counts = np.bincount(row[keep], minlength=sites.size)
+        return np.concatenate(([0], np.cumsum(counts))), cols[keep], vals[keep]
 
     bound = laplacian.norm_bound * inv_a2 + float(np.abs(varr).max())
     psd = float(varr.min()) >= 0.0 and laplacian.psd
-    return local_matrix_from_rows(laplacian.graph, laplacian.r0, row_fn,
-                                  norm_bound=bound, hermitian=True, psd=psd)
+    return LocalMatrixOracle(laplacian.graph, laplacian.r0, source, norm_bound=bound,
+                             hermitian=True, psd=psd, check_locality=laplacian.check_locality)

@@ -382,6 +382,56 @@ def test_malformed_sample_blocks_exit_with_a_documented_code(psi, matrix):
         assert main(["sample", "--config", path, "--out", out]) in (0, 1, 2, 4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("floor", [1e200, 1e300])
+def test_random_vector_with_a_huge_floor_runs(tmp_path, floor):
+    """A floor of 1e155 or more once overflowed the norm to inf, so the vector
+    became the zero vector (exit 2)."""
+    cfg = dict(ESTIMATE_CFG, u={"kind": "random", "seed_key": 1, "floor": floor})
+    path = _write_config(tmp_path, "estimate.json", cfg)
+    assert main(["estimate", "--config", path, "--out", str(tmp_path)]) == 0
+
+
+# sizes are small, or past any grid's site limit, never in between, where the
+# potential array or a dense check would fill the machine
+_PDE_BASES = {
+    "advection": {"kind": "advection", "velocity": [1.0, 0.5], "a": 0.5, "n_per_axis": 4,
+                  "dense_check": True},
+    "schrodinger": {"kind": "schrodinger", "graph": {"kind": "grid", "dims": [3, 3]},
+                    "a": 0.5, "potential_const": 1.0, "dense_check": True},
+}
+_PDE_FLAWS = {
+    "kind": st.sampled_from(sorted(_PDE_BASES) + ["wave", "bogus"]),
+    "velocity": st.sampled_from([[], [0.0], [0.0, 0.0], [1e300, -1e300], [1e-300, 1.0],
+                                 [1.0, 2.0, 3.0], ["x"], 1.0]),
+    "a": st.sampled_from([0.0, -1.0, 1e-300, 1e300, "0.5"]),
+    "n_per_axis": st.sampled_from([0, 1, 2, 2.5, 5, _BIG]),
+    "boundary": st.sampled_from(["open", "periodic", "x"]),
+    "graph": st.sampled_from([
+        {"kind": "bogus"}, {"kind": "chain", "n_sites": 0}, {"kind": "chain", "n_sites": 1},
+        {"kind": "chain", "n_sites": 4, "boundary": "periodic"}, {"kind": "grid", "dims": [1, 2]},
+        {"kind": "grid", "dims": [_BIG, _BIG]}, {"kind": "grid", "dims": [2, 2], "boundary": "x"},
+        {"kind": "general", "n_sites": 9, "bonds": [[0, 1], [1, 9]]},
+        {"kind": "general", "n_sites": 9, "bonds": [[0, 1], [4, 4]]}]),
+    "potential": st.sampled_from([[], [1.0] * 9, [1.0] * 8, [-4.0 / 0.25] * 9, [1e300] * 9,
+                                  ["x"] * 9]),
+    "potential_const": st.sampled_from([0.0, -16.0, 1e300, -1e300, "1"]),
+    "dense_check": st.sampled_from([False, "yes"]),
+}
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(block=_flawed_block(_PDE_BASES, _PDE_FLAWS))
+def test_malformed_pde_blocks_exit_with_a_documented_code(block):
+    """Every advection or Schrodinger block of the pde config gives exit 0, 1 or 2
+    and no exception escapes main."""
+    with tempfile.TemporaryDirectory() as out:
+        path = f"{out}/pde.json"
+        with open(path, "w") as fh:
+            json.dump(block, fh)
+        assert main(["pde", "--config", path, "--out", out]) in (0, 1, 2)
+
+
 # alpha * t stays tiny, or so large that the degree cap is out of reach at once;
 # never in between, where exp_poly would build a huge Bessel table
 _POLY_BASES = {

@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 
 from glsim import (DenseMatrix, OscillatorState, OscillatorSystem, PreconditionError,
                    advection_hamiltonian, build_system, chain, dense_evolve,
-                   dense_from_oracle, estimate_energy, estimate_observable,
+                   dense_from_oracle, estimate_energy, estimate_observable, general,
                    graph_laplacian_oracle, grid, local_matrix_from_rows, psi0,
                    schrodinger_hamiltonian, sparse_vector_oracle, spectral_norm,
-                   total_energy, wave_to_oscillators)
+                   stencil_oracle, total_energy, wave_to_oscillators)
+from glsim.cli import build_matrix
+from dense_rows import dense_rows
+from small_graphs import small_graphs
 from spring_tables import spring_pairs, spring_table
+from stencil_rows import advection_rows, laplacian_rows, schrodinger_rows, tridiagonal_rows
 
 
 def _dense(oracle) -> np.ndarray:
@@ -344,8 +348,112 @@ def test_schrodinger_norm_bound_is_laplacian_bound_over_a2_plus_vmax():
         assert spectral_norm(_dense(h)) <= h.norm_bound + 1e-9
 
 
+@pytest.mark.parametrize("a", [1e-160, 1e-300, float("nan")])
+def test_schrodinger_refuses_a_spacing_whose_inverse_square_overflows(a):
+    """a = 1e-300 once escaped the CLI as a ZeroDivisionError."""
+    with pytest.raises(PreconditionError):
+        schrodinger_hamiltonian(graph_laplacian_oracle(chain(3)), np.zeros(3), a)
+
+
 def test_schrodinger_refuses_a_laplacian_without_norm_bound():
     g = chain(6)
     lap = local_matrix_from_rows(g, 1, lambda i: [(i, 0.0)], hermitian=True)
     with pytest.raises(PreconditionError):
         schrodinger_hamiltonian(lap, np.zeros(6), 0.5)
+
+
+# =====================================================================
+# stencils against their row-by-row references
+# =====================================================================
+
+
+def _reference(graph, row_fn, oracle):
+    """The operator of row_fn on graph, with oracle's radius, bound and flags."""
+    return local_matrix_from_rows(graph, oracle.r0, row_fn, norm_bound=oracle.norm_bound,
+                                  hermitian=oracle.hermitian,
+                                  anti_hermitian=oracle.anti_hermitian, psd=oracle.psd)
+
+
+@st.composite
+def _stencil_cases(draw):
+    """[(oracle, reference), ...]: an advection or CLI tridiagonal oracle, or a
+    Laplacian and the Schrodinger operator over it or over a row-built operator
+    with missing diagonals, on a chain or grid (axes of length 1-5, open or
+    periodic) or, for the last two, a general graph; each with the same operator
+    built row by row.  Some potentials cancel a diagonal and some velocity
+    components are 0."""
+    kind = draw(st.sampled_from(["laplacian", "schrodinger", "schrodinger-rows",
+                                 "advection", "tridiagonal"]))
+    if kind == "tridiagonal":
+        n, diag = draw(st.integers(1, 5)), draw(st.sampled_from([0.0, 0.3, -2.5]))
+        off, i_times = draw(st.sampled_from([1.0, -0.5, 3.0])), draw(st.booleans())
+        oracle = build_matrix({"kind": "tridiagonal", "n": n, "diag": diag, "offdiag": off,
+                               "i_times": i_times}, 0)
+        row_fn = tridiagonal_rows(n, diag, off, 1j if i_times else 1.0)
+        return [(oracle, _reference(chain(n), row_fn, oracle))]
+    a = draw(st.sampled_from([1.0, 0.5, 0.3, 2.0]))
+    if kind == "advection":
+        boundary = draw(st.sampled_from(["open", "periodic"]))
+        D = draw(st.integers(1, 3))
+        n = draw(st.integers(3 if boundary == "periodic" else 1, 5))
+        velocity = draw(st.lists(st.sampled_from([0.0, 1.0, -0.7, 2.5, 1e-3]),
+                                 min_size=D, max_size=D))
+        oracle = advection_hamiltonian(velocity, a, n, D, boundary)
+        return [(oracle, _reference(oracle.graph, advection_rows(oracle.graph, velocity, a),
+                                    oracle))]
+    graph = draw(small_graphs())
+    lap = graph_laplacian_oracle(graph)
+    ref_lap = _reference(graph, laplacian_rows(graph), lap)
+    pairs = [(lap, ref_lap)]
+    if kind == "laplacian":
+        return pairs
+    if kind == "schrodinger-rows":
+        pairs = []
+        n = graph.n_sites
+        dense = np.zeros((n, n))
+        for i in range(n):
+            for j in graph.ball(i, 1):
+                if j >= i and draw(st.booleans()):
+                    dense[i, j] = dense[j, i] = draw(st.sampled_from([-1.0, 0.5, 2.0]))
+        lap = ref_lap = local_matrix_from_rows(
+            graph, 1, dense_rows(dense), hermitian=True,
+            norm_bound=float(np.abs(dense).sum(axis=1).max()))
+    inv_a2 = 1.0 / (a * a)
+    potential = []
+    for i in range(graph.n_sites):
+        own = dict(ref_lap.row(i)).get(i, 0.0).real
+        potential.append(draw(st.sampled_from([0.0, -own * inv_a2, 1.5, -0.25])))
+    oracle = schrodinger_hamiltonian(lap, np.array(potential), a)
+    return pairs + [(oracle, _reference(graph, schrodinger_rows(ref_lap, potential, a), oracle))]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(cases=_stencil_cases(), seed=st.integers(0, 2 ** 16))
+def test_stencil_blocks_equal_their_row_references_byte_for_byte(cases, seed):
+    """rows(sites) at shuffled, repeated sites: the same indptr, columns and values,
+    bit for bit (a signed zero counts), and the same query count, as the operator
+    built row by row."""
+    for oracle, reference in cases:
+        sites = np.random.default_rng(seed).permutation(np.arange(oracle.dimension).repeat(2))
+        counts = oracle.cost.queries, reference.cost.queries
+        block = oracle.rows(sites)
+        queries = oracle.cost.queries - counts[0]
+        for new, old in zip(block, reference.rows(sites)):
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+        assert queries == reference.cost.queries - counts[1]
+
+
+def test_tridiagonal_stores_no_zero_entries():
+    """offdiag 0 leaves the diagonal alone: one entry a row, not three, so a row
+    costs 2 queries; diag 0 with offdiag 0 leaves empty rows."""
+    a = build_matrix({"kind": "tridiagonal", "n": 5, "diag": 0.5, "offdiag": 0.0}, 0)
+    indptr, cols, vals = a.rows(np.arange(5))
+    assert indptr.tolist() == [0, 1, 2, 3, 4, 5] and cols.tolist() == [0, 1, 2, 3, 4]
+    assert a.cost.queries == 10
+    empty = build_matrix({"kind": "tridiagonal", "n": 5, "offdiag": 0.0}, 0)
+    assert empty.rows(np.arange(5))[1].size == 0
+
+
+def test_a_stencil_needs_a_chain_or_grid():
+    with pytest.raises(PreconditionError):
+        stencil_oracle(general(3, [(0, 1)]), -1.0, -1.0, None, norm_bound=4.0)
