@@ -328,7 +328,7 @@ class LocalMatrixOracle:
     (len + 1) over its rows.
     The block comes from source(sites) -> (indptr, cols, vals), in any column
     order inside a row; rows sorts it and checks it before it meters it.
-    norm_bound must upper-bound the spectral norm; structure flags
+    norm_bound must upper-bound the spectral norm and be finite; structure flags
     (hermitian / anti_hermitian / psd) are promises the dense validator checks
     at desk scale.
     """
@@ -345,6 +345,8 @@ class LocalMatrixOracle:
             raise ValueError("psd implies hermitian")
         if norm_bound is not None and norm_bound < 0:
             raise ValueError("norm_bound must be nonnegative")
+        if norm_bound is not None and not math.isfinite(norm_bound):
+            raise PreconditionError(f"norm_bound {norm_bound!r} is not finite")
         self.graph = graph
         self.r0 = int(r0)
         self._source = source

@@ -1,16 +1,19 @@
 """Command-line interface: scenario configs, one subcommand per pipeline.
 
 Every run resolves a config (JSON file plus flag overrides), validates it
-against a closed schema (unknown keys are rejected), dispatches to the
-matching pipeline, and writes a JSON report that echoes the full resolved
-config, the outputs, oracle cost counters, and wall time.  Reports are
-byte-identical for identical config + seed, except for the wall_time_s
-field.  Series data (scan curves, sample streams, time grids) goes to CSV.
+against a closed schema (unknown keys are rejected; each block kind needs its
+keys), dispatches to the matching pipeline, and writes a JSON report that
+echoes the full resolved config, the outputs, oracle cost counters, and wall
+time.  Reports are byte-identical for identical config + seed, except for the
+wall_time_s field.  Series data (scan curves, sample streams, time grids)
+goes to CSV.
 
-Exit codes: 0 success, 1 config/schema violation (or sizes that do not fit
-in memory), 2 precondition failure, 3 sampler failure (a rejection run
-exhausted its trial budget), 4 a failed internal numerical check.  `verify`
-also exits 2 when any acceptance criterion fails.
+Exit codes: 0 success, 1 config/schema violation (or sizes past a cap or
+memory), 2 precondition failure (or a report that would hold NaN or Infinity,
+which is not written), 3 sampler failure (a rejection run exhausted its trial
+budget), 4 a failed internal numerical check.  `verify` also exits 2 when any
+acceptance criterion fails.  A schema violation prints as
+`config error: <JSON path>: <message>`.
 """
 
 from __future__ import annotations
@@ -61,6 +64,13 @@ class ConfigError(ValueError):
 # config schemas (closed: unknown keys are rejected)
 # =====================================================================
 
+
+def _needs(**keys) -> list:
+    """allOf clauses: a block whose kind is k must carry the keys keys[k]."""
+    return [{"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
+             "then": {"required": list(required)}} for kind, required in keys.items()]
+
+
 _COMPLEX = {"oneOf": [
     {"type": "number"},
     {"type": "array", "items": {"type": "number"},
@@ -97,6 +107,7 @@ _MATRIX = {
         "anti": {"type": "boolean"},
     },
     "required": ["kind"],
+    "allOf": _needs(tridiagonal=["n"], laplacian=["graph"], random_local=["graph"]),
     "additionalProperties": False,
 }
 
@@ -112,6 +123,7 @@ _VECTOR = {
         "floor": {"type": "number", "minimum": 0},
     },
     "required": ["kind"],
+    "allOf": _needs(sparse=["entries"]),
     "additionalProperties": False,
 }
 
@@ -128,6 +140,8 @@ _POLY = {
         "sup_bound": {"type": "number", "exclusiveMinimum": 0},
     },
     "required": ["kind"],
+    "allOf": _needs(exp=["t"], chebyshev=["coefficients", "interval"],
+                    monomial=["coefficients"]),
     "additionalProperties": False,
 }
 
@@ -272,6 +286,8 @@ SCHEMAS = {
             **_COMMON,
         },
         "required": ["kind"],
+        "allOf": _needs(wave=["graph", "c", "a"], advection=["velocity", "a", "n_per_axis"],
+                        schrodinger=["graph", "a"]),
         "additionalProperties": False,
     },
     "embed": {
@@ -296,7 +312,7 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "scenario": {"const": "verify"},
-            "suite": {"type": "string"},
+            "suite": {"enum": sorted(SUITES)},
             "threads": {"type": "integer", "minimum": 1},
             **_COMMON,
         },
@@ -320,8 +336,6 @@ def _as_complex(raw) -> complex:
 def build_matrix(spec: dict, seed: int):
     kind = spec["kind"]
     if kind == "tridiagonal":
-        if "n" not in spec:
-            raise ConfigError("tridiagonal matrix needs n")
         n = spec["n"]
         diag = float(spec.get("diag", 0.0))
         off = float(spec.get("offdiag", 1.0))
@@ -330,12 +344,8 @@ def build_matrix(spec: dict, seed: int):
                               norm_bound=abs(diag) + 2.0 * abs(off),
                               hermitian=factor == 1.0, anti_hermitian=factor == 1j)
     if kind == "laplacian":
-        if "graph" not in spec:
-            raise ConfigError("laplacian matrix needs a graph")
         return graph_laplacian_oracle(SiteGraph.from_config(spec["graph"]))
     # random_local: reproducible dense-backed instance for demos and tests
-    if "graph" not in spec:
-        raise ConfigError("random_local matrix needs a graph")
     graph = SiteGraph.from_config(spec["graph"])
     if graph.n_sites > dense_cap():
         raise ConfigError(f"random_local matrix is dense-backed: {graph.n_sites} sites "
@@ -356,8 +366,6 @@ def build_vector(spec: dict, dim: int, seed: int, role_key: int,
                 raise ConfigError(f"point site {site} out of range for dimension {dim}")
             entries = {site: 1.0 + 0.0j}
         else:
-            if "entries" not in spec:
-                raise ConfigError("sparse vector needs entries")
             entries = {int(k): _as_complex(v) for k, v in spec["entries"].items()}
             bad = [k for k in entries if k >= dim]
             if bad:
@@ -377,29 +385,22 @@ def build_vector(spec: dict, dim: int, seed: int, role_key: int,
         if floor > 0.0:
             mags = np.abs(g)
             mags[mags == 0] = 1.0
-            g = (floor + np.abs(g)) * g / mags
+            with np.errstate(over="ignore", invalid="ignore"):   # a floor near the top
+                plain = (floor + np.abs(g)) * g / mags
+            g = np.where(np.isfinite(plain), plain, (floor + np.abs(g)) * (g / mags))
         with np.errstate(over="ignore"):   # a huge floor: the squares overflow, not g
             g = g if math.isfinite(np.linalg.norm(g)) else g / np.abs(g).max()
         dense = g / np.linalg.norm(g)
     return sq_access_from_dense(dense, zeta)
 
 
-def build_poly(spec: dict, default_alpha: float | None) -> Polynomial:
+def build_poly(spec: dict, default_alpha: float) -> Polynomial:
     kind = spec["kind"]
     if kind == "exp":
-        alpha = spec.get("alpha", default_alpha)
-        if alpha is None:
-            raise ConfigError("exp poly needs alpha (no matrix bound available)")
-        if "t" not in spec:
-            raise ConfigError("exp poly needs t")
-        return exp_poly(float(alpha), float(spec["t"]),
+        return exp_poly(float(spec.get("alpha", default_alpha)), float(spec["t"]),
                         float(spec.get("tol", 1e-8)))
-    if "coefficients" not in spec:
-        raise ConfigError(f"{kind} poly needs coefficients")
     coeffs = tuple(_as_complex(c) for c in spec["coefficients"])
     if kind == "chebyshev":
-        if "interval" not in spec:
-            raise ConfigError("chebyshev poly needs an interval")
         lo, hi = (float(x) for x in spec["interval"])
         return Polynomial(coefficients=coeffs, basis="chebyshev",
                           interval=(lo, hi), sup_bound=spec.get("sup_bound"))
@@ -542,8 +543,6 @@ def _run_pde(cfg: dict):
     kind = cfg["kind"]
     outputs: dict = {"kind": kind}
     if kind == "wave":
-        if "graph" not in cfg or "c" not in cfg or "a" not in cfg:
-            raise ConfigError("wave needs graph, c, and a")
         lap = graph_laplacian_oracle(SiteGraph.from_config(cfg["graph"]))
         sys_ = wave_to_oscillators(lap, c=float(cfg["c"]), a=float(cfg["a"]))
         outputs.update(n_sites=sys_.n_sites, extended_dim=sys_.extended_dim,
@@ -557,16 +556,11 @@ def _run_pde(cfg: dict):
                 np.abs(a_dense - scale * l_dense).max())
         return outputs, {}, None, EXIT_OK
     if kind == "advection":
-        for key in ("velocity", "a", "n_per_axis"):
-            if key not in cfg:
-                raise ConfigError(f"advection needs {key}")
         velocity = cfg["velocity"]
         h = advection_hamiltonian(velocity, float(cfg["a"]),
                                   int(cfg["n_per_axis"]), len(velocity),
                                   boundary=cfg.get("boundary", "periodic"))
     else:  # schrodinger
-        if "graph" not in cfg or "a" not in cfg:
-            raise ConfigError("schrodinger needs graph and a")
         lap = graph_laplacian_oracle(SiteGraph.from_config(cfg["graph"]))
         if "potential" in cfg:
             pot = np.asarray(cfg["potential"], dtype=np.float64)
@@ -630,8 +624,6 @@ def _run_embed(cfg: dict):
 
 def _run_verify(cfg: dict):
     suite = cfg.get("suite", "all")
-    if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; have {sorted(SUITES)}")
     threads = int(cfg.get("threads", os.cpu_count() or 1))
     results = run_suite(SUITES[suite], seed=cfg["seed"], threads=threads)
     for res in results:
@@ -692,9 +684,6 @@ def _load_config(path: str | None) -> dict:
 
 def _resolve(scenario: str, args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config)
-    if "scenario" in cfg and cfg["scenario"] != scenario:
-        raise ConfigError(f"config is for scenario {cfg['scenario']!r}, "
-                          f"but the {scenario} subcommand was invoked")
     overrides = {
         "count": getattr(args, "count", None),
         "suite": getattr(args, "suite", None),
@@ -710,7 +699,7 @@ def _resolve(scenario: str, args: argparse.Namespace) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", DEFAULT_SEED)
-    cfg["scenario"] = scenario
+    cfg.setdefault("scenario", scenario)   # the schema's const refuses another scenario
     jsonschema.validate(cfg, SCHEMAS[scenario])
     return cfg
 
@@ -720,7 +709,6 @@ def run_scenario(scenario: str, cfg: dict, out_dir: str) -> int:
     t0 = time.perf_counter()
     outputs, cost, rows, code = PIPELINES[scenario](cfg)
     wall = time.perf_counter() - t0
-    os.makedirs(out_dir, exist_ok=True)
     report = {
         "scenario": scenario,
         "config": cfg,
@@ -728,12 +716,16 @@ def run_scenario(scenario: str, cfg: dict, out_dir: str) -> int:
         "cost": cost,
         "wall_time_s": round(wall, 6),
     }
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:   # NaN or Infinity: the report would not be JSON
+        raise PreconditionError("the report holds a NaN or infinite value") from None
+    os.makedirs(out_dir, exist_ok=True)
     out_cfg = cfg.get("output", {})
     report_path = os.path.join(out_dir, out_cfg.get("report",
                                                     f"{scenario}_report.json"))
     with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     if rows is not None:
         series_path = os.path.join(out_dir, out_cfg.get("series",
                                                         f"{scenario}_series.csv"))
@@ -799,7 +791,7 @@ def main(argv=None) -> int:
         cfg = _resolve(scenario, args)
     except (ConfigError, jsonschema.ValidationError, json.JSONDecodeError,
             OSError, KeyError) as exc:
-        msg = getattr(exc, "message", None) or str(exc)
+        msg = f"{exc.json_path}: {exc.message}" if hasattr(exc, "json_path") else exc
         print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG
     try:

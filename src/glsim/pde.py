@@ -126,7 +126,8 @@ def wave_to_oscillators(laplacian: LocalMatrixOracle, c: float, a: float) -> Osc
     springs or for A, must be a spring network's rows (real, no off-diagonal
     giving a kappa below -1e-12, no scaled row sum below -1e-12); the first
     read that meets a bad row raises PreconditionError.  L must be declared
-    Hermitian and carry a norm_bound.
+    Hermitian and carry a norm_bound, and (c/a)^2 and (c/a)^2 L.norm_bound
+    must be finite, with (c/a)^2 > 0.
     """
     if not 0 < a < math.inf:
         raise PreconditionError("grid spacing must be positive and finite")
@@ -136,7 +137,10 @@ def wave_to_oscillators(laplacian: LocalMatrixOracle, c: float, a: float) -> Osc
         raise PreconditionError("the Laplacian must be declared Hermitian")
     if laplacian.norm_bound is None:
         raise PreconditionError("the Laplacian needs a declared norm_bound")
-    scale = (c * c) / (a * a)
+    scale = (c * c) / (a * a) if a * a > 0 else math.inf
+    if not (0 < scale < math.inf and scale * laplacian.norm_bound < math.inf):
+        raise PreconditionError(f"(c/a)^2 = {scale!r} must be finite and positive, "
+                                f"with a finite bound (c/a)^2 ||L||")
 
     def checked(sites, indptr, cols, vals):
         """(row, diag, kap, wall) of a block of L: each entry's position in sites,

@@ -160,12 +160,17 @@ def bessel_j_sequence(z: float, K: int) -> np.ndarray:
     return out
 
 
+MAX_EXP_DEGREE = 2 ** 18   # ~10x the bound at alpha t = 19,596, the tests' largest
+
+
 def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
     """Chebyshev approximation of e^{ixt} on [-alpha, alpha] within eps.
 
     Coefficients are c_0 = J_0(alpha t), c_k = 2 i^k J_k(alpha t), truncated at
     the first degree d whose Bessel tail bound tail(d) drops below eps; d never
-    exceeds ceil(e*alpha*|t|/2) + ceil(log2(1/eps)) + 4.  sup_bound = 1 + tail(d)
+    exceeds ceil(e*alpha*|t|/2) + ceil(log2(1/eps)) + 4.  A bound above
+    MAX_EXP_DEGREE is a ValueError, raised before any table is built, as the
+    dense oracle's dimension cap is.  sup_bound = 1 + tail(d)
     holds on the whole interval, since |p(x)| <= |e^{ixt}| + |p(x) - e^{ixt}|.
     A 2001-point grid cross-checks the error and sup_bound, each up to
     rounding_bound(p) (NumericalCheckError).
@@ -175,12 +180,16 @@ def exp_poly(alpha: float, t: float, eps: float) -> Polynomial:
     eps = float(eps)
     if alpha <= 0:
         raise PreconditionError("alpha must be positive")
-    if not (0 < eps <= 1):
-        raise PreconditionError("eps must lie in (0, 1]")
+    if not (0 < eps <= 1) or 1.0 / eps == math.inf:
+        raise PreconditionError("eps must lie in (0, 1], with 1/eps finite")
     z = alpha * t
     if not abs(z) < math.inf:
         raise PreconditionError(f"alpha * t = {alpha!r} * {t!r} is not finite")
-    cap = int(math.ceil(math.e * abs(z) / 2.0)) + int(math.ceil(math.log2(1.0 / eps))) + 4
+    log_term = int(math.ceil(math.log2(1.0 / eps))) + 4
+    if not math.e * abs(z) / 2.0 <= MAX_EXP_DEGREE - log_term:   # cap > MAX, and inf-safe
+        raise ValueError(f"alpha * t = {z!r} needs a degree bound above the exp_poly "
+                         f"degree cap {MAX_EXP_DEGREE}")
+    cap = int(math.ceil(math.e * abs(z) / 2.0)) + log_term
     K = cap + 30
     J = bessel_j_sequence(z, K)
 

@@ -410,6 +410,15 @@ def test_scale_oracle_tracks_structure_and_bound():
     assert c.hermitian and not c.anti_hermitian
 
 
+@pytest.mark.parametrize("bound", [float("inf"), float("nan")])
+def test_a_norm_bound_that_is_not_finite_is_refused(bound):
+    """An infinite bound once reached a pde report as a bare Infinity."""
+    with pytest.raises(PreconditionError, match="is not finite"):
+        _tridiag_oracle(5, norm_bound=bound)
+    with pytest.raises(PreconditionError, match="is not finite"):
+        scale_matrix_oracle(_tridiag_oracle(5, norm_bound=1e308), 10.0)
+
+
 def test_scaled_oracle_shares_cost_counter():
     a = _tridiag_oracle(5)
     b = scale_matrix_oracle(a, 2.0)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glsim
-from glsim import DEFAULT_SEED
+from glsim import DEFAULT_SEED, cli
 from glsim.cli import main
 
 
@@ -24,6 +25,24 @@ def _write_config(tmp_path, name: str, cfg: dict) -> str:
 def _read_report(out_dir, name: str) -> dict:
     with open(out_dir / name) as fh:
         return json.load(fh)
+
+
+def _no_constant(literal):
+    raise AssertionError(f"the report holds {literal}, which is not JSON")
+
+
+def _run_block(scenario: str, cfg: dict) -> int:
+    """main's exit code for cfg, run in a fresh directory; the report of a run
+    that exits 0 must parse as strict JSON, with no NaN or Infinity."""
+    with tempfile.TemporaryDirectory() as out:
+        path = f"{out}/{scenario}.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = main([scenario, "--config", path, "--out", out])
+        if code == 0:
+            with open(f"{out}/{scenario}_report.json") as fh:
+                json.load(fh, parse_constant=_no_constant)
+        return code
 
 
 ESTIMATE_CFG = {
@@ -294,12 +313,7 @@ def _system_blocks(draw):
 @given(system=_system_blocks())
 def test_malformed_system_blocks_exit_with_a_documented_code(system):
     """Every system block gives exit 0, 1, 2 or 4 and no exception escapes main."""
-    cfg = dict(FOUR_MASS_ENERGY_CFG, system=system)
-    with tempfile.TemporaryDirectory() as out:
-        path = f"{out}/energy.json"
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        assert main(["energy", "--config", path, "--out", out]) in (0, 1, 2, 4)
+    assert _run_block("energy", dict(FOUR_MASS_ENERGY_CFG, system=system)) in (0, 1, 2, 4)
 
 
 def test_huge_masses_give_a_degree_zero_energy_run(tmp_path):
@@ -375,18 +389,15 @@ def test_malformed_sample_blocks_exit_with_a_documented_code(psi, matrix):
     cfg = dict(SAMPLE_CFG, count=3)
     cfg.update({key: block for key, block in (("psi", psi), ("matrix", matrix))
                 if block is not None})
-    with tempfile.TemporaryDirectory() as out:
-        path = f"{out}/sample.json"
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        assert main(["sample", "--config", path, "--out", out]) in (0, 1, 2, 4)
+    assert _run_block("sample", cfg) in (0, 1, 2, 4)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("floor", [1e200, 1e300])
+@pytest.mark.parametrize("floor", [1e200, 1e300, 1e308])
 def test_random_vector_with_a_huge_floor_runs(tmp_path, floor):
     """A floor of 1e155 or more once overflowed the norm to inf, so the vector
-    became the zero vector (exit 2)."""
+    became the zero vector (exit 2); at 1e308 the floored entries themselves
+    overflowed (exit 1)."""
     cfg = dict(ESTIMATE_CFG, u={"kind": "random", "seed_key": 1, "floor": floor})
     path = _write_config(tmp_path, "estimate.json", cfg)
     assert main(["estimate", "--config", path, "--out", str(tmp_path)]) == 0
@@ -399,9 +410,11 @@ _PDE_BASES = {
                   "dense_check": True},
     "schrodinger": {"kind": "schrodinger", "graph": {"kind": "grid", "dims": [3, 3]},
                     "a": 0.5, "potential_const": 1.0, "dense_check": True},
+    "wave": {"kind": "wave", "graph": {"kind": "grid", "dims": [3, 3]}, "c": 2.0, "a": 0.5,
+             "dense_check": True},
 }
 _PDE_FLAWS = {
-    "kind": st.sampled_from(sorted(_PDE_BASES) + ["wave", "bogus"]),
+    "kind": st.sampled_from(sorted(_PDE_BASES) + ["bogus"]),
     "velocity": st.sampled_from([[], [0.0], [0.0, 0.0], [1e300, -1e300], [1e-300, 1.0],
                                  [1.0, 2.0, 3.0], ["x"], 1.0]),
     "a": st.sampled_from([0.0, -1.0, 1e-300, 1e300, "0.5"]),
@@ -417,19 +430,47 @@ _PDE_FLAWS = {
                                   ["x"] * 9]),
     "potential_const": st.sampled_from([0.0, -16.0, 1e300, -1e300, "1"]),
     "dense_check": st.sampled_from([False, "yes"]),
+    "c": st.sampled_from([0.0, -1.0, 1e-200, 1e-300, 1e200, 1e300, "2"]),
 }
 
 
 @settings(max_examples=120, deadline=None, database=None, derandomize=True)
 @given(block=_flawed_block(_PDE_BASES, _PDE_FLAWS))
 def test_malformed_pde_blocks_exit_with_a_documented_code(block):
-    """Every advection or Schrodinger block of the pde config gives exit 0, 1 or 2
-    and no exception escapes main."""
-    with tempfile.TemporaryDirectory() as out:
-        path = f"{out}/pde.json"
-        with open(path, "w") as fh:
-            json.dump(block, fh)
-        assert main(["pde", "--config", path, "--out", out]) in (0, 1, 2)
+    """Every advection, Schrodinger or wave block of the pde config gives exit 0, 1
+    or 2 and no exception escapes main."""
+    assert _run_block("pde", block) in (0, 1, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scenario,cfg", [
+    ("pde", {"kind": "advection", "velocity": [1e300], "a": 1e-300, "n_per_axis": 4}),
+    ("pde", {"kind": "schrodinger", "graph": {"kind": "chain", "n_sites": 8}, "a": 1e-154}),
+    ("pde", {"kind": "wave", "graph": {"kind": "grid", "dims": [4, 4]}, "c": 1e200, "a": 1.0}),
+    ("pde", {"kind": "wave", "graph": {"kind": "grid", "dims": [4, 4]}, "c": 1.0, "a": 1e-200}),
+    ("estimate", dict(ESTIMATE_CFG, matrix={"kind": "tridiagonal", "n": 64, "diag": 1e308,
+                                            "offdiag": 1e308})),
+], ids=["advection-infinite-bound", "schrodinger-infinite-bound", "wave-infinite-bound",
+        "wave-spacing-squared-underflows", "tridiagonal-infinite-bound"])
+def test_a_bound_past_the_float_range_is_a_precondition_failure(tmp_path, capsys, scenario,
+                                                               cfg):
+    """Each of these once exited 0 with a bare Infinity in its report, or (the
+    underflowing spacing) escaped main as a ZeroDivisionError."""
+    path = _write_config(tmp_path, f"{scenario}.json", cfg)
+    assert main([scenario, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:")
+    assert "Traceback" not in err
+    assert not (tmp_path / f"{scenario}_report.json").exists()
+
+
+def test_a_report_that_would_not_be_json_is_not_written(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.PIPELINES, "pde", lambda cfg: ({"x": math.nan}, {}, None, 0))
+    path = _write_config(tmp_path, "pde.json", _PDE_BASES["wave"])
+    assert main(["pde", "--config", path, "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == \
+        "precondition failure: the report holds a NaN or infinite value\n"
+    assert not (tmp_path / "runs").exists()
 
 
 # alpha * t stays tiny, or so large that the degree cap is out of reach at once;
@@ -457,11 +498,94 @@ _POLY_FLAWS = {
 def test_malformed_poly_blocks_exit_with_a_documented_code(poly):
     """Every poly block of the estimate config gives exit 0, 1, 2 or 4 and no
     exception escapes main."""
-    with tempfile.TemporaryDirectory() as out:
-        path = f"{out}/estimate.json"
-        with open(path, "w") as fh:
-            json.dump(dict(ESTIMATE_CFG, poly=poly), fh)
-        assert main(["estimate", "--config", path, "--out", out]) in (0, 1, 2, 4)
+    assert _run_block("estimate", dict(ESTIMATE_CFG, poly=poly)) in (0, 1, 2, 4)
+
+
+_STATE_BASES = {
+    "displaced": {"x": [1.0, 0.0, 0.0, 0.0], "xdot": [0.0] * 4},
+    "moving": {"x": [0.0] * 4, "xdot": [0.5, -0.5, 0.0, 1.0]},
+}
+_STATE_FLAWS = {key: st.sampled_from([[], [1.0] * 3, [1.0] * 5, [0.0] * 4, [1e300] * 4,
+                                      [1e-300] * 4, [1e300, -1e300, 0.0, 0.0], [1e200] * 4,
+                                      ["x"] * 4, 1.0])
+                for key in ("x", "xdot")}
+# the 4-mass chain has 14 extended dimensions
+_OSCILLATOR_VECTOR_BASES = dict(_VECTOR_BASES, inline={"kind": "inline", "values": [0.25] * 14})
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(scenario=st.sampled_from(["oscillator", "energy"]),
+       state=st.one_of(st.none(), _flawed_block(_STATE_BASES, _STATE_FLAWS)),
+       v=st.one_of(st.none(), _flawed_block(_OSCILLATOR_VECTOR_BASES, _VECTOR_FLAWS)))
+def test_malformed_oscillator_blocks_exit_with_a_documented_code(scenario, state, v):
+    """Every state block of the oscillator and energy configs, and every v block of
+    the oscillator config, gives exit 0, 1, 2 or 4 and no exception escapes main."""
+    cfg = dict(FOUR_MASS_ENERGY_CFG if scenario == "energy" else FOUR_MASS_OSCILLATOR_CFG,
+               state=state or _STATE_BASES["displaced"])
+    if scenario == "oscillator" and v is not None:
+        cfg["v"] = v
+    assert _run_block(scenario, cfg) in (0, 1, 2, 4)
+
+
+# the keys each kind of block needs; the schema states these, so no builder
+# meets a missing key
+_NEEDED = {
+    ("matrix", "tridiagonal"): ["n"],
+    ("matrix", "laplacian"): ["graph"],
+    ("matrix", "random_local"): ["graph"],
+    ("u", "sparse"): ["entries"],
+    ("poly", "exp"): ["t"],
+    ("poly", "chebyshev"): ["coefficients", "interval"],
+    ("poly", "monomial"): ["coefficients"],
+    ("pde", "advection"): ["velocity", "a", "n_per_axis"],
+    ("pde", "schrodinger"): ["graph", "a"],
+    ("pde", "wave"): ["graph", "c", "a"],
+}
+_BASES = {"matrix": _MATRIX_BASES, "u": {"sparse": _VECTOR_BASES["sparse"]},
+          "poly": _POLY_BASES, "pde": _PDE_BASES}
+
+
+def _without(block: str, kind: str, key: str):
+    """(scenario, config, JSON path of the block) for the base of kind without key."""
+    base = {k: v for k, v in _BASES[block][kind].items() if k != key}
+    if block == "pde":
+        return "pde", base, "$"
+    return "estimate", dict(ESTIMATE_CFG, **{block: base}), f"$.{block}"
+
+
+@pytest.mark.parametrize("block,kind,key",
+                         [(b, k, key) for (b, k), keys in _NEEDED.items() for key in keys])
+def test_a_block_without_a_key_its_kind_needs_is_a_config_error(capsys, block, kind, key):
+    assert key in _BASES[block][kind]
+    scenario, cfg, path = _without(block, kind, key)
+    assert _run_block(scenario, cfg) == 1
+    assert capsys.readouterr().err == f"config error: {path}: {key!r} is a required property\n"
+
+
+@pytest.mark.parametrize("block,kind,key", [
+    (b, k, key) for b, bases in _BASES.items() for k, base in bases.items() for key in base
+    if key != "kind" and key not in _NEEDED[(b, k)]])
+def test_a_block_without_an_optional_key_is_no_config_error(block, kind, key):
+    """The builders read an optional key with its default; a chebyshev poly
+    without sup_bound fails estimate's precondition."""
+    assert _run_block(*_without(block, kind, key)[:2]) in (0, 2)
+
+
+@pytest.mark.parametrize("scenario,cfg,message", [
+    ("estimate", dict(ESTIMATE_CFG, matrix={"kind": "tridiagonal"}),
+     "$.matrix: 'n' is a required property"),
+    ("estimate", dict(ESTIMATE_CFG, matrix={"n": 4}), "$.matrix: 'kind' is a required property"),
+    ("estimate", dict(ESTIMATE_CFG, scenario="sample"), "$.scenario: 'estimate' was expected"),
+    ("estimate", dict(ESTIMATE_CFG, eps=0.0), "$.eps: 0.0 is less than or equal to the minimum"),
+    ("pde", {"kind": "wave", "graph": {"kind": "chain", "n_sites": 4}, "a": 1.0},
+     "$: 'c' is a required property"),
+    ("verify", {"suite": "bogus"}, "$.suite: 'bogus' is not one of ['all', 'embed', "),
+], ids=["tridiagonal-without-n", "matrix-without-kind", "scenario-mismatch",
+        "eps-not-positive", "wave-without-c", "unknown-suite"])
+def test_a_schema_error_names_its_json_path(tmp_path, capsys, scenario, cfg, message):
+    path = _write_config(tmp_path, "bad.json", cfg)
+    assert main([scenario, "--config", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 def test_exp_poly_with_an_overflowing_alpha_t_is_a_precondition_error(tmp_path, capsys):
@@ -470,6 +594,18 @@ def test_exp_poly_with_an_overflowing_alpha_t_is_a_precondition_error(tmp_path, 
     path = _write_config(tmp_path, "estimate.json", cfg)
     assert main(["estimate", "--config", path, "--out", str(tmp_path)]) == 2
     assert "is not finite" in capsys.readouterr().err
+
+
+def test_exp_poly_past_the_degree_cap_is_refused_at_once(tmp_path, capsys):
+    """alpha * t = 1e6 once ran for 15 s and built a degree of 1,000,666."""
+    cfg = dict(ESTIMATE_CFG, poly={"kind": "exp", "alpha": 1.0, "t": 1e6})
+    path = _write_config(tmp_path, "estimate.json", cfg)
+    tic = time.perf_counter()
+    assert main(["estimate", "--config", path, "--out", str(tmp_path)]) == 1
+    assert time.perf_counter() - tic < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: alpha * t = 1000000.0 needs a degree bound above")
+    assert not (tmp_path / "estimate_report.json").exists()
 
 
 # three qubits at most, so every embedding stays small
@@ -511,11 +647,7 @@ def _circuit_blocks(draw):
 def test_malformed_circuit_blocks_exit_with_a_documented_code(circuit, mode):
     """Every circuit block of the embed config gives exit 0, 1, 2 or 4 and no
     exception escapes main."""
-    with tempfile.TemporaryDirectory() as out:
-        path = f"{out}/embed.json"
-        with open(path, "w") as fh:
-            json.dump({"mode": mode, "circuit": circuit}, fh)
-        assert main(["embed", "--config", path, "--out", out]) in (0, 1, 2, 4)
+    assert _run_block("embed", {"mode": mode, "circuit": circuit}) in (0, 1, 2, 4)
 
 
 @pytest.mark.parametrize("value", [1e300, 1e-300, 1e-170])

@@ -266,6 +266,21 @@ def test_wave_rejects_non_finite_speed_or_spacing(c, a):
         wave_to_oscillators(graph_laplacian_oracle(chain(3)), c=c, a=a)
 
 
+@pytest.mark.parametrize("c,a", [(1.0, 1e-200), (1e200, 1.0), (1e-200, 1.0), (1e150, 1e-150),
+                                 (1.0, 1e-154)])
+def test_wave_refuses_a_spring_scale_or_bound_out_of_the_float_range(c, a):
+    """a = 1e-200 once escaped the CLI as a ZeroDivisionError; c = 1e200 gave an
+    infinite bound, which the pde report held as a bare Infinity.  The last case
+    has a finite (c/a)^2 whose bound, times ||L|| <= 8 on a grid, is not."""
+    with pytest.raises(PreconditionError):
+        wave_to_oscillators(graph_laplacian_oracle(grid([4, 4])), c=c, a=a)
+
+
+def test_wave_at_the_float_range_ends_keeps_its_scale():
+    sys_ = wave_to_oscillators(graph_laplacian_oracle(grid([4, 4])), c=1e150, a=1e-3)
+    assert sys_.a_norm_bound == (1e150 * 1e150) / (1e-3 * 1e-3) * 8.0
+
+
 # =====================================================================
 # advection
 # =====================================================================

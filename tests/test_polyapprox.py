@@ -114,6 +114,36 @@ def test_exp_poly_degree_cap():
     assert p.degree <= math.ceil(math.e * 2.5) + 20 + 4
 
 
+def test_exp_poly_refuses_a_degree_bound_above_the_cap_before_any_table():
+    """alpha t = 1e6 once ran for 15 s to degree 1,000,666; alpha t near 1e308
+    once escaped as an OverflowError."""
+    for alpha, t in [(1.0, 1e6), (1.0, -1e6), (1e154, 1e154), (2.0, 8.9e307)]:
+        tic = time.perf_counter()
+        with pytest.raises(ValueError, match="degree cap") as info:
+            exp_poly(alpha, t, 1e-8)
+        assert time.perf_counter() - tic < 0.5
+        assert not isinstance(info.value, PreconditionError)
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-310])
+def test_exp_poly_refuses_an_eps_whose_inverse_overflows(eps):
+    """1/eps = inf once escaped as an OverflowError."""
+    with pytest.raises(PreconditionError, match="1/eps finite"):
+        exp_poly(1.0, 0.5, eps)
+
+
+def test_exp_poly_degree_cap_holds_at_its_edge(monkeypatch):
+    """A bound of exactly MAX_EXP_DEGREE builds; one more is refused."""
+    monkeypatch.setattr(polyapprox, "MAX_EXP_DEGREE", 20)
+    for t in np.linspace(0.0, 12.0, 97):
+        bound = math.ceil(math.e * t / 2.0) + 1 + 4   # eps 0.5: ceil(log2(1/eps)) = 1
+        if bound > 20:
+            with pytest.raises(ValueError, match="degree cap"):
+                exp_poly(1.0, float(t), 0.5)
+        else:
+            assert exp_poly(1.0, float(t), 0.5).degree <= bound
+
+
 def test_exp_poly_scalar_value():
     p = exp_poly(1.0, 3.0, 1e-8)
     assert abs(p.eval_many(0.7) - np.exp(2.1j)) <= 1e-8
