@@ -270,6 +270,21 @@ class SiteGraph:
         members.setflags(write=False)
         return members
 
+    def unclipped_balls(self, sites: np.ndarray, r: float):
+        """(mask, members): where mask holds, no face clips ball(site, r), and
+        ball_sites(site, r) is site + members (read-only, the last few radii
+        kept); None on a general graph, or when every ball of radius r is
+        clipped.  sites is an int64 array of valid sites."""
+        if self.kind == "general":
+            return None
+        R = min(int(r), self._diameter)
+        if self._offset_table(R)[3] is None:
+            return None
+        mask = np.ones(sites.size, dtype=bool)
+        for c, L in zip(np.unravel_index(sites, self.dims), self.dims):
+            mask &= (c >= R) & (c < L - R)
+        return mask, self._unclipped_sites(R)
+
     def ball(self, i: int, r: float) -> tuple[int, ...]:
         """Closed ball {j : d(i,j) <= r}, sorted. r is floored to the metric's integer scale."""
         return tuple(self.ball_sites(i, r).tolist())

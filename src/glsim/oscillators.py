@@ -413,7 +413,7 @@ def _energy(sys: OscillatorSystem, state: OscillatorState):
 
     The springs are read at held alone, and the kinetic terms summed over moving
     alone.  (B^T sqrt(M) x)_(i,j) is sqrt(kappa) (x_i - x_j), or sqrt(kappa) x_i
-    at a wall spring.
+    at a wall spring.  E may overflow to inf, with no warning.
     """
     x, xdot, n = state.x, state.xdot, sys.n_sites
     moving, held = np.flatnonzero(xdot), np.flatnonzero(x)
@@ -428,9 +428,10 @@ def _energy(sys: OscillatorSystem, state: OscillatorState):
     # few sorted runs, which a stable sort merges
     order = np.argsort(slots, kind="stable")
     i, j, kap, slots = i[order], j[order], kap[order], slots[order]
-    stretch = np.sqrt(kap) * (x[i] - np.where(i == j, 0.0, x[j]))
-    e = (0.5 * float(np.sum(sys.masses[moving] * xdot[moving] ** 2))
-         + 0.5 * float(np.sum(stretch ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stretch = np.sqrt(kap) * (x[i] - np.where(i == j, 0.0, x[j]))
+        e = (0.5 * float(np.sum(sys.masses[moving] * xdot[moving] ** 2))
+             + 0.5 * float(np.sum(stretch ** 2)))
     return e, moving, held, slots, stretch
 
 
@@ -440,6 +441,8 @@ def _embedding(sys: OscillatorSystem, state: OscillatorState) -> _Embedding:
     It is kept on the state for the last system asked, so every estimate,
     time and psi0 call on that pair shares one pass.  The size check runs on
     every call; a zero-energy embedding, which has no psi(0), is not kept.
+    psi(0) does not change when the state is scaled, so when E overflows,
+    psi(0) is taken from the state scaled to largest |entry| 1.
     """
     n = sys.n_sites
     if state.x.size != n:
@@ -448,12 +451,17 @@ def _embedding(sys: OscillatorSystem, state: OscillatorState) -> _Embedding:
     if embedded is not None and embedded[0] is sys:
         return embedded[1]
     e, moving, held, slots, stretch = _energy(sys, state)
+    scaled_e, scaled = e, state
+    if not math.isfinite(e):
+        c = max(np.abs(state.x).max(), np.abs(state.xdot).max())
+        scaled = OscillatorState(state.x / c, state.xdot / c)
+        scaled_e, moving, held, slots, stretch = _energy(sys, scaled)
     if e <= 0.0:
         return _Embedding(e)
-    s = 1.0 / math.sqrt(2.0 * e)
+    s = 1.0 / math.sqrt(2.0 * scaled_e)
     sv, sx = np.zeros(n), np.zeros(n)
-    sv[moving] = np.sqrt(sys.masses[moving]) * state.xdot[moving] * s
-    sx[held] = np.sqrt(sys.masses[held]) * state.x[held] * s
+    sv[moving] = np.sqrt(sys.masses[moving]) * scaled.xdot[moving] * s
+    sx[held] = np.sqrt(sys.masses[held]) * scaled.x[held] * s
     idx = np.concatenate((moving, slots))
     vals = np.concatenate((sv[moving], 1j * (stretch * s)))
     nonzero = vals != 0

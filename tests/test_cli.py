@@ -776,6 +776,22 @@ def test_energy_single_time_reports_fraction_near_one(tmp_path):
     assert point["value_re"] == pytest.approx(1.0, abs=0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario", ["oscillator", "energy"])
+def test_a_state_whose_energy_overflows_reads_as_the_state_scaled_to_one(tmp_path, scenario):
+    """xdot [1e300, 0, 0, 0] squares past the float range; the reports read what
+    xdot [1, 0, 0, 0] reads, with no warning."""
+    base = FOUR_MASS_ENERGY_CFG if scenario == "energy" else FOUR_MASS_OSCILLATOR_CFG
+    points = []
+    for scale in (1e300, 1.0):
+        out = tmp_path / str(scale)
+        cfg = dict(base, state={"x": [0.0, 0.5 * scale, 0.0, 0.0], "xdot": [scale, 0.0, 0.0, 0.0]})
+        assert main([scenario, "--config", _write_config(tmp_path, f"{scale}.json", cfg),
+                     "--out", str(out)]) == 0
+        points.append(_read_report(out, f"{scenario}_report.json")["outputs"]["points"])
+    assert points[0] == points[1]
+
+
 THREE_MASS_CHAIN = {
     "graph": {"kind": "chain", "n_sites": 3}, "r0": 1,
     "masses": [1.0, 1.0, 1.0], "springs": [[0, 1, 1.0], [1, 2, 1.0]],

@@ -116,10 +116,16 @@ def test_runs_and_ball_are_the_brute_force_ball(g):
     """At every site and radius up to past the diameter: runs() are int64, sorted,
     disjoint, nonempty and cover exactly {j : d(i, j) <= r}; ball() and
     ball_sites() are that set as a sorted tuple of ints and an int64 array,
-    ball_size() its size."""
+    ball_size() its size.  Where unclipped_balls() says no face clips the ball,
+    it is the site plus that call's members."""
     dist = _brute_balls(g)
     top = int(dist[dist <= g.n_sites].max()) + 2
     for r in range(top):
+        free = g.unclipped_balls(np.arange(g.n_sites), r)
+        if free is not None:
+            mask, members = free
+            for i in np.flatnonzero(mask).tolist():
+                assert (i + members).tolist() == np.flatnonzero(dist[i] <= r).tolist()
         for i in range(g.n_sites):
             expected = np.flatnonzero(dist[i] <= r).tolist()
             starts, lengths = g.runs(i, r)

@@ -490,6 +490,20 @@ def test_zero_energy_state_raises_on_every_call(monkeypatch):
     assert len(calls) == 8 and state._embedded is None
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_state_whose_energy_overflows_embeds_as_the_state_scaled_to_one():
+    """E of xdot 1e300 overflows; psi(0) and both estimates are those of the state
+    scaled to largest |entry| 1, bit for bit, with no warning."""
+    rng = np.random.default_rng(136)
+    sys = _random_chain_system(rng, 6)
+    x, xdot = np.array([0.0, 0.5, 0.0, -0.25, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0, 0.75, 0.0])
+    v = sparse_vector_oracle(sys.extended_dim, {1: 0.6, 9: 0.8j})
+    huge = OscillatorState(1e300 * x, 1e300 * xdot)
+    assert total_energy(sys, huge) == math.inf
+    assert (_embedding_outputs(sys, lambda: huge, v)[1:]
+            == _embedding_outputs(sys, lambda: OscillatorState(x, xdot), v)[1:])
+
+
 def test_state_holds_read_only_copies():
     x, xdot = np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(4)
     state = OscillatorState(x, xdot)

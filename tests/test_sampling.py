@@ -1,20 +1,26 @@
 """Oversampling, rejection sampling, and sampling from time-evolved states."""
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glsim import (DenseMatrix, EvolvedSampler, OversamplerHandle,
-                   PreconditionError, SiteGraph, chain, dense_evolve,
-                   dense_from_oracle, dense_poly_apply, exp_poly, grid,
-                   lightcone_oversampler, local_matrix_from_rows,
-                   VectorOracle, rejection_sample, rng_stream, sparse_vector_oracle,
-                   sq_access_from_dense, tv_error_bound)
+from glsim import (DenseMatrix, EvolvedSampler, OracleInconsistencyError,
+                   OversamplerHandle, PreconditionError, RejectionResult, SiteGraph,
+                   chain, dense_evolve, dense_from_oracle, dense_poly_apply,
+                   entries_of_poly_apply, exp_poly, grid, lightcone_oversampler,
+                   local_matrix_from_rows, VectorOracle, rejection_sample, rng_stream,
+                   sparse_vector_oracle, sq_access_from_dense, tv_error_bound)
 from glsim.access import random_local_pair
+from glsim.lightcone import _chunk_size
+from glsim.sampling import _rejection_sample, _TrialMemo
 
 from dense_rows import dense_rows
 from small_graphs import small_graphs
+from trial_loop import mass_fill, scalar_rejection_sample
 
 
 def _unit(rng, n: int) -> np.ndarray:
@@ -518,3 +524,154 @@ def test_sampler_rejects_excessive_sampler_noise():
     with pytest.raises(PreconditionError):
         EvolvedSampler(a, 1.0, noisy, eps=0.05, alpha_min=1.0, delta=1e-6,
                        seed=90)
+
+
+# =====================================================================
+# the chunked trial loop against the scalar reference (tests/trial_loop.py)
+# =====================================================================
+
+
+_LAYOUTS = {"chain": lambda: chain(40), "grid": lambda: grid([7, 8]),
+            "periodic-chain": lambda: chain(36, "periodic"),
+            "periodic-grid": lambda: grid([6, 7], "periodic")}
+
+
+def _recording(handle: OversamplerHandle, log: list, phi: float | None = None,
+               zero_at=None) -> OversamplerHandle:
+    """handle's draws and masses, logging each site whose mass is computed, in
+    order; zero_at doctors that site's mass to 0.0 and phi replaces handle's."""
+    def mass_fn(i):
+        log.append(i)
+        return 0.0 if i == zero_at else handle.mass_query(i)
+    return OversamplerHandle(handle.dimension, handle.draw_many, mass_fn,
+                             handle.phi if phi is None else phi)
+
+
+def _outcomes(draw, count: int) -> list:
+    """draw(k) for k < count, up to and including the first error, as (type, message)."""
+    out = []
+    for k in range(count):
+        try:
+            out.append(draw(k))
+        except (OracleInconsistencyError, PreconditionError) as exc:
+            out.append((type(exc).__name__, str(exc)))
+            break
+    return out
+
+
+@st.composite
+def _trial_cases(draw):
+    """A chain, grid or periodic layout, a point or dense psi, a time, a seed, and
+    no doctoring, a zero mass at one site, or phi shrunk below its certified value."""
+    layout = draw(st.sampled_from(sorted(_LAYOUTS)))
+    kind = draw(st.sampled_from(["point", "dense"]))
+    t = draw(st.sampled_from([0.3, 0.8]))
+    seed = draw(st.integers(0, 2 ** 16))
+    doctor = draw(st.sampled_from([None, "zero", "phi"]))
+    return layout, kind, t, seed, doctor, draw(st.integers(0, 200)), draw(st.floats(0.02, 0.5))
+
+
+def _trial_stack(layout: str, kind: str, t: float, seed: int):
+    """A fresh EvolvedSampler on the layout, with its own A and psi counters."""
+    graph = _LAYOUTS[layout]()
+    rng = np.random.default_rng([seed, graph.n_sites])
+    a, _ = random_local_pair(graph, 1, rng, anti=True)
+    vec = _unit(rng, graph.n_sites)
+    psi = (sparse_vector_oracle(graph.n_sites, {int(rng.integers(graph.n_sites)): 1.0})
+           if kind == "point" else sq_access_from_dense(vec))
+    return a, psi, EvolvedSampler(a, t, psi, eps=0.1, alpha_min=1.0, delta=1e-3, seed=seed)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(case=_trial_cases())
+def test_chunked_trials_match_the_scalar_reference(case):
+    """EvolvedSampler.draw and the public rejection_sample give the scalar loop's
+    results, A and psi (or w) query counts and computed masses, in order; a
+    doctored oversampler raises the same error after the same masses."""
+    layout, kind, t, seed, doctor, pick, shrink = case
+    count = 25
+
+    def doctored(sampler, log):
+        if doctor == "zero":   # a site the sampler meets: one of psi's balls
+            table = sampler.psi.support
+            j = int(table[pick % table.size])
+            zero_at = int(sampler.A.graph.ball_sites(j, sampler.poly.degree)[pick % 3 - 1])
+            return _recording(sampler.oversampler, log, zero_at=zero_at), sampler.phi
+        if doctor == "phi":
+            phi = max(1.0, sampler.phi * shrink)
+            return _recording(sampler.oversampler, log, phi=phi), phi
+        return _recording(sampler.oversampler, log), sampler.phi
+
+    runs = []
+    for path in ("scalar", "chunked"):
+        a, psi, s = _trial_stack(layout, kind, t, seed)
+        log: list = []
+        handle, phi = doctored(s, log)
+        if path == "scalar":
+            u_mass: dict = {}
+            fill = mass_fill(u_mass, partial(entries_of_poly_apply, s.generator, s.poly, psi),
+                             _chunk_size(s.generator, s.poly.degree, 1))
+            outcomes = _outcomes(lambda k: scalar_rejection_sample(
+                handle, u_mass, fill, phi, s.alpha_min, s.delta, s.seed, 512, (k,)), count)
+        else:
+            s.oversampler, s.phi = handle, phi
+            outcomes = _outcomes(s.draw, count)
+        runs.append((outcomes, log, a.cost.snapshot(), psi.cost.snapshot()))
+    assert runs[0] == runs[1]
+    if doctor is None:
+        assert all(r.accepted for r in runs[0][0])
+
+    public = []
+    for path in ("scalar", "chunked"):
+        a, psi, s = _trial_stack(layout, kind, t, seed)
+        log = []
+        handle, phi = doctored(s, log)
+        if path == "scalar":
+            def draw(k):
+                u_mass: dict = {}
+                fill = mass_fill(u_mass, lambda sites: [s.w.query(i) for i in sites], 1)
+                return scalar_rejection_sample(handle, u_mass, fill, phi, s.alpha_min,
+                                               s.delta, s.seed, 64, (k,))
+        else:
+            def draw(k):
+                return rejection_sample(handle, s.w, phi, s.alpha_min, s.delta, s.seed,
+                                        64, (k,))
+        public.append((_outcomes(draw, count), log, a.cost.snapshot(),
+                       psi.cost.snapshot(), s.w.cost.snapshot()))
+    assert public[0] == public[1]
+
+
+def _scripted(chunks: list, masses: list) -> OversamplerHandle:
+    """An oversampler that draws the given chunks in turn, with the given masses."""
+    script = iter(chunks)
+    return OversamplerHandle(len(masses), lambda rng, count: np.array(next(script)),
+                             lambda i: masses[i], phi=1.0)
+
+
+@pytest.mark.parametrize("flaw", ["zero mass", "ratio above 1"])
+def test_a_failing_site_raises_at_its_first_trial_before_a_held_accept(flaw):
+    """Draw 0 tests site 1 (ratio 0) and accepts site 2 (ratio 1), so the memo
+    holds both.  Draw 1's chunk is [0, 2, 1]: site 0, never tested before, raises
+    at trial 1, as in the scalar loop, though trial 2 is a held accept."""
+    masses = [0.0 if flaw == "zero mass" else 1 / 3, 1 / 3, 1 / 3]
+    vec = [math.sqrt(2 / 3) if flaw == "ratio above 1" else 0.0, 0.0, math.sqrt(1 / 3)]
+    chunks = [[1, 1, 2], [0, 2, 1]]
+    expected = {"zero mass": (OracleInconsistencyError, "site 0 with zero oversampler mass"),
+                "ratio above 1": (PreconditionError, "inequality violated at site 0")}[flaw]
+    results = []
+    for path in ("scalar", "chunked"):
+        u = sq_access_from_dense(vec)
+        handle = _scripted(chunks, masses)
+        if path == "scalar":
+            u_mass: dict = {}
+            fill = mass_fill(u_mass, lambda sites: [u.query(i) for i in sites], 1)
+            run = partial(scalar_rejection_sample, handle, u_mass, fill)
+        else:
+            run = partial(_rejection_sample, handle,
+                          _TrialMemo(lambda sites: [u.query(i) for i in sites], 1))
+        first = run(1.0, 1.0, 0.5, 7, 3, (0,))
+        assert first == RejectionResult(site=2, accepted=True, trials=3)
+        with pytest.raises(expected[0], match=expected[1]) as info:
+            run(1.0, 1.0, 0.5, 7, 3, (1,))
+        results.append((str(info.value), u.cost.snapshot()))
+    assert results[0] == results[1]
