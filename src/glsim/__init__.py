@@ -26,8 +26,7 @@ from .embeddings import (ClockHamiltonian, EmbeddedRun, Gate, ReadoutScan,
                          step_operator, w_matrix)
 from .estimate import EstimateReport, evt_gl_estimate, inner_product_estimate
 from .lattice import SiteGraph, chain, general, grid
-from .lightcone import (entries_of_poly_apply, entry_of_poly_apply,
-                        poly_apply_query_oracle, poly_rows, row_power, window_entries)
+from .lightcone import entry_of_poly_apply, poly_apply_query_oracle, window_entries
 from .oracle import (DenseMatrix, dense_cap, dense_cos_sqrt_apply,
                      dense_evolve, dense_from_oracle, dense_poly_apply,
                      dense_poly_matrix, spectral_norm)
@@ -55,7 +54,7 @@ __all__ = [
     "bessel_j_sequence", "build_system", "chain", "classical_output",
     "default_scan_horizon", "dense_cap", "dense_cos_sqrt_apply",
     "dense_evolve", "dense_from_oracle", "dense_poly_apply",
-    "dense_poly_matrix", "divide_out_zero", "entries_of_poly_apply",
+    "dense_poly_matrix", "divide_out_zero",
     "entry_of_poly_apply", "estimate_energy", "estimate_observable",
     "evt_gl_estimate", "exp_poly", "extended_dimension", "find_readout_time",
     "fk_classical", "fk_long_local", "fk_long_undilated", "gate_permutation",
@@ -64,9 +63,9 @@ __all__ = [
     "lightcone_oversampler", "load_system",
     "local_matrix_from_rows", "mul_by_x", "overlap_coefficients",
     "pair_index", "parity_split", "parse_circuit",
-    "poly_apply_query_oracle", "poly_rows", "psi0",
+    "poly_apply_query_oracle", "psi0",
     "read_state_csv", "readout_overlap_curve", "rejection_sample",
-    "rng_stream", "row_power", "run_criterion", "run_suite",
+    "rng_stream", "run_criterion", "run_suite",
     "scale_matrix_oracle", "schrodinger_hamiltonian",
     "simulate_embedded_circuit", "sparse_vector_oracle", "spectral_norm",
     "sq_access_from_dense", "stencil_oracle", "step_operator", "system_from_json_dict",

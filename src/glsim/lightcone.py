@@ -29,10 +29,11 @@ truncation anywhere is a hard-zero drop at 1e-300 after each step, to stop
 denormal buildup.  Chunks keep the working memory under CONE_BYTES: a window
 is never larger than the sum of its origins' cones.
 
-SiteMemo is the one memo of batch reads.  Through one, entries_of_poly_apply
-queries u once at each distinct window site, in increasing order, across
-chunks, and poly_apply_query_oracle answers w's queries.  poly_rows and
-row_power are the batch of one origin with the identity over its window.
+SiteMemo is the one memo of batch reads.  poly_apply_query_oracle is the
+one memoised P(A)u: it keeps a SiteMemo of u and one of w = P(A)u for its
+whole life, so each entry of w is computed once, by a window_entries pass,
+and each entry of u read once; entry_of_poly_apply is one query of a fresh
+oracle.
 """
 
 from __future__ import annotations
@@ -286,62 +287,32 @@ def _poly_entries(window: Window, polys, x) -> np.ndarray:
     return acc
 
 
-def poly_rows(A: LocalMatrixOracle, polys, i: int) -> list[dict]:
-    """The row functionals e_i^T P(A), one {site: value} dict per polynomial, sites
-    increasing: the batch of one origin with the identity over its window as the vectors."""
-    held = []
-
-    def identity(window):
-        held.append(window.sites)
-        return np.eye(window.sites.size, dtype=np.complex128)
-
-    _, values = window_entries(A, polys, [i], identity)
-    sites = held[0]
-    order = np.argsort(sites)
-    rows = []
-    for row in values[:, 0, order]:
-        nz = np.flatnonzero(row)
-        rows.append(dict(zip(sites[order[nz]].tolist(), row[nz].tolist())))
-    return rows
-
-
-def row_power(A: LocalMatrixOracle, i: int, k: int) -> dict:
-    """The sparse row e_i^T A^k as {site: value}, supported inside ball(i, k*r0)."""
-    if k < 0:
-        raise PreconditionError("power must be nonnegative")
-    return poly_rows(A, (Polynomial((0.0,) * int(k) + (1.0,)),), i)[0]
-
-
-def entries_of_poly_apply(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
-                          sites) -> np.ndarray:
-    """The entries (P(A)u)_i at the given sites, touching only their light cones.
-
-    u is queried once at each distinct window site, in increasing order
-    within a chunk; a site an earlier chunk's window held is not queried again.
-    """
-    if A.dimension != u.dimension:
-        raise PreconditionError("matrix and vector dimensions differ")
-    sites = np.asarray(sites, dtype=np.int64)
-    u_memo = SiteMemo(lambda new: u.query_many(new.tolist())[:, None], 1)
-    origins, values = window_entries(A, (p,), sites, lambda window: u_memo.at(window.sites))
-    return values[0, np.searchsorted(origins, sites), 0]
-
-
 def entry_of_poly_apply(A: LocalMatrixOracle, p: Polynomial, u: VectorOracle,
                         i: int) -> complex:
-    """The single entry (P(A)u)_i: the batch of one."""
-    return complex(entries_of_poly_apply(A, p, u, [i])[0])
+    """The single entry (P(A)u)_i: one query of a fresh poly_apply_query_oracle."""
+    return poly_apply_query_oracle(A, p, u).query(i)
 
 
 def poly_apply_query_oracle(A: LocalMatrixOracle, p: Polynomial,
                             u: VectorOracle) -> VectorOracle:
-    """Query access to w = P(A)u with per-index memoization; no sampler, no norm.
+    """Query access to w = P(A)u, the one memo of its entries; no sampler, no norm.
 
-    query_many answers the indices not yet known from one batched pass.
-    Repeated queries of the same index issue the underlying A/u queries once.
+    The oracle holds a SiteMemo of u and one of w for its whole life.
+    query_many answers the indices w does not hold from one window_entries
+    pass, which queries u only at the window sites its memo does not hold,
+    in increasing order within a chunk.  So each entry of w is computed once
+    and each entry of u read once per oracle.
     """
+    if A.dimension != u.dimension:
+        raise PreconditionError("matrix and vector dimensions differ")
     _check_interval(A, p)
-    memo = SiteMemo(lambda new: entries_of_poly_apply(A, p, u, new)[:, None], 1)
+    u_memo = SiteMemo(lambda new: u.query_many(new.tolist())[:, None], 1)
+
+    def fill(new):   # new is sorted and distinct, so it is the pass's origins
+        _, values = window_entries(A, (p,), new, lambda window: u_memo.at(window.sites))
+        return values[0]
+
+    w_memo = SiteMemo(fill, 1)
     # fresh counter: reads of w are not reads of u; A/u meter themselves inside
-    return VectorOracle(dimension=A.dimension, query_fn=lambda i: memo.at([i])[0, 0],
-                        norm=None, zeta=0.0, many_fn=lambda sites: memo.at(sites)[:, 0])
+    return VectorOracle(dimension=A.dimension, query_fn=lambda i: w_memo.at([i])[0, 0],
+                        norm=None, zeta=0.0, many_fn=lambda sites: w_memo.at(sites)[:, 0])

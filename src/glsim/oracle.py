@@ -63,11 +63,9 @@ def spectral_norm(M) -> float:
     return float(np.linalg.norm(np.asarray(M, dtype=np.complex128), 2))
 
 
-def dense_from_oracle(A: LocalMatrixOracle, dimension: int | None = None) -> DenseMatrix:
+def dense_from_oracle(A: LocalMatrixOracle) -> DenseMatrix:
     """Materialize every row of a local-matrix oracle in one block, asserting locality."""
-    n = A.dimension if dimension is None else int(dimension)
-    if n != A.dimension:
-        raise ValueError(f"dimension {n} does not match oracle dimension {A.dimension}")
+    n = A.dimension
     _check_cap(n)
     indptr, cols, vals = A.rows(np.arange(n))
     rows = np.repeat(np.arange(n), np.diff(indptr))

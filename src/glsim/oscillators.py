@@ -63,6 +63,8 @@ from .lattice import SiteGraph
 from .lightcone import SiteMemo, window_entries
 from .polyapprox import divide_out_zero, exp_poly, mul_by_x, parity_split
 
+TINY_STATE = 1e-100   # a state whose largest |entry| is below this is embedded scaled to 1
+
 # =====================================================================
 # pair-slot indexing: velocity block first, then (i,j) lexicographic, j >= i
 # =====================================================================
@@ -385,7 +387,7 @@ class OscillatorState:
 class _Embedding:
     """A state's energy and unit embedding for one system, with s = 1/sqrt(2E):
     s sqrt(M) xdot, s sqrt(M) x, and psi(0)'s nonzero entries (idx increasing:
-    velocities, then slots by (i, j)).  At zero energy only E is set."""
+    velocities, then slots by (i, j)).  A rest state has only E set."""
 
     energy: float
     sv: np.ndarray | None = None
@@ -440,9 +442,11 @@ def _embedding(sys: OscillatorSystem, state: OscillatorState) -> _Embedding:
 
     It is kept on the state for the last system asked, so every estimate,
     time and psi0 call on that pair shares one pass.  The size check runs on
-    every call; a zero-energy embedding, which has no psi(0), is not kept.
-    psi(0) does not change when the state is scaled, so when E overflows,
-    psi(0) is taken from the state scaled to largest |entry| 1.
+    every call; a rest state's embedding, which has no psi(0), is not kept.
+    psi(0) does not change when the state is scaled, so when E overflows, or
+    may underflow because the largest |entry| is below TINY_STATE, psi(0) is
+    taken from the state scaled to largest |entry| 1; E stays the unscaled
+    state's, which may read inf or 0.0.
     """
     n = sys.n_sites
     if state.x.size != n:
@@ -452,11 +456,11 @@ def _embedding(sys: OscillatorSystem, state: OscillatorState) -> _Embedding:
         return embedded[1]
     e, moving, held, slots, stretch = _energy(sys, state)
     scaled_e, scaled = e, state
-    if not math.isfinite(e):
-        c = max(np.abs(state.x).max(), np.abs(state.xdot).max())
+    c = max(np.abs(state.x[held]).max(initial=0.0), np.abs(state.xdot[moving]).max(initial=0.0))
+    if not math.isfinite(e) or 0.0 < c < TINY_STATE:
         scaled = OscillatorState(state.x / c, state.xdot / c)
         scaled_e, moving, held, slots, stretch = _energy(sys, scaled)
-    if e <= 0.0:
+    if scaled_e <= 0.0:
         return _Embedding(e)
     s = 1.0 / math.sqrt(2.0 * scaled_e)
     sv, sx = np.zeros(n), np.zeros(n)
@@ -473,7 +477,7 @@ def _embedding(sys: OscillatorSystem, state: OscillatorState) -> _Embedding:
 def _unit_embedding(sys: OscillatorSystem, state: OscillatorState) -> _Embedding:
     """_embedding, which must have psi(0)."""
     embedded = _embedding(sys, state)
-    if embedded.energy <= 0.0:
+    if embedded.sv is None:
         raise PreconditionError("zero-energy rest state has no unit embedding")
     return embedded
 

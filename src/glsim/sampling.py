@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .access import (LocalMatrixOracle, OracleInconsistencyError,
                      PreconditionError, VectorOracle, rng_stream,
                      scale_matrix_oracle)
 from .lattice import run_sites
-from .lightcone import (SiteMemo, _chunk_size, entries_of_poly_apply,
-                        poly_apply_query_oracle)
+from .lightcone import SiteMemo, _chunk_size, poly_apply_query_oracle
 from .polyapprox import exp_poly
 
 _DEFAULT_CHUNK = 512
@@ -280,20 +279,20 @@ class EvolvedSampler:
 
     A must be anti-Hermitian, so the evolution is unitary and A = iH with
     H = -iA Hermitian.  The evolution polynomial is exp_poly(||A||, t, eps)
-    applied to H.  All draws share one _TrialMemo, w = P(H) psi: the sorted
-    acceptance ratios of the sites tested so far, and |w_s|^2 at the sites
-    filled.  A tested trial whose |w_s|^2 is unknown fills the first distinct
-    unknown sites among the drawn trials from it on, as many as one
-    light-cone window holds (lightcone._chunk_size), through one
-    entries_of_poly_apply: one forward recurrence over the union of their
-    cones, which is barely larger than one cone when the draws cluster.  So w
-    may be computed at drawn sites no trial tests; w is held once, as |w|^2
-    (self.w, query access to w, has its own memo, which no draw reads).  The
-    draws are those of the public rejection_sample, which computes |u|^2
-    strictly per tested site, since every entry is bit-identical to a
-    one-site query.  The oversampler (lightcone_oversampler) reads psi only
-    at its table sites near the tested trials, so set-up does no work over
-    psi's table.
+    applied to H.  self.w = poly_apply_query_oracle(H, P, psi) is the one memo
+    of w = P(H) psi, and all draws share one _TrialMemo that fills through
+    it: the sorted acceptance ratios of the sites tested so far, and |w_s|^2
+    at the sites filled.  A tested trial whose |w_s|^2 is unknown fills the
+    first distinct unknown sites among the drawn trials from it on, as many
+    as one light-cone window holds (lightcone._chunk_size), through one
+    self.w.query_many: one forward recurrence over the union of their cones,
+    which is barely larger than one cone when the draws cluster, reading psi
+    only at the window sites no earlier fill read.  So w may be computed at
+    drawn sites no trial tests.  The draws are those of the public
+    rejection_sample, which computes |u|^2 strictly per tested site, since
+    every entry is bit-identical to a one-site query.  The oversampler
+    (lightcone_oversampler) reads psi only at its table sites near the
+    tested trials, so set-up does no work over psi's table.
 
     Once the memo holds a draw's ball, a chunk of trials is one searchsorted
     and one comparison: on a 1024 x 1024 grid with a point psi (about 236
@@ -338,9 +337,9 @@ class EvolvedSampler:
     @cached_property
     def _memo(self) -> _TrialMemo:
         """The trial memo all draws share, its fill one light-cone window of drawn
-        sites per miss, sized at the first draw, so set-up does not pay for it."""
-        fill = partial(entries_of_poly_apply, self.generator, self.poly, self.psi)
-        return _TrialMemo(fill, _chunk_size(self.generator, self.poly.degree, 1))
+        sites per miss through self.w, sized at the first draw, so set-up does
+        not pay for it."""
+        return _TrialMemo(self.w.query_many, _chunk_size(self.generator, self.poly.degree, 1))
 
     @property
     def tv_bound(self) -> float:

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from glsim import (CostCounter, Polynomial, PreconditionError, VectorOracle,
                    build_system, chain, dense_from_oracle, dense_poly_apply,
-                   dense_poly_matrix, entries_of_poly_apply, entry_of_poly_apply,
+                   dense_poly_matrix, entry_of_poly_apply,
                    exp_poly, general, graph_laplacian_oracle, grid, lightcone,
                    local_matrix_from_rows, mul_by_x, parity_split,
-                   poly_apply_query_oracle, poly_rows, row_power, sq_access_from_dense,
+                   poly_apply_query_oracle, sq_access_from_dense,
                    window_entries)
 
 from dense_rows import dense_rows
@@ -37,6 +37,32 @@ def _random_local_hermitian(rng, graph, r0: int):
     oracle = local_matrix_from_rows(graph, r0, dense_rows(dense), hermitian=True,
                                     norm_bound=max(bound, 1.0))
     return oracle, dense
+
+
+def _rows(a, polys, i: int) -> np.ndarray:
+    """The dense rows e_i^T P(A), one per polynomial: the batch of origin i with
+    the identity over its window as the vectors."""
+    held = []
+
+    def identity(window):
+        held.append(window.sites)
+        return np.eye(window.sites.size, dtype=np.complex128)
+
+    _, values = window_entries(a, polys, [i], identity)
+    rows = np.zeros((len(polys), a.dimension), dtype=np.complex128)
+    rows[:, held[0]] = values[:, 0]
+    return rows
+
+
+def row_power(a, i: int, k: int) -> dict:
+    """The row e_i^T A^k as {site: value} over its nonzero entries, sites increasing."""
+    row = _rows(a, (Polynomial((0.0,) * k + (1.0,)),), i)[0]
+    return {int(j): complex(row[j]) for j in np.flatnonzero(row)}
+
+
+def _entries(a, p, u, sites) -> np.ndarray:
+    """(P(A)u) at sites, in order, from one fresh query oracle."""
+    return poly_apply_query_oracle(a, p, u).query_many(sites)
 
 
 # =====================================================================
@@ -150,22 +176,20 @@ def test_poly_rows_match_dense_rows_and_single_calls(seed, layout, r0, basis, de
     with patch.object(lightcone, "_chunk_size", lambda *args: chunk or len(origins)), \
             patch.object(lightcone, "Window", CountingWindow):
         sites, batch = window_entries(a, polys, origins, lambda window: x[window.sites])
-        entries = [entries_of_poly_apply(a, p, VectorOracle(graph.n_sites, u_vec.__getitem__, None),
-                                         origins) for p in polys]
+        entries = [_entries(a, p, VectorOracle(graph.n_sites, u_vec.__getitem__, None), origins)
+                   for p in polys]
     assert sites.tolist() == sorted(set(origins))
     assert chunks and all(0 < size <= (chunk or size) for size in chunks)
     for i in set(origins):
-        singles = poly_rows(a, polys, i)
-        assert len(singles) == len(polys)
-        for n, (p, single) in enumerate(zip(polys, singles)):
-            alone = poly_rows(a, (p,), i)[0]
-            assert list(single) == list(alone) == sorted(single)
-            assert np.array_equal(np.array(list(single.values()), dtype=complex).view(np.uint64),
-                                  np.array(list(alone.values()), dtype=complex).view(np.uint64))
-            vec = np.zeros(graph.n_sites, dtype=np.complex128)
-            for j, v in single.items():
-                vec[j] = v
-            assert np.abs(vec - dense_poly_matrix(dense, p)[i]).max() <= 1e-10
+        singles = _rows(a, polys, i)
+        for n, p in enumerate(polys):
+            # a row of a several-polynomial pass is that of its polynomial alone, bit for
+            # bit on its nonzero entries (a zero may come out signed)
+            alone = _rows(a, (p,), i)[0]
+            nz = np.flatnonzero(alone)
+            assert np.array_equal(np.flatnonzero(singles[n]), nz)
+            assert np.array_equal(singles[n][nz].view(np.uint64), alone[nz].view(np.uint64))
+            assert np.abs(alone - dense_poly_matrix(dense, p)[i]).max() <= 1e-10
             # the batch's entry is the one-polynomial, one-vector, one-origin entry, bit for bit
             for v in range(2):
                 _, one = window_entries(a, (p,), [i], lambda window: x[window.sites, v:v + 1])
@@ -180,11 +204,11 @@ def test_poly_rows_match_dense_rows_and_single_calls(seed, layout, r0, basis, de
     other = (Polynomial(polys[0].coefficients, basis="chebyshev", interval=(-alpha, alpha))
              if basis == "monomial" else Polynomial(polys[0].coefficients))
     with pytest.raises(PreconditionError):
-        poly_rows(a, polys + [other], i)
+        _rows(a, polys + [other], i)
     wider = Polynomial((1.0, 0.5), basis="chebyshev", interval=(-2.0 * alpha, 2.0 * alpha))
     narrow = Polynomial((1.0, 0.5), basis="chebyshev", interval=(-alpha, alpha))
     with pytest.raises(PreconditionError):
-        poly_rows(a, (narrow, wider), i)
+        _rows(a, (narrow, wider), i)
 
 
 def _monomials_on_an_r0_2_grid(rng):
@@ -376,6 +400,18 @@ def test_chebyshev_requires_interval_covering_norm_bound():
         entry_of_poly_apply(a, p_small, u, 3)
 
 
+def test_matrix_and_vector_dimensions_must_agree():
+    a = local_matrix_from_rows(chain(8), 1, lambda i: [(i, 0.5)], hermitian=True,
+                               norm_bound=0.5)
+    u = sq_access_from_dense(np.ones(9))
+    p = Polynomial((1.0, 0.5))
+    with pytest.raises(PreconditionError, match="dimensions differ"):
+        entry_of_poly_apply(a, p, u, 2)
+    with pytest.raises(PreconditionError, match="dimensions differ"):
+        poly_apply_query_oracle(a, p, u)
+    assert a.cost.queries == u.cost.queries == 0
+
+
 def test_chebyshev_requires_declared_norm_bound():
     a = local_matrix_from_rows(chain(8), 1, lambda i: [(i, 0.5)], hermitian=True)
     u = sq_access_from_dense(np.ones(8))
@@ -509,7 +545,7 @@ def test_each_row_fetched_at_most_once(graph, r0, basis, origins):
     d = p.degree
     size = 2 if origins == "chunked" else len(sites)
     with patch.object(lightcone, "_chunk_size", lambda *args: size):
-        batch = entries_of_poly_apply(a, p, u, sites)
+        batch = _entries(a, p, u, sites)
     chunks = [sorted(set(sites))[k:k + size] for k in range(0, len(set(sites)), size)]
     # each chunk fetches the union of its origins' cones (a random local matrix
     # fills its balls, so a cone's rows are the ball of radius (d-1) r0)
@@ -518,7 +554,7 @@ def test_each_row_fetched_at_most_once(graph, r0, basis, origins):
                                                           for i in chunk)))
     assert a.cost.queries == sum(len(base.row(j)) + 1 for j in calls)
     batch_a, batch_u = a.cost.queries, len(u_calls)
-    rows = {i: poly_rows(a, (p,), i)[0] for i in set(sites)}
+    rows = {i: set(np.flatnonzero(_rows(a, (p,), i)[0]).tolist()) for i in set(sites)}
     assert sorted(u_calls) == sorted(set().union(*rows.values()))
     single_a = single_u = 0
     for i in set(sites):
@@ -549,7 +585,7 @@ def test_spread_batch_stays_under_the_chunk_budget():
     with patch.object(lightcone, "Window", CountingWindow):
         tracemalloc.start()
         try:
-            values = entries_of_poly_apply(a, p, u, sites)
+            values = _entries(a, p, u, sites)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

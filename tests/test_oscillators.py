@@ -504,6 +504,21 @@ def test_a_state_whose_energy_overflows_embeds_as_the_state_scaled_to_one():
             == _embedding_outputs(sys, lambda: OscillatorState(x, xdot), v)[1:])
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_state_whose_energy_underflows_embeds_as_the_state_scaled_to_one():
+    """E of xdot 1e-200 underflows to 0.0, which total_energy reports; psi(0) and
+    both estimates are those of the state scaled to largest |entry| 1, bit for bit,
+    with no warning."""
+    rng = np.random.default_rng(137)
+    sys = _random_chain_system(rng, 4)
+    v = sparse_vector_oracle(sys.extended_dim, {1: 0.6, 5: 0.8j})
+    tiny = OscillatorState([0.0, 5e-201, 0.0, 0.0], [1e-200, 0.0, 0.0, 0.0])
+    assert total_energy(sys, tiny) == 0.0
+    scaled = OscillatorState(tiny.x / 1e-200, tiny.xdot / 1e-200)
+    assert (_embedding_outputs(sys, lambda: tiny, v)[1:]
+            == _embedding_outputs(sys, lambda: scaled, v)[1:])
+
+
 def test_state_holds_read_only_copies():
     x, xdot = np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(4)
     state = OscillatorState(x, xdot)

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from glsim import (DenseMatrix, EvolvedSampler, OracleInconsistencyError,
                    OversamplerHandle, PreconditionError, RejectionResult, SiteGraph,
                    chain, dense_evolve, dense_from_oracle, dense_poly_apply,
-                   entries_of_poly_apply, exp_poly, grid, lightcone_oversampler,
-                   local_matrix_from_rows, VectorOracle, rejection_sample, rng_stream,
-                   sparse_vector_oracle, sq_access_from_dense, tv_error_bound)
-from glsim.access import random_local_pair
+                   exp_poly, grid, lightcone_oversampler,
+                   local_matrix_from_rows, VectorOracle, poly_apply_query_oracle,
+                   rejection_sample, rng_stream, sparse_vector_oracle,
+                   sq_access_from_dense, tv_error_bound)
+from glsim.access import _sq_oracle, random_local_pair
 from glsim.lightcone import _chunk_size
 from glsim.sampling import _rejection_sample, _TrialMemo
 
@@ -481,6 +482,26 @@ def test_batched_fill_draws_equal_the_lazy_public_path(case):
     assert a_fill.cost.snapshot()["queries"] < a_lazy.cost.snapshot()["queries"]
 
 
+def test_fills_query_psi_at_most_once_per_site():
+    """Across 200 draws that take several fills, the fills, all through the
+    sampler's w, read psi at each site at most once."""
+    a, n = _grid_antihermitian(64), 64 * 64
+    entries = {32 * 64 + 32: 0.8, 30 * 64 + 35: 0.6}
+    sites, vals = np.array(sorted(entries)), np.array([entries[i] for i in sorted(entries)])
+    read = []
+    psi = _sq_oracle(n, sites, vals, lambda i: read.append(i) or entries.get(i, 0.0), 0.0)
+    sampler = EvolvedSampler(a, 1.0, psi, eps=0.05, alpha_min=0.9, delta=0.01, seed=98)
+    # the oversampler reads psi at its table sites on its own: give it an unrecorded psi
+    sampler.oversampler = lightcone_oversampler(sampler.generator, sampler.poly.degree,
+                                                sparse_vector_oracle(n, entries),
+                                                sampler.poly.sup_bound)
+    fills, query_many = [], sampler.w.query_many
+    sampler.w.query_many = lambda new: fills.append(len(new)) or query_many(new)
+    assert all(r.accepted for r in sampler.draw_many(200))
+    assert len(fills) >= 3
+    assert read and len(read) == len(set(read))
+
+
 def test_per_sample_cost_independent_of_lattice_size():
     outcomes = {}
     for log_n in (10, 16):
@@ -609,7 +630,7 @@ def test_chunked_trials_match_the_scalar_reference(case):
         handle, phi = doctored(s, log)
         if path == "scalar":
             u_mass: dict = {}
-            fill = mass_fill(u_mass, partial(entries_of_poly_apply, s.generator, s.poly, psi),
+            fill = mass_fill(u_mass, poly_apply_query_oracle(s.generator, s.poly, psi).query_many,
                              _chunk_size(s.generator, s.poly.degree, 1))
             outcomes = _outcomes(lambda k: scalar_rejection_sample(
                 handle, u_mass, fill, phi, s.alpha_min, s.delta, s.seed, 512, (k,)), count)
