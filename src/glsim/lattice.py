@@ -10,23 +10,22 @@ sites (runs), and N(r).
 Three kinds are supported.  "grid" (L1 metric, row-major index order)
 has a closed-form metric and stays lazy, so N may be as large as 2**62
 without ever materializing sites; a "chain" is a grid with one axis,
-dims = (N,).  "general" carries an explicit bond list and uses BFS
-distances; it is meant for desk-scale instances such as clock-register
-graphs.
+dims = (N,).  "general" carries an explicit bond list and counts hops
+by a search that stops at its radius or its last target; it is meant for
+desk-scale instances such as clock-register graphs.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 MAX_SITES = 2 ** 62
-BALL_CACHE_SIZE = 65536  # (site, radius) BFS balls kept per general graph
+BALL_CACHE_SIZE = 65536  # (site, radius) balls kept per general graph
 
 
 @dataclass
@@ -61,11 +60,8 @@ class SiteGraph:
             self.dims = tuple(int(d) for d in self.dims)
             if any(d < 1 for d in self.dims):
                 raise ValueError("grid dims must be positive")
-            prod = 1
-            for d in self.dims:
-                prod *= d
-            if prod != self.n_sites:
-                raise ValueError(f"dims product {prod} != n_sites {self.n_sites}")
+            if math.prod(self.dims) != self.n_sites:
+                raise ValueError(f"dims product {math.prod(self.dims)} != n_sites {self.n_sites}")
         if self.kind == "general":
             if self.bonds is None:
                 raise ValueError("general graphs need a bond list")
@@ -78,24 +74,21 @@ class SiteGraph:
                     continue
                 adj.setdefault(a, []).append(b)
                 adj.setdefault(b, []).append(a)
-            for k in adj:
-                adj[k] = sorted(set(adj[k]))
-            self._adj = adj
-        # the caches reach the graph through a weak reference, so a dropped
-        # graph is freed at once instead of at the next cyclic gc pass
-        ref = weakref.ref(self)
-        self._cached_ball = lru_cache(BALL_CACHE_SIZE)(
-            lambda i, R: tuple(sorted(ref()._bfs_distances(i, radius=R))))
-        self._offset_table = lru_cache(64)(lambda R: ref()._leading_offsets(R))
-        self._unclipped_sites = lru_cache(4)(lambda R: ref()._unclipped_ball(R))
-        if self.dims is not None:   # the axes' lengths and row-major strides, the diameter
-            self._dims = np.array(self.dims, dtype=np.int64)
-            self._strides = np.array([math.prod(self.dims[k + 1:]) for k in range(len(self.dims))],
-                                     dtype=np.int64)
-            self._diameter = sum(L // 2 if self.boundary == "periodic" else L - 1
-                                 for L in self.dims)
-        self._all_distances = lru_cache(1024)(lambda src: ref()._bfs_distances(src))
-        self._general_locality = lru_cache(1024)(lambda R: ref()._max_bfs_ball(R))
+            self._adj = {k: tuple(sorted(set(v))) for k, v in adj.items()}
+            # the caches reach the graph through a weak reference, so a dropped
+            # graph is freed at once instead of at the next cyclic gc pass
+            ref, n = weakref.ref(self), self.n_sites
+            self._cached_ball = lru_cache(BALL_CACHE_SIZE)(
+                lambda i, R: tuple(sorted(ref()._hops(i, R))))
+            self._general_locality = lru_cache(1024)(
+                lambda R: max(len(ref()._hops(i, R)) for i in range(n)))
+            return
+        self._dims = np.array(self.dims, dtype=np.int64)
+        self._strides = np.array([math.prod(self.dims[k + 1:]) for k in range(len(self.dims))],
+                                 dtype=np.int64)
+        self._diameter = sum(L // 2 if self.boundary == "periodic" else L - 1
+                             for L in self.dims)
+        self._shape = (self.dims, self.boundary == "periodic")   # the radius tables' key
 
     # ---- config ------------------------------------------------------------
 
@@ -107,21 +100,16 @@ class SiteGraph:
         missing = [key for key in needs.get(kind, ()) if key not in cfg]
         if missing:
             raise ValueError(f"{kind} graph needs {', '.join(missing)}")
+        boundary = cfg.get("boundary", "open")
         if kind == "chain":
-            return cls(kind="chain", n_sites=int(cfg["n_sites"]),
-                       boundary=cfg.get("boundary", "open"))
+            return chain(int(cfg["n_sites"]), boundary)
         if kind == "grid":
-            dims = tuple(int(d) for d in cfg["dims"])
-            n = 1
-            for d in dims:
-                n *= d
-            if "n_sites" in cfg and int(cfg["n_sites"]) != n:
-                raise ValueError(f"grid n_sites {cfg['n_sites']} != dims product {n}")
-            return cls(kind="grid", n_sites=n, dims=dims,
-                       boundary=cfg.get("boundary", "open"))
+            g = grid(cfg["dims"], boundary)
+            if "n_sites" in cfg and int(cfg["n_sites"]) != g.n_sites:
+                raise ValueError(f"grid n_sites {cfg['n_sites']} != dims product {g.n_sites}")
+            return g
         if kind == "general":
-            bonds = tuple((int(a), int(b)) for a, b in cfg["bonds"])
-            return cls(kind="general", n_sites=int(cfg["n_sites"]), bonds=bonds)
+            return general(int(cfg["n_sites"]), cfg["bonds"])
         raise ValueError(f"unknown graph kind {kind!r}")
 
     # ---- coordinates (chain, grid) ------------------------------------------
@@ -159,9 +147,15 @@ class SiteGraph:
             outside = (sites < 0) | (sites >= self.n_sites)
             if outside.any():
                 self._check_site(int(sites[outside][0]))
-        if self.kind == "general":
-            return np.array([self._all_distances(a).get(b, self.n_sites + 1)
-                             for a, b in zip(i.tolist(), j.tolist())], dtype=np.int64)
+        if self.kind == "general":   # one search per source, to its last target
+            by_source: dict[int, list[int]] = {}
+            for k, a in enumerate(i.tolist()):
+                by_source.setdefault(a, []).append(k)
+            out, j = np.empty(len(i), dtype=np.int64), j.tolist()
+            for a, ks in by_source.items():
+                dist = self._hops(a, targets=[j[k] for k in ks])
+                out[ks] = [dist.get(j[k], self.n_sites + 1) for k in ks]
+            return out
         # peel axes off the row-major index
         total = np.zeros(i.shape, dtype=np.int64)
         for L in reversed(self.dims):
@@ -170,17 +164,25 @@ class SiteGraph:
             total += np.minimum(d, L - d) if self.boundary == "periodic" else d
         return total
 
-    def _bfs_distances(self, src: int, radius: int | None = None) -> dict[int, int]:
-        dist = {src: 0}
-        q = deque([src])
-        while q:
-            a = q.popleft()
-            if radius is not None and dist[a] >= radius:
-                continue
-            for b in self._adj.get(a, ()):
-                if b not in dist:
-                    dist[b] = dist[a] + 1
-                    q.append(b)
+    def neighbours(self, i: int) -> tuple[int, ...]:
+        """The sites bonded to site i of a general graph, increasing."""
+        if self.kind != "general":
+            raise ValueError("neighbours needs a general graph")
+        return self._adj.get(i, ())
+
+    def _hops(self, src: int, radius: float = math.inf, targets=()) -> dict[int, int]:
+        """{j: d(src, j)} within radius hops of src, found hop by hop; given targets, the
+        search stops after the hop that reaches the last, or when src's component runs out."""
+        dist, frontier, hop, left = {src: 0}, [src], 0, set(targets) - {src}
+        while frontier and hop < radius and (left or not targets):
+            hop, reached = hop + 1, []
+            for a in frontier:
+                for b in self._adj.get(a, ()):
+                    if b not in dist:
+                        dist[b] = hop
+                        reached.append(b)
+            frontier = reached
+            left.difference_update(reached)
         return dist
 
     # ---- balls ---------------------------------------------------------------
@@ -189,12 +191,12 @@ class SiteGraph:
         """ball(i, r) as sorted, disjoint runs of consecutive sites: (starts, lengths).
 
         chain and grid: each offset of the leading axes within r (a table kept
-        per radius) that lands in the box gives one run along the last axis,
-        as far as the budget r leaves; a periodic last axis splits a wrapped
-        run in two, and a run over the whole axis stays one.  A site at least
-        r from every face gets the table's runs of such a ball, shifted to it
-        (its lengths array is shared and read-only).  general: the runs of the
-        cached BFS ball.  r is floored to the metric's integer scale.
+        per shape and radius) that lands in the box gives one run along the
+        last axis, as far as the budget r leaves; a periodic last axis splits a
+        wrapped run in two, and a run over the whole axis stays one.  A site at
+        least r from every face gets the table's runs of such a ball, shifted
+        to it (its lengths array is shared and read-only).  general: the runs
+        of the cached hop ball.  r is floored to the metric's integer scale.
         """
         self._check_site(i)
         if r < 0:
@@ -207,7 +209,7 @@ class SiteGraph:
         unclipped = self._unclipped(i, R)
         if unclipped is not None:
             return i + unclipped[0], unclipped[1]
-        offsets, shift, budget, _ = self._offset_table(R)
+        offsets, shift, budget, _ = _leading_offsets(*self._shape, R)
         *lead, x = self.site_coords(i)
         lead = np.array(lead, dtype=np.int64)
         L, lead_dims = self.dims[-1], self._dims[:-1]
@@ -231,44 +233,11 @@ class SiteGraph:
         """The radius table's runs of a ball no face clips (starts less the site,
         lengths), when every coordinate of site i is at least R from both faces
         of its axis; else None."""
-        unclipped = self._offset_table(R)[3]
+        unclipped = _leading_offsets(*self._shape, R)[3]
         if unclipped is not None and all(R <= c < L - R
                                          for c, L in zip(self.site_coords(i), self.dims)):
             return unclipped
         return None
-
-    def _leading_offsets(self, R: int):
-        """The offsets of the leading axes within L1 distance R, one row each in
-        lexicographic order; the shift each makes to a site's index; the
-        budget R - |offset| each leaves for the last axis; and, when every
-        axis is at least 2R + 1 long, the runs of a ball no face clips, as
-        read-only (starts less the site, lengths), else None.  A periodic axis
-        of length L takes the offsets from -((L - 1) // 2) to L // 2, one per
-        position."""
-        offsets = np.zeros((1, 0), dtype=np.int64)
-        cost = np.zeros(1, dtype=np.int64)
-        for L in self.dims[:-1]:
-            if self.boundary == "periodic":
-                axis = np.arange(-min(R, (L - 1) // 2), min(R, L // 2) + 1)
-            else:
-                axis = np.arange(-min(R, L - 1), min(R, L - 1) + 1)
-            total = cost[:, None] + np.abs(axis)
-            row, col = np.nonzero(total <= R)
-            offsets = np.column_stack((offsets[row], axis[col]))
-            cost = total[row, col]
-        shift, budget = offsets @ self._strides[:-1], R - cost
-        unclipped = None
-        if min(self.dims) > 2 * R:
-            unclipped = (shift - budget, 2 * budget + 1)
-            for a in unclipped:
-                a.setflags(write=False)
-        return offsets, shift, budget, unclipped
-
-    def _unclipped_ball(self, R: int) -> np.ndarray:
-        """The members, less the site, of a ball of radius R no face clips; read-only."""
-        members = run_sites(*self._offset_table(R)[3])
-        members.setflags(write=False)
-        return members
 
     def unclipped_balls(self, sites: np.ndarray, r: float):
         """(mask, members): where mask holds, no face clips ball(site, r), and
@@ -278,12 +247,12 @@ class SiteGraph:
         if self.kind == "general":
             return None
         R = min(int(r), self._diameter)
-        if self._offset_table(R)[3] is None:
+        if _leading_offsets(*self._shape, R)[3] is None:
             return None
         mask = np.ones(sites.size, dtype=bool)
         for c, L in zip(np.unravel_index(sites, self.dims), self.dims):
             mask &= (c >= R) & (c < L - R)
-        return mask, self._unclipped_sites(R)
+        return mask, _unclipped_ball(*self._shape, R)
 
     def ball(self, i: int, r: float) -> tuple[int, ...]:
         """Closed ball {j : d(i,j) <= r}, sorted. r is floored to the metric's integer scale."""
@@ -296,7 +265,7 @@ class SiteGraph:
         if self.kind != "general" and 0 <= i < self.n_sites and r >= 0:
             R = min(int(r), self._diameter)
             if self._unclipped(i, R) is not None:
-                return i + self._unclipped_sites(R)
+                return i + _unclipped_ball(*self._shape, R)
         return run_sites(*self.runs(i, r))
 
     def ball_size(self, i: int, r: float) -> int:
@@ -313,7 +282,7 @@ class SiteGraph:
         for L1 balls in a box), with r capped at the diameter; on one axis of
         length L that count is closed-form, 1 + min(r, c) + min(r, L - 1 - c)
         with c = (L - 1) // 2 (periodic: two positions at each distance below
-        L/2, one at L/2).  general: exact max over BFS balls, kept per radius.
+        L/2, one at L/2).  general: exact max over hop balls, kept per radius.
         """
         if r < 0:
             raise ValueError("radius must be nonnegative")
@@ -339,8 +308,42 @@ class SiteGraph:
             counts = np.convolve(counts, axis)[:R + 1]
         return int(counts.sum())
 
-    def _max_bfs_ball(self, R: int) -> int:
-        return max(len(self._bfs_distances(i, radius=R)) for i in range(self.n_sites))
+
+@lru_cache(maxsize=64)
+def _leading_offsets(dims: tuple[int, ...], periodic: bool, R: int):
+    """The radius table of a chain or grid of shape dims: the offsets of the leading
+    axes within L1 distance R, one row each in lexicographic order; the shift each
+    makes to a site's index; the budget R - |offset| each leaves for the last axis;
+    and, when every axis is at least 2R + 1 long, the runs of a ball no face clips
+    (starts less the site, lengths), else None.  A periodic axis of length L takes
+    the offsets from -((L - 1) // 2) to L // 2, one per position.  Every graph of
+    the shape shares the arrays, so all are read-only."""
+    offsets = np.zeros((1, 0), dtype=np.int64)
+    cost = np.zeros(1, dtype=np.int64)
+    for L in dims[:-1]:
+        if periodic:
+            axis = np.arange(-min(R, (L - 1) // 2), min(R, L // 2) + 1)
+        else:
+            axis = np.arange(-min(R, L - 1), min(R, L - 1) + 1)
+        total = cost[:, None] + np.abs(axis)
+        row, col = np.nonzero(total <= R)
+        offsets = np.column_stack((offsets[row], axis[col]))
+        cost = total[row, col]
+    strides = np.array([math.prod(dims[k + 1:]) for k in range(len(dims) - 1)], dtype=np.int64)
+    shift, budget = offsets @ strides, R - cost
+    unclipped = (shift - budget, 2 * budget + 1) if min(dims) > 2 * R else None
+    for a in (offsets, shift, budget, *(unclipped or ())):
+        a.setflags(write=False)
+    return offsets, shift, budget, unclipped
+
+
+@lru_cache(maxsize=4)
+def _unclipped_ball(dims: tuple[int, ...], periodic: bool, R: int) -> np.ndarray:
+    """The members, less the site, of a ball of radius R no face clips on a chain
+    or grid of shape dims; read-only."""
+    members = run_sites(*_leading_offsets(dims, periodic, R)[3])
+    members.setflags(write=False)
+    return members
 
 
 def run_sites(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -355,10 +358,7 @@ def chain(n_sites: int, boundary: str = "open") -> SiteGraph:
 
 def grid(dims, boundary: str = "open") -> SiteGraph:
     dims = tuple(int(d) for d in dims)
-    n = 1
-    for d in dims:
-        n *= d
-    return SiteGraph(kind="grid", n_sites=n, dims=dims, boundary=boundary)
+    return SiteGraph(kind="grid", n_sites=math.prod(dims), dims=dims, boundary=boundary)
 
 
 def general(n_sites: int, bonds) -> SiteGraph:

@@ -262,14 +262,13 @@ def _lookup(keys: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
     return np.where(keys[k] == at, values[k], 0.0)
 
 
-def _table_springs(sites_col: np.ndarray, others: np.ndarray, kappas: np.ndarray, n: int):
+def _table_springs(sites_col: np.ndarray, others: np.ndarray, kappas: np.ndarray):
     """The springs source of a table sorted by (site, other): a site's springs are
-    one slice of it, found by an O(N) search at set-up."""
-    starts = np.searchsorted(sites_col, np.arange(n + 1))
+    one slice of it, found by two searches of the site column per asked block."""
 
     def springs(sites):
-        lo = starts[sites]
-        counts = starts[sites + 1] - lo
+        lo = np.searchsorted(sites_col, sites)
+        counts = np.searchsorted(sites_col, sites + 1) - lo
         indptr = np.concatenate(([0], np.cumsum(counts)))
         take = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], counts)
         return indptr, others[take], kappas[take]
@@ -306,7 +305,7 @@ def build_system(graph: SiteGraph, masses, springs, r0: int) -> OscillatorSystem
     sites = np.concatenate((j[back], i))
     order = np.argsort(sites, kind="stable")
     table = _table_springs(sites[order], np.concatenate((i[back], j))[order],
-                           np.concatenate((kap[back], kap))[order], graph.n_sites)
+                           np.concatenate((kap[back], kap))[order])
     return OscillatorSystem(graph, masses, int(r0), table,
                             _schur_bound(graph, int(r0), kap, masses))
 

@@ -97,7 +97,7 @@ def graph_laplacian_oracle(graph: SiteGraph) -> LocalMatrixOracle:
     A stencil on chains and grids; general graphs read their adjacency."""
     if graph.kind == "general":
         def row_fn(i: int):
-            nbrs = graph._adj.get(i, ())
+            nbrs = graph.neighbours(i)
             return [(j, -1.0) for j in nbrs] + [(i, float(len(nbrs)))]
         source = _row_source(row_fn)
     else:

@@ -69,6 +69,37 @@ def test_array_distances_match_pairwise_distance(make):
         g.distances([0, g.n_sites], [0, 0])
 
 
+def _floyd_warshall(n: int, bonds) -> np.ndarray:
+    """Hop distances from the bond list alone, n + 1 between disconnected sites."""
+    d = np.full((n, n), n + 1, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    for a, b in bonds:
+        if a != b:
+            d[a, b] = d[b, a] = 1
+    for k in range(n):
+        d = np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :])
+    return d
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(g=small_graphs().filter(lambda g: g.kind == "general"), data=st.data())
+def test_general_distances_are_the_floyd_warshall_table(g, data):
+    """On the general graphs of small_graphs(), distances() over every pair is a
+    Floyd-Warshall table built from the bond list, and a batch with repeated
+    sources, unreachable targets and i == j equals its pairs one call each."""
+    n = g.n_sites
+    table = _floyd_warshall(n, g.bonds)
+    i, j = np.divmod(np.arange(n ** 2), n)
+    assert g.distances(i, j).tolist() == table.ravel().tolist()
+    sites = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(sites, sites), min_size=1, max_size=24))
+    pairs += [(a, a) for a, _ in pairs[:3]] + [pairs[0]] * 2
+    pairs += [tuple(p) for p in np.argwhere(table > n)[:3].tolist()]
+    i, j = (np.array([p[k] for p in pairs], dtype=np.int64) for k in (0, 1))
+    assert g.distances(i, j).tolist() == [g.distance(a, b) for a, b in pairs] == \
+        [int(table[a, b]) for a, b in pairs]
+
+
 # =====================================================================
 # balls
 # =====================================================================
@@ -159,7 +190,6 @@ def test_runs_need_no_per_site_cache():
     assert starts.size == 21 and lengths.sum() == 221 == g.ball_size(centre + 7, 10)
     assert starts[10] == centre - 10 and lengths[10] == 21
     assert g.ball_size(0, 10) == 66
-    assert g._cached_ball.cache_info().currsize == 0
     with pytest.raises(ValueError):
         lengths[0] = 5
 
@@ -192,8 +222,8 @@ def test_general_locality_function_is_kept_per_radius(monkeypatch):
     g = general(6, [(0, 1), (1, 2), (3, 4)])
     assert g.locality_function(1) == 3
     bfs = []
-    real = g._bfs_distances
-    monkeypatch.setattr(g, "_bfs_distances", lambda *args, **kw: bfs.append(args) or real(*args, **kw))
+    real = g._hops
+    monkeypatch.setattr(g, "_hops", lambda *args, **kw: bfs.append(args) or real(*args, **kw))
     assert g.locality_function(1.5) == 3
     assert bfs == []
     assert g.locality_function(2) == 3

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +226,24 @@ def test_a_rows_equal_the_one_row_loop_bitwise(seed):
 def test_nonlocal_spring_rejected():
     with pytest.raises(LocalityError):
         build_system(chain(5), np.ones(5), {(0, 4): 1.0}, 1)
+
+
+def test_bonded_grid_system_builds_without_whole_graph_searches():
+    """A 100 x 100 grid given as a general graph, one unit spring per bond
+    (19,800): the locality check searches from each spring end only until it
+    reaches the other, so the set-up takes well under a second where a search
+    over the whole graph from every end took tens of seconds.  A spring across
+    the grid still reaches its far end and is refused."""
+    n = 100
+    bonds = [(a, a + 1) for a in range(n * n) if (a + 1) % n] + \
+        [(a, a + n) for a in range(n * n - n)]
+    graph = general(n * n, bonds)
+    t0 = time.perf_counter()
+    sys = build_system(graph, np.ones(n * n), [(a, b, 1.0) for a, b in bonds], 1)
+    assert time.perf_counter() - t0 < 5.0
+    assert sys.a_norm_bound == 10.0
+    with pytest.raises(LocalityError, match="spans distance 198"):
+        build_system(graph, np.ones(n * n), {(0, n * n - 1): 1.0}, 1)
 
 
 def test_nonpositive_mass_rejected():
