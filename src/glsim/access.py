@@ -1,10 +1,12 @@
 """Oracle access layer: query-counted vectors and geometrically local matrices.
 
 The engine never touches dense arrays directly; it sees a vector u through
-an entry query, a norm and a sorted mass table, and a matrix A through
-blocks of sparse rows, each restricted to a ball of radius r0: rows(sites)
-returns one CSR block, and row(i) is its one-row case.  Every access is
-metered by a CostCounter so tests can pin exact query budgets.
+batches of entries, a norm and a sorted mass table, and a matrix A through
+blocks of sparse rows, each restricted to a ball of radius r0.  Both read a
+batch of int64 sites through one source: query_many(sites) returns their
+entries and rows(sites) one CSR block, and query(i) and row(i) are their
+one-site cases.  Every access is metered by a CostCounter so tests can pin
+exact query budgets.
 
 Sample-and-query ("sq") access to u means: entry queries, the Euclidean norm,
 and draws from a finite law within total-variation zeta of the exact
@@ -82,10 +84,12 @@ class CostCounter:
 class VectorOracle:
     """Sq-access to a vector.
 
-    query(i) -> complex entry, norm() -> float.  query_many(sites) answers
-    and meters a list of sites at once, through many_fn(sites) -> values
-    when the oracle has one and query_fn site by site otherwise.  The
-    sampler is a sorted mass table (support, masses): the sites in strictly
+    query_many(sites) -> the entries at an array of sites, norm() -> float;
+    query(i) is the one-site case of query_many.  The entries come from one
+    batch source, many_fn(sites) -> values, called with the checked and
+    metered sites as an int64 array; an oracle given a scalar query_fn(i) ->
+    entry instead wraps it once into a source that calls it site by site.
+    The sampler is a sorted mass table (support, masses): the sites in strictly
     increasing order and their probabilities, within TV distance zeta of
     |u_i|^2/||u||^2.
     sample_positions(rng, k) draws k positions into support, sample_many(rng,
@@ -94,7 +98,7 @@ class VectorOracle:
     often each was drawn in each batch.
     """
 
-    def __init__(self, dimension: int, query_fn, norm: float | None,
+    def __init__(self, dimension: int, query_fn=None, norm: float | None = None,
                  table=None, zeta: float = 0.0, many_fn=None):
         if dimension < 1:
             raise ValueError("dimension must be positive")
@@ -102,9 +106,10 @@ class VectorOracle:
             raise ValueError("norm must be nonnegative")
         if zeta < 0:
             raise ValueError("zeta must be nonnegative")
+        if many_fn is None and query_fn is None:
+            raise ValueError("a vector oracle needs query_fn or many_fn")
         self.dimension = int(dimension)
-        self._query_fn = query_fn
-        self._many_fn = many_fn
+        self._source = many_fn if many_fn is not None else _entry_source(query_fn)
         self._norm = None if norm is None else float(norm)
         self.zeta = float(zeta)
         self.cost = CostCounter()
@@ -126,21 +131,17 @@ class VectorOracle:
             self._cum[-1] = 1.0
 
     def query(self, i: int) -> complex:
-        if not (0 <= i < self.dimension):
-            raise ValueError(f"index {i} out of range [0, {self.dimension})")
-        self.cost.add(queries=1)
-        return complex(self._query_fn(int(i)))
+        """The entry at site i: query_many([i])."""
+        return complex(self.query_many((i,))[0])
 
     def query_many(self, sites) -> np.ndarray:
         """The entries at sites, in order, as a complex array; meters len(sites) queries."""
-        sites = list(map(int, sites))
-        if sites and not (0 <= min(sites) and max(sites) < self.dimension):
-            bad = next(i for i in sites if not 0 <= i < self.dimension)
+        sites = np.asarray(sites, dtype=np.int64).ravel()
+        if sites.size and sites.view(np.uint64).max() >= self.dimension:   # a negative site wraps high
+            bad = sites[(sites < 0) | (sites >= self.dimension)][0]
             raise ValueError(f"index {bad} out of range [0, {self.dimension})")
-        self.cost.add(queries=len(sites))
-        if self._many_fn is not None:
-            return np.asarray(self._many_fn(sites), dtype=np.complex128)
-        return np.array([complex(self._query_fn(i)) for i in sites], dtype=np.complex128)
+        self.cost.add(queries=sites.size)
+        return np.asarray(self._source(sites), dtype=np.complex128)
 
     @property
     def has_norm(self) -> bool:
@@ -235,16 +236,33 @@ def _count_stages(masses: np.ndarray, draws: int):
     return heavy, np.append(lump, masses[heavy]), light, masses[light] / lump
 
 
-def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray, query_fn,
-               zeta: float, many_fn=None) -> VectorOracle:
+def _entry_source(query_fn):
+    """Batch source that calls query_fn(i) once per site, in the order given."""
+    return lambda sites: [complex(query_fn(i)) for i in sites.tolist()]
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """values[k] where at holds keys[k] (keys increasing), 0 where it holds no key."""
+    if keys.size == 0:
+        return np.zeros(at.shape, dtype=values.dtype)
+    k = keys[:-1].searchsorted(at)   # at or past the last key: the last key
+    out = values[k]
+    out[keys[k] != at] = 0.0
+    return out
+
+
+def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray,
+               zeta: float) -> VectorOracle:
     """Sq-access to the vector with entries vals at the increasing sites (zero elsewhere).
 
     The norm is taken over vals, then mass zeta moves from the heaviest entry
     (lowest site on ties) to the lightest nonzero entry other than the donor
     (again lowest on ties).  Sites left with zero mass stay out of the table,
-    so they are never drawn.  Where the squared norm overflows or falls below
-    the normal floats, the norm and masses are taken over vals / max|vals|,
-    so entries near either end of the float range keep their table.
+    so they are never drawn, but queries still read vals there: a batch is
+    answered from (sites, vals) by one _lookup.  Where the squared norm
+    overflows or falls below the normal floats, the norm and masses are taken
+    over vals / max|vals|, so entries near either end of the float range keep
+    their table.
     """
     with np.errstate(over="ignore", under="ignore"):
         nrm = float(np.linalg.norm(vals))
@@ -277,8 +295,8 @@ def _sq_oracle(dimension: int, sites: np.ndarray, vals: np.ndarray, query_fn,
         masses[donor] -= zeta
         masses[recipient] += zeta
     keep = masses > 0
-    return VectorOracle(dimension, query_fn, nrm, table=(sites[keep], masses[keep]),
-                        zeta=zeta, many_fn=many_fn)
+    return VectorOracle(dimension, norm=nrm, table=(sites[keep], masses[keep]), zeta=zeta,
+                        many_fn=lambda at: _lookup(sites, vals, at))
 
 
 def sq_access_from_dense(u, zeta: float = 0.0) -> VectorOracle:
@@ -287,10 +305,11 @@ def sq_access_from_dense(u, zeta: float = 0.0) -> VectorOracle:
 
     zeta > 0 moves mass zeta from the heaviest index to the lightest nonzero
     one (see _sq_oracle).  Queries and the norm stay exact, so the oracle is a
-    legal zeta-sq-access realizing the worst advertised sampler error.
+    legal zeta-sq-access realizing the worst advertised sampler error.  The
+    oracle answers from its own copy of u, so a later write to u changes nothing.
     """
-    u = np.asarray(u, dtype=np.complex128).ravel()
-    return _sq_oracle(u.size, np.arange(u.size), u, lambda i: u[i], zeta)
+    u = np.array(u, dtype=np.complex128).ravel()
+    return _sq_oracle(u.size, np.arange(u.size), u, zeta)
 
 
 def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
@@ -308,8 +327,7 @@ def sparse_vector_oracle(dimension: int, entries: dict[int, complex],
         idx, vals = idx[order], vals[order]
     if idx[0] < 0 or idx[-1] >= dimension:
         raise ValueError("entry index out of range")
-    table = dict(zip(idx.tolist(), vals.tolist()))
-    return _sq_oracle(dimension, idx, vals, lambda i: table.get(i, 0.0 + 0.0j), zeta)
+    return _sq_oracle(dimension, idx, vals, zeta)
 
 
 # =====================================================================

@@ -34,9 +34,8 @@ from .acceptance import DEFAULT_SEED, SUITES, run_suite
 from .access import (LocalityError, NumericalCheckError, OracleInconsistencyError,
                      PreconditionError, VectorOracle, random_local_pair, rng_stream,
                      sparse_vector_oracle, sq_access_from_dense)
-from .embeddings import (Gate, ReversibleCircuit, classical_output,
-                         default_scan_horizon, find_readout_time, fk_classical,
-                         fk_long_local, parse_circuit, readout_overlap_curve,
+from .embeddings import (Gate, ReversibleCircuit, classical_output, find_readout_time,
+                         fk_classical, fk_long_local, parse_circuit,
                          simulate_embedded_circuit)
 from .estimate import evt_gl_estimate
 from .lattice import SiteGraph, chain
@@ -596,17 +595,14 @@ def _run_embed(cfg: dict):
         outputs.update(t_star=scan.t_star, overlap=scan.overlap,
                        threshold=scan.threshold, threshold_met=scan.met)
         t_star = scan.t_star
-        t_max = float(cfg.get("t_max", default_scan_horizon(h.clock_length)))
-        ts = np.linspace(0.0, t_max, grid_points)
         rows = [("t", "overlap")]
-        for t, ov in zip(ts, readout_overlap_curve(h.clock_length, ts)):
-            rows.append((repr(float(t)), repr(float(ov))))
+        rows += [(repr(t), repr(ov)) for t, ov in zip(scan.ts.tolist(), scan.overlaps.tolist())]
     if "simulate_at" in cfg or (cfg.get("scan_readout") and mode == "short"):
         t_sim = float(cfg.get("simulate_at", t_star if t_star is not None else 0.0))
         dim = 2 ** circuit.n
         if "psi" in cfg:
             psi_or = build_vector(cfg["psi"], dim, seed, role_key=0)
-            psi_in = np.array([psi_or.query(i) for i in range(dim)])
+            psi_in = psi_or.query_many(np.arange(dim))
         else:
             psi_in = np.zeros(dim)
             psi_in[int(cfg.get("input_z", 0))] = 1.0

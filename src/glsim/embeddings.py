@@ -31,7 +31,7 @@ the least significant bit, z_ext = 2 z_data + ancilla.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -247,12 +247,15 @@ def overlap_coefficients(L: int, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReadoutScan:
-    """Grid-scan result for the final-slice overlap |alpha_{L+1}(t)|^2."""
+    """Grid-scan result for the final-slice overlap |alpha_{L+1}(t)|^2, with the
+    scanned grid ts and the overlap at each of its times."""
 
     t_star: float
     overlap: float
     threshold: float
     met: bool
+    ts: np.ndarray = field(repr=False, compare=False)
+    overlaps: np.ndarray = field(repr=False, compare=False)
 
 
 def default_scan_horizon(L: int) -> float:
@@ -285,7 +288,8 @@ def find_readout_time(L: int, t_max: float | None = None,
     best = int(np.argmax(overlaps))
     threshold = 1.0 / (4.0 * (L + 2))
     return ReadoutScan(t_star=float(ts[best]), overlap=float(overlaps[best]),
-                       threshold=threshold, met=bool(overlaps[best] >= threshold))
+                       threshold=threshold, met=bool(overlaps[best] >= threshold),
+                       ts=ts, overlaps=overlaps)
 
 
 # =====================================================================

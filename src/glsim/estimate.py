@@ -20,7 +20,8 @@ mass at least 1/(len(support) batch reps), which on a larger table can
 outnumber the draws themselves, so there the draws come as positions into
 the table (VectorOracle.sample_positions) and each batch mean averages X
 over its draws.  Either way v and w are queried once at each site drawn at
-least once, in increasing order, each through one query_many call.
+least once, in increasing order, each through one query_many call on the
+table's int64 sites.
 
 The composed solver applies a polynomial of a geometrically local matrix to
 u (through the light-cone kernel) and estimates v^dag P(A)u the same way.
@@ -95,10 +96,10 @@ def inner_product_estimate(w: VectorOracle, v: VectorOracle, eps: float,
     else:
         drawn = v.sample_positions(rng, total)
         hit = np.flatnonzero(np.bincount(drawn, minlength=v.support.size))
-    sites = v.support[hit].tolist()
+    sites = v.support[hit]
     vvals = v.query_many(sites)
     if np.any(vvals == 0):
-        bad = sites[int(np.flatnonzero(vvals == 0)[0])]
+        bad = sites[np.flatnonzero(vvals == 0)[0]]
         raise OracleInconsistencyError(
             f"sampler returned index {bad} but v_{bad} = 0")
     wvals = w.query_many(sites)

@@ -306,7 +306,7 @@ def poly_apply_query_oracle(A: LocalMatrixOracle, p: Polynomial,
     if A.dimension != u.dimension:
         raise PreconditionError("matrix and vector dimensions differ")
     _check_interval(A, p)
-    u_memo = SiteMemo(lambda new: u.query_many(new.tolist())[:, None], 1)
+    u_memo = SiteMemo(lambda new: u.query_many(new)[:, None], 1)
 
     def fill(new):   # new is sorted and distinct, so it is the pass's origins
         _, values = window_entries(A, (p,), new, lambda window: u_memo.at(window.sites))
@@ -314,5 +314,4 @@ def poly_apply_query_oracle(A: LocalMatrixOracle, p: Polynomial,
 
     w_memo = SiteMemo(fill, 1)
     # fresh counter: reads of w are not reads of u; A/u meter themselves inside
-    return VectorOracle(dimension=A.dimension, query_fn=lambda i: w_memo.at([i])[0, 0],
-                        norm=None, zeta=0.0, many_fn=lambda sites: w_memo.at(sites)[:, 0])
+    return VectorOracle(A.dimension, many_fn=lambda sites: w_memo.at(sites)[:, 0])

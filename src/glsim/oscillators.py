@@ -57,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from .access import (CostCounter, LocalityError, LocalMatrixOracle, PreconditionError,
-                     VectorOracle, _sq_oracle)
+                     VectorOracle, _lookup, _sq_oracle)
 from .estimate import EstimateReport, inner_product_estimate
 from .lattice import SiteGraph
 from .lightcone import SiteMemo, window_entries
@@ -192,10 +192,6 @@ class OscillatorSystem:
         row = row[hit]
         return SlotSprings(slots.size, pair[row], i[row], j[row], kappas[hit], self.masses)
 
-    def bdag(self, slots, z_at) -> np.ndarray:
-        """(B^T z) at each of the slots, z_at(sites) giving z at an array of sites."""
-        return self.at_slots(slots).bdag(z_at)
-
     def b(self, sites, w_at) -> np.ndarray:
         """(B w) at each of the sites, w_at(slots) giving w at an array of slots: each
         site's springs summed from 0 in increasing order of the other site."""
@@ -252,14 +248,6 @@ def _running_sums(terms: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
     out = np.empty(n, dtype=np.complex128)
     out.real, out.imag = np.bincount(row, terms.real, n), np.bincount(row, terms.imag, n)
     return out
-
-
-def _lookup(keys: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """values[k] where at holds keys[k] (keys increasing), 0 where it holds no key."""
-    if keys.size == 0:
-        return np.zeros(at.shape, dtype=values.dtype)
-    k = np.minimum(np.searchsorted(keys, at), keys.size - 1)
-    return np.where(keys[k] == at, values[k], 0.0)
 
 
 def _table_springs(sites_col: np.ndarray, others: np.ndarray, kappas: np.ndarray):
@@ -398,13 +386,7 @@ class _Embedding:
     def psi(self) -> VectorOracle:
         """psi(0)'s sq-oracle over (idx, vals), its table built and checked once,
         on first use; psi0 hands out copies of it."""
-        idx, vals = self.idx, self.vals
-
-        def many(sites) -> np.ndarray:
-            return _lookup(idx, vals, np.asarray(sites, dtype=np.int64))
-
-        return _sq_oracle(extended_dimension(self.sv.size), idx, vals,
-                          lambda i: many([i])[0], 0.0, many_fn=many)
+        return _sq_oracle(extended_dimension(self.sv.size), self.idx, self.vals, 0.0)
 
 
 def _energy(sys: OscillatorSystem, state: OscillatorState):
@@ -555,8 +537,7 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
     _, _, _, blocks = _evolved_blocks(sys, _unit_embedding(sys, state0), t, eps / 2.0)
     n = sys.n_sites
 
-    def w_many(idxs: list) -> np.ndarray:
-        idxs = np.asarray(idxs, dtype=np.int64)
+    def w_many(idxs: np.ndarray) -> np.ndarray:
         top = idxs < n
         springs = sys.at_slots(idxs[~top])
         blocks.at(np.concatenate((idxs[top], springs.sites)))
@@ -565,8 +546,7 @@ def estimate_observable(sys: OscillatorSystem, state0: OscillatorState,
         out[~top] = 1j * springs.bdag(lambda sites: blocks.at(sites)[:, 1])
         return out
 
-    w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],
-                     norm=None, many_fn=w_many)
+    w = VectorOracle(sys.extended_dim, many_fn=w_many)
     return inner_product_estimate(w, v, eps / 2.0, delta, seed)
 
 
@@ -634,8 +614,7 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
 
     energy = SiteMemo(fill, 3)
 
-    def w_many(idxs: list) -> np.ndarray:
-        idxs = np.asarray(idxs, dtype=np.int64)
+    def w_many(idxs: np.ndarray) -> np.ndarray:
         top = idxs < n
         slots = idxs[~top]
         springs = sys.at_slots(slots)
@@ -649,8 +628,7 @@ def estimate_energy(sys: OscillatorSystem, state0: OscillatorState,
                      + springs.bdag(lambda sites: energy.at(sites)[:, 2]))
         return out
 
-    w = VectorOracle(dimension=sys.extended_dim, query_fn=lambda i: w_many([i])[0],
-                     norm=None, many_fn=w_many)
+    w = VectorOracle(sys.extended_dim, many_fn=w_many)
     # through the public psi0, which perfbench's capture hook wraps to meter v
     v = psi0(sys, state0)
     return inner_product_estimate(w, v, eps / 3.0, delta, seed)

@@ -169,8 +169,8 @@ def rejection_sample(p: OversamplerHandle, u: VectorOracle, phi: float,
     and oversampling-inequality checks therefore run at every distinct
     tested site, but not at the drawn trials after the accepted one.
     """
-    return _rejection_sample(p, _TrialMemo(lambda sites: [u.query(s) for s in sites], 1),
-                             phi, alpha_min, delta, seed, chunk, stream_key)
+    return _rejection_sample(p, _TrialMemo(u.query_many, 1), phi, alpha_min, delta, seed,
+                             chunk, stream_key)
 
 
 class _TrialMemo:

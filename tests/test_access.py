@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glsim import (LocalityError, OracleInconsistencyError, PreconditionError,
-                   VectorOracle, build_system, chain, general, graph_laplacian_oracle,
-                   grid, local_matrix_from_rows, rng_stream, scale_matrix_oracle,
-                   sparse_vector_oracle, sq_access_from_dense)
+from glsim import (LocalityError, OracleInconsistencyError, OscillatorState,
+                   PreconditionError, VectorOracle, build_system, chain, general,
+                   graph_laplacian_oracle, grid, local_matrix_from_rows, psi0, rng_stream,
+                   scale_matrix_oracle, sparse_vector_oracle, sq_access_from_dense)
 from glsim.access import _count_stages
 
 from dense_rows import dense_rows
@@ -74,6 +74,53 @@ def test_query_many_meters_each_site_and_calls_query_fn_in_order():
     assert calls == [3, 1, 3, 0] and u.cost.queries == 4
     batched = VectorOracle(5, lambda i: 1 / 0, None, many_fn=lambda sites: [2 * i for i in sites])
     assert batched.query_many([4, 2]).tolist() == [8, 4] and batched.cost.queries == 2
+
+
+def test_a_vector_oracle_needs_an_entry_source():
+    with pytest.raises(ValueError, match="query_fn or many_fn"):
+        VectorOracle(5, norm=1.0)
+
+
+def _entry_oracle(kind: str):
+    """(oracle, {zero-mass site: entry}, off-table sites) for one of the sq builders."""
+    if kind == "dense":   # the donor, site 3, gives up all of its mass 16/25
+        return sq_access_from_dense([0.0, 3.0, 0.0, 4.0, 0.0], zeta=0.64), {3: 4.0}, [0, 2, 4]
+    if kind == "sparse":
+        u = sparse_vector_oracle(10**9, {9: 0.0, 5: 3.0, 7: 4.0}, zeta=0.64)
+        return u, {7: 4.0, 9: 0.0}, [0, 123456, 10**9 - 1]
+    sys = build_system(chain(4), [1.0, 2.0, 1.0, 3.0],
+                       {(0, 0): 1.0, (0, 1): 1.0, (1, 2): 2.0, (2, 3): 0.5}, 1)
+    u = psi0(sys, OscillatorState(x=[0.0, 0.5, 0.0, 0.0], xdot=[1.0, 0.0, 0.0, -0.3]))
+    return u, {}, [1, 2, sys.extended_dim - 1]
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "psi0"])
+def test_query_many_equals_the_queries_one_site_at_a_time(kind):
+    """query_many(sites) is [query(i) for i in sites] bit for bit, at table,
+    zero-mass and off-table sites, from one source call per batch."""
+    u, zero_mass, off_table = _entry_oracle(kind)
+    rest = np.array([*zero_mass, *off_table], dtype=np.int64)
+    assert not np.isin(rest, u.support).any()
+    sites = np.concatenate((u.support, rest, u.support[::-1], rest))
+    calls, source = [], u._source
+    u._source = lambda at: calls.append((at.dtype, at.size)) or source(at)
+    batch = u.query_many(sites)
+    assert calls == [(np.int64, sites.size)] and u.cost.queries == sites.size
+    one = np.array([u.query(i) for i in sites.tolist()], dtype=np.complex128)
+    assert calls[1:] == [(np.int64, 1)] * sites.size
+    assert batch.view(np.uint64).tolist() == one.view(np.uint64).tolist()
+    assert u.query_many(list(zero_mass)).tolist() == list(zero_mass.values())
+    assert np.all(u.query_many(off_table) == 0)
+
+
+def test_dense_oracle_answers_from_its_own_copy():
+    vec = np.array([0.6, 0.8], dtype=np.complex128)
+    u, same = sq_access_from_dense(vec), sq_access_from_dense(vec.copy())
+    vec[0] = 5.0
+    assert u.query(0) == 0.6 and u.query_many([0, 1]).tolist() == [0.6, 0.8]
+    assert u.norm() == same.norm() == pytest.approx(1.0)
+    assert u.support.tolist() == same.support.tolist() == [0, 1]
+    assert u.masses.tolist() == same.masses.tolist() == pytest.approx([0.36, 0.64])
 
 
 def test_zero_vector_rejected():

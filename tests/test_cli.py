@@ -958,6 +958,19 @@ def test_embed_short_scan_simulates_at_readout_time(tmp_path):
     assert len(rows) == 1 + 400
 
 
+def test_embed_scan_of_an_empty_circuit_writes_its_one_point(tmp_path):
+    """An empty circuit's scan horizon is 0, so the scan and its CSV have one
+    point, t = 0, whatever grid_points asks."""
+    cfg = {"mode": "short", "circuit": {"n": 1, "gates": []}, "scan_readout": True,
+           "grid_points": 5}
+    cfg_path = _write_config(tmp_path, "emb.json", cfg)
+    assert main(["embed", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    out = _read_report(tmp_path, "embed_report.json")["outputs"]
+    assert (out["t_star"], out["overlap"]) == (0.0, 1.0)
+    with open(tmp_path / "embed_series.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["t", "overlap"], ["0.0", "1.0"]]
+
+
 def test_embed_circuit_file_round_trips(tmp_path):
     circ_path = tmp_path / "circ.txt"
     circ_path.write_text("# tiny program\nX 0\nCNOT 0 1\n")

@@ -131,7 +131,8 @@ def test_extended_dimension_formula():
 def test_single_mass_wall_spring_system():
     sys = build_system(chain(1), [1.0], {(0, 0): 1.0}, 1)
     assert np.allclose(dense_from_oracle(sys.a_oracle()).entries, [[1.0]])
-    assert sys.bdag([pair_index(0, 0, 1)], lambda sites: np.ones(sites.size)) == pytest.approx(1.0)
+    assert (sys.at_slots([pair_index(0, 0, 1)]).bdag(lambda sites: np.ones(sites.size))
+            == pytest.approx(1.0))
 
 
 def test_two_mass_pair_matrix():
@@ -157,7 +158,8 @@ def test_bdag_is_dense_b_transpose_at_every_slot(kind):
     assert np.count_nonzero(np.abs(bt).sum(axis=1) == 0) > 0   # slots with no spring are checked
     slots = np.arange(n, sys.extended_dim)
     for k in range(n):
-        assert np.array_equal(sys.bdag(slots, lambda sites: (sites == k) * 1.0), bt[:, k])
+        assert np.array_equal(sys.at_slots(slots).bdag(lambda sites: (sites == k) * 1.0),
+                              bt[:, k])
 
 
 @pytest.mark.parametrize("kind", SYSTEMS)
@@ -171,7 +173,7 @@ def test_b_and_bdag_arrays_equal_the_entry_loops_bitwise(kind):
     w = rng.normal(size=sys.extended_dim) + 1j * rng.normal(size=sys.extended_dim)
     z[0], w[-1] = complex(-0.0, 0.7), complex(1e-310, -0.0)
     slots = rng.permutation(np.arange(n, sys.extended_dim).repeat(2))
-    got = sys.bdag(slots, lambda sites: z[sites])
+    got = sys.at_slots(slots).bdag(lambda sites: z[sites])
     want = np.array([_bdag_entry(sys, int(s), lambda i: complex(z[i])) for s in slots])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     sites = rng.permutation(np.arange(n).repeat(2))

@@ -152,8 +152,8 @@ def test_lazy_wave_system_equals_the_table_system(network, seed):
     sites = rng.permutation(np.arange(n).repeat(2))
     slots = rng.permutation(np.arange(lazy.extended_dim))
     assert lazy.b(sites, w.__getitem__).tobytes() == table.b(sites, w.__getitem__).tobytes()
-    assert (lazy.bdag(slots, z.__getitem__).tobytes()
-            == table.bdag(slots, z.__getitem__).tobytes())
+    assert (lazy.at_slots(slots).bdag(z.__getitem__).tobytes()
+            == table.at_slots(slots).bdag(z.__getitem__).tobytes())
     x = np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n))
     xdot = np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n))
     state = OscillatorState(x, xdot)

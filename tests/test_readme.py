@@ -4,6 +4,7 @@ scenario's JSON config under that scenario."""
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -35,11 +36,20 @@ def test_quick_start_blocks_run():
 @pytest.mark.parametrize("scenario", ["estimate", "sample", "oscillator", "energy",
                                       "pde", "embed"])
 def test_scenario_config_runs(scenario, tmp_path, monkeypatch):
+    """Each scenario's config runs, and a rerun writes the same files: the same
+    report but for wall_time_s, and the same series byte for byte."""
     (cfg,) = _blocks("json", _section(f"### {scenario}"))
     monkeypatch.chdir(tmp_path)
     if scenario == "energy":   # its config reads the oscillator example's system
         (oscillator,) = _blocks("json", _section("### oscillator"))
         Path("system.json").write_text(json.dumps(json.loads(oscillator)["system"]))
     Path(f"{scenario}.json").write_text(cfg)
-    assert main([scenario, "--config", f"{scenario}.json", "--out", "runs"]) == 0
-    assert Path(f"runs/{scenario}_report.json").is_file()
+    runs = []
+    for _ in range(2):
+        shutil.rmtree("runs", ignore_errors=True)
+        assert main([scenario, "--config", f"{scenario}.json", "--out", "runs"]) == 0
+        files = {path.name: path.read_bytes() for path in Path("runs").iterdir()}
+        report = json.loads(files.pop(f"{scenario}_report.json"))
+        assert report.pop("wall_time_s") >= 0
+        runs.append((report, files))
+    assert runs[0] == runs[1]

@@ -15,7 +15,7 @@ from glsim import (DenseMatrix, EvolvedSampler, OracleInconsistencyError,
                    local_matrix_from_rows, VectorOracle, poly_apply_query_oracle,
                    rejection_sample, rng_stream, sparse_vector_oracle,
                    sq_access_from_dense, tv_error_bound)
-from glsim.access import _sq_oracle, random_local_pair
+from glsim.access import random_local_pair
 from glsim.lightcone import _chunk_size
 from glsim.sampling import _rejection_sample, _TrialMemo
 
@@ -487,9 +487,9 @@ def test_fills_query_psi_at_most_once_per_site():
     sampler's w, read psi at each site at most once."""
     a, n = _grid_antihermitian(64), 64 * 64
     entries = {32 * 64 + 32: 0.8, 30 * 64 + 35: 0.6}
-    sites, vals = np.array(sorted(entries)), np.array([entries[i] for i in sorted(entries)])
-    read = []
-    psi = _sq_oracle(n, sites, vals, lambda i: read.append(i) or entries.get(i, 0.0), 0.0)
+    read, psi = [], sparse_vector_oracle(n, entries)
+    read_many = psi.query_many
+    psi.query_many = lambda at: read.extend(np.ravel(at).tolist()) or read_many(at)
     sampler = EvolvedSampler(a, 1.0, psi, eps=0.05, alpha_min=0.9, delta=0.01, seed=98)
     # the oversampler reads psi at its table sites on its own: give it an unrecorded psi
     sampler.oversampler = lightcone_oversampler(sampler.generator, sampler.poly.degree,
